@@ -27,6 +27,8 @@ CSV_COLUMNS = ("t", "v", "v_o", "v_T", "log_rho", "theta")
 
 @dataclass
 class CliConfig:
+    """A parsed invocation; its field defaults are the CLI's defaults."""
+
     subcommand: str
     domain_json: str | None = None
     t_min: float = 1.0
@@ -222,7 +224,7 @@ def run(cfg: CliConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("HYPSPEED_SEED", "42"))
+    default_seed = int(os.environ.get("HYPSPEED_SEED", CliConfig.seed))
     parser = argparse.ArgumentParser(
         prog="hypspeed",
         description="speeds of non-elliptic semigroup orbits and their verification suites",
@@ -230,9 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_grid(p):
-        p.add_argument("--t-min", type=float, default=1.0)
-        p.add_argument("--t-max", type=float, default=1e8)
-        p.add_argument("--points", type=int, default=512)
+        p.add_argument("--t-min", type=float, default=CliConfig.t_min)
+        p.add_argument("--t-max", type=float, default=CliConfig.t_max)
+        p.add_argument("--points", type=int, default=CliConfig.points)
 
     p_speeds = sub.add_parser("speeds", help="emit a CSV speed table")
     p_speeds.add_argument("--domain", required=True, help="domain JSON (inline or a file path)")
@@ -241,31 +243,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=int)
     p_verify.add_argument("--seed", type=int, default=default_seed)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=CliConfig.tol)
     p_verify.add_argument("-o", "--output")
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic coefficient")
     p_fit.add_argument("--domain", required=True)
-    p_fit.add_argument("--series", default="v", choices=("v", "v_o", "v_T"))
-    p_fit.add_argument("--basis", default="log_t", choices=("log_t", "t"))
-    p_fit.add_argument("--window", type=float, nargs=2, default=(1e6, 1e8))
+    p_fit.add_argument("--series", default=CliConfig.series, choices=("v", "v_o", "v_T"))
+    p_fit.add_argument("--basis", default=CliConfig.basis, choices=("log_t", "t"))
+    p_fit.add_argument("--window", type=float, nargs=2, default=CliConfig.window)
     add_grid(p_fit)
     p_fit.add_argument("-o", "--output")
 
     p_comb = sub.add_parser("comb", help="build and certify a comb construction")
-    p_comb.add_argument("--gauge", default="log1p",
+    p_comb.add_argument("--gauge", default=CliConfig.gauge,
                         help="log1p | sqrt | pow:<p> (sublinear gauge)")
-    p_comb.add_argument("--abscissae", default="linear",
+    p_comb.add_argument("--abscissae", default=CliConfig.abscissae,
                         help="linear | geom:<ratio> | comma-separated list")
-    p_comb.add_argument("--steps", type=int, default=10)
+    p_comb.add_argument("--steps", type=int, default=CliConfig.steps)
     p_comb.add_argument("-o", "--output", help="construction JSON destination")
     p_comb.add_argument("--ratios", dest="ratio_output", help="ratio CSV destination")
 
     p_plot = sub.add_parser("plot", help="emit a static SVG chart of speed columns")
     p_plot.add_argument("--domain", required=True)
-    p_plot.add_argument("--columns", default="v,v_o,v_T")
+    p_plot.add_argument("--columns", default=",".join(CliConfig.columns))
     add_grid(p_plot)
     p_plot.add_argument("-o", "--output")
     return parser

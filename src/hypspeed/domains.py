@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import DomainError, HalfPlanePoint, k_half
-from .mapchain import Affine, ExpScale, Power, RiemannMapChain
-
-HALF_PI = 0.5 * math.pi
-TWO_PI = 2.0 * math.pi
+from .hyperbolic import GL_NODES, GL_WEIGHTS, DomainError, in_halfplane, k_half
+from .mapchain import (HALF_PI, TWO_PI, Affine, ExpScale, LogPolar, Power,
+                       RiemannMapChain)
 
 
 class UnsupportedDomainOperation(ValueError):
@@ -278,12 +276,11 @@ def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
     raise UnsupportedDomainOperation("no closed-form map; use quasihyp_lower")
 
 
-def map_to_halfplane(domain: DomainSpec, w) -> HalfPlanePoint:
+def map_to_halfplane(domain: DomainSpec, w) -> LogPolar:
     """Evaluate the chain at an interior point, staying in log-polar form."""
     if not contains(domain, w):
         raise DomainError(f"{w} is not in the domain")
-    p = to_halfplane(domain).forward_lp(complex(w))
-    return HalfPlanePoint.from_logpolar(p)
+    return in_halfplane(to_halfplane(domain).forward_lp(complex(w)))
 
 
 def k_domain(domain: DomainSpec, w1, w2) -> float:
@@ -442,13 +439,10 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q) -> float:
 # ---------------------------------------------------------------------------
 # quasi-hyperbolic lower bound along the imaginary axis
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _gl_panel(f, lo: float, hi: float) -> float:
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    xs = mid + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, [f(x) for x in xs]))
+    xs = mid + half * GL_NODES
+    return half * float(np.dot(GL_WEIGHTS, [f(x) for x in xs]))
 
 
 def _adaptive(f, lo: float, hi: float, rel_tol: float = 1e-9, depth: int = 48) -> float:

@@ -16,10 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mapchain import LogPolar
-
-HALF_PI = 0.5 * math.pi
-LOG2 = math.log(2.0)
+from .mapchain import HALF_PI, LOG2, LogPolar
 
 # Above this |log rho_1 - log rho_0| the cosh-based formula overflows and the
 # distance equals |dlog|/2 plus an angle correction to below double precision.
@@ -30,42 +27,35 @@ class DomainError(ValueError):
     """A point lies outside the space an operation requires."""
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """rho * exp(i*theta) with rho = exp(log_rho) > 0 and |theta| < pi/2.
+def in_halfplane(p: LogPolar) -> LogPolar:
+    """Return p once it is checked to be a right half-plane point: a finite
+    log-modulus and |theta| <= pi/2.  Chain results pass through here when
+    they enter the half-plane layer."""
+    if not math.isfinite(p.log_rho):
+        raise DomainError("log_rho must be finite")
+    if not abs(p.theta) <= HALF_PI:
+        raise DomainError("theta must lie in (-pi/2, pi/2)")
+    return p
+
+
+def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None) -> LogPolar:
+    """The right half-plane point rho * exp(i*theta), rho = exp(log_rho).
 
     cos_theta optionally carries cos(theta) at full relative accuracy; it is
     what keeps tangential quantities exact when theta hugs +-pi/2.
     """
+    return in_halfplane(LogPolar(log_rho, theta, cos_theta))
 
-    log_rho: float
-    theta: float
-    cos_theta: float | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if not math.isfinite(self.log_rho):
-            raise DomainError("log_rho must be finite")
-        if not abs(self.theta) <= HALF_PI:
-            raise DomainError("theta must lie in (-pi/2, pi/2)")
+def _halfplane_from_complex(w: complex) -> LogPolar:
+    """The half-plane point w, keeping w itself as its cartesian value."""
+    w = complex(w)
+    if w.real <= 0:
+        raise DomainError(f"{w} is not in the right half plane")
+    return LogPolar.from_complex(w)
 
-    @staticmethod
-    def from_complex(w: complex) -> "HalfPlanePoint":
-        w = complex(w)
-        if w.real <= 0:
-            raise DomainError(f"{w} is not in the right half plane")
-        r = abs(w)
-        return HalfPlanePoint(math.log(r), math.atan2(w.imag, w.real), w.real / r)
 
-    @staticmethod
-    def from_logpolar(p: LogPolar) -> "HalfPlanePoint":
-        return HalfPlanePoint(p.log_r, p.angle, p.cos_angle)
-
-    @property
-    def cos(self) -> float:
-        return self.cos_theta if self.cos_theta is not None else math.cos(self.theta)
-
-    def to_complex(self) -> complex:
-        return cmath.rect(math.exp(self.log_rho), self.theta)
+HalfPlanePoint.from_complex = _halfplane_from_complex
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ class DiscPoint:
     """
 
     value: complex
-    halfplane: HalfPlanePoint | None = field(default=None, compare=False)
+    halfplane: LogPolar | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
@@ -158,7 +148,7 @@ def _k_lp(l1: float, t1: float, c1: float, l2: float, t2: float, c2: float) -> f
     return math.log1p(m) - 0.5 * math.log(one_minus_m2)
 
 
-def k_half(w1: HalfPlanePoint, w2: HalfPlanePoint) -> float:
+def k_half(w1: LogPolar, w2: LogPolar) -> float:
     """Hyperbolic distance in the right half plane."""
     return _k_lp(w1.log_rho, w1.theta, w1.cos, w2.log_rho, w2.theta, w2.cos)
 
@@ -203,7 +193,7 @@ def kappa(space: str, point: complex, vector: complex) -> float:
 # Cayley transform
 
 
-def cayley(z) -> HalfPlanePoint:
+def cayley(z) -> LogPolar:
     """z -> (1+z)/(1-z), an isometry from (D, omega) onto (H, k_half)."""
     z = _as_disc(z)
     if z.halfplane is not None:
@@ -212,7 +202,7 @@ def cayley(z) -> HalfPlanePoint:
     return HalfPlanePoint.from_complex(w)
 
 
-def cayley_inv(w: HalfPlanePoint) -> DiscPoint:
+def cayley_inv(w: LogPolar) -> DiscPoint:
     """Inverse Cayley transform; guards points whose 1-|z| underflows."""
     if w.log_rho <= _RADIAL_CROSSOVER:
         u = w.to_complex()
@@ -295,7 +285,7 @@ def _rotated(z: DiscPoint, geo: RadialGeodesic) -> DiscPoint:
 # ---------------------------------------------------------------------------
 # hyperbolic length of polylines (oracle quadrature)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def path_length(space: str, polyline, subdivisions: int = 64) -> float:
@@ -318,7 +308,7 @@ def path_length(space: str, polyline, subdivisions: int = 64) -> float:
             continue
         for k in range(subdivisions):
             lo = a + k * step
-            mids = lo + (0.5 + 0.5 * _GL_NODES) * step
+            mids = lo + (0.5 + 0.5 * GL_NODES) * step
             if space == "disc":
                 dens = 1.0 / (1.0 - np.abs(mids) ** 2)
             else:
@@ -326,7 +316,7 @@ def path_length(space: str, polyline, subdivisions: int = 64) -> float:
                 if np.any(re <= 0):
                     raise DomainError("path leaves the half plane")
                 dens = 1.0 / (2.0 * re)
-            total += abs(step) * 0.5 * float(np.dot(_GL_WEIGHTS, dens))
+            total += abs(step) * 0.5 * float(np.dot(GL_WEIGHTS, dens))
     return total
 
 

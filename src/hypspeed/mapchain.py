@@ -1,10 +1,17 @@
-"""Invertible chains of primitive conformal maps with log-polar evaluation.
+"""Log-polar points and invertible chains of primitive conformal maps.
 
-Every primitive here acts simply on points written as ``r * exp(i*angle)``
-carried in the form ``(log r, angle)``.  That is what makes orbits at huge
-times tractable: a sector power map multiplies ``log r`` by its exponent and
-an exponential map turns a bounded strip coordinate into a possibly enormous
-``log r`` without ever materialising the overflowing complex number.
+``LogPolar`` is the package's one point type: a nonzero complex number
+``rho * exp(i*theta)`` carried as ``(log rho, theta)``, with an optional
+full-precision ``cos theta`` and an optional exact cartesian value.  Chain
+links map it to itself, and the half-plane layer (``hyperbolic``) reads
+orbit points in the right half plane as the same values once they pass its
+validity check.
+
+Every primitive here acts simply on that representation.  That is what
+makes orbits at huge times tractable: a sector power map multiplies
+``log rho`` by its exponent and an exponential map turns a bounded strip
+coordinate into a possibly enormous ``log rho`` without ever materialising
+the overflowing complex number.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
+LOG2 = math.log(2.0)
 
 # Complex doubles stay finite below exp(709); switch representations before.
 _LOG_WIDE = 700.0
@@ -35,19 +44,19 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class LogPolar:
-    """A nonzero complex number r*exp(i*angle) stored as (log r, angle).
+    """A nonzero complex number rho*exp(i*theta) stored as (log rho, theta).
 
-    ``cos_angle`` is an optional high-accuracy value of cos(angle).  When a
+    ``cos_theta`` is an optional high-accuracy value of cos(theta).  When a
     point is created from exact cartesian data the cosine is known to full
     relative precision even for angles within 1e-12 of +-pi/2, which the
-    stored ``angle`` alone cannot resolve.  ``cart`` keeps the originating
+    stored ``theta`` alone cannot resolve.  ``cart`` keeps the originating
     cartesian value so that chains of moderate-size links never degrade it
-    by round-tripping through polar form.  log_r == -inf encodes zero.
+    by round-tripping through polar form.  log_rho == -inf encodes zero.
     """
 
-    log_r: float
-    angle: float
-    cos_angle: float | None = field(default=None, compare=False)
+    log_rho: float
+    theta: float
+    cos_theta: float | None = field(default=None, compare=False)
     cart: complex | None = field(default=None, compare=False)
 
     @staticmethod
@@ -61,21 +70,21 @@ class LogPolar:
     def to_complex(self) -> complex:
         if self.cart is not None:
             return self.cart
-        if self.log_r == float("-inf"):
+        if self.log_rho == float("-inf"):
             return 0j
-        if self.log_r > _LOG_WIDE:
+        if self.log_rho > _LOG_WIDE:
             raise OverflowError(
-                f"log-polar value with log_r={self.log_r:g} does not fit in a complex double"
+                f"log-polar value with log_rho={self.log_rho:g} does not fit in a complex double"
             )
-        return cmath.rect(math.exp(self.log_r), self.angle)
+        return cmath.rect(math.exp(self.log_rho), self.theta)
 
     @property
     def cos(self) -> float:
-        return self.cos_angle if self.cos_angle is not None else math.cos(self.angle)
+        return self.cos_theta if self.cos_theta is not None else math.cos(self.theta)
 
     @property
     def is_zero(self) -> bool:
-        return self.log_r == float("-inf")
+        return self.log_rho == float("-inf")
 
 
 def _coerce(w) -> LogPolar:
@@ -96,14 +105,14 @@ class Affine:
     def fwd(self, p: LogPolar) -> LogPolar:
         if p.is_zero:
             return LogPolar.from_complex(self.b)
-        if p.log_r <= _LOG_WIDE:
+        if p.log_rho <= _LOG_WIDE:
             return LogPolar.from_complex(self.a * p.to_complex() + self.b)
         # |w| too large for a double: a*w + b = a*w*(1 + b/(a*w)), u underflows
         # harmlessly to 0 when it is below double resolution.
-        u = (self.b / self.a) * cmath.exp(complex(-p.log_r, -p.angle))
+        u = (self.b / self.a) * cmath.exp(complex(-p.log_rho, -p.theta))
         corr = 1.0 + u
-        ang = wrap_angle(p.angle + cmath.phase(self.a) + cmath.phase(corr))
-        return LogPolar(p.log_r + math.log(abs(self.a)) + math.log(abs(corr)), ang)
+        ang = wrap_angle(p.theta + cmath.phase(self.a) + cmath.phase(corr))
+        return LogPolar(p.log_rho + math.log(abs(self.a)) + math.log(abs(corr)), ang)
 
     def inverse_link(self) -> "Affine":
         return Affine(1.0 / self.a, -self.b / self.a)
@@ -136,19 +145,19 @@ class Power:
         if p.is_zero:
             return p
         slack = 1e-9
-        if not (self.angle_lo - slack <= p.angle <= self.angle_hi + slack):
+        if not (self.angle_lo - slack <= p.theta <= self.angle_hi + slack):
             raise BranchError(
-                f"power link input angle {p.angle:g} outside [{self.angle_lo:g}, {self.angle_hi:g}]"
+                f"power link input angle {p.theta:g} outside [{self.angle_lo:g}, {self.angle_hi:g}]"
             )
         if self.gamma == 1.0:
             return p
-        return LogPolar(self.gamma * p.log_r, self.gamma * p.angle)
+        return LogPolar(self.gamma * p.log_rho, self.gamma * p.theta)
 
     def inverse_link(self) -> "Power":
         return Power(1.0 / self.gamma, self.gamma * self.angle_lo, self.gamma * self.angle_hi)
 
     def log_abs_deriv(self, p: LogPolar) -> float:
-        return math.log(self.gamma) + (self.gamma - 1.0) * p.log_r
+        return math.log(self.gamma) + (self.gamma - 1.0) * p.log_rho
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,7 @@ class ExpScale:
     def fwd(self, p: LogPolar) -> LogPolar:
         cw = self.c * p.to_complex()
         # cos(Im(cw) - pi/2) == sin(Im(cw)): full precision near the sector rim.
-        return LogPolar(cw.real, wrap_angle(cw.imag - 0.5 * math.pi), math.sin(cw.imag))
+        return LogPolar(cw.real, wrap_angle(cw.imag - HALF_PI), math.sin(cw.imag))
 
     def inverse_link(self) -> "ExpLog":
         return ExpLog(self.c)
@@ -179,14 +188,14 @@ class ExpLog:
     def fwd(self, p: LogPolar) -> LogPolar:
         if p.is_zero:
             raise ValueError("log link is singular at 0")
-        z = complex(p.log_r, wrap_angle(p.angle + 0.5 * math.pi)) / self.c
+        z = complex(p.log_rho, wrap_angle(p.theta + HALF_PI)) / self.c
         return LogPolar.from_complex(z)
 
     def inverse_link(self) -> "ExpScale":
         return ExpScale(self.c)
 
     def log_abs_deriv(self, p: LogPolar) -> float:
-        return -math.log(abs(self.c)) - p.log_r
+        return -math.log(abs(self.c)) - p.log_rho
 
 
 @dataclass(frozen=True)
@@ -202,7 +211,7 @@ class Cayley:
 
     def log_abs_deriv(self, p: LogPolar) -> float:
         z = p.to_complex()
-        return math.log(2.0) - 2.0 * math.log(abs(1.0 - z))
+        return LOG2 - 2.0 * math.log(abs(1.0 - z))
 
 
 @dataclass(frozen=True)
@@ -217,10 +226,10 @@ class CayleyInv:
         return Cayley()
 
     def log_abs_deriv(self, p: LogPolar) -> float:
-        if p.log_r > _LOG_WIDE:
-            return math.log(2.0) - 2.0 * p.log_r
+        if p.log_rho > _LOG_WIDE:
+            return LOG2 - 2.0 * p.log_rho
         w = p.to_complex()
-        return math.log(2.0) - 2.0 * math.log(abs(w + 1.0))
+        return LOG2 - 2.0 * math.log(abs(w + 1.0))
 
 
 Link = Affine | Power | ExpScale | ExpLog | Cayley | CayleyInv
@@ -246,9 +255,6 @@ class RiemannMapChain:
 
     def inverse_links(self) -> tuple[Link, ...]:
         return tuple(link.inverse_link() for link in reversed(self.links))
-
-    def inverse_chain(self) -> "RiemannMapChain":
-        return RiemannMapChain(self.inverse_links())
 
     def inverse_lp(self, w) -> LogPolar:
         p = _coerce(w)

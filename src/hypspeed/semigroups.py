@@ -3,8 +3,8 @@
 A semigroup here is the family phi_t = h^{-1}(h(.) + it) where h maps the
 unit disc onto a chosen starlike-at-infinity domain.  The disc-side map is
 assembled from the Cayley transform and the domain's half-plane chain, so
-h(0) is always the domain's canonical base point and the Denjoy-Wolff point
-is the disc preimage of the chain's end at infinity.
+h(0) is always the domain's canonical base point.  Every chain sends the
+upward end to infinity of H, so the Denjoy-Wolff point is C^{-1}(inf) = 1.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .domains import (Comb, DomainSpec, HalfPlaneRight, Koebe, Sector, Strip,
                       UnsupportedDomainOperation, canonical_base_point,
                       to_halfplane)
-from .hyperbolic import (ORIGIN, DiscPoint, DomainError, HalfPlanePoint,
-                         cayley_inv)
-from .mapchain import Cayley, RiemannMapChain
+from .hyperbolic import ORIGIN, DiscPoint, DomainError, cayley_inv, in_halfplane
+from .mapchain import Cayley, LogPolar, RiemannMapChain
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,6 @@ class KoenigsSemigroup:
     base_model_point: complex | None
     classification: Classification
 
-    @property
-    def to_h(self) -> RiemannMapChain:
-        return to_halfplane(self.image_domain)
-
 
 def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
     """Build the semigroup with Koenigs image the given domain."""
@@ -94,13 +89,13 @@ def model_point(sg: KoenigsSemigroup, z: DiscPoint = ORIGIN) -> complex:
     return sg.chain.forward(z.value)
 
 
-def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> HalfPlanePoint:
+def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     """The half-plane representation C(phi_t(z)) = F(h(z) + it), exact in
     log-polar form for t as large as 1e12."""
     if t < 0:
         raise ValueError("orbit times must be nonnegative")
     hz = model_point(sg, z)
-    return HalfPlanePoint.from_logpolar(sg.to_h.forward_lp(hz + 1j * t))
+    return in_halfplane(to_halfplane(sg.image_domain).forward_lp(hz + 1j * t))
 
 
 def orbit(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> DiscPoint:
@@ -112,19 +107,13 @@ def orbit(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> DiscPoint:
 def denjoy_wolff(sg: KoenigsSemigroup) -> complex:
     """The common orbit limit on the unit circle.
 
-    Evaluated as the disc preimage of the half-plane end at infinity: push
-    points rho = exp(L), theta = 0 through the inverse Cayley transform for
-    growing L and extrapolate the (geometrically convergent) sequence.
+    Fixed by the normalisation: every chain sends the upward end of the
+    image domain to infinity of H, and the inverse Cayley transform sends
+    infinity to 1.
     """
     if sg.chain is None:
         raise UnsupportedDomainOperation("comb image domains are not orbit-evaluable")
-    tau = None
-    for log_rho in (24.0, 36.0, 48.0):
-        nxt = cayley_inv(HalfPlanePoint(log_rho, 0.0, 1.0)).value
-        if tau is not None and nxt == tau:
-            break
-        tau = nxt
-    return tau / abs(tau)
+    return 1 + 0j
 
 
 def hyperbolic_step_gap(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> float:

@@ -22,9 +22,9 @@ import numpy as np
 from .domains import DomainSpec, OmegaSign, contains, delta_pm
 from .hyperbolic import (ORIGIN, DiscPoint, DomainError, HalfPlanePoint,
                          k_half, tangential_distance)
+from .mapchain import LOG2, LogPolar
 from .semigroups import KoenigsSemigroup, orbit_halfplane
 
-LOG2 = math.log(2.0)
 _BASE = HalfPlanePoint(0.0, 0.0, 1.0)
 
 
@@ -47,7 +47,7 @@ class SpeedSample:
             raise ValueError("sample violates the orthogonal/tangential split")
 
 
-def speeds_from_halfplane(hp: HalfPlanePoint) -> tuple[float, float, float]:
+def speeds_from_halfplane(hp: LogPolar) -> tuple[float, float, float]:
     """(v, v_o, v_T) of a half-plane point relative to the base point 1."""
     v = k_half(_BASE, hp)
     v_o = 0.5 * abs(hp.log_rho)
@@ -102,7 +102,7 @@ class SurrogateSpeeds:
     pre_threshold: bool
 
 
-def _log1p_abs_eta(hp: HalfPlanePoint) -> float:
+def _log1p_abs_eta(hp: LogPolar) -> float:
     """log(1 + |eta|) for eta = (w-1)/(w+1), |eta|^2 = (cosh L - c)/(cosh L + c)."""
     L, c = hp.log_rho, hp.cos
     if abs(L) > 30.0:

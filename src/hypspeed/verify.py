@@ -9,6 +9,7 @@ zero violations is the pass condition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -19,9 +20,7 @@ from . import domains as D
 from . import hyperbolic as H
 from . import semigroups as SG
 from . import speeds as SP
-
-LOG2 = math.log(2.0)
-HALF_PI = 0.5 * math.pi
+from .mapchain import HALF_PI, LOG2, LogPolar
 
 #: the five worked image domains: hyperbolic, positive step (x2), zero step (x2)
 BUILTIN_DOMAINS = {
@@ -71,7 +70,7 @@ def _rand_theta(rng) -> float:
     return theta if rng.uniform() < 0.5 else -theta
 
 
-def _hp(rng, log_span: float = 24.0) -> H.HalfPlanePoint:
+def _hp(rng, log_span: float = 24.0) -> LogPolar:
     return H.HalfPlanePoint(rng.uniform(-log_span, log_span), _rand_theta(rng))
 
 
@@ -270,19 +269,27 @@ def _suite_chains(n, rng, tol):
 # speed suites
 
 
-def _built_samples(points: int | None = None):
-    grid = _grid(points)
-    out = {}
+@functools.lru_cache(maxsize=1)
+def _built_samples(n: int) -> tuple[tuple[str, SG.KoenigsSemigroup, tuple], ...]:
+    """(name, semigroup, samples) for each of BUILTIN_DOMAINS on the grid of
+    a suite of size n: the one table that split, julia_tangent, lower_bounds,
+    betsakos and sector_asymptotics read.
+
+    Built on first use and kept for the most recent n.  It holds only
+    tuples and frozen values, so no suite can change what another reads.
+    """
+    grid = _grid(n if n >= 2 else None)
+    table = []
     for name, dom in BUILTIN_DOMAINS.items():
         sg = SG.koenigs_semigroup(dom)
-        out[name] = (sg, SP.sample_speeds(sg, grid))
-    return out
+        table.append((name, sg, tuple(SP.sample_speeds(sg, grid))))
+    return tuple(table)
 
 
 def _suite_split(n, rng, tol):
     margins = []
     total = 0
-    for _name, (_sg, samples) in _built_samples(n if n >= 2 else None).items():
+    for _name, _sg, samples in _built_samples(n):
         for s in samples:
             margins.append(s.v_o + s.v_T - s.v)                 # v <= v_o + v_T
             margins.append(s.v - (s.v_o + s.v_T - 0.5 * LOG2))  # lower half
@@ -293,7 +300,7 @@ def _suite_split(n, rng, tol):
 def _suite_julia_tangent(n, rng, tol):
     margins = []
     total = 0
-    for _name, (_sg, samples) in _built_samples(n if n >= 2 else None).items():
+    for _name, _sg, samples in _built_samples(n):
         for s in samples:
             margins.append(s.v_o + 4.0 * LOG2 - s.v_T)
             total += 1
@@ -330,7 +337,7 @@ def _class_expression(cls, t: float) -> float:
 def _suite_lower_bounds(n, rng, tol):
     margins = []
     total = 0
-    for _name, (sg, samples) in _built_samples(n if n >= 2 else None).items():
+    for _name, sg, samples in _built_samples(n):
         cls = SG.classify(sg.image_domain)
         worst = min(s.v - _class_expression(cls, s.t) for s in samples)
         margins.append(worst + EMPIRICAL_SLACK)
@@ -341,7 +348,7 @@ def _suite_lower_bounds(n, rng, tol):
 def _suite_betsakos(n, rng, tol):
     margins = []
     total = 0
-    for _name, (sg, samples) in _built_samples(n if n >= 2 else None).items():
+    for _name, sg, samples in _built_samples(n):
         cls = SG.classify(sg.image_domain)
         if isinstance(cls, SG.Hyperbolic):
             continue
@@ -370,14 +377,14 @@ FIT_TARGETS = [
 
 def _suite_sector_asymptotics(n, rng, tol):
     margins = []
-    built = _built_samples(n if n >= 2 else None)
+    built = {name: samples for name, _sg, samples in _built_samples(n)}
     for name, series, basis, target, allowed in FIT_TARGETS:
-        fit = SP.fit_asymptotic(built[name][1], series, basis, FIT_WINDOW)
+        fit = SP.fit_asymptotic(built[name], series, basis, FIT_WINDOW)
         margins.append(allowed - abs(fit.coefficient - target))
     lo, hi = FIT_WINDOW
-    koebe = [s for s in built["koebe"][1] if lo <= s.t <= hi]
+    koebe = [s for s in built["koebe"] if lo <= s.t <= hi]
     margins.append(3.0 - max(s.v_T for s in koebe))
-    hp = [s for s in built["halfplane"][1] if lo <= s.t <= hi]
+    hp = [s for s in built["halfplane"] if lo <= s.t <= hi]
     margins.append(2.0 - max(abs(s.v - math.log(s.t)) for s in hp))
     return len(FIT_TARGETS) + 2, margins
 
@@ -581,10 +588,9 @@ PUBLIC_OPS = {
 def coverage_check(seed: int = 42) -> set[str]:
     """Replay small versions of every suite with counting wrappers around the
     public operations; returns the set of operations never invoked."""
-    import functools
-
     counters: dict[str, int] = {}
     originals = []
+    _built_samples.cache_clear()  # a memoised table would skip the wrappers
     try:
         for mod, names in PUBLIC_OPS.items():
             for nm in names:

@@ -29,7 +29,7 @@ def test_logpolar_keeps_cartesian_exact():
     # converting back must not pollute an exactly-imaginary value
     p = lp(1e8j)
     assert p.to_complex() == 1e8j
-    assert p.cos_angle == 0.0
+    assert p.cos_theta == 0.0
 
 
 def test_affine_huge_input():
@@ -37,8 +37,8 @@ def test_affine_huge_input():
     p = LogPolar(800.0, 0.3)
     q = link.fwd(p)
     # a*w dominates: log|a w + b| = log 2 + 800 to double precision
-    assert q.log_r == pytest.approx(800.0 + math.log(2.0), abs=1e-12)
-    assert q.angle == pytest.approx(0.3, abs=1e-12)
+    assert q.log_rho == pytest.approx(800.0 + math.log(2.0), abs=1e-12)
+    assert q.theta == pytest.approx(0.3, abs=1e-12)
 
 
 def test_power_branch_validation():
@@ -52,7 +52,7 @@ def test_power_branch_validation():
 def test_power_log_polar_exact():
     link = Power(0.5, -math.pi, math.pi)
     q = link.fwd(LogPolar(400.0, 0.6))
-    assert (q.log_r, q.angle) == (200.0, 0.3)
+    assert (q.log_rho, q.theta) == (200.0, 0.3)
 
 
 def test_exp_scale_against_direct():
@@ -107,6 +107,6 @@ def test_chain_derivative_huge_values_stay_in_log():
 def test_forward_lp_no_overflow():
     chain = RiemannMapChain((Affine(1.0, -1.5), ExpScale(-1j * math.pi / 1.5)))
     p = chain.forward_lp(0.7 + 1e8j)
-    assert p.log_r == pytest.approx(math.pi * 1e8 / 1.5, rel=1e-12)
+    assert p.log_rho == pytest.approx(math.pi * 1e8 / 1.5, rel=1e-12)
     with pytest.raises(OverflowError):
         p.to_complex()

@@ -59,6 +59,12 @@ class TestOrbit:
             p = orbit(sg, DiscPoint(0.2 + 0.1j), t)
             assert p.guarded or abs(p.value) < 1.0
 
+    def test_halfplane_orbit_keeps_cartesian_value(self):
+        # phi_1(0) = C^{-1}(1 + i) = (1 + 2i)/5, exact when the chain's
+        # cartesian value reaches the inverse Cayley transform unrounded
+        sg = koenigs_semigroup(HalfPlaneRight(0j))
+        assert orbit(sg, ORIGIN, 1.0).value == 0.2 + 0.4j
+
     def test_negative_time(self):
         sg = koenigs_semigroup(Koebe(0))
         with pytest.raises(ValueError):
@@ -92,7 +98,9 @@ class TestOrbit:
 class TestDenjoyWolff:
     @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__ + "*")
     def test_unimodular(self, dom):
-        assert abs(abs(denjoy_wolff(koenigs_semigroup(dom))) - 1.0) < 1e-12
+        tau = denjoy_wolff(koenigs_semigroup(dom))
+        assert abs(abs(tau) - 1.0) < 1e-12
+        assert tau == 1 + 0j
 
     def test_halfplane_cayley_chain(self):
         # image domain H via the pure Cayley chain: tau = C^{-1}(infinity) = 1
