@@ -49,6 +49,7 @@ class CliConfig:
     ratio_output: str | None = None
 
     def __post_init__(self):
+        self.window = tuple(self.window)
         if not (self.t_min >= 0 and self.t_max > self.t_min and self.points >= 2):
             raise ValueError("need t_min >= 0, t_max > t_min, points >= 2")
 
@@ -112,12 +113,6 @@ def _cmd_fit(cfg: CliConfig) -> int:
     return 0
 
 
-def _parse_gauge(text: str):
-    if text.startswith("pow:"):
-        return ("pow", float(text.split(":", 1)[1]))
-    return text
-
-
 def _parse_abscissae(text: str):
     if text == "linear":
         return "linear"
@@ -127,7 +122,7 @@ def _parse_abscissae(text: str):
 
 
 def _cmd_comb(cfg: CliConfig) -> int:
-    cc = build_comb(_parse_gauge(cfg.gauge), _parse_abscissae(cfg.abscissae), cfg.steps)
+    cc = build_comb(cfg.gauge, _parse_abscissae(cfg.abscissae), cfg.steps)
     rows = verify_comb(cc)
     construction = {
         "teeth": [[a, b] for a, b in zip(cc.a, cc.b)],
@@ -218,9 +213,13 @@ def run(cfg: CliConfig) -> int:
     except UnsupportedDomainOperation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, DomainError, ValueError) as exc:
+    except (json.JSONDecodeError, DomainError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _parse_columns(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, default=CliConfig.points)
 
     p_speeds = sub.add_parser("speeds", help="emit a CSV speed table")
-    p_speeds.add_argument("--domain", required=True, help="domain JSON (inline or a file path)")
+    p_speeds.add_argument("--domain", dest="domain_json", required=True,
+                          help="domain JSON (inline or a file path)")
     add_grid(p_speeds)
     p_speeds.add_argument("-o", "--output")
 
@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-o", "--output")
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic coefficient")
-    p_fit.add_argument("--domain", required=True)
+    p_fit.add_argument("--domain", dest="domain_json", required=True)
     p_fit.add_argument("--series", default=CliConfig.series, choices=("v", "v_o", "v_T"))
     p_fit.add_argument("--basis", default=CliConfig.basis, choices=("log_t", "t"))
     p_fit.add_argument("--window", type=float, nargs=2, default=CliConfig.window)
@@ -266,29 +266,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comb.add_argument("--ratios", dest="ratio_output", help="ratio CSV destination")
 
     p_plot = sub.add_parser("plot", help="emit a static SVG chart of speed columns")
-    p_plot.add_argument("--domain", required=True)
-    p_plot.add_argument("--columns", default=",".join(CliConfig.columns))
+    p_plot.add_argument("--domain", dest="domain_json", required=True)
+    p_plot.add_argument("--columns", type=_parse_columns, default=CliConfig.columns)
     add_grid(p_plot)
     p_plot.add_argument("-o", "--output")
     return parser
 
 
 def parse_args(argv=None) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    kwargs = {"subcommand": ns.subcommand}
-    for field_name in ("t_min", "t_max", "points", "suite", "samples", "seed", "tol",
-                       "series", "basis", "gauge", "steps", "output", "ratio_output"):
-        if hasattr(ns, field_name):
-            kwargs[field_name] = getattr(ns, field_name)
-    if hasattr(ns, "domain"):
-        kwargs["domain_json"] = ns.domain
-    if hasattr(ns, "window"):
-        kwargs["window"] = tuple(ns.window)
-    if hasattr(ns, "abscissae"):
-        kwargs["abscissae"] = ns.abscissae
-    if hasattr(ns, "columns"):
-        kwargs["columns"] = tuple(c.strip() for c in ns.columns.split(",") if c.strip())
-    return CliConfig(**kwargs)
+    # every option's dest is a CliConfig field
+    return CliConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def main(argv=None) -> None:

@@ -10,7 +10,7 @@ boundary piece: |i x_j - (a_j + i b_j)| = a_{j+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .domains import Comb, quasihyp_lower
@@ -22,8 +22,8 @@ _MARGIN = 0.999
 def gauge(spec) -> tuple[str, Callable[[float], float]]:
     """Resolve a gauge spec to (name, callable).
 
-    Accepts 'log1p', 'sqrt', ('pow', p) with p < 1, a custom table of
-    (t, value) pairs (interpolated linearly), or any callable.
+    Accepts 'log1p', 'sqrt', 'pow:<p>' or ('pow', p) with p < 1, a custom
+    table of (t, value) pairs (interpolated linearly), or any callable.
     """
     if callable(spec):
         return getattr(spec, "__name__", "custom"), spec
@@ -31,6 +31,8 @@ def gauge(spec) -> tuple[str, Callable[[float], float]]:
         return "log1p", math.log1p
     if spec == "sqrt":
         return "sqrt", math.sqrt
+    if isinstance(spec, str) and spec.startswith("pow:"):
+        spec = ("pow", spec.split(":", 1)[1])
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "pow":
         p = float(spec[1])
         if not 0.0 < p < 1.0:
@@ -85,8 +87,9 @@ def resolve_abscissae(a_spec, count: int) -> list[float]:
 
 @dataclass(frozen=True)
 class CombConstruction:
-    """The certified construction: teeth (a_j, b_j), plateau onsets x_j, and
-    the per-step constraint values (j a_{j+1} g(b_{j+1}) + x_j)/b_{j+1}."""
+    """The certified construction: teeth (a_j, b_j), plateau onsets x_j, the
+    per-step constraint values (j a_{j+1} g(b_{j+1}) + x_j)/b_{j+1}, and the
+    gauge g the construction was built for."""
 
     gauge_name: str
     a: tuple[float, ...]
@@ -94,6 +97,7 @@ class CombConstruction:
     x: tuple[float, ...]
     constraint: tuple[float, ...]
     extent: float
+    g: Callable[[float], float] = field(compare=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -144,7 +148,7 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
         xs.append(xj)
         cons.append(constraint(hi))
         b.append(hi)
-    return CombConstruction(name, tuple(a), tuple(b), tuple(xs), tuple(cons), b[-1])
+    return CombConstruction(name, tuple(a), tuple(b), tuple(xs), tuple(cons), b[-1], g)
 
 
 def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
@@ -154,7 +158,7 @@ def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
     omitted piece smaller than t_start / (4 a_1)).  Raises if any ratio drops
     below j/4 - 1e-9; the construction guarantees it cannot.
     """
-    _, g = gauge_from_name(cc.gauge_name)
+    g = cc.g
     dom = cc.domain()
     rows = []
     for j in range(1, cc.steps + 1):
@@ -174,14 +178,3 @@ def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
         })
     return rows
 
-
-def gauge_from_name(name: str):
-    """Recover a named gauge ('log1p', 'sqrt', 'pow:p'); tables cannot be
-    rebuilt from their name and must be re-verified with the original spec."""
-    if name == "log1p":
-        return gauge("log1p")
-    if name == "sqrt":
-        return gauge("sqrt")
-    if name.startswith("pow:"):
-        return gauge(("pow", float(name.split(":", 1)[1])))
-    raise ValueError(f"cannot rebuild gauge {name!r} from its name")

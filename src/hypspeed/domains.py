@@ -23,6 +23,13 @@ class UnsupportedDomainOperation(ValueError):
     """The requested operation has no closed form for this domain."""
 
 
+def _finite_point(p) -> complex:
+    p = complex(p)
+    if not (math.isfinite(p.real) and math.isfinite(p.imag)):
+        raise DomainError(f"domain point {p} must be finite")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # domain variants
 
@@ -34,7 +41,7 @@ class HalfPlaneRight:
     p: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "p", _finite_point(self.p))
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class Sector:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "p", _finite_point(self.p))
         if not (0.0 <= self.alpha <= math.pi and 0.0 <= self.beta <= math.pi):
             raise DomainError("sector half-angles must lie in [0, pi]")
         if not self.alpha + self.beta > 0.0:
@@ -83,7 +90,7 @@ class Koebe:
     p: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "p", _finite_point(self.p))
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,8 @@ class Comb:
             raise DomainError("comb needs at least one tooth")
         a_prev, b_prev = None, None
         for a, b in teeth:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise DomainError("tooth coordinates must be finite")
             if a <= 0:
                 raise DomainError("tooth abscissae must be positive")
             if a_prev is not None and not (a > a_prev and b > b_prev):

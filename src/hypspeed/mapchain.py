@@ -112,7 +112,11 @@ class Affine:
         u = (self.b / self.a) * cmath.exp(complex(-p.log_rho, -p.theta))
         corr = 1.0 + u
         ang = wrap_angle(p.theta + cmath.phase(self.a) + cmath.phase(corr))
-        return LogPolar(p.log_rho + math.log(abs(self.a)) + math.log(abs(corr)), ang)
+        # carry the cosine through the turn phi: theta may have rounded to
+        # +-pi/2, where cos(theta + phi) cannot be recovered from the angle
+        turn = self.a / abs(self.a) * (corr / abs(corr))
+        cos_ang = p.cos * turn.real - math.sin(p.theta) * turn.imag
+        return LogPolar(p.log_rho + math.log(abs(self.a)) + math.log(abs(corr)), ang, cos_ang)
 
     def inverse_link(self) -> "Affine":
         return Affine(1.0 / self.a, -self.b / self.a)
@@ -198,41 +202,7 @@ class ExpLog:
         return -math.log(abs(self.c)) - p.log_rho
 
 
-@dataclass(frozen=True)
-class Cayley:
-    """z -> (1+z)/(1-z), unit disc onto the right half plane."""
-
-    def fwd(self, p: LogPolar) -> LogPolar:
-        z = p.to_complex()
-        return LogPolar.from_complex((1.0 + z) / (1.0 - z))
-
-    def inverse_link(self) -> "CayleyInv":
-        return CayleyInv()
-
-    def log_abs_deriv(self, p: LogPolar) -> float:
-        z = p.to_complex()
-        return LOG2 - 2.0 * math.log(abs(1.0 - z))
-
-
-@dataclass(frozen=True)
-class CayleyInv:
-    """w -> (w-1)/(w+1), right half plane onto the unit disc."""
-
-    def fwd(self, p: LogPolar) -> LogPolar:
-        w = p.to_complex()
-        return LogPolar.from_complex((w - 1.0) / (w + 1.0))
-
-    def inverse_link(self) -> "Cayley":
-        return Cayley()
-
-    def log_abs_deriv(self, p: LogPolar) -> float:
-        if p.log_rho > _LOG_WIDE:
-            return LOG2 - 2.0 * p.log_rho
-        w = p.to_complex()
-        return LOG2 - 2.0 * math.log(abs(w + 1.0))
-
-
-Link = Affine | Power | ExpScale | ExpLog | Cayley | CayleyInv
+Link = Affine | Power | ExpScale | ExpLog
 
 
 @dataclass(frozen=True)

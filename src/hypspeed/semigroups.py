@@ -1,10 +1,11 @@
 """Koenigs models: semigroups built from the image domain of their model map.
 
 A semigroup here is the family phi_t = h^{-1}(h(.) + it) where h maps the
-unit disc onto a chosen starlike-at-infinity domain.  The disc-side map is
-assembled from the Cayley transform and the domain's half-plane chain, so
-h(0) is always the domain's canonical base point.  Every chain sends the
-upward end to infinity of H, so the Denjoy-Wolff point is C^{-1}(inf) = 1.
+unit disc onto a chosen starlike-at-infinity domain.  The model map is
+h = F^{-1} o C, with C the Cayley transform of ``hyperbolic`` and F the
+domain's chain onto the half plane, so h(0) is always the domain's
+canonical base point.  Every chain sends the upward end to infinity of H,
+so the Denjoy-Wolff point is C^{-1}(inf) = 1.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 from .domains import (Comb, DomainSpec, HalfPlaneRight, Koebe, Sector, Strip,
                       UnsupportedDomainOperation, canonical_base_point,
                       to_halfplane)
-from .hyperbolic import ORIGIN, DiscPoint, DomainError, cayley_inv, in_halfplane
-from .mapchain import Cayley, LogPolar, RiemannMapChain
+from .hyperbolic import (ORIGIN, DiscPoint, DomainError, cayley, cayley_inv,
+                         in_halfplane)
+from .mapchain import LogPolar, RiemannMapChain
 
 
 @dataclass(frozen=True)
@@ -65,28 +67,27 @@ class KoenigsSemigroup:
     """A non-elliptic semigroup presented through its holomorphic model."""
 
     image_domain: DomainSpec
-    chain: RiemannMapChain | None  # disc -> image domain (None for combs)
+    chain: RiemannMapChain | None  # F^{-1}: half plane -> image domain (None for combs)
     base_model_point: complex | None
-    classification: Classification
 
 
 def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
     """Build the semigroup with Koenigs image the given domain."""
-    cls = classify(domain)
+    classify(domain)  # rejects objects that are not domains
     if isinstance(domain, Comb):
-        return KoenigsSemigroup(domain, None, None, cls)
-    fwd = to_halfplane(domain)
-    disc_chain = RiemannMapChain((Cayley(),) + fwd.inverse_links())
-    return KoenigsSemigroup(domain, disc_chain, canonical_base_point(domain), cls)
+        return KoenigsSemigroup(domain, None, None)
+    chain = RiemannMapChain(to_halfplane(domain).inverse_links())
+    return KoenigsSemigroup(domain, chain, canonical_base_point(domain))
 
 
 def model_point(sg: KoenigsSemigroup, z: DiscPoint = ORIGIN) -> complex:
-    """h(z): the model image of a disc point."""
+    """h(z) = F^{-1}(C(z)): the model image of a disc point.  A guarded z
+    enters through its exact half-plane witness."""
     if sg.chain is None:
         raise UnsupportedDomainOperation("comb image domains carry no closed-form model map")
     if z.value == 0 and not z.guarded:
         return sg.base_model_point
-    return sg.chain.forward(z.value)
+    return sg.chain.forward(cayley(z))
 
 
 def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:

@@ -70,8 +70,8 @@ def sample_speeds(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> list[Spe
 
 def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> list[float]:
     """Geometric time grid; with t_min == 0 the first point is pinned at 0."""
-    if points < 2 or t_max <= t_min or t_min < 0:
-        raise ValueError("need points >= 2 and 0 <= t_min < t_max")
+    if not (points >= 2 and 0 <= t_min < t_max < math.inf):
+        raise ValueError("need points >= 2 and 0 <= t_min < t_max < inf")
     if t_min == 0.0:
         inner = np.geomspace(t_max * 1e-9, t_max, points - 1)
         return [0.0] + [float(t) for t in inner]

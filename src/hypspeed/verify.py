@@ -217,7 +217,6 @@ def _suite_chains(n, rng, tol):
         chain = D.to_halfplane(dom)
         base = D.canonical_base_point(dom)
         margins.append(_eq(abs(chain.forward(base) - 1.0), 0.0))
-        sg = SG.koenigs_semigroup(dom)
         for _ in range(per):
             w = _rand_domain_point(rng, dom)
             # membership and upward closedness
@@ -242,8 +241,8 @@ def _suite_chains(n, rng, tol):
 
             u1, u2 = _moderate_preimage(), _moderate_preimage()
             kd = D.k_domain(dom, u1, u2)
-            z1 = H.DiscPoint(sg.chain.inverse(u1))
-            z2 = H.DiscPoint(sg.chain.inverse(u2))
+            z1 = H.cayley_inv(chain.forward_lp(u1))
+            z2 = H.cayley_inv(chain.forward_lp(u2))
             margins.append(1e-9 - abs(kd - H.omega(z1, z2)))
             # deltas: monotone under enlarging the domain
             dv = D.delta(dom, w)
@@ -273,7 +272,7 @@ def _suite_chains(n, rng, tol):
 def _built_samples(n: int) -> tuple[tuple[str, SG.KoenigsSemigroup, tuple], ...]:
     """(name, semigroup, samples) for each of BUILTIN_DOMAINS on the grid of
     a suite of size n: the one table that split, julia_tangent, lower_bounds,
-    betsakos and sector_asymptotics read.
+    betsakos, sector_asymptotics and nontangential read.
 
     Built on first use and kept for the most recent n.  It holds only
     tuples and frozen values, so no suite can change what another reads.
@@ -483,14 +482,13 @@ def _suite_semigroup_model(n, rng, tol):
 def _suite_nontangential(n, rng, tol):
     margins = []
     grid = _grid(n if n >= 2 else None)
+    built = {name: (sg, samples) for name, sg, samples in _built_samples(n)}
     bounded = {"sector_sym", "koebe"}
     for name in ("sector_sym", "koebe", "sector_flat", "halfplane"):
-        dom = BUILTIN_DOMAINS[name]
-        sg = SG.koenigs_semigroup(dom)
+        sg, samples = built[name]
         p = SG.model_point(sg)
         ratios = [SP.nontangential_ratio(sg, p, t) for t in grid]
         worst_ratio = max(max(r, 1.0 / r) for r in ratios)
-        samples = SP.sample_speeds(sg, grid)
         sup_vt = max(s.v_T for s in samples)
         if name in bounded:
             margins.append(10.0 - worst_ratio)  # geometric side bounded

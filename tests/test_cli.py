@@ -6,6 +6,7 @@ from hypspeed.cli import CliConfig, main, parse_args, run
 
 KOEBE = '{"type":"koebe","p":[0,0]}'
 COMB = '{"type":"comb","teeth":[[1,1],[2,3]]}'
+STRIP = '{"type":"strip","r":1.5707963267948966}'
 
 
 def run_cli(argv):
@@ -40,6 +41,19 @@ class TestSpeeds:
         f.write_text(KOEBE)
         out = tmp_path / "o.csv"
         assert run_cli(["speeds", "--domain", str(f), "--points", "4", "-o", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--domain", STRIP, "--t-max", "1e307"],
+        ["--domain", STRIP, "--t-max", "inf"],
+        ["--domain", STRIP, "--t-max", "nan"],
+        ["--domain", '{"type":"halfplane","p":[NaN,0]}'],
+        ["--domain", '{"type":"comb","teeth":[[1,1],[Infinity,3]]}'],
+    ], ids=["overflow", "inf", "nan", "nan_domain", "inf_tooth"])
+    def test_out_of_range_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["speeds", *argv, "--points", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerify:

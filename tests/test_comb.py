@@ -15,8 +15,9 @@ class TestGauge:
         assert name == "log1p" and g(math.e - 1) == pytest.approx(1.0)
 
     def test_pow(self):
-        name, g = gauge(("pow", 0.5))
-        assert g(4.0) == pytest.approx(2.0)
+        for spec in (("pow", 0.5), "pow:0.5"):
+            name, g = gauge(spec)
+            assert name == "pow:0.5" and g(4.0) == pytest.approx(2.0)
 
     def test_pow_requires_sublinear_exponent(self):
         with pytest.raises(ValueError):
@@ -91,6 +92,15 @@ class TestVerify:
         _, g = gauge("log1p")
         for r in verify_comb(cc):
             assert r["plateau_piece"] >= r["j"] * g(r["b"]) / 4.0 - 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        [(10.0 ** k, math.log1p(10.0 ** k)) for k in range(14)],
+        lambda t: math.log1p(t),
+    ], ids=["table", "lambda"])
+    def test_unnamed_gauge(self, spec):
+        # the construction keeps its gauge, so gauges without a name verify
+        rows = verify_comb(build_comb(spec, "linear", steps=3))
+        assert all(r["ratio"] >= r["j"] / 4.0 - 1e-9 for r in rows)
 
     def test_single_step(self):
         rows = verify_comb(build_comb("log1p", "linear", steps=1))

@@ -37,6 +37,18 @@ class TestBuild:
                     Koebe(2 + 0.5j), Comb([(1, 1), (2, 5)])):
             assert build_domain(domain_to_json(dom)) == dom
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "halfplane", "p": [math.nan, 0]},
+        {"type": "halfplane", "p": [0, math.inf]},
+        {"type": "sector", "p": [-math.inf, 0], "alpha": 0.5, "beta": 0.5},
+        {"type": "koebe", "p": [0, math.nan]},
+        {"type": "comb", "teeth": [[math.nan, 1]]},
+        {"type": "comb", "teeth": [[1, 1], [2, math.inf]]},
+    ], ids=lambda spec: spec["type"])
+    def test_non_finite(self, spec):
+        with pytest.raises(DomainError):
+            domain_from_json(spec)
+
     def test_malformed(self):
         with pytest.raises(DomainError):
             domain_from_json({"type": "sector", "p": [0, 0]})

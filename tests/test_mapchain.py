@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from hypspeed.mapchain import (Affine, BranchError, Cayley, CayleyInv,
-                               ExpLog, ExpScale, LogPolar, Power,
-                               RiemannMapChain, wrap_angle)
+from hypspeed.mapchain import (Affine, BranchError, ExpLog, ExpScale,
+                               LogPolar, Power, RiemannMapChain, wrap_angle)
 
 
 def lp(w):
@@ -71,18 +70,10 @@ def test_exp_log_inverts_exp_scale():
     assert isinstance(fwd.inverse_link(), ExpLog)
 
 
-def test_cayley_links():
-    z = 0.3 - 0.4j
-    w = Cayley().fwd(lp(z)).to_complex()
-    assert abs(w - (1 + z) / (1 - z)) < 1e-14
-    assert abs(CayleyInv().fwd(lp(w)).to_complex() - z) < 1e-14
-
-
 @pytest.mark.parametrize("links,w", [
     ((Affine(2.0 - 1j, 0.5), Affine(0.25j, -3.0)), 1.1 + 0.4j),
     ((Affine(1.0, -2.0), Power(0.5, -math.pi, math.pi)), 5.0 + 3.0j),
     ((Affine(1.0, -1.5), ExpScale(-1j * math.pi / 1.5)), 0.7 + 11.0j),
-    ((Cayley(),), 0.2 + 0.6j),
 ])
 def test_chain_round_trip(links, w):
     chain = RiemannMapChain(links)

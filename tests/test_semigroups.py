@@ -65,6 +65,18 @@ class TestOrbit:
         sg = koenigs_semigroup(HalfPlaneRight(0j))
         assert orbit(sg, ORIGIN, 1.0).value == 0.2 + 0.4j
 
+    @pytest.mark.parametrize("dom,s", [(Strip(math.pi / 2), 100.0),
+                                       (HalfPlaneRight(0j), 1e15),
+                                       (Sector(0j, math.pi, 0.0), 1e15)],
+                             ids=["strip", "halfplane", "sector_flat"])
+    def test_guarded_start_point(self, dom, s):
+        # phi_s(0) is guarded: 1 - |phi_s(0)| underflows, so the model map
+        # must read its half-plane witness, not its rounded value
+        sg = koenigs_semigroup(dom)
+        start = orbit(sg, ORIGIN, s)
+        assert start.guarded
+        assert orbit_halfplane(sg, start, 5.0) == orbit_halfplane(sg, ORIGIN, s + 5.0)
+
     def test_negative_time(self):
         sg = koenigs_semigroup(Koebe(0))
         with pytest.raises(ValueError):

@@ -61,6 +61,16 @@ class TestSampleSpeeds:
             ss = sample_speeds(sg, [1.0, t_max])
             assert ss[-1].v_o > ss[0].v_o + 10.0
 
+    @pytest.mark.parametrize("dom", [HalfPlaneRight(0j), Sector(0j, math.pi, 0.0)],
+                             ids=lambda d: type(d).__name__)
+    def test_beyond_double_range(self, dom):
+        # past |w| = e^700 the affine links work in log-polar form; the speed
+        # keeps the closed forms k_H(1, 1 + it) = asinh(t/2) and, with
+        # cos(theta) = 1/|1 + it|, v_T = log(|1 + it| + t)/2 = log(2t)/2
+        s = sample_speeds(koenigs_semigroup(dom), [1e307])[0]
+        assert s.v == pytest.approx(math.asinh(0.5e307), rel=1e-12)
+        assert s.v_T == pytest.approx(0.5 * math.log(2e307), rel=1e-12)
+
     def test_sample_invariant_enforced(self):
         with pytest.raises(ValueError):
             SpeedSample(1.0, 10.0, 1.0, 1.0, 0.0, 0.0)
@@ -159,6 +169,9 @@ class TestGrid:
             default_grid(1.0, 1.0, 10)
         with pytest.raises(ValueError):
             default_grid(1.0, 2.0, 1)
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                default_grid(1.0, t_max, 10)
 
 
 class TestStartingPoint:
