@@ -20,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
 LOG2 = math.log(2.0)
@@ -52,6 +54,10 @@ class LogPolar:
     stored ``theta`` alone cannot resolve.  ``cart`` keeps the originating
     cartesian value so that chains of moderate-size links never degrade it
     by round-tripping through polar form.  log_rho == -inf encodes zero.
+
+    The fields may also be numpy arrays of one shape: such a value is a
+    batch of points, which the metric operations of ``hyperbolic`` accept
+    in place of a single point.  Chain links act on single points only.
     """
 
     log_rho: float
@@ -80,7 +86,11 @@ class LogPolar:
 
     @property
     def cos(self) -> float:
-        return self.cos_theta if self.cos_theta is not None else math.cos(self.theta)
+        if self.cos_theta is not None:
+            return self.cos_theta
+        if isinstance(self.theta, np.ndarray):
+            return np.cos(self.theta)
+        return math.cos(self.theta)
 
     @property
     def is_zero(self) -> bool:

@@ -20,7 +20,7 @@ from . import domains as D
 from . import hyperbolic as H
 from . import semigroups as SG
 from . import speeds as SP
-from .mapchain import HALF_PI, LOG2, LogPolar
+from .mapchain import HALF_PI, LOG2
 
 #: the five worked image domains: hyperbolic, positive step (x2), zero step (x2)
 BUILTIN_DOMAINS = {
@@ -59,23 +59,43 @@ def _rand_disc(rng, max_dist: float = 12.0) -> H.DiscPoint:
     return H.DiscPoint(math.tanh(0.5 * d) * complex(math.cos(phi), math.sin(phi)))
 
 
-def _rand_theta(rng) -> float:
-    # half the draws hug the boundary (uniform in tangential distance),
-    # half cover the bulk uniformly
-    if rng.uniform() < 0.5:
-        k = rng.uniform(0.0, 12.0)
-        theta = 2.0 * math.atan(math.exp(2.0 * k)) - HALF_PI
-    else:
-        theta = rng.uniform(-1.0, 1.0) * (HALF_PI - 1e-6)
-    return theta if rng.uniform() < 0.5 else -theta
+# The batched suites draw each iteration's randoms as one row of a block
+# u = rng.random((n, k)).  The generator computes rng.uniform(low, high) as
+# low + (high - low) * rng.random(), so _uniform maps a block column to the
+# same values the scalar calls of one iteration after another would draw.
 
 
-def _hp(rng, log_span: float = 24.0) -> LogPolar:
-    return H.HalfPlanePoint(rng.uniform(-log_span, log_span), _rand_theta(rng))
+def _uniform(u, low: float, high: float):
+    return low + (high - low) * u
+
+
+def _unit(phi):
+    return np.cos(phi) + 1j * np.sin(phi)
+
+
+def _rand_disc_batch(u, max_dist: float) -> H.DiscPoint:
+    """_rand_disc from two draws per sample (columns of u)."""
+    d = _uniform(u[:, 0], 0.0, max_dist)
+    return H.DiscPoint(np.tanh(0.5 * d) * _unit(_uniform(u[:, 1], -math.pi, math.pi)))
+
+
+def _rand_theta(u) -> np.ndarray:
+    """Half-plane angles from three draws per sample (columns of u): half
+    hug the boundary (uniform in tangential distance), half cover the bulk
+    uniformly, and the third draw picks the sign."""
+    hug = 2.0 * np.arctan(np.exp(2.0 * _uniform(u[:, 1], 0.0, 12.0))) - HALF_PI
+    bulk = _uniform(u[:, 1], -1.0, 1.0) * (HALF_PI - 1e-6)
+    theta = np.where(u[:, 0] < 0.5, hug, bulk)
+    return np.where(u[:, 2] < 0.5, theta, -theta)
 
 
 def _eq(a: float, b: float) -> float:
     return -abs(a - b)
+
+
+def _flat(margins) -> np.ndarray:
+    """One margin array from a list of margin arrays and numbers."""
+    return np.concatenate([np.ravel(m) for m in margins])
 
 
 # ---------------------------------------------------------------------------
@@ -83,69 +103,61 @@ def _eq(a: float, b: float) -> float:
 
 
 def _suite_lemma_halfplane(n, rng, tol):
-    margins = []
-    for _ in range(n):
-        l0, l1 = sorted(rng.uniform(-20.0, 20.0, size=2))
-        beta = _rand_theta(rng)
-        w_lo = H.HalfPlanePoint(l0, 0.0, 1.0)
-        w_hi = H.HalfPlanePoint(l1, 0.0, 1.0)
+    hp, k = H.HalfPlanePoint, H.k_half
+    u = rng.random((n, 8))
+    l0, l1 = np.sort(_uniform(u[:, 0:2], -20.0, 20.0), axis=1).T
+    beta, b0 = _rand_theta(u[:, 2:5]), _rand_theta(u[:, 5:8])
+    w_lo, w_hi = hp(l0, 0.0, 1.0), hp(l1, 0.0, 1.0)
+    radial = k(w_lo, w_hi)
+    tilt = 0.5 * np.log(1.0 / np.cos(beta))
+    margins = [
         # (1) radial distance in closed form
-        margins.append(_eq(H.k_half(w_lo, w_hi), 0.5 * (l1 - l0)))
+        _eq(radial, 0.5 * (l1 - l0)),
         # (2) tilting the far point costs at least -log(cos)/2
-        gain = H.k_half(w_lo, H.HalfPlanePoint(l1, beta)) - H.k_half(w_lo, w_hi)
-        margins.append(gain - 0.5 * math.log(1.0 / math.cos(beta)))
+        k(w_lo, hp(l1, beta)) - radial - tilt,
         # (5) equal-modulus pairs are closest among tilted pairs
-        b0 = _rand_theta(rng)
-        margins.append(
-            H.k_half(H.HalfPlanePoint(l0, b0), H.HalfPlanePoint(l1, beta))
-            - H.k_half(w_lo, w_hi)
-        )
+        k(hp(l0, b0), hp(l1, beta)) - radial,
         # (6) pure rotation is cheap
-        margins.append(
-            0.5 * math.log(1.0 / math.cos(beta)) + 0.5 * LOG2
-            - H.k_half(H.HalfPlanePoint(l0, 0.0, 1.0), H.HalfPlanePoint(l0, beta))
-        )
-    for _ in range(n):
-        # (3) rho -> k(rho e^{ia}, rho0 e^{ib}) dips exactly at rho = rho0
-        l0 = rng.uniform(-8.0, 8.0)
-        a, b = _rand_theta(rng), _rand_theta(rng)
-        anchor = H.HalfPlanePoint(l0, b)
-        k_min = H.k_half(H.HalfPlanePoint(l0, a), anchor)
-        step_lo, step_hi = sorted(rng.uniform(0.1, 6.0, size=2))
-        for sign in (1.0, -1.0):
-            near = H.k_half(H.HalfPlanePoint(l0 + sign * step_lo, a), anchor)
-            far = H.k_half(H.HalfPlanePoint(l0 + sign * step_hi, a), anchor)
-            margins.append(near - k_min)
-            margins.append(far - near)
-        # (4) scale invariance, evenness, monotonicity in the angle
-        t0, t1 = _rand_theta(rng), _rand_theta(rng)
-        shift = rng.uniform(-15.0, 15.0)
-        margins.append(_eq(
-            H.k_half(H.HalfPlanePoint(l0 + shift, t0), H.HalfPlanePoint(l0 + shift, t1)),
-            H.k_half(H.HalfPlanePoint(0.0, t0), H.HalfPlanePoint(0.0, t1)),
-        ))
-        one = H.HalfPlanePoint(0.0, 0.0, 1.0)
-        th = abs(t1)
-        margins.append(_eq(H.k_half(one, H.HalfPlanePoint(0.0, th)),
-                           H.k_half(one, H.HalfPlanePoint(0.0, -th))))
-        ta, tb = sorted((abs(t0), abs(t1)))
-        margins.append(H.k_half(one, H.HalfPlanePoint(0.0, tb))
-                       - H.k_half(one, H.HalfPlanePoint(0.0, ta)))
+        tilt + 0.5 * LOG2 - k(w_lo, hp(l0, beta)),
+    ]
+
+    # (3) rho -> k(rho e^{ia}, rho0 e^{ib}) dips exactly at rho = rho0
+    u = rng.random((n, 16))
+    l0 = _uniform(u[:, 0], -8.0, 8.0)
+    a, b = _rand_theta(u[:, 1:4]), _rand_theta(u[:, 4:7])
+    step_lo, step_hi = np.sort(_uniform(u[:, 7:9], 0.1, 6.0), axis=1).T
+    t0, t1 = _rand_theta(u[:, 9:12]), _rand_theta(u[:, 12:15])
+    shift = _uniform(u[:, 15], -15.0, 15.0)
+    anchor = hp(l0, b)
+    k_min = k(hp(l0, a), anchor)
+    for sign in (1.0, -1.0):
+        near = k(hp(l0 + sign * step_lo, a), anchor)
+        far = k(hp(l0 + sign * step_hi, a), anchor)
+        margins += [near - k_min, far - near]
+    # (4) scale invariance, evenness, monotonicity in the angle
+    margins.append(_eq(k(hp(l0 + shift, t0), hp(l0 + shift, t1)),
+                       k(hp(0.0, t0), hp(0.0, t1))))
+    one = hp(0.0, 0.0, 1.0)
+    th = np.abs(t1)
+    margins.append(_eq(k(one, hp(0.0, th)), k(one, hp(0.0, -th))))
+    ta, tb = np.sort(np.abs([t0, t1]), axis=0)
+    margins.append(k(one, hp(0.0, tb)) - k(one, hp(0.0, ta)))
+
     # (1) again, against the quadrature oracle, and the Cayley isometry
-    for _ in range(8):
-        beta = rng.uniform(-1.2, 1.2)
-        l0 = rng.uniform(-1.0, 0.0)
-        l1 = l0 + rng.uniform(0.2, 1.5)
-        rhos = np.exp(np.linspace(l0, l1, 48))
-        ray = [r * complex(math.cos(beta), math.sin(beta)) for r in rhos]
+    u = rng.random((8, 3))
+    for beta, l0, dl in zip(_uniform(u[:, 0], -1.2, 1.2), _uniform(u[:, 1], -1.0, 0.0),
+                            _uniform(u[:, 2], 0.2, 1.5)):
+        l1 = l0 + dl
+        ray = np.exp(np.linspace(l0, l1, 48)) * complex(math.cos(beta), math.sin(beta))
         length = H.path_length("halfplane", ray, subdivisions=64)
         margins.append(1e-5 - abs(length - (l1 - l0) / (2.0 * math.cos(beta))))
-    for _ in range(max(64, n // 64)):
-        # pairwise distances up to ~7: the depth at which the disc-side
-        # formula still resolves 1e-10 in double precision
-        z1, z2 = _rand_disc(rng, 3.5), _rand_disc(rng, 3.5)
-        margins.append(_eq(H.k_half(H.cayley(z1), H.cayley(z2)), H.omega(z1, z2)))
-        w = _hp(rng, 8.0)
+    # pairwise distances up to ~7: the depth at which the disc-side formula
+    # still resolves 1e-10 in double precision
+    u = rng.random((max(64, n // 64), 8))
+    z1, z2 = _rand_disc_batch(u[:, 0:2], 3.5), _rand_disc_batch(u[:, 2:4], 3.5)
+    margins.append(_eq(k(H.cayley(z1), H.cayley(z2)), H.omega(z1, z2)))
+    for log_rho, theta in zip(_uniform(u[:, 4], -8.0, 8.0), _rand_theta(u[:, 5:8])):
+        w = hp(float(log_rho), float(theta))
         back = H.cayley(H.cayley_inv(w))
         margins.append(_eq(back.log_rho, w.log_rho))
         margins.append(_eq(back.theta, w.theta))
@@ -153,39 +165,32 @@ def _suite_lemma_halfplane(n, rng, tol):
     margins.append(_eq(H.kappa("disc", 0j, 1.0), 1.0))
     margins.append(_eq(H.kappa("disc", 0.5 + 0j, 1.0), 4.0 / 3.0))
     margins.append(_eq(H.kappa("halfplane", 1.0 + 0j, 1.0), 0.5))
-    return 6 * n, margins
+    return 6 * n, _flat(margins)
 
 
 def _suite_pythagoras(n, rng, tol):
-    margins = []
-    smallest_gap = math.inf
-    for _ in range(n):
-        phi = rng.uniform(-math.pi, math.pi)
-        tau = complex(math.cos(phi), math.sin(phi))
-        geo = H.RadialGeodesic(tau)
-        x0 = H.DiscPoint(math.tanh(rng.uniform(-1.5, 1.5)) * tau)
-        # depth 8 keeps the disc representation itself accurate past 1e-9
-        z = _rand_disc(rng, 8.0)
-        proj = H.project_to_radius(z, geo)
-        total = H.omega(x0, z)
-        via = H.omega(x0, proj) + H.dist_to_radius(z, geo)
-        margins.append(via - total)                 # upper: omega <= sum
-        margins.append(total - (via - 0.5 * LOG2))  # lower: sum - log2/2 <= omega
-        smallest_gap = min(smallest_gap, via - total)
-    # the upper inequality is attainable: some sample must come 0.05-close
-    margins.append(0.05 - smallest_gap)
-    return n, margins
+    u = rng.random((n, 4))
+    tau = _unit(_uniform(u[:, 0], -math.pi, math.pi))
+    geo = H.RadialGeodesic(tau)
+    x0 = H.DiscPoint(np.tanh(_uniform(u[:, 1], -1.5, 1.5)) * tau)
+    # depth 8 keeps the disc representation itself accurate past 1e-9
+    z = _rand_disc_batch(u[:, 2:4], 8.0)
+    total = H.omega(x0, z)
+    via = H.omega(x0, H.project_to_radius(z, geo)) + H.dist_to_radius(z, geo)
+    gap = via - total
+    return n, _flat([
+        gap,                         # upper: omega <= sum
+        total - (via - 0.5 * LOG2),  # lower: sum - log2/2 <= omega
+        0.05 - gap.min(),            # the upper one is attained to within 0.05
+    ])
 
 
 def _suite_contraction(n, rng, tol):
-    margins = []
-    for _ in range(n):
-        phi = rng.uniform(-math.pi, math.pi)
-        geo = H.RadialGeodesic(complex(math.cos(phi), math.sin(phi)))
-        z, w = _rand_disc(rng, 8.0), _rand_disc(rng, 8.0)
-        lhs = H.omega(H.project_to_radius(z, geo), H.project_to_radius(w, geo))
-        margins.append(H.omega(z, w) - lhs)
-    return n, margins
+    u = rng.random((n, 5))
+    geo = H.RadialGeodesic(_unit(_uniform(u[:, 0], -math.pi, math.pi)))
+    z, w = _rand_disc_batch(u[:, 1:3], 8.0), _rand_disc_batch(u[:, 3:5], 8.0)
+    lhs = H.omega(H.project_to_radius(z, geo), H.project_to_radius(w, geo))
+    return n, H.omega(z, w) - lhs
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +564,14 @@ def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9
     """Run one named suite; deterministic given (name, n, seed, tol)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if n is not None and n < 0:
+        raise ValueError(f"the sample count must be nonnegative, got {n}")
     fn, default_n = SUITES[name]
     rng = np.random.default_rng(seed)
     samples, margins = fn(n or default_n, rng, tol)
-    violations = sum(1 for m in margins if not m >= -tol)
-    worst = float(min(margins)) if margins else math.inf
+    margins = np.asarray(margins, dtype=float)  # a list of numbers or one array
+    violations = int(np.count_nonzero(~(margins >= -tol)))  # NaN counts
+    worst = float(margins.min()) if margins.size else math.inf
     return SuiteReport(name, samples, violations, worst, seed)
 
 

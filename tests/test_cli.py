@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypspeed.cli import CliConfig, main, parse_args, run
 
 KOEBE = '{"type":"koebe","p":[0,0]}'
 COMB = '{"type":"comb","teeth":[[1,1],[2,3]]}'
 STRIP = '{"type":"strip","r":1.5707963267948966}'
+HALFPLANE = '{"type":"halfplane","p":[0,0]}'
+SECTOR_FLAT = '{"type":"sector","p":[0,0],"alpha":3.141592653589793,"beta":0}'
 
 
 def run_cli(argv):
@@ -54,6 +61,17 @@ class TestSpeeds:
             main(["speeds", *argv, "--points", "4"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize("t_max", ["1e308", "1.7e308"])
+    @pytest.mark.parametrize("domain", [HALFPLANE, SECTOR_FLAT], ids=["halfplane", "sector_flat"])
+    def test_near_largest_double_exit_0(self, domain, t_max, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["speeds", "--domain", domain, "--t-max", t_max, "--points", "4"])
+        assert exc.value.code == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert float(last[0]) == pytest.approx(float(t_max))
+        assert math.isfinite(float(last[3]))
 
 
 class TestVerify:
@@ -133,3 +151,39 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["speeds", "--domain", COMB, "--points", "4"])
         assert exc.value.code == 3
+
+
+# Fuzzed `speeds` invocations: domain JSON of every type, with well-formed
+# and malformed fields, or arbitrary text; grid options as numbers or junk.
+_VALUE = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**6, 10**6)
+          | st.text(max_size=3) | st.none())
+_POINT = st.lists(_VALUE, max_size=3)
+_DOMAIN = st.one_of(
+    st.fixed_dictionaries({"type": st.just("halfplane"), "p": _POINT}),
+    st.fixed_dictionaries({"type": st.just("strip"), "r": _VALUE}),
+    st.fixed_dictionaries({"type": st.just("sector"), "p": _POINT,
+                           "alpha": _VALUE, "beta": _VALUE}),
+    st.fixed_dictionaries({"type": st.just("koebe"), "p": _POINT}),
+    st.fixed_dictionaries({"type": st.just("comb"), "teeth": st.lists(_POINT, max_size=3)}),
+    st.dictionaries(st.text(max_size=5), _VALUE, max_size=3),
+    _VALUE,
+).map(json.dumps) | st.text(max_size=20)
+_NUMBER = (st.floats(allow_nan=True, allow_infinity=True).map(repr)
+           | st.integers(-5, 10**9).map(str) | st.text(max_size=4))
+# at most three digits, so no table is longer than 999 rows
+_POINTS = st.integers(-2, 12).map(str) | st.text(alphabet="0123456789-.e", max_size=3)
+_OPTIONS = st.fixed_dictionaries(
+    {}, optional={"--t-min": _NUMBER, "--t-max": _NUMBER, "--points": _POINTS})
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_DOMAIN, _OPTIONS)
+    def test_speeds_exit_codes(self, domain, options):
+        # `--opt=value` keeps a value such as "-1" from reading as an option
+        argv = ["speeds", "--domain", domain] + [f"{k}={v}" for k, v in options.items()]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        assert exc.value.code in (0, 2, 3), argv

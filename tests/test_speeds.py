@@ -71,6 +71,15 @@ class TestSampleSpeeds:
         assert s.v == pytest.approx(math.asinh(0.5e307), rel=1e-12)
         assert s.v_T == pytest.approx(0.5 * math.log(2e307), rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e308, 1.7e308])
+    @pytest.mark.parametrize("dom", [HalfPlaneRight(0j), Sector(0j, math.pi, 0.0)],
+                             ids=lambda d: type(d).__name__)
+    def test_near_largest_double(self, dom, t):
+        # cos(theta) = 1/|1 + it| < 1e-308, where (1 + sin)/cos overflows
+        s = sample_speeds(koenigs_semigroup(dom), [t])[0]
+        assert math.isfinite(s.v_T)
+        assert s.v_T == pytest.approx(0.5 * (LOG2 + math.log(t)), rel=1e-12)
+
     def test_sample_invariant_enforced(self):
         with pytest.raises(ValueError):
             SpeedSample(1.0, 10.0, 1.0, 1.0, 0.0, 0.0)
