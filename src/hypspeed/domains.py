@@ -53,6 +53,8 @@ class Strip:
     def __post_init__(self):
         if not (self.r > 0 and math.isfinite(self.r)):
             raise DomainError("strip width must be positive and finite")
+        if not math.isfinite(math.pi / self.r):
+            raise DomainError(f"strip width {self.r!r} is too small: pi/r overflows")
 
 
 @dataclass(frozen=True)
@@ -454,14 +456,18 @@ def _gl_panel(f, lo: float, hi: float) -> float:
     return half * float(np.dot(GL_WEIGHTS, [f(x) for x in xs]))
 
 
-def _adaptive(f, lo: float, hi: float, rel_tol: float = 1e-9, depth: int = 48) -> float:
-    whole = _gl_panel(f, lo, hi)
+def _adaptive(f, lo: float, hi: float, whole: float, rel_tol: float = 1e-9,
+              depth: int = 48) -> float:
+    """Integral of f over [lo, hi] by bisection; `whole` is the panel over
+    [lo, hi], already computed by the caller, so each node adds two panels."""
     mid = 0.5 * (lo + hi)
     left, right = _gl_panel(f, lo, mid), _gl_panel(f, mid, hi)
-    if depth <= 0 or abs(left + right - whole) <= rel_tol * max(1.0, abs(left + right)):
+    if abs(left + right - whole) <= rel_tol * max(1.0, abs(left + right)):
         return left + right
-    return (_adaptive(f, lo, mid, rel_tol, depth - 1)
-            + _adaptive(f, mid, hi, rel_tol, depth - 1))
+    if depth <= 0:
+        raise ValueError(f"quadrature did not converge on [{lo!r}, {hi!r}]")
+    return (_adaptive(f, lo, mid, left, rel_tol, depth - 1)
+            + _adaptive(f, mid, hi, right, rel_tol, depth - 1))
 
 
 def _comb_axis_breakpoints(comb: Comb, t0: float, t1: float) -> list[float]:
@@ -507,26 +513,50 @@ def _comb_piece_integral(comb: Comb, lo: float, hi: float) -> float:
     return math.asinh((hi - b) / a) - math.asinh((lo - b) / a)
 
 
+def _comb_axis_integrals(comb: Comb, t0: float, heights) -> list[float]:
+    """(1/4) * integral of dr/delta(ir) over [t0, h] for each h of the
+    increasing `heights`, from one left-to-right pass over the pieces.
+
+    Every height but the last must be a tooth top, hence a breakpoint: the
+    pieces below it, and the order of their sum, are those of a pass that
+    ends there.
+    """
+    if not t0 <= heights[0]:
+        raise ValueError("need t0 <= t1")
+    if not contains(comb, complex(0.0, t0)):
+        raise DomainError("segment exits the domain")
+    if heights[-1] > comb.extent:
+        raise DomainError("segment exceeds the materialised comb extent")
+    pts = _comb_axis_breakpoints(comb, t0, heights[-1])
+    total, upto = 0.0, {t0: 0.0}
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        total += _comb_piece_integral(comb, lo, hi)
+        upto[hi] = total
+    return [0.25 * upto[h] for h in heights]
+
+
 def quasihyp_lower(domain: DomainSpec, t0: float, t1: float) -> float:
     """(1/4) * integral of dr/delta(ir) for r in [t0, t1].
 
     The classical density bound kappa >= 1/(4 delta) makes this a lower bound
     for the hyperbolic length of the vertical segment; when that segment is a
     geodesic of the domain (combs, Koebe{0}, symmetric sectors at 0) it lower
-    bounds the hyperbolic distance itself.
+    bounds the hyperbolic distance itself.  Where delta(ir) grows like r
+    (Koebe, sectors) the quadrature converges for t1/t0 up to about 1e15 and
+    raises ValueError beyond.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"segment bounds must be finite, got [{t0!r}, {t1!r}]")
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     if t1 == t0:
         return 0.0
+    if isinstance(domain, Comb):
+        return _comb_axis_integrals(domain, t0, [t1])[0]
     if not contains(domain, complex(0.0, t0)):
         raise DomainError("segment exits the domain")  # upward-closed: t0 decides
-    if isinstance(domain, Comb):
-        if t1 > domain.extent:
-            raise DomainError("segment exceeds the materialised comb extent")
-        pts = _comb_axis_breakpoints(domain, t0, t1)
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            total += _comb_piece_integral(domain, lo, hi)
-        return 0.25 * total
-    return 0.25 * _adaptive(lambda r: 1.0 / delta(domain, complex(0.0, r)), t0, t1)
+
+    def f(r: float) -> float:
+        return 1.0 / delta(domain, complex(0.0, r))
+
+    return 0.25 * _adaptive(f, t0, t1, _gl_panel(f, t0, t1))

@@ -62,6 +62,12 @@ class TestSpeeds:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("r", ["5e-324", "1e-310"])
+    def test_too_thin_strip_exit_2(self, r, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["speeds", "--domain", f'{{"type":"strip","r":{r}}}', "--points", "4"])
+        assert exc.value.code == 2
+        assert f"strip width {float(r)!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_max", ["1e308", "1.7e308"])
     @pytest.mark.parametrize("domain", [HALFPLANE, SECTOR_FLAT], ids=["halfplane", "sector_flat"])

@@ -5,6 +5,7 @@ import pytest
 
 from hypspeed import build_comb, delta, gauge, quasihyp_lower, verify_comb
 from hypspeed.comb import check_sublinear, resolve_abscissae
+from hypspeed.domains import DomainError, _comb_axis_breakpoints, _comb_piece_integral
 
 from oracles import brute_force_distance, comb_boundary_points
 
@@ -126,3 +127,41 @@ class TestVerify:
         dom = cc.domain()
         vals = [quasihyp_lower(dom, 1e-6, t) for t in np.linspace(1.0, cc.extent, 8)]
         assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
+
+
+def _comb_bound_per_step(dom, t0, t1):
+    """The comb integral from scratch over [t0, t1], as computed before the
+    ratio table came from one pass."""
+    pts = _comb_axis_breakpoints(dom, t0, t1)
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        total += _comb_piece_integral(dom, lo, hi)
+    return 0.25 * total
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("spec", ["log1p", "sqrt", "pow:0.5", "pow:0.3"])
+    def test_rows_equal_per_step_bounds(self, spec):
+        for steps in range(1, 17):
+            cc = build_comb(spec, "linear", steps)
+            dom = cc.domain()
+            bounds = [r["bound"] for r in verify_comb(cc)]
+            assert bounds == [quasihyp_lower(dom, 1e-6, b) for b in cc.b[1:]]
+            assert bounds == [_comb_bound_per_step(dom, 1e-6, b) for b in cc.b[1:]]
+
+    def test_geometric_rows_equal_per_step_bounds(self):
+        cc = build_comb("sqrt", ("geometric", 2.0), 8)
+        dom = cc.domain()
+        bounds = [r["bound"] for r in verify_comb(cc)]
+        assert bounds == [quasihyp_lower(dom, 1e-6, b) for b in cc.b[1:]]
+        assert bounds == [_comb_bound_per_step(dom, 1e-6, b) for b in cc.b[1:]]
+
+    def test_start_above_first_height(self):
+        cc = build_comb("log1p", "linear", 3)
+        with pytest.raises(ValueError, match="need t0 <= t1"):
+            verify_comb(cc, t_start=cc.b[1] * 1.5)
+
+    def test_beyond_extent(self):
+        dom = build_comb("log1p", "linear", 3).domain()
+        with pytest.raises(DomainError, match="exceeds the materialised comb extent"):
+            quasihyp_lower(dom, 1e-6, dom.extent * 1.01)

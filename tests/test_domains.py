@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypspeed import (Comb, HalfPlaneRight, Koebe, OmegaSign, Sector, Strip,
                       UnsupportedDomainOperation, build_domain, contains,
                       delta, delta_pm, domain_from_json, domain_to_json,
                       k_domain, quasihyp_lower, to_halfplane)
-from hypspeed.domains import DomainError, canonical_base_point
+from hypspeed.domains import DomainError, _adaptive, _gl_panel, canonical_base_point
 
 from oracles import brute_force_distance, comb_boundary_points, sector_boundary_points
 
@@ -31,6 +32,12 @@ class TestBuild:
     def test_strip_width(self):
         with pytest.raises(DomainError):
             Strip(0.0)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-310, 1.7e-308])
+    def test_strip_too_thin(self, r):
+        # pi/r overflows, so the chain's exponential link has no finite scale
+        with pytest.raises(DomainError, match=f"strip width {r!r}"):
+            Strip(r)
 
     def test_json_round_trip(self):
         for dom in (HalfPlaneRight(1 - 2j), Strip(0.7), Sector(1j, 0.3, 2.0),
@@ -236,6 +243,27 @@ class TestKDomain:
             k_domain(Koebe(0), -1j, 1j)
 
 
+def _adaptive_three_panels(f, lo, hi, rel_tol=1e-9, depth=48):
+    """The recursion before the half panels were reused: every node evaluates
+    its whole panel again.  The reference the domains code must match."""
+    whole = _gl_panel(f, lo, hi)
+    mid = 0.5 * (lo + hi)
+    left, right = _gl_panel(f, lo, mid), _gl_panel(f, mid, hi)
+    if depth <= 0 or abs(left + right - whole) <= rel_tol * max(1.0, abs(left + right)):
+        return left + right
+    return (_adaptive_three_panels(f, lo, mid, rel_tol, depth - 1)
+            + _adaptive_three_panels(f, mid, hi, rel_tol, depth - 1))
+
+
+def _density(dom):
+    return lambda r: 1.0 / delta(dom, complex(0.0, r))
+
+
+QUAD_DOMAINS = [Koebe(0j), Sector(0j, math.pi / 4, math.pi / 4),
+                Sector(0.5j, math.pi, math.pi), HalfPlaneRight(-1 + 0j),
+                Koebe(2 + 1j), Sector(1 - 2j, 0.7, 1.9)]
+
+
 class TestQuasihyp:
     def test_empty_segment(self):
         assert quasihyp_lower(Koebe(0), 2.0, 2.0) == 0.0
@@ -264,8 +292,51 @@ class TestQuasihyp:
         assert quasihyp_lower(c, lo, hi) == pytest.approx(riemann, rel=1e-7)
 
     def test_segment_outside(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="segment exits the domain"):
             quasihyp_lower(Strip(1.0), 0.0, 1.0)  # imaginary axis is the wall
+        with pytest.raises(DomainError, match="segment exits the domain"):
+            quasihyp_lower(HalfPlaneRight(1 + 0j), 0.5, 2.0)
+
+    @pytest.mark.parametrize("t0, t1", [(1.0, math.nan), (math.nan, 2.0), (1.0, math.inf)])
+    def test_non_finite_bounds(self, t0, t1):
+        with pytest.raises(ValueError, match="must be finite"):
+            quasihyp_lower(Koebe(0), t0, t1)
+
+    @pytest.mark.parametrize("t1", [1e16, 1e20, 1e300])
+    def test_depth_cap_raises(self, t1):
+        # the exact value is log(t1)/4; 48 bisections cannot resolve 1/r near 1
+        with pytest.raises(ValueError, match=r"did not converge on \[1\.0, "):
+            quasihyp_lower(Koebe(0), 1.0, t1)
+
+    def test_ratio_1e15_converges(self):
+        assert quasihyp_lower(Koebe(0), 1.0, 1e15) == pytest.approx(
+            0.25 * math.log(1e15), rel=1e-12)
+
+    def test_bit_identical_to_three_panel_recursion(self):
+        rng = random.Random(20191)
+        for i in range(360):
+            dom = QUAD_DOMAINS[i % len(QUAD_DOMAINS)]
+            t0 = rng.uniform(0.6, 2.0)
+            t1 = t0 * math.exp(rng.uniform(0.1, 18.0))
+            want = 0.25 * _adaptive_three_panels(_density(dom), t0, t1)
+            assert quasihyp_lower(dom, t0, t1) == want, (dom, t0, t1)
+
+    def test_two_panels_per_node(self):
+        # the reference spends 3 panels per node, the reuse 2 plus the root's
+        calls = {"reuse": 0, "reference": 0}
+
+        def counted(key, f):
+            def g(r):
+                calls[key] += 1
+                return f(r)
+            return g
+
+        f = _density(Koebe(0))
+        f_reuse = counted("reuse", f)
+        _adaptive(f_reuse, 1.0, 1e7, _gl_panel(f_reuse, 1.0, 1e7))
+        _adaptive_three_panels(counted("reference", f), 1.0, 1e7)
+        nodes = calls["reference"] // 48
+        assert nodes > 1 and calls["reuse"] == 16 * (2 * nodes + 1)
 
     def test_lower_bounds_distance_on_symmetric_domains(self):
         for dom in (Koebe(0), Sector(0j, 0.6, 0.6)):
