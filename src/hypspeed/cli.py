@@ -50,7 +50,11 @@ class CliConfig:
 
     def __post_init__(self):
         self.window = tuple(self.window)
-        if not (self.t_min >= 0 and self.t_max > self.t_min and self.points >= 2):
+        try:
+            ok = self.t_min >= 0 and self.t_max > self.t_min and self.points >= 2
+        except TypeError:  # Python 3.11's argparse reads `--points=--` as []
+            ok = False
+        if not ok:
             raise ValueError("need t_min >= 0, t_max > t_min, points >= 2")
 
 

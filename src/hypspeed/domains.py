@@ -202,8 +202,14 @@ def domain_to_json(domain: DomainSpec) -> dict:
 
 
 def contains(domain: DomainSpec, w) -> bool:
-    """Open-set membership test."""
-    w = complex(w)
+    """Open-set membership test (a boolean array for a complex array)."""
+    if isinstance(w, np.ndarray):
+        return _contains_array(domain, w.astype(complex, copy=False))
+    return _contains_point(domain, complex(w))
+
+
+def _contains_point(domain: DomainSpec, w: complex) -> bool:
+    # called directly by delta, whose quadrature integrands need no dispatch
     if isinstance(domain, HalfPlaneRight):
         return w.real > domain.p.real
     if isinstance(domain, Strip):
@@ -223,6 +229,27 @@ def contains(domain: DomainSpec, w) -> bool:
             if abs(w.real) == a and w.imag <= b:
                 return False
         return True
+    raise DomainError(f"unknown domain {domain!r}")
+
+
+def _contains_array(domain: DomainSpec, w: np.ndarray) -> np.ndarray:
+    re, im = w.real, w.imag
+    if isinstance(domain, HalfPlaneRight):
+        return re > domain.p.real
+    if isinstance(domain, Strip):
+        return (0.0 < re) & (re < domain.r)
+    if isinstance(domain, Sector):
+        u = w - domain.p
+        rel = np.fmod(np.arctan2(u.imag, u.real) - domain.ray_lo, TWO_PI)
+        rel = np.where(rel < 0, rel + TWO_PI, rel)
+        return (u != 0) & (0.0 < rel) & (rel < domain.alpha + domain.beta)
+    if isinstance(domain, Koebe):
+        return ~((re == domain.p.real) & (im <= domain.p.imag))
+    if isinstance(domain, Comb):
+        out = np.ones(w.shape, dtype=bool)
+        for a, b in domain.teeth:
+            out &= ~((np.abs(re) == a) & (im <= b))
+        return out
     raise DomainError(f"unknown domain {domain!r}")
 
 
@@ -324,10 +351,23 @@ def _dist_to_vertical_slit(q: complex, x: float, top: float) -> float:
     return math.hypot(dx, q.imag - top)
 
 
+def _dist_to_ray_array(q: np.ndarray, apex: complex, direction: complex,
+                       s_lo: float, s_hi: float) -> np.ndarray:
+    """_dist_to_ray for each point of q, on a nonempty parameter range."""
+    vr, vi = q.real - apex.real, q.imag - apex.imag
+    s = np.clip(vr * direction.real + vi * direction.imag, s_lo, s_hi)
+    return np.hypot(vr - s * direction.real, vi - s * direction.imag)
+
+
+def _dist_to_vertical_slit_array(q: np.ndarray, x: float, top: float) -> np.ndarray:
+    dx = q.real - x
+    return np.where(q.imag <= top, np.abs(dx), np.hypot(dx, q.imag - top))
+
+
 def delta(domain: DomainSpec, p) -> float:
     """Euclidean distance from an interior point to the complement."""
     p = complex(p)
-    if not contains(domain, p):
+    if not _contains_point(domain, p):
         raise DomainError(f"{p} is not in the domain")
     if isinstance(domain, HalfPlaneRight):
         return p.real - domain.p.real
@@ -365,18 +405,18 @@ def _clip_ray_to_halfplane(apex_re: float, d_re: float, c: float, keep_le: bool)
     return (max(0.0, s_cross), math.inf)
 
 
-def _wedge_halfplane_distance(sector: Sector, q: complex, c: float, keep_le: bool) -> float:
-    """Distance from q to (complement wedge of the sector) intersected with
-    {Re <= c} (keep_le) or {Re >= c}.  Returns +inf for an empty set."""
+def _wedge_pieces(sector: Sector, c: float, keep_le: bool):
+    """The complement wedge of the sector cut to {Re <= c} (keep_le) or
+    {Re >= c}: its boundary rays clipped to that half plane, as
+    (direction, s_lo, s_hi), and the intervals of heights y at which c + iy
+    lies in the closed wedge."""
     apex = sector.p
-    best = math.inf
-
-    # boundary rays clipped to the half plane
+    rays = []
     for ang in (sector.ray_lo, sector.ray_hi):
         d = cmath.exp(1j * ang)
         s_lo, s_hi = _clip_ray_to_halfplane(apex.real, d.real, c, keep_le)
         if s_hi >= s_lo:
-            best = min(best, _dist_to_ray(q, apex, d, s_lo, s_hi))
+            rays.append((d, s_lo, s_hi))
 
     # portion of the line {Re = c} inside the closed wedge
     crossings: list[float] = []
@@ -393,10 +433,7 @@ def _wedge_halfplane_distance(sector: Sector, q: complex, c: float, keep_le: boo
             crossings.append(apex.imag + s_cross * d.imag)
     crossings.sort()
     edges = [-math.inf, *crossings, math.inf]
-
-    def in_wedge(y: float) -> bool:
-        return not contains(sector, complex(c, y))
-
+    spans = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi < lo:
             continue
@@ -408,8 +445,27 @@ def _wedge_halfplane_distance(sector: Sector, q: complex, c: float, keep_le: boo
             probe = lo + max(1.0, abs(lo))
         else:
             probe = 0.5 * (lo + hi)
-        if not in_wedge(probe):
-            continue
+        if not contains(sector, complex(c, probe)):
+            spans.append((lo, hi))
+    return rays, spans
+
+
+def _wedge_halfplane_distance(sector: Sector, q, c: float, keep_le: bool):
+    """Distance from q, a point or an array of points, to (complement wedge
+    of the sector) intersected with {Re <= c} (keep_le) or {Re >= c}.
+    Returns +inf for an empty set."""
+    rays, spans = _wedge_pieces(sector, c, keep_le)
+    if isinstance(q, np.ndarray):
+        best = np.full(q.shape, math.inf)
+        for d, s_lo, s_hi in rays:
+            best = np.minimum(best, _dist_to_ray_array(q, sector.p, d, s_lo, s_hi))
+        for lo, hi in spans:
+            best = np.minimum(best, np.hypot(q.real - c, q.imag - np.clip(q.imag, lo, hi)))
+        return best
+    best = math.inf
+    for d, s_lo, s_hi in rays:
+        best = min(best, _dist_to_ray(q, sector.p, d, s_lo, s_hi))
+    for lo, hi in spans:
         y = min(max(q.imag, lo), hi)
         best = min(best, math.hypot(q.real - c, q.imag - y))
     return best
@@ -417,12 +473,16 @@ def _wedge_halfplane_distance(sector: Sector, q: complex, c: float, keep_le: boo
 
 def delta_pm(domain: DomainSpec, sign: OmegaSign, q) -> float:
     """Distance to the complement of Omega^+ = Omega u {Re > Re ref} (or
-    Omega^- with Re < Re ref); +inf when the enlarged domain is the plane."""
-    q = complex(q)
+    Omega^- with Re < Re ref); +inf when the enlarged domain is the plane.
+    An array q gives an array."""
+    batch = isinstance(q, np.ndarray)
+    q = q.astype(complex, copy=False) if batch else complex(q)
     if not contains(domain, sign.ref):
         raise DomainError("the Omega^+- reference point must lie in the domain")
     c = sign.ref.real
     plus = sign.side == "plus"
+    if batch:
+        return _delta_pm_array(domain, q, c, plus)
     if not (contains(domain, q) or (q.real > c if plus else q.real < c)):
         raise DomainError(f"{q} is not in Omega^{'+' if plus else '-'}")
     # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}
@@ -441,6 +501,30 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q) -> float:
             for x in (a, -a):
                 if (x <= c) if plus else (x >= c):
                     best = min(best, _dist_to_vertical_slit(q, x, b))
+        return best
+    if isinstance(domain, Sector):
+        return _wedge_halfplane_distance(domain, q, c, keep_le=plus)
+    raise DomainError(f"unknown domain {domain!r}")
+
+
+def _delta_pm_array(domain: DomainSpec, q: np.ndarray, c: float, plus: bool) -> np.ndarray:
+    outside = ~(contains(domain, q) | ((q.real > c) if plus else (q.real < c)))
+    if outside.any():
+        raise DomainError(f"{q[outside][0]} is not in Omega^{'+' if plus else '-'}")
+    nowhere = np.full(q.shape, math.inf)
+    if isinstance(domain, HalfPlaneRight):
+        return q.real - domain.p.real if plus else nowhere
+    if isinstance(domain, Strip):
+        return q.real.copy() if plus else domain.r - q.real
+    if isinstance(domain, Koebe):
+        ok = domain.p.real <= c if plus else domain.p.real >= c
+        return _dist_to_vertical_slit_array(q, domain.p.real, domain.p.imag) if ok else nowhere
+    if isinstance(domain, Comb):
+        best = nowhere
+        for a, b in domain.teeth:
+            for x in (a, -a):
+                if (x <= c) if plus else (x >= c):
+                    best = np.minimum(best, _dist_to_vertical_slit_array(q, x, b))
         return best
     if isinstance(domain, Sector):
         return _wedge_halfplane_distance(domain, q, c, keep_le=plus)

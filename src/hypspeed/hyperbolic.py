@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mapchain import HALF_PI, LOG2, LogPolar
+from .mapchain import (HALF_PI, LOG2, LogPolar, _cabs, _cdiv, _cmul, _complex,
+                       _from_complex_array)
 
 # Above this |log rho_1 - log rho_0| the cosh-based formula overflows and the
 # distance equals |dlog|/2 plus an angle correction to below double precision.
@@ -34,39 +35,16 @@ class DomainError(ValueError):
     """A point lies outside the space an operation requires."""
 
 
-# Complex arithmetic on arrays in CPython's operation order (numpy's own
-# complex product, quotient and modulus round differently), so a batch
-# differs from the scalar code only where numpy's transcendental functions do.
-
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _cabs(a):
-    return np.hypot(a.real, a.imag)
-
-
-def _cmul(a, b) -> np.ndarray:
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _cdiv(a, b) -> np.ndarray:
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    wide = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the other case's ratio
-        ratio = np.where(wide, bi / br, br / bi)
-    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-    return _complex(np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
-                    np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
-
-
 def in_halfplane(p: LogPolar) -> LogPolar:
     """Return p once it is checked to be a right half-plane point: a finite
-    log-modulus and |theta| <= pi/2.  Chain results pass through here when
-    they enter the half-plane layer."""
+    log-modulus and |theta| <= pi/2, for every point of a batch.  Chain
+    results pass through here when they enter the half-plane layer."""
+    if isinstance(p.log_rho, np.ndarray):
+        if not np.all(np.isfinite(p.log_rho)):
+            raise DomainError("log_rho must be finite")
+        if not np.all(np.abs(p.theta) <= HALF_PI):
+            raise DomainError("theta must lie in (-pi/2, pi/2)")
+        return p
     if not math.isfinite(p.log_rho):
         raise DomainError("log_rho must be finite")
     if not abs(p.theta) <= HALF_PI:
@@ -78,11 +56,7 @@ def _batch_in_halfplane(log_rho, theta, cos_theta) -> LogPolar:
     """in_halfplane for a batch, with its fields broadcast to one shape."""
     fields = [log_rho, theta] if cos_theta is None else [log_rho, theta, cos_theta]
     log_rho, theta, *cos = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fields))
-    if not np.all(np.isfinite(log_rho)):
-        raise DomainError("log_rho must be finite")
-    if not np.all(np.abs(theta) <= HALF_PI):
-        raise DomainError("theta must lie in (-pi/2, pi/2)")
-    return LogPolar(log_rho, theta, cos[0] if cos else None)
+    return in_halfplane(LogPolar(log_rho, theta, cos[0] if cos else None))
 
 
 def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None) -> LogPolar:
@@ -103,8 +77,7 @@ def _halfplane_from_complex(w: complex) -> LogPolar:
         w = w.astype(complex, copy=False)
         if not np.all(w.real > 0):
             raise DomainError("a batch point is not in the right half plane")
-        r = _cabs(w)
-        return LogPolar(np.log(r), np.angle(w), w.real / r, w)
+        return _from_complex_array(w)
     w = complex(w)
     if w.real <= 0:
         raise DomainError(f"{w} is not in the right half plane")

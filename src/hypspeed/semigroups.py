@@ -81,19 +81,24 @@ def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
 
 
 def model_point(sg: KoenigsSemigroup, z: DiscPoint = ORIGIN) -> complex:
-    """h(z) = F^{-1}(C(z)): the model image of a disc point.  A guarded z
-    enters through its exact half-plane witness."""
+    """h(z) = F^{-1}(C(z)): the model image of a disc point, or an array of
+    them for a batch z.  A guarded z enters through its exact half-plane
+    witness."""
     if sg.chain is None:
         raise UnsupportedDomainOperation("comb image domains carry no closed-form model map")
-    if z.value == 0 and not z.guarded:
+    # for a batch the comparison is an array, never True: the chain maps it
+    if (z.value == 0) is True and not z.guarded:
         return sg.base_model_point
     return sg.chain.forward(cayley(z))
 
 
 def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     """The half-plane representation C(phi_t(z)) = F(h(z) + it), exact in
-    log-polar form for t as large as 1e12."""
-    if t < 0:
+    log-polar form for t as large as 1e12.  An array of times, or a batch z
+    whose shape broadcasts against it, gives a batch LogPolar from one pass
+    through the chain."""
+    negative = t < 0  # a bool for one time, an array for an array of times
+    if negative is True or (negative is not False and negative.any()):
         raise ValueError("orbit times must be nonnegative")
     hz = model_point(sg, z)
     return in_halfplane(to_halfplane(sg.image_domain).forward_lp(hz + 1j * t))
@@ -118,7 +123,8 @@ def denjoy_wolff(sg: KoenigsSemigroup) -> complex:
 
 
 def hyperbolic_step_gap(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> float:
-    """omega(phi_t(z), phi_{t+1}(z)), computed entirely in the half plane."""
+    """omega(phi_t(z), phi_{t+1}(z)), computed entirely in the half plane
+    (an array for an array of times)."""
     from .hyperbolic import k_half
 
     return k_half(orbit_halfplane(sg, z, t), orbit_halfplane(sg, z, t + 1.0))

@@ -22,7 +22,7 @@ import numpy as np
 from .domains import DomainSpec, OmegaSign, contains, delta_pm
 from .hyperbolic import (ORIGIN, DiscPoint, DomainError, HalfPlanePoint,
                          k_half, tangential_distance)
-from .mapchain import LOG2, LogPolar
+from .mapchain import LOG2, LogPolar, _cabs, _cartesian, _cdiv
 from .semigroups import KoenigsSemigroup, orbit_halfplane
 
 _BASE = HalfPlanePoint(0.0, 0.0, 1.0)
@@ -90,6 +90,7 @@ class SurrogateSpeeds:
     s_tang = s_total - s_orth (an algebraic identity of the three logs).
     Deviation bounds only apply from the first time Re(conj(tau) eta) >= 0,
     equivalently log rho >= 0; earlier samples carry pre_threshold=True.
+    For an array of times every field but ``t`` is an array.
     """
 
     t: float
@@ -113,6 +114,16 @@ def _log1p_abs_eta(hp: LogPolar) -> float:
     return math.log1p(math.sqrt(num / den))
 
 
+def _log1p_abs_eta_array(hp: LogPolar) -> np.ndarray:
+    L, c = hp.log_rho, hp.cos
+    with np.errstate(over="ignore", invalid="ignore"):  # at |L| > 30, not kept
+        sh = np.sinh(0.5 * L)
+        num = sh * sh + 0.5 * (1.0 - c)
+        den = sh * sh + 0.5 * (1.0 + c)
+        near = np.log1p(np.sqrt(num / den))
+    return np.where(np.abs(L) > 30.0, LOG2, near)
+
+
 def surrogate_speeds(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> SurrogateSpeeds:
     """Euclidean surrogate triple at one orbit time, with deviations from the
     exact speeds.
@@ -122,10 +133,12 @@ def surrogate_speeds(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> S
     log|w+1| = log rho + corr with corr = log1p((2 cos theta + 1/rho)/rho).
     The (log rho)/2 piece common to the speeds and the surrogates is kept
     symbolic so the reported deviations never suffer large-term cancellation
-    even when log rho is of order 1e8.
+    even when log rho is of order 1e8.  An array of times is one array pass.
     """
     hp = orbit_halfplane(sg, z, t)
     v, v_o, v_t = speeds_from_halfplane(hp)
+    if isinstance(hp.log_rho, np.ndarray):
+        return _surrogate_speeds_array(t, hp, v, v_o, v_t)
     L, c = hp.log_rho, hp.cos
     half_l = 0.5 * L
     if L >= 0.0:
@@ -157,16 +170,45 @@ def surrogate_speeds(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> S
     )
 
 
+def _surrogate_speeds_array(t, hp: LogPolar, v, v_o, v_t) -> SurrogateSpeeds:
+    """surrogate_speeds on a batch: both branches on every point, each
+    result taken from the branch the scalar code would choose."""
+    L, c = hp.log_rho, hp.cos
+    half_l = 0.5 * L
+    pre = L < 0.0
+    with np.errstate(all="ignore"):  # each branch is kept on its own points only
+        e = np.exp(-L)
+        corr = 0.5 * np.log1p((2.0 * c + e) * e)
+        y_total = -0.5 * (math.log(4.0) + np.log(c) - 2.0 * corr - _log1p_abs_eta_array(hp))
+        y_orth = corr - 0.5 * LOG2
+        w = _cartesian(hp)
+        eta = _cdiv(w - 1.0, w + 1.0)
+        pre_total = -0.5 * np.log(1.0 - _cabs(eta))
+        pre_orth = -0.5 * np.log(_cabs(1.0 - eta))
+        s_total = np.where(pre, pre_total, half_l + y_total)
+        s_orth = np.where(pre, pre_orth, half_l + y_orth)
+        dev_total = np.where(pre, v - pre_total, (v - half_l) - y_total)
+        dev_orth = np.where(pre, v_o - pre_orth, (v_o - half_l) - y_orth)
+        dev_tang = np.where(pre, v_t - (pre_total - pre_orth), v_t - (y_total - y_orth))
+    return SurrogateSpeeds(
+        t=t,
+        s_total=s_total,
+        s_orth=s_orth,
+        s_tang=s_total - s_orth,
+        dev_total=dev_total,
+        dev_orth=dev_orth,
+        dev_tang=dev_tang,
+        pre_threshold=pre,
+    )
+
+
 def surrogate_threshold(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> float | None:
-    """Smallest grid time from which log rho stays >= 0 onward (scan)."""
-    ts = sorted(float(t) for t in grid)
-    t0 = None
-    for t in reversed(ts):
-        if orbit_halfplane(sg, z, t).log_rho >= 0.0:
-            t0 = t
-        else:
-            break
-    return t0
+    """Smallest grid time from which log rho stays >= 0 onward, from one
+    orbit pass over the sorted grid."""
+    ts = np.sort(np.asarray(grid, dtype=float))
+    below = np.flatnonzero(orbit_halfplane(sg, z, ts).log_rho < 0.0)
+    start = below[-1] + 1 if below.size else 0
+    return float(ts[start]) if start < ts.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +259,10 @@ def nontangential_ratio(sg: KoenigsSemigroup, p, t: float) -> float:
 
     Boundedness of max(ratio, 1/ratio) over a grid is the geometric side of
     the non-tangential convergence criterion; the dynamic side is a bounded
-    tangential speed.
+    tangential speed.  An array of times gives an array of ratios.
     """
-    if t <= 0:
+    batch = isinstance(t, np.ndarray)
+    if (t <= 0).any() if batch else t <= 0:
         raise ValueError("the criterion compares positive times")
     dom: DomainSpec = sg.image_domain
     p = complex(p)
@@ -228,6 +271,8 @@ def nontangential_ratio(sg: KoenigsSemigroup, p, t: float) -> float:
     q = p + 1j * t
     d_minus = delta_pm(dom, OmegaSign("minus", p), q)
     d_plus = delta_pm(dom, OmegaSign("plus", p), q)
+    if batch:  # min(t, d) as Python takes it: d only where d < t
+        return np.where(d_minus < t, d_minus, t) / np.where(d_plus < t, d_plus, t)
     num = t if math.isinf(d_minus) else min(t, d_minus)
     den = t if math.isinf(d_plus) else min(t, d_plus)
     return num / den

@@ -95,6 +95,12 @@ class TestVerify:
                         "-o", str(out)]) == 0
         assert json.loads(out.read_text())["seed"] == 99
 
+    def test_small_pythagoras_run_exit_0(self, tmp_path):
+        # too few samples to attain the 0.05 gap is not a violation
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--suite", "pythagoras", "--samples", "20",
+                        "--seed", "1", "-o", str(out)]) == 0
+
 
 class TestFit:
     def test_koebe_quarter(self, tmp_path):
@@ -157,6 +163,12 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["speeds", "--domain", COMB, "--points", "4"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize("option", ["--points=--", "--t-min=--", "--t-max=--"])
+    def test_double_dash_value_is_malformed_input(self, option):
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(["speeds", "--domain", '{"type": "koebe", "p": [0, 0]}', option])
+        assert exc.value.code == 2
 
 
 # Fuzzed `speeds` invocations: domain JSON of every type, with well-formed

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from hypspeed import coverage_check, run_suite
-from hypspeed.verify import SUITES
+from hypspeed.verify import PYTHAGORAS_ATTAIN_MIN_N, SUITES
 
 #: (samples, worst margin, sum of squared margins) of the batched suites at
-#: n = 500, recorded from the suites that drew one scalar at a time.  The
-#: sum of squares depends on every draw; a block draw that consumed the
-#: generator in another order would move it far beyond 1e-12.
+#: n = 500, recorded from the suites that drew one scalar at a time or ran
+#: one orbit time at a time.  The sum of squares depends on every draw; a
+#: block draw that consumed the generator in another order would move it
+#: far beyond 1e-12.
 PINNED_STREAM = {
     ("lemma_halfplane", 7): (3000, -1.2212453270876722e-13, 60940.205952573284),
     ("lemma_halfplane", 42): (3000, -1.5232259897857148e-13, 60895.44420654815),
@@ -18,6 +19,14 @@ PINNED_STREAM = {
     ("pythagoras", 42): (500, 5.1029712560435314e-05, 46.58250936294954),
     ("contraction", 7): (500, 0.0008905717331348373, 4993.297074985075),
     ("contraction", 42): (500, 0.00013365815092947209, 4912.890655378441),
+    ("surrogates", 7): (2500, -9.43689570931383e-16, 2065.946473102749),
+    ("surrogates", 42): (2500, -9.43689570931383e-16, 2065.946473102749),
+    ("basepoint", 7): (9920, -0.0, 25655.88384867626),
+    ("basepoint", 42): (9920, -0.0, 23594.710531514535),
+    ("nontangential", 7): (2000, 3.0, 19823.531050958845),
+    ("nontangential", 42): (2000, 3.0, 19823.531050958845),
+    ("semigroup_model", 7): (310, -1.1554868173391242e-11, 166.54886632099902),
+    ("semigroup_model", 42): (310, -1.2883027977750316e-11, 116.55204623930078),
 }
 
 
@@ -65,6 +74,19 @@ def test_draw_stream_pinned(name, seed):
     fn, _ = SUITES[name]
     _, margins = fn(500, np.random.default_rng(seed), 1e-9)
     assert math.fsum(np.square(margins)) == pytest.approx(sum_sq, rel=1e-12)
+
+
+def test_pythagoras_attainability_needs_enough_samples():
+    # n = 20 at seed 1 draws no pair with gap <= 0.05; no inequality fails
+    assert run_suite("pythagoras", n=20, seed=1).violations == 0
+    fn, default_n = SUITES["pythagoras"]
+    for n in (PYTHAGORAS_ATTAIN_MIN_N - 1, PYTHAGORAS_ATTAIN_MIN_N, default_n):
+        _, margins = fn(n, np.random.default_rng(1), 1e-9)
+        attained = n >= PYTHAGORAS_ATTAIN_MIN_N
+        assert margins.size == 2 * n + attained  # upper and lower at every n
+    _, margins = fn(default_n, np.random.default_rng(42), 1e-9)
+    gap = margins[:default_n]
+    assert margins[-1] == 0.05 - gap.min()
 
 
 def test_margin_arrays_count_nan_as_violation(monkeypatch):
