@@ -30,6 +30,10 @@ from .mapchain import (HALF_PI, LOG2, LogPolar, _cabs, _cdiv, _cmul, _complex,
 # distance equals |dlog|/2 plus an angle correction to below double precision.
 _RADIAL_CROSSOVER = 30.0
 
+# _k_lp rescales sinh(d/2) and cos((t1+t2)/2) by a power of two when both
+# are below this, where their squares would leave the normal double range.
+_TINY = 2.0 ** -450
+
 
 class DomainError(ValueError):
     """A point lies outside the space an operation requires."""
@@ -188,7 +192,14 @@ def _k_lp(l1: float, t1: float, c1: float, l2: float, t2: float, c2: float) -> f
         corr = math.log1p((2.0 * cos_sum + e) * e)
         return LOG2 - 0.5 * math.log(2.0 * c1 * c2) + 0.5 * (d - LOG2 + corr)
     sh = math.sinh(0.5 * d)
-    sin_diff_half = math.sin(0.5 * (t1 - t2))
+    if c1 < 0.5 and c2 < 0.5:  # both angles hug pi/2: only the gaps resolve t1 - t2
+        sin_diff_half = math.sin(0.5 * (g2 - g1))
+        if sh < _TINY and cos_sum_half < _TINY:  # the squares would underflow
+            k = -math.frexp(max(sh, cos_sum_half))[1]
+            sh, sin_diff_half, cos_sum_half, c1, c2 = (
+                math.ldexp(x, k) for x in (sh, sin_diff_half, cos_sum_half, c1, c2))
+    else:
+        sin_diff_half = math.sin(0.5 * (t1 - t2))
     num = sh * sh + sin_diff_half * sin_diff_half
     den = sh * sh + cos_sum_half * cos_sum_half
     m2 = num / den
@@ -221,7 +232,12 @@ def _k_lp_array(l1, t1, c1, l2, t2, c2):
         corr = np.log1p((2.0 * cos_sum + e) * e)
         far = LOG2 - 0.5 * np.log(2.0 * c1 * c2) + 0.5 * (d - LOG2 + corr)
         sh = np.sinh(0.5 * d)
-        sin_diff_half = np.sin(0.5 * (t1 - t2))
+        sin_diff_half = np.sin(0.5 * np.where((c1 < 0.5) & (c2 < 0.5), g2 - g1, t1 - t2))
+        scale = np.maximum(sh, cos_sum_half)
+        if (scale < _TINY).any():
+            k = np.where(scale < _TINY, -np.frexp(scale)[1], 0)
+            sh, sin_diff_half, cos_sum_half, c1, c2 = (
+                np.ldexp(x, k) for x in (sh, sin_diff_half, cos_sum_half, c1, c2))
         num = sh * sh + sin_diff_half * sin_diff_half
         den = sh * sh + cos_sum_half * cos_sum_half
         m2 = num / den

@@ -204,6 +204,10 @@ class Affine:
             return LogPolar.from_complex(self.b)
         if p.log_rho <= _LOG_WIDE:
             return LogPolar.from_complex(self.a * p.to_complex() + self.b)
+        if p.cart is not None:  # an exact value stays exact while a*w + b is finite
+            w = self.a * p.cart + self.b
+            if math.isfinite(math.hypot(w.real, w.imag)):
+                return LogPolar.from_complex(w)
         # |w| too large for a double: a*w + b = a*w*(1 + b/(a*w)), u underflows
         # harmlessly to 0 when it is below double resolution.
         u = (self.b / self.a) * cmath.exp(complex(-p.log_rho, -p.theta))
@@ -216,9 +220,11 @@ class Affine:
         return LogPolar(p.log_rho + math.log(abs(self.a)) + math.log(abs(corr)), ang, cos_ang)
 
     def fwd_array(self, p: LogPolar) -> LogPolar:
-        wide = p.log_rho > _LOG_WIDE
         with np.errstate(all="ignore"):  # each branch is kept on its own points only
             narrow = _from_complex_array(_cmul(self.a, _cartesian(p)) + self.b)
+            wide = p.log_rho > _LOG_WIDE
+            if p.cart is not None:
+                wide &= ~(np.isfinite(narrow.log_rho) & ~np.isnan(p.cart.real))
             if not wide.any():
                 return narrow
             e = np.exp(-p.log_rho)
@@ -384,9 +390,6 @@ class RiemannMapChain:
             total += link.log_abs_deriv(p)
             p = link.fwd(p)
         return total
-
-    def then(self, *links: Link) -> "RiemannMapChain":
-        return RiemannMapChain(self.links + tuple(links))
 
 
 def _apply(links: tuple[Link, ...], w) -> LogPolar:

@@ -17,7 +17,7 @@ from .domains import (Comb, DomainSpec, HalfPlaneRight, Koebe, Sector, Strip,
                       UnsupportedDomainOperation, canonical_base_point,
                       to_halfplane)
 from .hyperbolic import (ORIGIN, DiscPoint, DomainError, cayley, cayley_inv,
-                         in_halfplane)
+                         in_halfplane, k_half)
 from .mapchain import LogPolar, RiemannMapChain
 
 
@@ -125,6 +125,4 @@ def denjoy_wolff(sg: KoenigsSemigroup) -> complex:
 def hyperbolic_step_gap(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> float:
     """omega(phi_t(z), phi_{t+1}(z)), computed entirely in the half plane
     (an array for an array of times)."""
-    from .hyperbolic import k_half
-
     return k_half(orbit_halfplane(sg, z, t), orbit_halfplane(sg, z, t + 1.0))

@@ -106,7 +106,7 @@ def _flat(margins) -> np.ndarray:
 # hyperbolic-metric suites
 
 
-def _suite_lemma_halfplane(n, rng, tol):
+def _suite_lemma_halfplane(n, rng):
     hp, k = H.HalfPlanePoint, H.k_half
     u = rng.random((n, 8))
     l0, l1 = np.sort(_uniform(u[:, 0:2], -20.0, 20.0), axis=1).T
@@ -172,7 +172,7 @@ def _suite_lemma_halfplane(n, rng, tol):
     return 6 * n, _flat(margins)
 
 
-def _suite_pythagoras(n, rng, tol):
+def _suite_pythagoras(n, rng):
     u = rng.random((n, 4))
     tau = _unit(_uniform(u[:, 0], -math.pi, math.pi))
     geo = H.RadialGeodesic(tau)
@@ -191,7 +191,7 @@ def _suite_pythagoras(n, rng, tol):
     return n, _flat(margins)
 
 
-def _suite_contraction(n, rng, tol):
+def _suite_contraction(n, rng):
     u = rng.random((n, 5))
     geo = H.RadialGeodesic(_unit(_uniform(u[:, 0], -math.pi, math.pi)))
     z, w = _rand_disc_batch(u[:, 1:3], 8.0), _rand_disc_batch(u[:, 3:5], 8.0)
@@ -217,7 +217,7 @@ def _rand_domain_point(rng, dom) -> complex:
     raise ValueError("no sampler for this domain")
 
 
-def _suite_chains(n, rng, tol):
+def _suite_chains(n, rng):
     margins = []
     extra = [D.Sector(1 - 2j, 0.7, 1.9), D.Sector(0.5j, math.pi, math.pi), D.Koebe(2 + 1j)]
     domains = list(BUILTIN_DOMAINS.values()) + extra
@@ -296,7 +296,7 @@ def _built_samples(n: int) -> tuple[tuple[str, SG.KoenigsSemigroup, tuple], ...]
     return tuple(table)
 
 
-def _suite_split(n, rng, tol):
+def _suite_split(n, rng):
     margins = []
     total = 0
     for _name, _sg, samples in _built_samples(n):
@@ -307,7 +307,7 @@ def _suite_split(n, rng, tol):
     return total, margins
 
 
-def _suite_julia_tangent(n, rng, tol):
+def _suite_julia_tangent(n, rng):
     margins = []
     total = 0
     for _name, _sg, samples in _built_samples(n):
@@ -317,7 +317,7 @@ def _suite_julia_tangent(n, rng, tol):
     return total, margins
 
 
-def _suite_surrogates(n, rng, tol):
+def _suite_surrogates(n, rng):
     margins = []
     total = 0
     grid = np.array(_grid(n if n >= 2 else None))
@@ -345,7 +345,7 @@ def _class_expression(cls, t: float) -> float:
     return 0.25 * math.log(t)
 
 
-def _suite_lower_bounds(n, rng, tol):
+def _suite_lower_bounds(n, rng):
     margins = []
     total = 0
     for _name, sg, samples in _built_samples(n):
@@ -356,7 +356,7 @@ def _suite_lower_bounds(n, rng, tol):
     return total, margins
 
 
-def _suite_betsakos(n, rng, tol):
+def _suite_betsakos(n, rng):
     margins = []
     total = 0
     for _name, sg, samples in _built_samples(n):
@@ -386,7 +386,7 @@ FIT_TARGETS = [
 ]
 
 
-def _suite_sector_asymptotics(n, rng, tol):
+def _suite_sector_asymptotics(n, rng):
     margins = []
     built = {name: samples for name, _sg, samples in _built_samples(n)}
     for name, series, basis, target, allowed in FIT_TARGETS:
@@ -400,7 +400,7 @@ def _suite_sector_asymptotics(n, rng, tol):
     return len(FIT_TARGETS) + 2, margins
 
 
-def _suite_basepoint(n, rng, tol):
+def _suite_basepoint(n, rng):
     margins = []
     total = 0
     grid = np.array(SP.default_grid(1.0, 1e5, 64))
@@ -424,7 +424,7 @@ def _curve_speeds(eta: H.DiscPoint, tau: complex):
     return SP.speeds_from_halfplane(H.cayley(zeta))
 
 
-def _suite_conjugation(n, rng, tol):
+def _suite_conjugation(n, rng):
     margins = []
     total = 0
     for _name, dom in BUILTIN_DOMAINS.items():
@@ -451,7 +451,7 @@ def _suite_conjugation(n, rng, tol):
     return total, margins
 
 
-def _suite_semigroup_model(n, rng, tol):
+def _suite_semigroup_model(n, rng):
     margins = []
     total = 0
     for _name, dom in BUILTIN_DOMAINS.items():
@@ -489,7 +489,7 @@ def _suite_semigroup_model(n, rng, tol):
     return total, margins
 
 
-def _suite_nontangential(n, rng, tol):
+def _suite_nontangential(n, rng):
     margins = []
     grid = np.array(_grid(n if n >= 2 else None))
     built = {name: (sg, samples) for name, sg, samples in _built_samples(n)}
@@ -509,7 +509,7 @@ def _suite_nontangential(n, rng, tol):
     return 4 * len(grid), margins
 
 
-def _suite_comb(n, rng, tol):
+def _suite_comb(n, rng):
     margins = []
     steps = max(2, min(10, n))
     cc = CB.build_comb("log1p", "linear", steps=steps)
@@ -573,7 +573,7 @@ def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9
         raise ValueError(f"the sample count must be nonnegative, got {n}")
     fn, default_n = SUITES[name]
     rng = np.random.default_rng(seed)
-    samples, margins = fn(n or default_n, rng, tol)
+    samples, margins = fn(n or default_n, rng)
     margins = np.asarray(margins, dtype=float)  # a list of numbers or one array
     violations = int(np.count_nonzero(~(margins >= -tol)))  # NaN counts
     worst = float(margins.min()) if margins.size else math.inf

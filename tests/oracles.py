@@ -1,11 +1,14 @@
 """Independent slow oracles used only by the tests.
 
 These deliberately avoid the closed forms they are checking: golden-section
-search for hyperbolic projections, and brute-force discretised boundaries
-for Euclidean distances.
+search for hyperbolic projections, brute-force discretised boundaries for
+Euclidean distances, and 50-digit cartesian evaluations of the half-plane
+distance and of the Euclidean surrogates.
 """
 
 import math
+
+import mpmath
 
 from hypspeed import DiscPoint, RadialGeodesic, omega
 
@@ -58,3 +61,38 @@ def sector_boundary_points(apex: complex, ang_lo: float, ang_hi: float,
         for k in range(1, density + 1):
             pts.append(apex + d * (reach * k / density) ** 1.5)
     return pts
+
+
+def mp_point(log_rho, theta, cos_theta=None):
+    """rho e^{i theta} at the working precision; a given cosine fixes the
+    point where theta has rounded to +-pi/2, the sign of theta its side."""
+    if cos_theta is None:
+        return mpmath.exp(log_rho) * mpmath.expj(theta)
+    c = mpmath.mpf(cos_theta)
+    s = mpmath.sqrt(1 - c * c)
+    return mpmath.exp(log_rho) * mpmath.mpc(c, s if theta >= 0 else -s)
+
+
+def mp_k_half(l1, t1, l2, t2, c1=None, c2=None, dps=50):
+    """k_H from cartesian points at dps digits, through 1 - m^2 =
+    4 Re w1 Re w2 / |w1 + conj w2|^2, which never cancels."""
+    with mpmath.workdps(dps):
+        w1, w2 = mp_point(l1, t1, c1), mp_point(l2, t2, c2)
+        s = abs(w1 + mpmath.conj(w2))
+        m = abs(w1 - w2) / s
+        one_minus_m2 = 4 * w1.real * w2.real / s ** 2
+        return mpmath.log1p(m) - mpmath.log(one_minus_m2) / 2
+
+
+def mp_surrogates(log_rho, theta, cos_theta):
+    """(s_total, s_orth, s_tang) at the half-plane point w from their
+    definitions at 50 digits: eta = (w-1)/(w+1), s_total = -log(1-|eta|)/2,
+    s_orth = -log|1-eta|/2 (the Denjoy-Wolff point is 1).  1 - |eta| is
+    (1 - |eta|^2)/(1 + |eta|) with 1 - |eta|^2 = 4 Re w/|w+1|^2, and
+    1 - eta = 2/(w+1): neither cancels, however close eta is to the circle."""
+    with mpmath.workdps(50):
+        w = mp_point(log_rho, theta, cos_theta)
+        eta = (w - 1) / (w + 1)
+        s_total = -mpmath.log(4 * w.real / abs(w + 1) ** 2 / (1 + abs(eta))) / 2
+        s_orth = -mpmath.log(abs(2 / (w + 1))) / 2
+        return s_total, s_orth, s_total - s_orth

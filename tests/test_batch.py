@@ -1,15 +1,14 @@
 """Batches through the public metric, chain, orbit and speed operations.
 
 Each array kernel is checked against the scalar code it mirrors, branch by
-branch, and the array k_half against an independent 50-digit oracle.
-numpy's exp, sinh, atanh, log1p, tanh, log and atan2 may differ from the
-math module in the last bit, so scalar and batch agree to a few ulp, not
-bit for bit.
+branch, and k_half and the surrogates against independent 50-digit
+oracles.  numpy's exp, sinh, atanh, log1p, tanh, log and atan2 may differ
+from the math module in the last bit, so scalar and batch agree to a few
+ulp, not bit for bit.
 """
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +25,9 @@ from hypspeed.mapchain import (HALF_PI, Affine, BranchError, ExpLog, ExpScale,
                                LogPolar, Power, RiemannMapChain,
                                _from_complex_array)
 from hypspeed.semigroups import hyperbolic_step_gap, model_point
+from hypspeed.speeds import speeds_from_halfplane
+
+from oracles import mp_k_half, mp_surrogates
 
 N = 300
 ULPS = 8
@@ -108,18 +110,6 @@ class TestKHalfBranches:
             HalfPlanePoint(np.array([0.0, np.inf]), 0.0)
 
 
-def k_half_50_digits(l1, t1, l2, t2):
-    """k_H from cartesian points at 50 digits, through 1 - m^2 =
-    4 Re w1 Re w2 / |w1 + conj w2|^2, which never cancels."""
-    with mpmath.workdps(50):
-        w1 = mpmath.exp(l1) * mpmath.expj(t1)
-        w2 = mpmath.exp(l2) * mpmath.expj(t2)
-        s = abs(w1 + mpmath.conj(w2))
-        m = abs(w1 - w2) / s
-        one_minus_m2 = 4 * w1.real * w2.real / s ** 2
-        return mpmath.log1p(m) - mpmath.log(one_minus_m2) / 2
-
-
 class TestKHalfOracle:
     def test_boundary_hugging_draws(self):
         # angles within 10^-12 .. 1 of +-pi/2 and modulus ratios up to e^40;
@@ -136,9 +126,25 @@ class TestKHalfOracle:
         l2 = np.concatenate([rng.uniform(-20, 20, n), l1 + gap * rng.uniform(-1, 1, n)])
         l1, t1, t2 = np.tile(l1, 2), np.tile(t1, 2), np.concatenate([far_t, near_t])
         got = k_half(HalfPlanePoint(l1, t1), HalfPlanePoint(l2, t2))
-        want = np.array([float(k_half_50_digits(*map(float, a))) for a in zip(l1, t1, l2, t2)])
+        want = np.array([float(mp_k_half(*map(float, a))) for a in zip(l1, t1, l2, t2)])
         assert np.max(np.abs(got - want) / want) <= 1e-12
         assert np.any(np.abs(l2 - l1) > 30) and np.any(want < K_ATANH)
+
+    @pytest.mark.parametrize("p,q", [
+        ((0.0, HALF_PI, 1e-100), (0.0, HALF_PI, 2e-100)),      # atanh(1/3)
+        ((300.0, HALF_PI, 1e-200), (300.0, HALF_PI, 1e-200)),  # one point twice
+        ((300.0, HALF_PI, 1e-200), (300.0, HALF_PI, 3e-200)),
+        ((5.0, -HALF_PI, 1e-250), (5.0 + 1e-250, -HALF_PI, 2e-250)),
+        ((0.0, HALF_PI, 1e-200), (1e-200, HALF_PI, 1e-200)),
+    ], ids=["third", "same", "ratio_3", "below", "radial_step"])
+    def test_pairs_only_their_cosines_resolve(self, p, q):
+        # both angles round to +-pi/2 and the cosines are tiny: the angular
+        # term comes from the cosines, and no square leaves the double range
+        want = float(mp_k_half(p[0], p[1], q[0], q[1], p[2], q[2], dps=250))
+        got = k_half(HalfPlanePoint(*p), HalfPlanePoint(*q))
+        batch = k_half(HalfPlanePoint(*map(np.array, p)), HalfPlanePoint(*q))
+        for value in (got, float(batch)):
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def disc_batch(rng, max_dist, n=N):
@@ -265,17 +271,15 @@ TABLE_DOMAINS = {
     "strip_wide": Strip(3.0),
     "halfplane_shift": HalfPlaneRight(-1 + 2j),
 }
-NOT_STRIPS = [name for name, dom in TABLE_DOMAINS.items() if not isinstance(dom, Strip)]
-#: times from 0 to 1e12; |w| within a factor e of e^700, where Affine links
-#: switch to their wide branch (strips overflow there, as their scalar
-#: code does); and around 1e300
+#: times from 0 to 1e12; |w| within a factor e of e^700, beyond which Affine
+#: links without an exact cartesian value switch to their wide branch; and
+#: around 1e300
 TIMES = {
     "to_1e12": np.concatenate([[0.0], np.geomspace(1e-3, 1e12, 120)]),
     "e700": np.exp(np.linspace(699.0, 701.0, 41)),
     "1e300": np.geomspace(1e299, 1e301, 9),
 }
-CASES = ([(name, span) for name in TABLE_DOMAINS for span in ("to_1e12", "1e300")]
-         + [(name, "e700") for name in NOT_STRIPS])
+CASES = [(name, span) for name in TABLE_DOMAINS for span in ("to_1e12", "1e300", "e700")]
 START = DiscPoint(0.3 - 0.4j)
 
 
@@ -300,7 +304,7 @@ class TestChainBatches:
         chain = to_halfplane(dom)
         w = model_point(koenigs_semigroup(dom), START) + 1j * TIMES[span]
         assert_points_match(chain.forward_lp(w), [chain.forward_lp(complex(x)) for x in w])
-        if span == "e700":  # both Affine branches in one batch
+        if span == "e700":  # points on both sides of the wide switch in one batch
             assert np.any(np.abs(w) > math.exp(700)) and np.any(np.abs(w) < math.exp(700))
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
@@ -347,12 +351,18 @@ class TestChainBatches:
         with pytest.raises(ValueError):
             ExpLog(1.0).fwd_array(_from_complex_array(np.array([1.0 + 0j, 0j])))
 
-    def test_strip_beyond_the_wide_switch_overflows_as_the_scalar_does(self):
-        sg = koenigs_semigroup(TABLE_DOMAINS["strip"])
-        with pytest.raises(OverflowError):
-            orbit_halfplane(sg, ORIGIN, math.exp(701.0))
-        with pytest.raises(OverflowError):
-            orbit_halfplane(sg, ORIGIN, TIMES["e700"])
+    @pytest.mark.parametrize("name", ["strip", "strip_wide"])
+    def test_strip_beyond_the_wide_switch_keeps_its_cartesian_value(self, name):
+        # h(0) + it - r is a finite double, which the exponential link needs:
+        # the orbit runs up the axis, v = v_o = pi t/(2r) and v_T = 0
+        dom = TABLE_DOMAINS[name]
+        sg, ts = koenigs_semigroup(dom), np.array([math.exp(701.0), 1e304, 1e306])
+        batch = speeds_from_halfplane(orbit_halfplane(sg, ORIGIN, ts))
+        for i, t in enumerate(ts):
+            one = speeds_from_halfplane(orbit_halfplane(sg, ORIGIN, float(t)))
+            for v, v_o, v_t in (one, [x[i] for x in batch]):
+                assert v == pytest.approx(math.pi * t / (2.0 * dom.r), rel=1e-15)
+                assert v_o == v and v_t == 0.0
 
 
 class TestOrbitBatches:
@@ -375,12 +385,16 @@ class TestOrbitBatches:
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_hyperbolic_step_gap(self, name):
-        # beyond 2^53, t + 1 == t and the gap compares a point with itself
-        sg, ts = koenigs_semigroup(TABLE_DOMAINS[name]), TIMES["to_1e12"]
-        for z in (ORIGIN, START):
+        # beyond 2^53, t + 1 == t and the gap compares a point with itself,
+        # whose cosine is below 1e-154 on the half planes and flat sectors
+        sg = koenigs_semigroup(TABLE_DOMAINS[name])
+        for z, span in [(z, span) for z in (ORIGIN, START) for span in ("to_1e12", "1e300")]:
+            ts = TIMES[span]
             want = np.array([hyperbolic_step_gap(sg, float(t), z) for t in ts])
             got = hyperbolic_step_gap(sg, ts, z)
             assert scaled_ulps(got, want, np.maximum(np.abs(want), 1.0)) <= ULPS
+            if span == "1e300":
+                assert np.all(want == 0.0) and np.all(got == 0.0)
 
     def test_errors(self):
         sg = koenigs_semigroup(TABLE_DOMAINS["koebe"])
@@ -436,6 +450,51 @@ class TestSurrogateBatches:
                 t0 = t
             assert surrogate_threshold(sg, grid[::-1], z) == t0
         assert surrogate_threshold(sg, []) is None
+
+
+def assert_surrogates_match_oracle(sur, hp):
+    """The surrogates of the half-plane points hp against their 50-digit
+    definitions, to 1e-12 relative (absolute below 1); s_tang >= 0."""
+    fields = (np.ravel(f) for f in (hp.log_rho, hp.theta, hp.cos))
+    want = np.array([[float(x) for x in mp_surrogates(*map(float, a))] for a in zip(*fields)])
+    for name, col in zip(("s_total", "s_orth", "s_tang"), want.T):
+        err = np.abs(np.ravel(getattr(sur, name)) - col)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(col))), (name, err.max())
+    assert np.all(sur.s_tang >= -1e-12)
+
+
+class TestSurrogateOracle:
+    @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
+    def test_tables_domains(self, name):
+        sg, ts = koenigs_semigroup(TABLE_DOMAINS[name]), np.geomspace(1.0, 1e12, 128)
+        assert_surrogates_match_oracle(surrogate_speeds(sg, ts), orbit_halfplane(sg, ORIGIN, ts))
+
+    def test_below_the_threshold_hugging_the_boundary(self):
+        # half-plane points with log rho in [-30, 0] and angles within
+        # 1e-12 .. 1 of +-pi/2, as disc start points of the half plane's
+        # orbits at t = 0, where 1 - |eta| is down to about 1e-14
+        rng = np.random.default_rng(31)
+        n = 1000
+        log_rho = rng.uniform(-30.0, 0.0, n)
+        lowest_gap = np.maximum(-12.0, -14.0 - log_rho / math.log(10.0))
+        gap = 10.0 ** rng.uniform(lowest_gap, 0.0)
+        w = np.exp(log_rho) * np.exp(1j * np.where(rng.random(n) < 0.5, 1.0, -1.0) * (HALF_PI - gap))
+        z = (w - 1.0) / (w + 1.0)
+        z = DiscPoint(z[np.hypot(z.real, z.imag) < 1.0])
+        sg = koenigs_semigroup(HalfPlaneRight(0j))
+        hp = orbit_halfplane(sg, z, 0.0)
+        sur = surrogate_speeds(sg, 0.0, z)
+        assert z.value.size > 0.9 * n and np.all(sur.pre_threshold)
+        assert np.min(hp.cos) < 1e-11 and np.min(hp.log_rho) < -29.0
+        assert_surrogates_match_oracle(sur, hp)
+
+    def test_one_time_is_a_float64_pass(self):
+        sg = koenigs_semigroup(TABLE_DOMAINS["koebe"])
+        # the orbit lies on the axis: the tangential surrogate vanishes
+        s = surrogate_speeds(sg, 3.0)
+        assert s.s_tang == 0.0 and s.pre_threshold is False
+        for name in SURROGATE_FIELDS:
+            assert type(getattr(s, name)) is np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +555,7 @@ def test_nontangential_ratio(name):
     ts = np.geomspace(1e-3, 1e8, 150)
     want = np.array([nontangential_ratio(sg, p, float(t)) for t in ts])
     assert ulps_apart(nontangential_ratio(sg, p, ts), want) <= ULPS
+    # min{t, delta_-(p + it)} / min{t, delta_+(p + it)} from the scalar distances
+    by_hand = [min(t, delta_pm(dom, OmegaSign("minus", p), p + 1j * t))
+               / min(t, delta_pm(dom, OmegaSign("plus", p), p + 1j * t)) for t in ts]
+    assert ulps_apart(want, by_hand) <= ULPS

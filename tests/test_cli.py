@@ -50,7 +50,7 @@ class TestSpeeds:
         assert run_cli(["speeds", "--domain", str(f), "--points", "4", "-o", str(out)]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["--domain", STRIP, "--t-max", "1e307"],
+        ["--domain", STRIP, "--t-max", "1e308"],  # log rho = pi t / r = 2t overflows
         ["--domain", STRIP, "--t-max", "inf"],
         ["--domain", STRIP, "--t-max", "nan"],
         ["--domain", '{"type":"halfplane","p":[NaN,0]}'],
