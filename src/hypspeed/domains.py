@@ -205,11 +205,7 @@ def contains(domain: DomainSpec, w) -> bool:
     """Open-set membership test (a boolean array for a complex array)."""
     if isinstance(w, np.ndarray):
         return _contains_array(domain, w.astype(complex, copy=False))
-    return _contains_point(domain, complex(w))
-
-
-def _contains_point(domain: DomainSpec, w: complex) -> bool:
-    # called directly by delta, whose quadrature integrands need no dispatch
+    w = complex(w)
     if isinstance(domain, HalfPlaneRight):
         return w.real > domain.p.real
     if isinstance(domain, Strip):
@@ -332,65 +328,63 @@ def k_domain(domain: DomainSpec, w1, w2) -> float:
 # Euclidean distance to the complement
 
 
-def _dist_to_ray(q: complex, apex: complex, direction: complex,
-                 s_lo: float = 0.0, s_hi: float = math.inf) -> float:
-    """Distance from q to {apex + s*direction : s in [s_lo, s_hi]}, |direction|=1."""
-    if s_hi < s_lo:
-        return math.inf
-    v = q - apex
-    s = v.real * direction.real + v.imag * direction.imag
-    s = min(max(s, s_lo), s_hi)
-    return abs(v - s * direction)
-
-
-def _dist_to_vertical_slit(q: complex, x: float, top: float) -> float:
-    """Distance from q to {x + iy : y <= top}."""
-    dx = q.real - x
-    if q.imag <= top:
-        return abs(dx)
-    return math.hypot(dx, q.imag - top)
-
-
-def _dist_to_ray_array(q: np.ndarray, apex: complex, direction: complex,
-                       s_lo: float, s_hi: float) -> np.ndarray:
-    """_dist_to_ray for each point of q, on a nonempty parameter range."""
+def _dist_to_ray(q: np.ndarray, apex: complex, direction: complex,
+                 s_lo: float = 0.0, s_hi: float = math.inf) -> np.ndarray:
+    """Distance from each point of q to {apex + s*direction : s in [s_lo, s_hi]},
+    |direction| = 1, on a nonempty parameter range."""
     vr, vi = q.real - apex.real, q.imag - apex.imag
     s = np.clip(vr * direction.real + vi * direction.imag, s_lo, s_hi)
     return np.hypot(vr - s * direction.real, vi - s * direction.imag)
 
 
-def _dist_to_vertical_slit_array(q: np.ndarray, x: float, top: float) -> np.ndarray:
+def _dist_to_vertical_slit(q: np.ndarray, x: float, top: float) -> np.ndarray:
+    """Distance from each point of q to {x + iy : y <= top}."""
     dx = q.real - x
     return np.where(q.imag <= top, np.abs(dx), np.hypot(dx, q.imag - top))
 
 
-def delta(domain: DomainSpec, p) -> float:
-    """Euclidean distance from an interior point to the complement."""
-    p = complex(p)
-    if not _contains_point(domain, p):
-        raise DomainError(f"{p} is not in the domain")
+def _slits(domain: DomainSpec) -> list[tuple[float, float]]:
+    """The boundary of a domain other than a sector as vertical slits
+    {x + iy : y <= top}, as (x, top); top = +inf for a whole line."""
     if isinstance(domain, HalfPlaneRight):
-        return p.real - domain.p.real
+        return [(domain.p.real, math.inf)]
     if isinstance(domain, Strip):
-        return min(p.real, domain.r - p.real)
-    if isinstance(domain, Sector):
-        d_lo = _dist_to_ray(p, domain.p, cmath.exp(1j * domain.ray_lo))
-        d_hi = _dist_to_ray(p, domain.p, cmath.exp(1j * domain.ray_hi))
-        return min(d_lo, d_hi)
+        return [(0.0, math.inf), (domain.r, math.inf)]
     if isinstance(domain, Koebe):
-        return _dist_to_vertical_slit(p, domain.p.real, domain.p.imag)
+        return [(domain.p.real, domain.p.imag)]
     if isinstance(domain, Comb):
-        if p.imag > domain.extent or abs(p.real) > domain.max_abscissa:
-            raise DomainError(
-                "query outside the materialised comb extent; omitted teeth could be nearer"
-            )
-        best = math.inf
-        for a, b in domain.teeth:
-            best = min(best,
-                       _dist_to_vertical_slit(p, a, b),
-                       _dist_to_vertical_slit(p, -a, b))
-        return best
+        return [(x, b) for a, b in domain.teeth for x in (a, -a)]
     raise DomainError(f"unknown domain {domain!r}")
+
+
+def _dist_to_slits(q: np.ndarray, slits) -> np.ndarray:
+    d = np.full(q.shape, math.inf)
+    for x, top in slits:
+        d = np.minimum(d, _dist_to_vertical_slit(q, x, top))
+    return d
+
+
+def _require(inside: np.ndarray, q: np.ndarray, where: str) -> None:
+    if not inside.all():
+        raise DomainError(f"{q[~inside][0]} is not in {where}")
+
+
+def delta(domain: DomainSpec, p):
+    """Euclidean distance from an interior point to the complement; an array
+    of points gives an array, one point a float."""
+    q = np.asarray(p, dtype=complex)
+    _require(contains(domain, q), q, "the domain")
+    if isinstance(domain, Comb) and ((q.imag > domain.extent)
+                                     | (np.abs(q.real) > domain.max_abscissa)).any():
+        raise DomainError(
+            "query outside the materialised comb extent; omitted teeth could be nearer"
+        )
+    if isinstance(domain, Sector):
+        d = np.minimum(_dist_to_ray(q, domain.p, cmath.exp(1j * domain.ray_lo)),
+                       _dist_to_ray(q, domain.p, cmath.exp(1j * domain.ray_hi)))
+    else:
+        d = _dist_to_slits(q, _slits(domain))
+    return float(d) if q.ndim == 0 else d
 
 
 def _clip_ray_to_halfplane(apex_re: float, d_re: float, c: float, keep_le: bool):
@@ -405,40 +399,35 @@ def _clip_ray_to_halfplane(apex_re: float, d_re: float, c: float, keep_le: bool)
     return (max(0.0, s_cross), math.inf)
 
 
-def _wedge_pieces(sector: Sector, c: float, keep_le: bool):
-    """The complement wedge of the sector cut to {Re <= c} (keep_le) or
-    {Re >= c}: its boundary rays clipped to that half plane, as
-    (direction, s_lo, s_hi), and the intervals of heights y at which c + iy
-    lies in the closed wedge."""
+def _wedge_halfplane_distance(sector: Sector, q: np.ndarray, c: float,
+                              keep_le: bool) -> np.ndarray:
+    """Distance from each point of q to (complement wedge of the sector)
+    intersected with {Re <= c} (keep_le) or {Re >= c}; +inf for an empty set.
+
+    That set is bounded by the wedge's two rays clipped to the half plane
+    and by the intervals of heights y at which c + iy lies in the closed
+    wedge."""
     apex = sector.p
-    rays = []
+    best = np.full(q.shape, math.inf)
+    crossings: list[float] = []  # where the rays meet the line {Re = c}
     for ang in (sector.ray_lo, sector.ray_hi):
         d = cmath.exp(1j * ang)
         s_lo, s_hi = _clip_ray_to_halfplane(apex.real, d.real, c, keep_le)
         if s_hi >= s_lo:
-            rays.append((d, s_lo, s_hi))
-
-    # portion of the line {Re = c} inside the closed wedge
-    crossings: list[float] = []
-    for ang in (sector.ray_lo, sector.ray_hi):
-        d = cmath.exp(1j * ang)
-        if abs(d.real) < 1e-15:
+            best = np.minimum(best, _dist_to_ray(q, apex, d, s_lo, s_hi))
+        if abs(d.real) >= 1e-15:
+            s_cross = (c - apex.real) / d.real
+            if s_cross >= 0.0:
+                crossings.append(apex.imag + s_cross * d.imag)
+        elif abs(apex.real - c) <= 1e-12 * max(1.0, abs(c)):
             # a vertical ray sitting on the line bounds the in-wedge interval
             # at the apex height
-            if abs(apex.real - c) <= 1e-12 * max(1.0, abs(c)):
-                crossings.append(apex.imag)
-            continue
-        s_cross = (c - apex.real) / d.real
-        if s_cross >= 0.0:
-            crossings.append(apex.imag + s_cross * d.imag)
+            crossings.append(apex.imag)
     crossings.sort()
     edges = [-math.inf, *crossings, math.inf]
-    spans = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi < lo:
-            continue
         if math.isinf(lo) and math.isinf(hi):
-            probe = 0.0 if not crossings else crossings[0]
+            probe = 0.0
         elif math.isinf(lo):
             probe = hi - max(1.0, abs(hi))
         elif math.isinf(hi):
@@ -446,98 +435,40 @@ def _wedge_pieces(sector: Sector, c: float, keep_le: bool):
         else:
             probe = 0.5 * (lo + hi)
         if not contains(sector, complex(c, probe)):
-            spans.append((lo, hi))
-    return rays, spans
-
-
-def _wedge_halfplane_distance(sector: Sector, q, c: float, keep_le: bool):
-    """Distance from q, a point or an array of points, to (complement wedge
-    of the sector) intersected with {Re <= c} (keep_le) or {Re >= c}.
-    Returns +inf for an empty set."""
-    rays, spans = _wedge_pieces(sector, c, keep_le)
-    if isinstance(q, np.ndarray):
-        best = np.full(q.shape, math.inf)
-        for d, s_lo, s_hi in rays:
-            best = np.minimum(best, _dist_to_ray_array(q, sector.p, d, s_lo, s_hi))
-        for lo, hi in spans:
             best = np.minimum(best, np.hypot(q.real - c, q.imag - np.clip(q.imag, lo, hi)))
-        return best
-    best = math.inf
-    for d, s_lo, s_hi in rays:
-        best = min(best, _dist_to_ray(q, sector.p, d, s_lo, s_hi))
-    for lo, hi in spans:
-        y = min(max(q.imag, lo), hi)
-        best = min(best, math.hypot(q.real - c, q.imag - y))
     return best
 
 
-def delta_pm(domain: DomainSpec, sign: OmegaSign, q) -> float:
+def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     """Distance to the complement of Omega^+ = Omega u {Re > Re ref} (or
     Omega^- with Re < Re ref); +inf when the enlarged domain is the plane.
-    An array q gives an array."""
-    batch = isinstance(q, np.ndarray)
-    q = q.astype(complex, copy=False) if batch else complex(q)
+    An array of points gives an array, one point a float."""
+    q = np.asarray(q, dtype=complex)
     if not contains(domain, sign.ref):
         raise DomainError("the Omega^+- reference point must lie in the domain")
     c = sign.ref.real
     plus = sign.side == "plus"
-    if batch:
-        return _delta_pm_array(domain, q, c, plus)
-    if not (contains(domain, q) or (q.real > c if plus else q.real < c)):
-        raise DomainError(f"{q} is not in Omega^{'+' if plus else '-'}")
-    # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}
-    if isinstance(domain, HalfPlaneRight):
-        # interior ref has Re ref > Re p, so only the plus side keeps the wall
-        return q.real - domain.p.real if plus else math.inf
-    if isinstance(domain, Strip):
-        # interior ref: 0 < Re ref < r; one wall survives on each side
-        return q.real if plus else domain.r - q.real
-    if isinstance(domain, Koebe):
-        ok = domain.p.real <= c if plus else domain.p.real >= c
-        return _dist_to_vertical_slit(q, domain.p.real, domain.p.imag) if ok else math.inf
-    if isinstance(domain, Comb):
-        best = math.inf
-        for a, b in domain.teeth:
-            for x in (a, -a):
-                if (x <= c) if plus else (x >= c):
-                    best = min(best, _dist_to_vertical_slit(q, x, b))
-        return best
+    _require(contains(domain, q) | ((q.real > c) if plus else (q.real < c)), q,
+             f"Omega^{'+' if plus else '-'}")
+    # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}; outside a
+    # sector that is the slits on the kept side, since the line {Re = ref}
+    # meets the complement only on a slit
     if isinstance(domain, Sector):
-        return _wedge_halfplane_distance(domain, q, c, keep_le=plus)
-    raise DomainError(f"unknown domain {domain!r}")
-
-
-def _delta_pm_array(domain: DomainSpec, q: np.ndarray, c: float, plus: bool) -> np.ndarray:
-    outside = ~(contains(domain, q) | ((q.real > c) if plus else (q.real < c)))
-    if outside.any():
-        raise DomainError(f"{q[outside][0]} is not in Omega^{'+' if plus else '-'}")
-    nowhere = np.full(q.shape, math.inf)
-    if isinstance(domain, HalfPlaneRight):
-        return q.real - domain.p.real if plus else nowhere
-    if isinstance(domain, Strip):
-        return q.real.copy() if plus else domain.r - q.real
-    if isinstance(domain, Koebe):
-        ok = domain.p.real <= c if plus else domain.p.real >= c
-        return _dist_to_vertical_slit_array(q, domain.p.real, domain.p.imag) if ok else nowhere
-    if isinstance(domain, Comb):
-        best = nowhere
-        for a, b in domain.teeth:
-            for x in (a, -a):
-                if (x <= c) if plus else (x >= c):
-                    best = np.minimum(best, _dist_to_vertical_slit_array(q, x, b))
-        return best
-    if isinstance(domain, Sector):
-        return _wedge_halfplane_distance(domain, q, c, keep_le=plus)
-    raise DomainError(f"unknown domain {domain!r}")
+        d = _wedge_halfplane_distance(domain, q, c, keep_le=plus)
+    else:
+        d = _dist_to_slits(q, [(x, top) for x, top in _slits(domain)
+                               if ((x <= c) if plus else (x >= c))])
+    return float(d) if q.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------
 # quasi-hyperbolic lower bound along the imaginary axis
 
 def _gl_panel(f, lo: float, hi: float) -> float:
+    """16-point Gauss-Legendre panel; f takes the nodes as one array."""
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     xs = mid + half * GL_NODES
-    return half * float(np.dot(GL_WEIGHTS, [f(x) for x in xs]))
+    return half * float(np.dot(GL_WEIGHTS, f(xs)))
 
 
 def _adaptive(f, lo: float, hi: float, whole: float, rel_tol: float = 1e-9,
@@ -640,7 +571,7 @@ def quasihyp_lower(domain: DomainSpec, t0: float, t1: float) -> float:
     if not contains(domain, complex(0.0, t0)):
         raise DomainError("segment exits the domain")  # upward-closed: t0 decides
 
-    def f(r: float) -> float:
-        return 1.0 / delta(domain, complex(0.0, r))
+    def f(r: np.ndarray) -> np.ndarray:
+        return 1.0 / delta(domain, 1j * r)
 
     return 0.25 * _adaptive(f, t0, t1, _gl_panel(f, t0, t1))

@@ -34,6 +34,10 @@ _RADIAL_CROSSOVER = 30.0
 # are below this, where their squares would leave the normal double range.
 _TINY = 2.0 ** -450
 
+# Below this the product of two cosines has left the normal double range
+# (subnormal or zero); its logarithm is then summed from the factors.
+_NORMAL_MIN = float(np.finfo(float).smallest_normal)
+
 
 class DomainError(ValueError):
     """A point lies outside the space an operation requires."""
@@ -190,7 +194,9 @@ def _k_lp(l1: float, t1: float, c1: float, l2: float, t2: float, c2: float) -> f
         e = math.exp(-d)
         cos_sum = 2.0 * cos_sum_half * cos_sum_half - 1.0
         corr = math.log1p((2.0 * cos_sum + e) * e)
-        return LOG2 - 0.5 * math.log(2.0 * c1 * c2) + 0.5 * (d - LOG2 + corr)
+        prod = 2.0 * c1 * c2
+        log_prod = math.log(prod) if prod >= _NORMAL_MIN else LOG2 + math.log(c1) + math.log(c2)
+        return LOG2 - 0.5 * log_prod + 0.5 * (d - LOG2 + corr)
     sh = math.sinh(0.5 * d)
     if c1 < 0.5 and c2 < 0.5:  # both angles hug pi/2: only the gaps resolve t1 - t2
         sin_diff_half = math.sin(0.5 * (g2 - g1))
@@ -207,6 +213,8 @@ def _k_lp(l1: float, t1: float, c1: float, l2: float, t2: float, c2: float) -> f
         return math.atanh(math.sqrt(m2))
     one_minus_m2 = c1 * c2 / den
     m = math.sqrt(max(1.0 - one_minus_m2, m2 if m2 < 1.0 else 0.0))
+    if one_minus_m2 < _NORMAL_MIN:
+        return math.log1p(m) - 0.5 * (math.log(c1) + math.log(c2) - math.log(den))
     return math.log1p(m) - 0.5 * math.log(one_minus_m2)
 
 
@@ -230,7 +238,11 @@ def _k_lp_array(l1, t1, c1, l2, t2, c2):
         e = np.exp(-d)
         cos_sum = 2.0 * cos_sum_half * cos_sum_half - 1.0
         corr = np.log1p((2.0 * cos_sum + e) * e)
-        far = LOG2 - 0.5 * np.log(2.0 * c1 * c2) + 0.5 * (d - LOG2 + corr)
+        prod = 2.0 * c1 * c2
+        log_prod = np.log(prod)
+        if (prod < _NORMAL_MIN).any():
+            log_prod = np.where(prod < _NORMAL_MIN, LOG2 + np.log(c1) + np.log(c2), log_prod)
+        far = LOG2 - 0.5 * log_prod + 0.5 * (d - LOG2 + corr)
         sh = np.sinh(0.5 * d)
         sin_diff_half = np.sin(0.5 * np.where((c1 < 0.5) & (c2 < 0.5), g2 - g1, t1 - t2))
         scale = np.maximum(sh, cos_sum_half)
@@ -244,7 +256,11 @@ def _k_lp_array(l1, t1, c1, l2, t2, c2):
         near = np.arctanh(np.sqrt(m2))
         one_minus_m2 = c1 * c2 / den
         m = np.sqrt(np.maximum(1.0 - one_minus_m2, np.where(m2 < 1.0, m2, 0.0)))
-        complement = np.log1p(m) - 0.5 * np.log(one_minus_m2)
+        log_one_minus_m2 = np.log(one_minus_m2)
+        if (one_minus_m2 < _NORMAL_MIN).any():
+            log_one_minus_m2 = np.where(one_minus_m2 < _NORMAL_MIN,
+                                        np.log(c1) + np.log(c2) - np.log(den), log_one_minus_m2)
+        complement = np.log1p(m) - 0.5 * log_one_minus_m2
     out = np.where(d > _RADIAL_CROSSOVER, far, np.where(m2 < 0.81, near, complement))
     return np.where(radial, 0.5 * d, out)
 

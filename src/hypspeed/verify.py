@@ -228,8 +228,10 @@ def _suite_chains(n, rng):
         chain = D.to_halfplane(dom)
         base = D.canonical_base_point(dom)
         margins.append(_eq(abs(chain.forward(base) - 1.0), 0.0))
+        ws = []
         for _ in range(per):
             w = _rand_domain_point(rng, dom)
+            ws.append(w)
             # membership and upward closedness
             margins.append(0.0 if D.contains(dom, w) else -1.0)
             margins.append(0.0 if D.contains(dom, w + 1j * rng.uniform(0, 100.0)) else -1.0)
@@ -255,12 +257,12 @@ def _suite_chains(n, rng):
             z1 = H.cayley_inv(chain.forward_lp(u1))
             z2 = H.cayley_inv(chain.forward_lp(u2))
             margins.append(1e-9 - abs(kd - H.omega(z1, z2)))
-            # deltas: monotone under enlarging the domain
-            dv = D.delta(dom, w)
-            margins.append(dv - 0.0)
-            ref = base
-            for side in ("plus", "minus"):
-                margins.append(D.delta_pm(dom, D.OmegaSign(side, ref), w) - dv)
+        # deltas at the drawn points: monotone under enlarging the domain
+        ws = np.array(ws)
+        dv = D.delta(dom, ws)
+        margins.append(dv - 0.0)
+        for side in ("plus", "minus"):
+            margins.append(D.delta_pm(dom, D.OmegaSign(side, base), ws) - dv)
     # the quasi-hyperbolic integral lower-bounds the distance when the axis
     # is a geodesic (symmetric domains)
     for dom in (BUILTIN_DOMAINS["koebe"], BUILTIN_DOMAINS["sector_sym"]):
@@ -272,7 +274,7 @@ def _suite_chains(n, rng):
     # analytic spot value: Koebe delta along the axis integrates to log/4
     q = D.quasihyp_lower(BUILTIN_DOMAINS["koebe"], 1.0, math.e ** 4)
     margins.append(_eq(q, 1.0))
-    return len(domains) * per, margins
+    return len(domains) * per, _flat(margins)
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +324,19 @@ def _suite_surrogates(n, rng):
     total = 0
     grid = np.array(_grid(n if n >= 2 else None))
     for _name, dom in BUILTIN_DOMAINS.items():
-        sg = SG.koenigs_semigroup(dom)
-        t0 = SP.surrogate_threshold(sg, grid)
-        if t0 is None:
+        sur = SP.surrogate_speeds(SG.koenigs_semigroup(dom), grid)
+        if sur.pre_threshold[-1]:
             continue
-        sur = SP.surrogate_speeds(sg, grid[grid >= t0])
+        # the times from which log rho stays >= 0 onward
+        below = np.flatnonzero(sur.pre_threshold)
+        tail = slice(below[-1] + 1 if below.size else 0, None)
         margins += [
-            0.5 * LOG2 - np.abs(sur.dev_total),
-            0.5 * LOG2 - np.abs(sur.dev_orth),
-            1.5 * LOG2 - np.abs(sur.dev_tang),
-            _eq(sur.s_tang, sur.s_total - sur.s_orth),
+            0.5 * LOG2 - np.abs(sur.dev_total[tail]),
+            0.5 * LOG2 - np.abs(sur.dev_orth[tail]),
+            1.5 * LOG2 - np.abs(sur.dev_tang[tail]),
+            _eq(sur.s_tang[tail], sur.s_total[tail] - sur.s_orth[tail]),
         ]
-        total += sur.s_total.size
+        total += grid[tail].size
     return total, _flat(margins)
 
 
@@ -525,12 +528,10 @@ def _suite_comb(n, rng):
     if steps >= 10:  # linear growth of the ratio table at desk scale
         margins.append(rows[-1]["ratio"] / rows[0]["ratio"] - 5.0)
     # delta plateau: distance to the comb complement equals a_{j+1} on [x_j, b_{j+1}]
-    dom = cc.domain()
-    for j in range(1, cc.steps + 1):
-        lo, hi = cc.x[j - 1], cc.b[j]
-        for frac in rng.uniform(0.0, 1.0, size=4):
-            r = lo + frac * (hi - lo)
-            margins.append(_eq(D.delta(dom, 1j * r), cc.a[j]))
+    rs = [cc.x[j - 1] + rng.uniform(0.0, 1.0, size=4) * (cc.b[j] - cc.x[j - 1])
+          for j in range(1, cc.steps + 1)]
+    plateau = np.repeat(cc.a[1:cc.steps + 1], 4)
+    margins.append(_eq(D.delta(cc.domain(), 1j * np.concatenate(rs)), plateau))
     # degenerate single-step construction still certifies 1/4
     tiny = CB.verify_comb(CB.build_comb("log1p", "linear", steps=1))
     margins.append(tiny[0]["ratio"] - 0.25)
@@ -540,7 +541,7 @@ def _suite_comb(n, rng):
         margins.append(-1.0)
     except ValueError:
         margins.append(0.0)
-    return cc.steps, margins
+    return cc.steps, _flat(margins)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 These deliberately avoid the closed forms they are checking: golden-section
 search for hyperbolic projections, brute-force discretised boundaries for
-Euclidean distances, and 50-digit cartesian evaluations of the half-plane
+Euclidean distances (also to the complements of the enlarged domains
+Omega^+-), and 50-digit cartesian evaluations of the half-plane
 distance and of the Euclidean surrogates.
 """
 
 import math
 
 import mpmath
+import numpy as np
 
-from hypspeed import DiscPoint, RadialGeodesic, omega
+from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, RadialGeodesic,
+                      Sector, Strip, contains, omega)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,14 +45,16 @@ def brute_force_distance(p: complex, boundary_points) -> float:
     return min(abs(p - q) for q in boundary_points)
 
 
+def slit_points(x: float, top: float, depth: float = 50.0, density: int = 4000):
+    """Dense discretisation of the vertical slit {x + iy : top - depth <= y <= top}."""
+    return [complex(x, top - depth * k / density) for k in range(density + 1)]
+
+
 def comb_boundary_points(teeth, depth: float = 50.0, density: int = 4000):
     """Dense discretisation of the comb slits down to Im = top - depth."""
     pts = []
     for a, b in teeth:
-        for k in range(density + 1):
-            y = b - depth * k / density
-            pts.append(complex(a, y))
-            pts.append(complex(-a, y))
+        pts += slit_points(a, b, depth, density) + slit_points(-a, b, depth, density)
     return pts
 
 
@@ -61,6 +66,41 @@ def sector_boundary_points(apex: complex, ang_lo: float, ang_hi: float,
         for k in range(1, density + 1):
             pts.append(apex + d * (reach * k / density) ** 1.5)
     return pts
+
+
+def brute_delta_pm(domain, sign, qs, window: float = 40.0, step: float = 2.5e-3):
+    """delta_pm at each point of the array qs from the set definition, for
+    queries within about `window` of the origin: the distance to a dense
+    sample of the boundary of complement(Omega) cut to {Re <= Re ref} (side
+    "plus") or {Re >= Re ref} ("minus"), +inf when that set is empty.  The
+    sample holds the boundary pieces of Omega on the kept side and the points
+    Re ref + iy that `contains` rejects; it lies inside the set, so the
+    result never undershoots, and it overshoots by at most half a spacing."""
+    c, plus = sign.ref.real, sign.side == "plus"
+    line = int(2 * window / step)
+    if isinstance(domain, HalfPlaneRight):
+        pts = slit_points(domain.p.real, window, 2 * window, line)
+    elif isinstance(domain, Strip):
+        pts = (slit_points(0.0, window, 2 * window, line)
+               + slit_points(domain.r, window, 2 * window, line))
+    elif isinstance(domain, Sector):
+        reach = 2.0 * window ** (2.0 / 3.0)  # rays out to 2^1.5 * window
+        pts = sector_boundary_points(domain.p, domain.ray_lo, domain.ray_hi, reach,
+                                     int(1.5 * reach * window ** (1.0 / 3.0) / step))
+    elif isinstance(domain, Koebe):
+        pts = slit_points(domain.p.real, domain.p.imag, 2 * window, line)
+    elif isinstance(domain, Comb):
+        pts = comb_boundary_points(domain.teeth, 2 * window, line)
+    else:
+        raise ValueError(f"no boundary sampler for {domain!r}")
+    pts = np.array(pts)
+    pts = pts[pts.real <= c] if plus else pts[pts.real >= c]
+    cut = c + 1j * np.linspace(-window, window, line + 1)
+    pts = np.concatenate([pts, cut[~contains(domain, cut)]])
+    if not pts.size:
+        return np.full(qs.shape, math.inf)
+    return np.array([math.sqrt(np.min((q.real - pts.real) ** 2 + (q.imag - pts.imag) ** 2))
+                     for q in qs])
 
 
 def mp_point(log_rho, theta, cos_theta=None):
