@@ -311,14 +311,21 @@ def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
 
 
 def map_to_halfplane(domain: DomainSpec, w) -> LogPolar:
-    """Evaluate the chain at an interior point, staying in log-polar form."""
-    if not contains(domain, w):
-        raise DomainError(f"{w} is not in the domain")
-    return in_halfplane(to_halfplane(domain).forward_lp(complex(w)))
+    """Evaluate the chain at an interior point, staying in log-polar form.
+    A complex array gives a batch; one point outside the domain fails it."""
+    if isinstance(w, np.ndarray):
+        w = w.astype(complex, copy=False)
+        _require(contains(domain, w), w, "the domain")
+    else:
+        if not contains(domain, w):
+            raise DomainError(f"{w} is not in the domain")
+        w = complex(w)
+    return in_halfplane(to_halfplane(domain).forward_lp(w))
 
 
 def k_domain(domain: DomainSpec, w1, w2) -> float:
-    """Hyperbolic distance of the domain via its half-plane chain."""
+    """Hyperbolic distance of the domain via its half-plane chain (an array
+    when either point is a complex array)."""
     if isinstance(domain, Comb):
         raise UnsupportedDomainOperation("comb distances are available as bounds only")
     return k_half(map_to_halfplane(domain, w1), map_to_halfplane(domain, w2))

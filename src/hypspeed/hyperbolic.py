@@ -7,12 +7,13 @@ range remain exact; all distance formulas below are written against that
 representation and stay accurate in every regime (nearly radial pairs, huge
 modulus ratios, angles within 1e-12 of +-pi/2).
 
-The metric operations also take a batch: a ``LogPolar`` whose fields are
-numpy arrays, a ``DiscPoint`` or ``RadialGeodesic`` whose value is an array
-of plain (unguarded) points, or a polyline given as an array.  A batch runs
-through array kernels that take the same branches element by element as
-the scalar code, whose results they match to a few ulp; a single point
-always takes the scalar code.
+The metric operations, ``cayley_inv`` and ``DiscAutomorphism.apply`` also
+take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
+or ``RadialGeodesic`` whose value is an array of plain (unguarded) points,
+or a polyline given as an array.  A batch runs through array kernels that
+take the same branches element by element as the scalar code, whose
+results they match to a few ulp; a single point always takes the scalar
+code.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mapchain import (HALF_PI, LOG2, LogPolar, _cabs, _cdiv, _cmul, _complex,
-                       _from_complex_array)
+                       _from_complex_array, _to_complex)
 
 # Above this |log rho_1 - log rho_0| the cosh-based formula overflows and the
 # distance equals |dlog|/2 plus an angle correction to below double precision.
@@ -155,7 +156,7 @@ class RadialGeodesic:
             object.__setattr__(self, "tau", _complex(t.real / r, t.imag / r))
             return
         t = complex(self.tau)
-        if abs(abs(t) - 1.0) > 1e-9:
+        if not abs(abs(t) - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError("geodesic direction must be unimodular")
         object.__setattr__(self, "tau", t / abs(t))
 
@@ -309,6 +310,9 @@ def _omega_array(zv, wv):
 def kappa(space: str, point: complex, vector: complex) -> float:
     """Density of the hyperbolic metric: |v|/(1-|z|^2) in D, |v|/(2 Re w) in H."""
     point, vector = complex(point), complex(vector)
+    for name, value in (("point", point), ("vector", vector)):
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise DomainError(f"kappa needs a finite {name}, got {value}")
     if space == "disc":
         a2 = abs(point) ** 2
         if a2 >= 1.0:
@@ -337,7 +341,16 @@ def cayley(z) -> LogPolar:
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:
-    """Inverse Cayley transform; guards points whose 1-|z| underflows."""
+    """Inverse Cayley transform; guards points whose 1-|z| underflows.
+
+    A batch gives a batch of plain disc points; since those carry no
+    half-plane witness, a batch with one point that would need the guard
+    (log rho > 30, or |z| rounding to 1) is a DomainError."""
+    if isinstance(w.log_rho, np.ndarray):
+        if (w.log_rho > _RADIAL_CROSSOVER).any():
+            raise DomainError("a batch point needs the boundary guard (log_rho > 30)")
+        u = _to_complex(w)
+        return DiscPoint(_cdiv(u - 1.0, u + 1.0))  # rejects |z| rounding to 1
     if w.log_rho <= _RADIAL_CROSSOVER:
         u = w.to_complex()
         z = (u - 1.0) / (u + 1.0)
@@ -486,13 +499,24 @@ class DiscAutomorphism:
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
+        if not (math.isfinite(self.a.real) and math.isfinite(self.a.imag)):
+            raise DomainError(f"automorphism parameter a must be finite, got {self.a}")
+        if not math.isfinite(self.phase):
+            raise DomainError(f"automorphism phase must be finite, got {self.phase}")
         if abs(self.a) >= 1.0:
             raise DomainError("automorphism parameter must lie in the disc")
 
     def apply(self, z) -> DiscPoint:
+        """M(z) for a disc point, or for each point of a batch DiscPoint."""
         z = _as_disc(z)
         if z.guarded:
             raise DomainError("automorphisms act on representable disc points only")
+        if isinstance(z.value, np.ndarray):
+            v = _cdiv(self.a - z.value, 1.0 - _cmul(self.a.conjugate(), z.value))
+            w = _cmul(cmath.exp(1j * self.phase), v)
+            r = _cabs(w)
+            with np.errstate(divide="ignore", invalid="ignore"):  # r = 0, not kept
+                return DiscPoint(np.where(r >= 1.0, w * ((1.0 - 1e-16) / r), w))
         v = (self.a - z.value) / (1.0 - self.a.conjugate() * z.value)
         w = cmath.exp(1j * self.phase) * v
         if abs(w) >= 1.0:

@@ -185,7 +185,11 @@ def _to_complex(p: LogPolar):
 
 
 def _coerce(w) -> LogPolar:
-    return w if isinstance(w, LogPolar) else LogPolar.from_complex(w)
+    if isinstance(w, LogPolar):
+        return w
+    if isinstance(w, np.ndarray):
+        return _from_complex_array(w.astype(complex, copy=False))
+    return LogPolar.from_complex(w)
 
 
 @dataclass(frozen=True)
@@ -320,8 +324,8 @@ class ExpScale:
         return ExpLog(self.c)
 
     def log_abs_deriv(self, p: LogPolar) -> float:
-        cw = self.c * p.to_complex()
-        return math.log(abs(self.c)) + cw.real
+        w = _to_complex(p)  # Re(c*w), rounded as the complex product rounds it
+        return math.log(abs(self.c)) + (self.c.real * w.real - self.c.imag * w.imag)
 
 
 @dataclass(frozen=True)
@@ -383,12 +387,14 @@ class RiemannMapChain:
         return _to_complex(self.inverse_lp(w))
 
     def log_abs_derivative(self, w) -> float:
-        """log |F'(w)| accumulated link by link (never over/underflows)."""
+        """log |F'(w)| accumulated link by link (never over/underflows); a
+        complex array or a batch LogPolar gives an array."""
         p = _coerce(w)
-        total = 0.0
+        batch = isinstance(p.log_rho, np.ndarray)
+        total = np.zeros(p.log_rho.shape) if batch else 0.0
         for link in self.links:
-            total += link.log_abs_deriv(p)
-            p = link.fwd(p)
+            total = total + link.log_abs_deriv(p)
+            p = link.fwd_array(p) if batch else link.fwd(p)
         return total
 
 

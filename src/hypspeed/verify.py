@@ -20,7 +20,7 @@ from . import domains as D
 from . import hyperbolic as H
 from . import semigroups as SG
 from . import speeds as SP
-from .mapchain import HALF_PI, LOG2
+from .mapchain import HALF_PI, LOG2, _cmul
 
 #: the five worked image domains: hyperbolic, positive step (x2), zero step (x2)
 BUILTIN_DOMAINS = {
@@ -160,11 +160,9 @@ def _suite_lemma_halfplane(n, rng):
     u = rng.random((max(64, n // 64), 8))
     z1, z2 = _rand_disc_batch(u[:, 0:2], 3.5), _rand_disc_batch(u[:, 2:4], 3.5)
     margins.append(_eq(k(H.cayley(z1), H.cayley(z2)), H.omega(z1, z2)))
-    for log_rho, theta in zip(_uniform(u[:, 4], -8.0, 8.0), _rand_theta(u[:, 5:8])):
-        w = hp(float(log_rho), float(theta))
-        back = H.cayley(H.cayley_inv(w))
-        margins.append(_eq(back.log_rho, w.log_rho))
-        margins.append(_eq(back.theta, w.theta))
+    w = hp(_uniform(u[:, 4], -8.0, 8.0), _rand_theta(u[:, 5:8]))
+    back = H.cayley(H.cayley_inv(w))
+    margins += [_eq(back.log_rho, w.log_rho), _eq(back.theta, w.theta)]
     # metric density spot values
     margins.append(_eq(H.kappa("disc", 0j, 1.0), 1.0))
     margins.append(_eq(H.kappa("disc", 0.5 + 0j, 1.0), 4.0 / 3.0))
@@ -203,18 +201,19 @@ def _suite_contraction(n, rng):
 # domain/chain suites
 
 
-def _rand_domain_point(rng, dom) -> complex:
+def _rand_domain_points(u, dom) -> np.ndarray:
+    """Interior points of dom from two draws per sample (columns of u)."""
     if isinstance(dom, D.HalfPlaneRight):
-        return dom.p + complex(math.exp(rng.uniform(-3, 6)), rng.uniform(-50, 50))
+        return dom.p + (np.exp(_uniform(u[:, 0], -3, 6)) + 1j * _uniform(u[:, 1], -50, 50))
     if isinstance(dom, D.Strip):
-        return complex(rng.uniform(0.02, 0.98) * dom.r, rng.uniform(-50, 50))
+        return _uniform(u[:, 0], 0.02, 0.98) * dom.r + 1j * _uniform(u[:, 1], -50, 50)
     if isinstance(dom, D.Sector):
-        ang = rng.uniform(0.02, 0.98) * (dom.alpha + dom.beta) + dom.ray_lo
-        return dom.p + math.exp(rng.uniform(-3, 6)) * complex(math.cos(ang), math.sin(ang))
-    if isinstance(dom, D.Koebe):
-        ang = rng.uniform(0.02, 1.98) * math.pi - HALF_PI
-        return dom.p + math.exp(rng.uniform(-3, 6)) * complex(math.cos(ang), math.sin(ang))
-    raise ValueError("no sampler for this domain")
+        ang = _uniform(u[:, 0], 0.02, 0.98) * (dom.alpha + dom.beta) + dom.ray_lo
+    elif isinstance(dom, D.Koebe):
+        ang = _uniform(u[:, 0], 0.02, 1.98) * math.pi - HALF_PI
+    else:
+        raise ValueError("no sampler for this domain")
+    return dom.p + np.exp(_uniform(u[:, 1], -3, 6)) * _unit(ang)
 
 
 def _suite_chains(n, rng):
@@ -228,37 +227,35 @@ def _suite_chains(n, rng):
         chain = D.to_halfplane(dom)
         base = D.canonical_base_point(dom)
         margins.append(_eq(abs(chain.forward(base) - 1.0), 0.0))
-        ws = []
-        for _ in range(per):
-            w = _rand_domain_point(rng, dom)
-            ws.append(w)
-            # membership and upward closedness
-            margins.append(0.0 if D.contains(dom, w) else -1.0)
-            margins.append(0.0 if D.contains(dom, w + 1j * rng.uniform(0, 100.0)) else -1.0)
-            # round trip through the chain
-            back = chain.inverse(chain.forward(w))
-            margins.append(1e-10 - abs(back - w) / (1.0 + abs(w)))
-            # |F'| against a central difference
-            h = 1e-6 * (1.0 + abs(w))
-            if D.contains(dom, w + h) and D.contains(dom, w - h):
-                fd = abs(chain.forward(w + h) - chain.forward(w - h)) / (2.0 * h)
-                ld = math.exp(chain.log_abs_derivative(w))
-                if fd > 0:
-                    margins.append(1e-4 - abs(fd - ld) / max(fd, ld))
-            # conformal invariance: the domain distance equals the disc
-            # distance of the model preimages; moderate points, where the
-            # disc-side formula resolves well past 1e-9
-            def _moderate_preimage():
-                rho, th = math.e ** rng.uniform(-3, 3), rng.uniform(-1.2, 1.2)
-                return chain.inverse(rho * complex(math.cos(th), math.sin(th)))
-
-            u1, u2 = _moderate_preimage(), _moderate_preimage()
-            kd = D.k_domain(dom, u1, u2)
-            z1 = H.cayley_inv(chain.forward_lp(u1))
-            z2 = H.cayley_inv(chain.forward_lp(u2))
-            margins.append(1e-9 - abs(kd - H.omega(z1, z2)))
+        # per sample: 2 draws for the point, the upward shift, 2 x 2 for
+        # the preimages, as the scalar calls of one sample drew them
+        u = rng.random((per, 7))
+        ws = _rand_domain_points(u[:, 0:2], dom)
+        # membership and upward closedness
+        margins.append(np.where(D.contains(dom, ws), 0.0, -1.0))
+        up = ws + 1j * _uniform(u[:, 2], 0.0, 100.0)
+        margins.append(np.where(D.contains(dom, up), 0.0, -1.0))
+        # round trip through the chain
+        back = chain.inverse(chain.forward(ws))
+        margins.append(1e-10 - np.abs(back - ws) / (1.0 + np.abs(ws)))
+        # |F'| against a central difference, where both probes are inside
+        h = 1e-6 * (1.0 + np.abs(ws))
+        inside = D.contains(dom, ws + h) & D.contains(dom, ws - h)
+        w, h = ws[inside], h[inside]
+        fd = np.abs(chain.forward(w + h) - chain.forward(w - h)) / (2.0 * h)
+        ld = np.exp(chain.log_abs_derivative(w))
+        pos = fd > 0
+        margins.append(1e-4 - np.abs(fd - ld)[pos] / np.maximum(fd, ld)[pos])
+        # conformal invariance: the domain distance equals the disc
+        # distance of the model preimages; moderate points, where the
+        # disc-side formula resolves well past 1e-9
+        u1, u2 = (chain.inverse(np.e ** _uniform(u[:, c], -3, 3)
+                                * _unit(_uniform(u[:, c + 1], -1.2, 1.2))) for c in (3, 5))
+        kd = D.k_domain(dom, u1, u2)
+        z1 = H.cayley_inv(chain.forward_lp(u1))
+        z2 = H.cayley_inv(chain.forward_lp(u2))
+        margins.append(1e-9 - np.abs(kd - H.omega(z1, z2)))
         # deltas at the drawn points: monotone under enlarging the domain
-        ws = np.array(ws)
         dv = D.delta(dom, ws)
         margins.append(dv - 0.0)
         for side in ("plus", "minus"):
@@ -423,7 +420,7 @@ def _suite_basepoint(n, rng):
 
 
 def _curve_speeds(eta: H.DiscPoint, tau: complex):
-    zeta = H.DiscPoint(tau.conjugate() * eta.value)
+    zeta = H.DiscPoint(_cmul(tau.conjugate(), eta.value))
     return SP.speeds_from_halfplane(H.cayley(zeta))
 
 
@@ -435,8 +432,8 @@ def _suite_conjugation(n, rng):
         cls = SG.classify(dom)
         # keep conjugated orbit points representable in the disc
         t_max = 22.0 / cls.spectral_value if isinstance(cls, SG.Hyperbolic) else 1e4
-        grid = SP.default_grid(0.5, t_max, 24)
-        base = SP.sample_speeds(sg, grid)
+        grid = np.array(SP.default_grid(0.5, t_max, 24))
+        v, v_o, v_t = SP.speeds_from_halfplane(SG.orbit_halfplane(sg, H.ORIGIN, grid))
         for _ in range(max(2, n // 16)):
             a = _rand_disc(rng, 1.5).value
             m = H.DiscAutomorphism(a, rng.uniform(-math.pi, math.pi))
@@ -444,14 +441,12 @@ def _suite_conjugation(n, rng):
             z_start = m.apply(H.ORIGIN)
             tau_conj = m_inv.apply_boundary(1.0 + 0j)
             bound = 4.0 * H.omega(H.ORIGIN, z_start) + 4.0
-            for s in base:
-                eta = m_inv.apply(SG.orbit(sg, z_start, s.t))
-                cv, cvo, cvt = _curve_speeds(eta, tau_conj)
-                margins.append(bound - abs(s.v - cv))
-                margins.append(bound - abs(s.v_o - cvo))
-                margins.append(bound - abs(s.v_T - cvt))
-                total += 1
-    return total, margins
+            eta = m_inv.apply(SG.orbit(sg, z_start, grid))
+            cv, cvo, cvt = _curve_speeds(eta, tau_conj)
+            margins += [bound - np.abs(v - cv), bound - np.abs(v_o - cvo),
+                        bound - np.abs(v_t - cvt)]
+            total += grid.size
+    return total, _flat(margins)
 
 
 def _suite_semigroup_model(n, rng):

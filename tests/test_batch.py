@@ -13,13 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from hypspeed import (Comb, DiscPoint, HalfPlanePoint, HalfPlaneRight, Koebe,
-                      OmegaSign, RadialGeodesic, Sector, Strip, cayley,
-                      contains, delta_pm, dist_to_radius, k_half,
-                      koenigs_semigroup, nontangential_ratio, omega,
-                      orbit_halfplane, path_length, project_to_radius,
-                      surrogate_speeds, surrogate_threshold, to_halfplane)
-from hypspeed.domains import UnsupportedDomainOperation, canonical_base_point
+from hypspeed import (Comb, DiscAutomorphism, DiscPoint, HalfPlanePoint,
+                      HalfPlaneRight, Koebe, OmegaSign, RadialGeodesic, Sector,
+                      Strip, cayley, cayley_inv, contains, delta_pm,
+                      dist_to_radius, k_domain, k_half, koenigs_semigroup,
+                      nontangential_ratio, omega, orbit, orbit_halfplane,
+                      path_length, project_to_radius, surrogate_speeds,
+                      surrogate_threshold, to_halfplane)
+from hypspeed.domains import (UnsupportedDomainOperation, canonical_base_point,
+                              map_to_halfplane)
 from hypspeed.hyperbolic import (GL_NODES, GL_WEIGHTS, ORIGIN, DomainError,
                                  tangential_distance)
 from hypspeed.mapchain import (HALF_PI, Affine, BranchError, ExpLog, ExpScale,
@@ -27,6 +29,7 @@ from hypspeed.mapchain import (HALF_PI, Affine, BranchError, ExpLog, ExpScale,
                                _from_complex_array)
 from hypspeed.semigroups import hyperbolic_step_gap, model_point
 from hypspeed.speeds import speeds_from_halfplane
+from hypspeed.verify import _rand_domain_points
 
 from oracles import brute_delta_pm, mp_k_half, mp_surrogates
 
@@ -584,3 +587,103 @@ def test_nontangential_ratio(name):
                        for side in ("minus", "plus"))
     by_hand = np.minimum(ts[near], d_minus) / np.minimum(ts[near], d_plus)
     assert np.allclose(ratios[near], by_hand, rtol=0.0, atol=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# the batch forms the chains and conjugation suites run on
+
+#: the eight domains of the chains suite: the five built-in domains and its
+#: three extras, the first eight of the tables domains
+CHAIN_DOMAINS = list(TABLE_DOMAINS)[:8]
+
+
+def chain_draws(dom, seed):
+    """Interior points drawn as the chains suite draws them, and the model
+    preimages of moderate half-plane points."""
+    u = np.random.default_rng(seed).random((N, 4))
+    moderate = np.exp(u[:, 2] * 6.0 - 3.0) * np.exp(1j * (u[:, 3] * 2.4 - 1.2))
+    return _rand_domain_points(u[:, :2], dom), to_halfplane(dom).inverse(moderate)
+
+
+def assert_complex_match(batch, scalars):
+    want = np.array(scalars)
+    assert np.max(np.abs(batch - want) / np.spacing(np.abs(want))) <= ULPS
+
+
+class TestChainSuiteBatches:
+    @pytest.mark.parametrize("name", CHAIN_DOMAINS)
+    def test_log_abs_derivative(self, name):
+        chain = to_halfplane(TABLE_DOMAINS[name])
+        ws, pre = chain_draws(TABLE_DOMAINS[name], 41)
+        for w in (ws, pre):
+            want = [chain.log_abs_derivative(complex(x)) for x in w]
+            assert ulps_apart(chain.log_abs_derivative(w), want) <= ULPS
+
+    @pytest.mark.parametrize("name", CHAIN_DOMAINS)
+    def test_map_to_halfplane_and_k_domain(self, name):
+        dom = TABLE_DOMAINS[name]
+        ws, pre = chain_draws(dom, 42)
+        batch, scalars = map_to_halfplane(dom, ws), [map_to_halfplane(dom, complex(w)) for w in ws]
+        # a power link keeps no cosine: cos(theta), taken from an angle
+        # numpy's atan2 may round an ulp apart, is off by far more of its
+        # own ulps near pi/2, so only a cosine the chain carries is compared
+        fields = ("log_rho", "theta") + (("cos",) if batch.cos_theta is not None else ())
+        for field in fields:
+            want = [getattr(p, field) for p in scalars]
+            assert ulps_apart(getattr(batch, field), want) <= ULPS, field
+        want = [k_domain(dom, complex(a), complex(b)) for a, b in zip(ws, pre)]
+        assert ulps_apart(k_domain(dom, ws, pre), want) <= ULPS
+
+    @pytest.mark.parametrize("name", CHAIN_DOMAINS)
+    def test_cayley_inv(self, name):
+        # chain images, which keep their exact cartesian values, and points
+        # given by (log rho, theta) alone, up to the guard's log rho = 30
+        dom = TABLE_DOMAINS[name]
+        _ws, pre = chain_draws(dom, 43)
+        rng = np.random.default_rng(44)
+        polar = HalfPlanePoint(rng.uniform(-20.0, 30.0, N), rng.uniform(-1.5, 1.5, N))
+        for hp, scalars in [
+            (map_to_halfplane(dom, pre), [map_to_halfplane(dom, complex(w)) for w in pre]),
+            (polar, [HalfPlanePoint(float(l), float(t))
+                     for l, t in zip(polar.log_rho, polar.theta)]),
+        ]:
+            assert_complex_match(cayley_inv(hp).value, [cayley_inv(p).value for p in scalars])
+            assert not any(cayley_inv(p).guarded for p in scalars)
+
+    @pytest.mark.parametrize("name", CHAIN_DOMAINS)
+    def test_automorphism_apply(self, name):
+        # model preimages in the disc, and the orbit points conjugation moves
+        dom = TABLE_DOMAINS[name]
+        _ws, pre = chain_draws(dom, 45)
+        sg = koenigs_semigroup(dom)
+        rng = np.random.default_rng(46)
+        for _ in range(4):
+            a = math.tanh(rng.uniform(0.0, 0.75)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            m = DiscAutomorphism(complex(a), rng.uniform(-math.pi, math.pi))
+            for z in (cayley_inv(map_to_halfplane(dom, pre)),
+                      orbit(sg, m.apply(ORIGIN), np.geomspace(0.5, 10.0, 24))):
+                want = [m.apply(complex(x)).value for x in z.value]
+                assert_complex_match(m.apply(z).value, want)
+
+    def test_a_guard_needing_point_fails_the_batch(self):
+        sg = koenigs_semigroup(HalfPlaneRight(0j))
+        assert orbit(sg, ORIGIN, 1e20).guarded
+        assert orbit(sg, ORIGIN, np.array([1.0])).value.shape == (1,)
+        with pytest.raises(DomainError):
+            orbit(sg, ORIGIN, np.array([1.0, 1e20]))
+        # log rho = 0 and theta = pi/2: 1 - |z| is below double resolution
+        w = HalfPlanePoint(np.zeros(2), np.array([0.0, HALF_PI]), np.array([1.0, 1e-300]))
+        assert cayley_inv(HalfPlanePoint(0.0, HALF_PI, 1e-300)).guarded
+        with pytest.raises(DomainError):
+            cayley_inv(w)
+
+    @pytest.mark.parametrize("name", CHAIN_DOMAINS)
+    def test_one_outside_point_fails_k_domain(self, name):
+        dom = TABLE_DOMAINS[name]
+        ws, pre = chain_draws(dom, 47)
+        outside = probe_points(dom, np.random.default_rng(48))
+        outside = outside[~contains(dom, outside)][:1]
+        with pytest.raises(DomainError):
+            k_domain(dom, np.concatenate([ws[:3], outside]), pre[:4])
+        with pytest.raises(DomainError):
+            map_to_halfplane(dom, np.concatenate([outside, ws[:3]]))

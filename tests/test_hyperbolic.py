@@ -100,6 +100,12 @@ class TestKappa:
     def test_vector_homogeneous(self):
         assert kappa("disc", 0.3j, 2.5) == pytest.approx(2.5 * kappa("disc", 0.3j, 1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("space", ["disc", "halfplane"])
+    def test_nan_point_rejected(self, space):
+        # a NaN point passes both interior comparisons, which are False
+        with pytest.raises(DomainError, match="point"):
+            kappa(space, math.nan, 1.0)
+
 
 class TestCayley:
     def test_center_to_one(self):
@@ -259,6 +265,14 @@ class TestAutomorphism:
         m = DiscAutomorphism(0.6, 0.5)
         assert abs(abs(m.apply_boundary(1j)) - 1.0) < 1e-14
 
+    def test_nan_parameter_rejected(self):
+        with pytest.raises(DomainError, match="parameter a"):
+            DiscAutomorphism(math.nan, 0.3)
+
+    def test_nan_phase_rejected(self):
+        with pytest.raises(DomainError, match="phase"):
+            DiscAutomorphism(0.3, math.nan)
+
 
 class TestValidation:
     def test_disc_point_outside(self):
@@ -272,3 +286,7 @@ class TestValidation:
     def test_geodesic_direction(self):
         with pytest.raises(DomainError):
             RadialGeodesic(0.5)
+
+    def test_nan_geodesic_direction(self):
+        with pytest.raises(DomainError, match="geodesic direction"):
+            RadialGeodesic(complex(math.nan, 0.0))

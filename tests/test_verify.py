@@ -7,15 +7,20 @@ import pytest
 from hypspeed import coverage_check, run_suite
 from hypspeed.verify import PYTHAGORAS_ATTAIN_MIN_N, SUITES
 
-#: (samples, worst margin, sum of squared margins) of the batched suites at
-#: n = 500, recorded from the suites that drew one scalar at a time or ran
-#: one orbit time at a time.  The sum of squares depends on every draw; a
-#: block draw that consumed the generator in another order would move it
-#: far beyond 1e-12.  Re-recorded since: the surrogates entries, when s_orth
-#: lost a spurious corr/2 term, and the semigroup_model worst margin at seed
-#: 42, when k_half took the angle difference of two boundary-hugging points
-#: from their cosines (a 1.6e-12 error of the worst sample's distance).
+#: (samples, worst margin, sum of squared finite margins) of the batched
+#: suites at n = 500, recorded from the suites that drew one scalar at a
+#: time or ran one orbit time at a time.  The sum of squares depends on
+#: every draw; a block draw that consumed the generator in another order
+#: would move it far beyond 1e-12.  Re-recorded since: the surrogates
+#: entries, when s_orth lost a spurious corr/2 term, and the semigroup_model
+#: worst margin at seed 42, when k_half took the angle difference of two
+#: boundary-hugging points from their cosines (a 1.6e-12 error of the worst
+#: sample's distance).
 PINNED_STREAM = {
+    ("chains", 7): (496, -1.887379141862766e-15, 2220594.986885732),
+    ("chains", 42): (496, -1.887379141862766e-15, 2838401.0544877),
+    ("conjugation", 7): (3720, 4.008373992163906, 310838.60239360685),
+    ("conjugation", 42): (3720, 4.020439159472162, 321791.5783351329),
     ("lemma_halfplane", 7): (3000, -1.2212453270876722e-13, 60940.205952573284),
     ("lemma_halfplane", 42): (3000, -1.5232259897857148e-13, 60895.44420654815),
     ("pythagoras", 7): (500, 1.884331372359327e-05, 46.54112008916459),
@@ -31,6 +36,14 @@ PINNED_STREAM = {
     ("semigroup_model", 7): (310, -1.1554868173391242e-11, 166.54886632099902),
     ("semigroup_model", 42): (310, -1.1246559239452836e-11, 116.55204623930078),
 }
+#: margins that are +inf by construction: chains compares delta_pm with
+#: delta, and Omega^+- is the whole plane on the unbounded side of a domain
+NON_FINITE = {"chains": 124}
+#: (absolute on the worst margin, relative on the sum of squares), where
+#: not 1e-12 for both: conjugation's orbit points come within about 1e-8
+#: of the unit circle, where one ulp of the disc point moves a speed by
+#: about 1e-8, so a batch that rounds in another order moves its margins
+STREAM_TOL = {"conjugation": (1e-7, 1e-9)}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -71,12 +84,16 @@ def test_every_public_operation_is_exercised():
 @pytest.mark.parametrize("name,seed", sorted(PINNED_STREAM))
 def test_draw_stream_pinned(name, seed):
     samples, worst, sum_sq = PINNED_STREAM[name, seed]
+    worst_tol, sum_tol = STREAM_TOL.get(name, (1e-12, 1e-12))
     report = run_suite(name, n=500, seed=seed)
     assert (report.samples, report.violations) == (samples, 0)
-    assert abs(report.worst_margin - worst) <= 1e-12
+    assert abs(report.worst_margin - worst) <= worst_tol
     fn, _ = SUITES[name]
     _, margins = fn(500, np.random.default_rng(seed))
-    assert math.fsum(np.square(margins)) == pytest.approx(sum_sq, rel=1e-12)
+    margins = np.asarray(margins, dtype=float)
+    finite = np.isfinite(margins)
+    assert np.count_nonzero(~finite) == NON_FINITE.get(name, 0)
+    assert math.fsum(np.square(margins[finite])) == pytest.approx(sum_sq, rel=sum_tol)
 
 
 def test_pythagoras_attainability_needs_enough_samples():
