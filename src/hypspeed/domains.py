@@ -471,25 +471,59 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
 # ---------------------------------------------------------------------------
 # quasi-hyperbolic lower bound along the imaginary axis
 
-def _gl_panel(f, lo: float, hi: float) -> float:
-    """16-point Gauss-Legendre panel; f takes the nodes as one array."""
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    xs = mid + half * GL_NODES
-    return half * float(np.dot(GL_WEIGHTS, f(xs)))
+def _gl_panels(f, los: list[float], his: list[float]) -> list[float]:
+    """16-point Gauss-Legendre panels over [los[i], his[i]], from one call of
+    f on all their nodes (a flat array, 16 per panel).
+
+    Each panel is summed by its own dot product: `np.vecdot` runs the same
+    per-vector dot as `np.dot(GL_WEIGHTS, row)`, so every panel equals the
+    one-panel rule bit for bit, where a matrix-vector product over all
+    panels rounds differently in some rows."""
+    halves = [0.5 * (hi - lo) for lo, hi in zip(los, his)]
+    mids = np.array([0.5 * (hi + lo) for lo, hi in zip(los, his)])
+    xs = mids[:, None] + np.multiply.outer(halves, GL_NODES)
+    sums = np.vecdot(GL_WEIGHTS, f(xs.ravel()).reshape(xs.shape))
+    return [half * s for half, s in zip(halves, sums.tolist())]
 
 
-def _adaptive(f, lo: float, hi: float, whole: float, rel_tol: float = 1e-9,
-              depth: int = 48) -> float:
-    """Integral of f over [lo, hi] by bisection; `whole` is the panel over
-    [lo, hi], already computed by the caller, so each node adds two panels."""
-    mid = 0.5 * (lo + hi)
-    left, right = _gl_panel(f, lo, mid), _gl_panel(f, mid, hi)
-    if abs(left + right - whole) <= rel_tol * max(1.0, abs(left + right)):
-        return left + right
-    if depth <= 0:
-        raise ValueError(f"quadrature did not converge on [{lo!r}, {hi!r}]")
-    return (_adaptive(f, lo, mid, left, rel_tol, depth - 1)
-            + _adaptive(f, mid, hi, right, rel_tol, depth - 1))
+def _adaptive(f, los: list[float], his: list[float], rel_tol: float = 1e-9,
+              depth: int = 48) -> list[float]:
+    """Integral of f over each [los[i], his[i]] by bisection, level by level.
+
+    One f call evaluates the root panels and one per level the two half
+    panels of every node still live, in segment order and left to right; a
+    node whose halves do not match its panel splits, and its halves become
+    its children's panels.  Each segment's value is then summed over its
+    recorded tree, left + right at every node, as a depth-first recursion
+    adds it.  The bookkeeping is on Python floats: a level holds a few
+    nodes per segment, too few for numpy calls to pay.
+    """
+    wholes = _gl_panels(f, los, his)
+    levels = []  # per level: which nodes were accepted, and their half sums
+    for level in range(depth + 1):
+        n = len(los)
+        mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
+        halves = _gl_panels(f, los + mids, mids + his)  # the left halves, then the right
+        left, right = halves[:n], halves[n:]
+        sums = [a + b for a, b in zip(left, right)]
+        done = [abs(s - w) <= rel_tol * max(1.0, abs(s)) for s, w in zip(sums, wholes)]
+        levels.append((done, sums))
+        if all(done):
+            break
+        split = [i for i, ok in enumerate(done) if not ok]
+        if level == depth:
+            i = split[0]  # the first segment's leftmost unresolved node
+            raise ValueError(f"quadrature did not converge on [{los[i]!r}, {his[i]!r}]")
+        # a split node's halves become two adjacent children, left first
+        los = [x for i in split for x in (los[i], mids[i])]
+        his = [x for i in split for x in (mids[i], his[i])]
+        wholes = [x for i in split for x in (left[i], right[i])]
+    vals = levels.pop()[1]
+    while levels:
+        done, sums = levels.pop()
+        kids = iter(vals)
+        vals = [s if ok else next(kids) + next(kids) for ok, s in zip(done, sums)]
+    return vals
 
 
 def _comb_axis_breakpoints(comb: Comb, t0: float, t1: float) -> list[float]:
@@ -557,7 +591,7 @@ def _comb_axis_integrals(comb: Comb, t0: float, heights) -> list[float]:
     return [0.25 * upto[h] for h in heights]
 
 
-def quasihyp_lower(domain: DomainSpec, t0: float, t1: float) -> float:
+def quasihyp_lower(domain: DomainSpec, t0, t1):
     """(1/4) * integral of dr/delta(ir) for r in [t0, t1].
 
     The classical density bound kappa >= 1/(4 delta) makes this a lower bound
@@ -566,19 +600,29 @@ def quasihyp_lower(domain: DomainSpec, t0: float, t1: float) -> float:
     bounds the hyperbolic distance itself.  Where delta(ir) grows like r
     (Koebe, sectors) the quadrature converges for t1/t0 up to about 1e15 and
     raises ValueError beyond.
+
+    Broadcastable arrays of bounds give an array, one value per segment, from
+    one bisection over all segments; one segment gives a float.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"segment bounds must be finite, got [{t0!r}, {t1!r}]")
-    if t1 < t0:
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+    finite = np.isfinite(t0) & np.isfinite(t1)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValueError(f"segment bounds must be finite, got "
+                         f"[{float(t0.flat[i])!r}, {float(t1.flat[i])!r}]")
+    if (t1 < t0).any():
         raise ValueError("need t0 <= t1")
-    if t1 == t0:
-        return 0.0
+    out = np.zeros(t0.shape)
+    live = t1 != t0
+    los, his = t0[live].tolist(), t1[live].tolist()
     if isinstance(domain, Comb):
-        return _comb_axis_integrals(domain, t0, [t1])[0]
-    if not contains(domain, complex(0.0, t0)):
-        raise DomainError("segment exits the domain")  # upward-closed: t0 decides
+        out[live] = [_comb_axis_integrals(domain, lo, [hi])[0] for lo, hi in zip(los, his)]
+    elif los:
+        if not contains(domain, 1j * t0[live]).all():
+            raise DomainError("segment exits the domain")  # upward-closed: t0 decides
 
-    def f(r: np.ndarray) -> np.ndarray:
-        return 1.0 / delta(domain, 1j * r)
+        def f(r: np.ndarray) -> np.ndarray:
+            return 1.0 / delta(domain, 1j * r)
 
-    return 0.25 * _adaptive(f, t0, t1, _gl_panel(f, t0, t1))
+        out[live] = [0.25 * v for v in _adaptive(f, los, his)]
+    return float(out) if out.ndim == 0 else out

@@ -525,6 +525,9 @@ class DiscAutomorphism:
 
     def apply_boundary(self, sigma: complex) -> complex:
         """Continuous boundary extension; |sigma| = 1 maps to modulus 1."""
+        sigma = complex(sigma)
+        if not abs(abs(sigma) - 1.0) <= 1e-9:  # NaN fails too
+            raise DomainError(f"boundary point sigma must be unimodular, got {sigma}")
         w = cmath.exp(1j * self.phase) * (self.a - sigma) / (1.0 - self.a.conjugate() * sigma)
         return w / abs(w)
 

@@ -263,11 +263,12 @@ def _suite_chains(n, rng):
     # the quasi-hyperbolic integral lower-bounds the distance when the axis
     # is a geodesic (symmetric domains)
     for dom in (BUILTIN_DOMAINS["koebe"], BUILTIN_DOMAINS["sector_sym"]):
-        for _ in range(16):
-            t0 = math.exp(rng.uniform(-2, 2))
-            t1 = t0 * math.exp(rng.uniform(0.1, 6.0))
-            q = D.quasihyp_lower(dom, t0, t1)
-            margins.append(D.k_domain(dom, 1j * t0, 1j * t1) - q)
+        t0s, t1s = np.empty(16), np.empty(16)
+        for i in range(16):  # the scalar draws, in the order of one loop
+            t0s[i] = math.exp(rng.uniform(-2, 2))
+            t1s[i] = t0s[i] * math.exp(rng.uniform(0.1, 6.0))
+        q = D.quasihyp_lower(dom, t0s, t1s)
+        margins.append(D.k_domain(dom, 1j * t0s, 1j * t1s) - q)
     # analytic spot value: Koebe delta along the axis integrates to log/4
     q = D.quasihyp_lower(BUILTIN_DOMAINS["koebe"], 1.0, math.e ** 4)
     margins.append(_eq(q, 1.0))

@@ -9,7 +9,8 @@ from hypspeed import (Comb, HalfPlaneRight, Koebe, OmegaSign, Sector, Strip,
                       UnsupportedDomainOperation, build_domain, contains,
                       delta, delta_pm, domain_from_json, domain_to_json,
                       k_domain, quasihyp_lower, to_halfplane)
-from hypspeed.domains import DomainError, _adaptive, _gl_panel, canonical_base_point
+from hypspeed.domains import DomainError, _adaptive, canonical_base_point
+from hypspeed.hyperbolic import GL_NODES, GL_WEIGHTS
 
 from oracles import brute_force_distance, comb_boundary_points, sector_boundary_points
 
@@ -243,16 +244,25 @@ class TestKDomain:
             k_domain(Koebe(0), -1j, 1j)
 
 
-def _adaptive_three_panels(f, lo, hi, rel_tol=1e-9, depth=48):
-    """The recursion before the half panels were reused: every node evaluates
-    its whole panel again.  The reference the domains code must match."""
-    whole = _gl_panel(f, lo, hi)
+def _one_panel(f, lo, hi):
+    """16-point Gauss-Legendre panel over [lo, hi], f called on its nodes."""
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return half * float(np.dot(GL_WEIGHTS, f(mid + half * GL_NODES)))
+
+
+def _adaptive_three_panels(f, lo, hi, rel_tol=1e-9, depth=48, seen=None):
+    """The depth-first recursion before the half panels were reused: every
+    node evaluates its whole panel again.  The reference the domains code
+    must match; `seen` collects the depth of every node."""
+    if seen is not None:
+        seen.append(depth)
+    whole = _one_panel(f, lo, hi)
     mid = 0.5 * (lo + hi)
-    left, right = _gl_panel(f, lo, mid), _gl_panel(f, mid, hi)
+    left, right = _one_panel(f, lo, mid), _one_panel(f, mid, hi)
     if depth <= 0 or abs(left + right - whole) <= rel_tol * max(1.0, abs(left + right)):
         return left + right
-    return (_adaptive_three_panels(f, lo, mid, rel_tol, depth - 1)
-            + _adaptive_three_panels(f, mid, hi, rel_tol, depth - 1))
+    return (_adaptive_three_panels(f, lo, mid, rel_tol, depth - 1, seen)
+            + _adaptive_three_panels(f, mid, hi, rel_tol, depth - 1, seen))
 
 
 def _density(dom):
@@ -312,32 +322,100 @@ class TestQuasihyp:
         assert quasihyp_lower(Koebe(0), 1.0, 1e15) == pytest.approx(
             0.25 * math.log(1e15), rel=1e-12)
 
-    def test_bit_identical_to_three_panel_recursion(self):
+    @staticmethod
+    def _seeded_ranges():
         rng = random.Random(20191)
         for i in range(360):
-            dom = QUAD_DOMAINS[i % len(QUAD_DOMAINS)]
             t0 = rng.uniform(0.6, 2.0)
-            t1 = t0 * math.exp(rng.uniform(0.1, 18.0))
+            yield QUAD_DOMAINS[i % len(QUAD_DOMAINS)], t0, t0 * math.exp(rng.uniform(0.1, 18.0))
+
+    def test_bit_identical_to_three_panel_recursion(self):
+        for dom, t0, t1 in self._seeded_ranges():
             want = 0.25 * _adaptive_three_panels(_density(dom), t0, t1)
             assert quasihyp_lower(dom, t0, t1) == want, (dom, t0, t1)
 
+    def test_batch_bit_identical_to_three_panel_recursion(self):
+        ranges = list(self._seeded_ranges())
+        for dom in QUAD_DOMAINS:
+            t0s = np.array([t0 for d, t0, _ in ranges if d is dom])
+            t1s = np.array([t1 for d, _, t1 in ranges if d is dom])
+            got = quasihyp_lower(dom, t0s, t1s)
+            assert got.shape == t0s.shape
+            for t0, t1, q in zip(t0s, t1s, got):
+                assert q == 0.25 * _adaptive_three_panels(_density(dom), t0, t1), (dom, t0, t1)
+
+    def test_batch_with_empty_segments_and_batch_of_one(self):
+        dom = QUAD_DOMAINS[1]
+        want = 0.25 * _adaptive_three_panels(_density(dom), 1.5, 900.0)
+        got = quasihyp_lower(dom, np.array([2.0, 1.5, 0.7]), np.array([2.0, 900.0, 0.7]))
+        assert got.tolist() == [0.0, want, 0.0]
+        one = quasihyp_lower(dom, np.array([1.5]), np.array([900.0]))
+        assert one.shape == (1,) and one[0] == want
+        # broadcasting: one start, several ends
+        ends = np.array([3.0, 900.0])
+        assert quasihyp_lower(dom, 1.5, ends).tolist() == [
+            quasihyp_lower(dom, 1.5, float(t1)) for t1 in ends]
+        scalar = quasihyp_lower(dom, 1.5, 900.0)
+        assert type(scalar) is float and scalar == want
+
+    def test_batch_errors(self):
+        dom = Koebe(0)
+        with pytest.raises(ValueError, match="must be finite"):
+            quasihyp_lower(dom, np.array([1.0, 1.0]), np.array([2.0, math.nan]))
+        with pytest.raises(ValueError, match="need t0 <= t1"):
+            quasihyp_lower(dom, np.array([1.0, 3.0]), np.array([2.0, 2.5]))
+        with pytest.raises(DomainError, match="segment exits the domain"):
+            quasihyp_lower(Koebe(5j), np.array([6.0, 1.0]), np.array([7.0, 8.0]))
+
+    def test_batch_depth_cap_names_first_failing_segment(self):
+        with pytest.raises(ValueError, match=r"did not converge on \[1\.0, ") as err:
+            quasihyp_lower(Koebe(0), np.array([2.0, 1.0, 1.0]), np.array([50.0, 1e3, 1e16]))
+        with pytest.raises(ValueError) as alone:
+            quasihyp_lower(Koebe(0), 1.0, 1e16)
+        assert str(err.value) == str(alone.value)
+        # two failing segments: the first one in the batch is named
+        with pytest.raises(ValueError, match=r"did not converge on \[2\.0, "):
+            quasihyp_lower(Koebe(0), np.array([2.0, 1.0]), np.array([1e17, 1e16]))
+
+    def test_comb_batch_equals_scalar(self):
+        c = Comb([(1.0, 1.0), (2.0, 6.0), (3.5, 9.0)])
+        t0s, t1s = np.array([0.25, 1.0 + math.sqrt(3.0), 2.0, 4.0]), np.array([8.75, 6.0, 2.0, 9.0])
+        got = quasihyp_lower(c, t0s, t1s)
+        assert got.tolist() == [quasihyp_lower(c, a, b) for a, b in zip(t0s, t1s)]
+
+    def test_panel_sums_are_per_row_dots(self):
+        # the panels sum each row with np.vecdot; it must round as np.dot of
+        # that row does (a matrix-vector product does not)
+        rng = np.random.default_rng(7)
+        rows = np.exp(rng.uniform(-30.0, 30.0, (500, 1)) + rng.uniform(-3.0, 3.0, (500, 16)))
+        rows *= rng.choice([-1.0, 1.0], rows.shape)
+        want = [float(np.dot(GL_WEIGHTS, row)) for row in rows]
+        assert np.vecdot(GL_WEIGHTS, rows).tolist() == want
+
     def test_two_panels_per_node(self):
         # the reference spends 3 panels per node, the reuse 2 plus the root's;
-        # each panel evaluates its nodes in one call
+        # the bisection evaluates the root's panel in one call and every
+        # level's half panels in one more
         calls = {"reuse": 0, "reference": 0}
+        panels = {"reuse": 0, "reference": 0}
 
         def counted(key, f):
             def g(r):
                 calls[key] += 1
+                assert len(r) % 16 == 0
+                panels[key] += len(r) // 16
                 return f(r)
             return g
 
         f = _density(Koebe(0))
-        f_reuse = counted("reuse", f)
-        _adaptive(f_reuse, 1.0, 1e7, _gl_panel(f_reuse, 1.0, 1e7))
-        _adaptive_three_panels(counted("reference", f), 1.0, 1e7)
+        depths = []
+        _adaptive(counted("reuse", f), [1.0], [1e7])
+        _adaptive_three_panels(counted("reference", f), 1.0, 1e7, seen=depths)
         nodes, rest = divmod(calls["reference"], 3)
-        assert nodes > 1 and rest == 0 and calls["reuse"] == 2 * nodes + 1
+        levels = max(depths) - min(depths) + 1
+        assert nodes == len(depths) > 1 and rest == 0
+        assert panels["reuse"] == 2 * nodes + 1
+        assert calls["reuse"] == levels + 1
 
     def test_lower_bounds_distance_on_symmetric_domains(self):
         for dom in (Koebe(0), Sector(0j, 0.6, 0.6)):

@@ -265,6 +265,23 @@ class TestAutomorphism:
         m = DiscAutomorphism(0.6, 0.5)
         assert abs(abs(m.apply_boundary(1j)) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 1.0 + 1e-4j])
+    def test_boundary_point_off_the_circle_rejected(self, sigma):
+        m = DiscAutomorphism(0.3 + 0.2j, 0.8)
+        with pytest.raises(DomainError, match="sigma"):
+            m.apply_boundary(sigma)
+
+    @pytest.mark.parametrize("sigma", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                       math.nan])
+    def test_non_finite_boundary_point_rejected(self, sigma):
+        m = DiscAutomorphism(0.3 + 0.2j, 0.8)
+        with pytest.raises(DomainError, match="sigma"):
+            m.apply_boundary(sigma)
+
+    def test_boundary_point_within_tolerance_accepted(self):
+        m = DiscAutomorphism(0.3 + 0.2j, 0.8)
+        assert abs(abs(m.apply_boundary(1.0 + 1e-10)) - 1.0) < 1e-14
+
     def test_nan_parameter_rejected(self):
         with pytest.raises(DomainError, match="parameter a"):
             DiscAutomorphism(math.nan, 0.3)
