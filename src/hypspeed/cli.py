@@ -58,10 +58,6 @@ class CliConfig:
             raise ValueError("need t_min >= 0, t_max > t_min, points >= 2")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _load_domain(text: str):
     if text is None:
         raise DomainError("a --domain JSON value is required")
@@ -91,8 +87,8 @@ def _speed_rows(cfg: CliConfig):
 def _cmd_speeds(cfg: CliConfig) -> int:
     rows = _speed_rows(cfg)
     lines = [",".join(CSV_COLUMNS)]
-    for s in rows:
-        lines.append(",".join(_fmt(v) for v in (s.t, s.v, s.v_o, s.v_T, s.log_rho, s.theta)))
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+              % (s.t, s.v, s.v_o, s.v_T, s.log_rho, s.theta) for s in rows]
     _write(cfg.output, "\n".join(lines) + "\n")
     return 0
 
@@ -136,9 +132,8 @@ def _cmd_comb(cfg: CliConfig) -> int:
     }
     _write(cfg.output, json.dumps(construction, sort_keys=True, indent=2) + "\n")
     lines = ["j,b,x,bound,gauge,ratio"]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in
-                              (r["j"], r["b"], r["x"], r["bound"], r["gauge"], r["ratio"])))
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+              % (r["j"], r["b"], r["x"], r["bound"], r["gauge"], r["ratio"]) for r in rows]
     _write(cfg.ratio_output, "\n".join(lines) + "\n")
     return 0
 

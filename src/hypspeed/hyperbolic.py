@@ -24,20 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mapchain import (HALF_PI, LOG2, LogPolar, _cabs, _cdiv, _cmul, _complex,
+from .mapchain import (HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex,
                        _from_complex_array, _to_complex)
 
-# Above this |log rho_1 - log rho_0| the cosh-based formula overflows and the
-# distance equals |dlog|/2 plus an angle correction to below double precision.
+# Above this log rho, 1 - |z| ~ 2 e^{-log rho} cos theta of the disc point
+# is below ~2e-13, and cayley_inv keeps the exact half-plane point as witness.
 _RADIAL_CROSSOVER = 30.0
 
-# _k_lp rescales sinh(d/2) and cos((t1+t2)/2) by a power of two when both
-# are below this, where their squares would leave the normal double range.
-_TINY = 2.0 ** -450
-
-# Below this the product of two cosines has left the normal double range
-# (subnormal or zero); its logarithm is then summed from the factors.
-_NORMAL_MIN = float(np.finfo(float).smallest_normal)
+# Above this |log rho_1 - log rho_2| k_half takes the log form, before sinh(d/2) overflows.
+_LOG_FORM = 1400.0
 
 
 class DomainError(ValueError):
@@ -73,8 +68,13 @@ def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None)
 
     cos_theta optionally carries cos(theta) at full relative accuracy; it is
     what keeps tangential quantities exact when theta hugs +-pi/2.  Arrays
-    in place of the floats make a batch of points.
+    in place of the floats make a batch of points.  A cosine that is not
+    finite and in (0, 1 + 1e-12] is a DomainError.
     """
+    if cos_theta is not None:
+        c = np.asarray(cos_theta)
+        if not np.all((c > 0.0) & (c <= 1.0 + 1e-12)):  # NaN fails too
+            raise DomainError("cos_theta must be a finite cosine in (0, 1]")
     if isinstance(log_rho, np.ndarray) or isinstance(theta, np.ndarray):
         return _batch_in_halfplane(log_rho, theta, cos_theta)
     return in_halfplane(LogPolar(log_rho, theta, cos_theta))
@@ -169,108 +169,65 @@ def _as_disc(z) -> DiscPoint:
 # distances
 
 
-def _k_lp(l1: float, t1: float, c1: float, l2: float, t2: float, c2: float) -> float:
-    """k_H between rho_i e^{i theta_i} given (log rho_i, theta_i, cos theta_i).
-
-    Uses m^2 = [sinh^2(d/2) + sin^2((t1-t2)/2)] / [sinh^2(d/2) + cos^2((t1+t2)/2)]
-    with the exact complement 1 - m^2 = cos t1 cos t2 / denominator, so both
-    m -> 0 and m -> 1 are handled without cancellation.
-    """
-    if t1 == 0.0 and t2 == 0.0:
-        return 0.5 * abs(l2 - l1)
-    if t1 + t2 < 0.0:  # conjugating both points preserves the distance
-        t1, t2 = -t1, -t2
+def _k_lp(l1: float, t1: float, c1: float | None, l2: float, t2: float, c2: float | None) -> float:
+    """k_H between rho_i e^{i theta_i} given (log rho_i, theta_i) and the cached
+    cos theta_i or None, from sinh k = |w1 - w2| / (2 sqrt(Re w1 Re w2)), i.e.
+    sinh k = hypot(sinh(d/2), sin(dtheta/2)) / (sqrt(c1) sqrt(c2)) with
+    d = |log rho_2 - log rho_1|: two positive terms, never squared."""
     d = abs(l2 - l1)
-
-    # gap of each angle to +pi/2; the cosine cache is the sharper witness
-    # only near +-pi/2, where theta itself saturates
-    def gap(t, c):
-        if c < 0.5:
-            return math.asin(c) if t >= 0.0 else math.pi - math.asin(c)
-        return HALF_PI - t
-
-    g1, g2 = gap(t1, min(c1, 1.0)), gap(t2, min(c2, 1.0))
-    cos_sum_half = math.sin(0.5 * (g1 + g2))  # == cos((t1+t2)/2)
-    if d > _RADIAL_CROSSOVER:
-        e = math.exp(-d)
-        cos_sum = 2.0 * cos_sum_half * cos_sum_half - 1.0
-        corr = math.log1p((2.0 * cos_sum + e) * e)
-        prod = 2.0 * c1 * c2
-        log_prod = math.log(prod) if prod >= _NORMAL_MIN else LOG2 + math.log(c1) + math.log(c2)
-        return LOG2 - 0.5 * log_prod + 0.5 * (d - LOG2 + corr)
-    sh = math.sinh(0.5 * d)
-    if c1 < 0.5 and c2 < 0.5:  # both angles hug pi/2: only the gaps resolve t1 - t2
-        sin_diff_half = math.sin(0.5 * (g2 - g1))
-        if sh < _TINY and cos_sum_half < _TINY:  # the squares would underflow
-            k = -math.frexp(max(sh, cos_sum_half))[1]
-            sh, sin_diff_half, cos_sum_half, c1, c2 = (
-                math.ldexp(x, k) for x in (sh, sin_diff_half, cos_sum_half, c1, c2))
+    if t1 == 0.0 and t2 == 0.0:
+        return 0.5 * d
+    if (c1 is not None and c2 is not None and c1 < 0.5 and c2 < 0.5
+            and (t1 > 0.0) == (t2 > 0.0)):
+        # both angles hug the same side of the axis, where they round to
+        # +-pi/2: only the cached gaps g = asin(c) resolve their difference,
+        # and sin(g1 - g2) = (c1 - c2)(c1 + c2) / (c1 cos g2 + c2 cos g1)
+        # keeps the digits that asin(c1) - asin(c2) cancels when c1 ~ c2
+        cos_g1, cos_g2 = math.sqrt(1.0 - c1 * c1), math.sqrt(1.0 - c2 * c2)
+        dt = math.asin((c1 - c2) * ((c1 + c2) / (c1 * cos_g2 + c2 * cos_g1)))
     else:
-        sin_diff_half = math.sin(0.5 * (t1 - t2))
-    num = sh * sh + sin_diff_half * sin_diff_half
-    den = sh * sh + cos_sum_half * cos_sum_half
-    m2 = num / den
-    if m2 < 0.81:
-        return math.atanh(math.sqrt(m2))
-    one_minus_m2 = c1 * c2 / den
-    m = math.sqrt(max(1.0 - one_minus_m2, m2 if m2 < 1.0 else 0.0))
-    if one_minus_m2 < _NORMAL_MIN:
-        return math.log1p(m) - 0.5 * (math.log(c1) + math.log(c2) - math.log(den))
-    return math.log1p(m) - 0.5 * math.log(one_minus_m2)
-
-
-def _gap_array(t, c):
-    with np.errstate(invalid="ignore"):
-        a = np.arcsin(c)
-    return np.where(c < 0.5, np.where(t >= 0.0, a, np.pi - a), HALF_PI - t)
+        dt = t1 - t2
+    c1 = math.cos(t1) if c1 is None else c1
+    c2 = math.cos(t2) if c2 is None else c2
+    if d <= _LOG_FORM:
+        h = math.hypot(math.sinh(0.5 * d), math.sin(0.5 * dt))
+        q = h / math.sqrt(c1) / math.sqrt(c2)
+        if q < math.inf:
+            return math.asinh(q)
+    # sinh(d/2) or the quotient overflows; asinh q = log 2q to double precision
+    log_2h = 0.5 * d if d > _LOG_FORM else math.log(2.0 * h)
+    return log_2h - 0.5 * (math.log(c1) + math.log(c2))
 
 
 def _k_lp_array(l1, t1, c1, l2, t2, c2):
-    """_k_lp on arrays: every branch is evaluated on every pair and each
-    result is taken from the branch the scalar kernel would choose."""
-    radial = (t1 == 0.0) & (t2 == 0.0)
-    flip = t1 + t2 < 0.0
-    t1, t2 = np.where(flip, -t1, t1), np.where(flip, -t2, t2)
+    """_k_lp on arrays: each element takes the branch the scalar kernel takes."""
     d = np.abs(l2 - l1)
-    g1 = _gap_array(t1, np.minimum(c1, 1.0))
-    g2 = _gap_array(t2, np.minimum(c2, 1.0))
-    cos_sum_half = np.sin(0.5 * (g1 + g2))
-    with np.errstate(all="ignore"):  # the untaken branches may overflow
-        e = np.exp(-d)
-        cos_sum = 2.0 * cos_sum_half * cos_sum_half - 1.0
-        corr = np.log1p((2.0 * cos_sum + e) * e)
-        prod = 2.0 * c1 * c2
-        log_prod = np.log(prod)
-        if (prod < _NORMAL_MIN).any():
-            log_prod = np.where(prod < _NORMAL_MIN, LOG2 + np.log(c1) + np.log(c2), log_prod)
-        far = LOG2 - 0.5 * log_prod + 0.5 * (d - LOG2 + corr)
-        sh = np.sinh(0.5 * d)
-        sin_diff_half = np.sin(0.5 * np.where((c1 < 0.5) & (c2 < 0.5), g2 - g1, t1 - t2))
-        scale = np.maximum(sh, cos_sum_half)
-        if (scale < _TINY).any():
-            k = np.where(scale < _TINY, -np.frexp(scale)[1], 0)
-            sh, sin_diff_half, cos_sum_half, c1, c2 = (
-                np.ldexp(x, k) for x in (sh, sin_diff_half, cos_sum_half, c1, c2))
-        num = sh * sh + sin_diff_half * sin_diff_half
-        den = sh * sh + cos_sum_half * cos_sum_half
-        m2 = num / den
-        near = np.arctanh(np.sqrt(m2))
-        one_minus_m2 = c1 * c2 / den
-        m = np.sqrt(np.maximum(1.0 - one_minus_m2, np.where(m2 < 1.0, m2, 0.0)))
-        log_one_minus_m2 = np.log(one_minus_m2)
-        if (one_minus_m2 < _NORMAL_MIN).any():
-            log_one_minus_m2 = np.where(one_minus_m2 < _NORMAL_MIN,
-                                        np.log(c1) + np.log(c2) - np.log(den), log_one_minus_m2)
-        complement = np.log1p(m) - 0.5 * log_one_minus_m2
-    out = np.where(d > _RADIAL_CROSSOVER, far, np.where(m2 < 0.81, near, complement))
-    return np.where(radial, 0.5 * d, out)
+    gaps = (c1 is not None and c2 is not None
+            and (c1 < 0.5) & (c2 < 0.5) & ((t1 > 0.0) == (t2 > 0.0)))
+    c1 = np.cos(t1) if c1 is None else c1
+    c2 = np.cos(t2) if c2 is None else c2
+    dt = t1 - t2
+    if np.any(gaps):
+        with np.errstate(all="ignore"):  # the pairs outside the gap branch
+            cos_g1, cos_g2 = np.sqrt(1.0 - c1 * c1), np.sqrt(1.0 - c2 * c2)
+            sin_dg = (c1 - c2) * ((c1 + c2) / (c1 * cos_g2 + c2 * cos_g1))
+            dt = np.where(gaps, np.arcsin(sin_dg), dt)
+    with np.errstate(divide="ignore", over="ignore"):  # as in the scalar log form
+        h = np.hypot(np.sinh(0.5 * d), np.sin(0.5 * dt))
+        q = h / np.sqrt(c1) / np.sqrt(c2)
+        k = np.arcsinh(q)
+        log_form = (d > _LOG_FORM) | np.isinf(q)
+        if log_form.any():
+            log_2h = np.where(d > _LOG_FORM, 0.5 * d, np.log(2.0 * h))
+            k = np.where(log_form, log_2h - 0.5 * (np.log(c1) + np.log(c2)), k)
+    return np.where((t1 == 0.0) & (t2 == 0.0), 0.5 * d, k)
 
 
 def k_half(w1: LogPolar, w2: LogPolar) -> float:
     """Hyperbolic distance in the right half plane (an array for a batch)."""
-    if isinstance(w1.log_rho, np.ndarray) or isinstance(w2.log_rho, np.ndarray):
-        return _k_lp_array(w1.log_rho, w1.theta, w1.cos, w2.log_rho, w2.theta, w2.cos)
-    return _k_lp(w1.log_rho, w1.theta, w1.cos, w2.log_rho, w2.theta, w2.cos)
+    kernel = (_k_lp_array if isinstance(w1.log_rho, np.ndarray)
+              or isinstance(w2.log_rho, np.ndarray) else _k_lp)
+    return kernel(w1.log_rho, w1.theta, w1.cos_theta, w2.log_rho, w2.theta, w2.cos_theta)
 
 
 def omega(z, w) -> float:
@@ -368,30 +325,13 @@ def cayley_inv(w: LogPolar) -> DiscPoint:
 
 
 def tangential_distance(theta: float, cos_theta: float | None = None) -> float:
-    """k_H(rho e^{i theta}, rho) = k_H(1, e^{i|theta|}), evaluated through the
-    identity atanh(tan(|theta|/2)) = 0.5*log((1 + |sin theta|)/cos theta).
-
-    Where cos theta is so small (below ~1e-308) that the quotient overflows,
-    the logarithm is split as 0.5*(log1p|sin theta| - log cos theta)."""
+    """k_H(rho e^{i theta}, rho) = asinh(|sin(theta/2)| / sqrt(cos theta)), the
+    distance formula of k_half at d = 0; finite for every positive cosine."""
     if isinstance(theta, np.ndarray):
-        return _tangential_distance_array(theta, cos_theta)
-    if theta == 0.0:
-        return 0.0
-    c = cos_theta if cos_theta is not None else math.cos(theta)
-    s = abs(math.sin(theta))
-    q = (1.0 + s) / c
-    if q == math.inf:
-        return 0.5 * (math.log1p(s) - math.log(c))
-    return max(0.0, 0.5 * math.log(q))
-
-
-def _tangential_distance_array(theta, cos_theta):
-    c = np.cos(theta) if cos_theta is None else cos_theta
-    s = np.abs(np.sin(theta))
-    with np.errstate(over="ignore", divide="ignore"):
-        q = (1.0 + s) / c
-        half_log = np.where(np.isinf(q), 0.5 * (np.log1p(s) - np.log(c)), 0.5 * np.log(q))
-    return np.where(theta == 0.0, 0.0, np.maximum(0.0, half_log))
+        c = np.cos(theta) if cos_theta is None else cos_theta
+        return np.arcsinh(np.abs(np.sin(0.5 * theta)) / np.sqrt(c))
+    c = math.cos(theta) if cos_theta is None else cos_theta
+    return math.asinh(abs(math.sin(0.5 * theta)) / math.sqrt(c))
 
 
 def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:

@@ -64,7 +64,7 @@ def _cdiv(a, b) -> np.ndarray:
     b = np.asarray(b)  # a Python complex divisor would raise on a zero part
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     wide = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the other case's ratio
+    with np.errstate(all="ignore"):  # the other case's ratio may overflow or divide by 0
         ratio = np.where(wide, bi / br, br / bi)
     denom = np.where(wide, br + bi * ratio, br * ratio + bi)
     return _complex(np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,

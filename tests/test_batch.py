@@ -3,9 +3,9 @@
 Each array kernel is checked against the scalar code it mirrors, branch by
 branch, k_half and the surrogates against independent 50-digit oracles,
 and delta_pm and the non-tangential ratio against a brute-force sample of
-the boundary.  numpy's exp, sinh, atanh, log1p, tanh, log and atan2 may differ
-from the math module in the last bit, so scalar and batch agree to a few
-ulp, not bit for bit.
+the boundary.  numpy's exp, sinh, arcsinh, hypot, log1p, tanh, log and atan2
+may differ from the math module in the last bit, so scalar and batch agree
+to a few ulp, not bit for bit.
 """
 
 import math
@@ -35,7 +35,8 @@ from oracles import brute_delta_pm, mp_k_half, mp_surrogates
 
 N = 300
 ULPS = 8
-#: k_half takes the atanh branch exactly where m < 0.9, i.e. k < atanh(0.9)
+#: k = atanh(0.9), where m = tanh k = 0.9: the "close" pairs lie below it,
+#: the "opposite_sides" pairs above
 K_ATANH = math.atanh(0.9)
 
 
@@ -49,23 +50,24 @@ def signs(rng):
 
 
 def pairs(case, rng):
-    """(l1, t1, c1, l2, t2, c2) for N pairs in one branch of _k_lp; c is the
-    cached cosine, or None to leave it to the point."""
+    """(l1, t1, c1, l2, t2, c2) for N pairs of one kind; c is the cached
+    cosine, or None to leave it to the point."""
     u = lambda lo, hi: rng.uniform(lo, hi, N)  # noqa: E731
     zero = np.zeros(N)
     if case == "radial":
         return u(-20, 20), zero, None, u(-20, 20), zero, None
-    if case == "far":  # |d log rho| > 30
+    if case == "wide_ratio":  # |d log rho| > 30
         return u(-5, 5), u(-1.5, 1.5), None, u(35.1, 60), u(-1.5, 1.5), None
-    if case == "atanh":
+    if case == "close":
         return u(-0.3, 0.3), u(-0.3, 0.3), None, u(-0.3, 0.3), u(-0.3, 0.3), None
-    if case == "complement":  # opposite sides of the axis, near the boundary
+    if case == "opposite_sides":  # near the boundary
         return u(-3, 3), u(1.3, 1.55), None, u(-3, 3), u(-1.55, -1.3), None
-    if case == "cached_cosine":  # theta rounds to +-pi/2; only the cosine knows
+    if case == "cached_cosine":  # theta rounds to +-pi/2; only the cosine knows,
+        # through the gaps asin(c) where both points are on one side
         g1, g2 = 10 ** u(-16, -12), 10 ** u(-16, -12)
         return (u(-3, 3), signs(rng) * HALF_PI, np.sin(g1),
                 u(-3, 3), signs(rng) * HALF_PI, np.sin(g2))
-    if case == "flip":  # t1 + t2 < 0: both points are conjugated
+    if case == "lower_half":  # t1 + t2 < 0
         return u(-3, 3), u(-1.5, 0.2), None, u(-3, 3), u(-1.5, -0.3), None
     raise ValueError(case)
 
@@ -73,12 +75,13 @@ def pairs(case, rng):
 def scalar_k(l1, t1, c1, l2, t2, c2):
     def point(l, t, c, i):
         return HalfPlanePoint(float(l[i]), float(t[i]), None if c is None else float(c[i]))
-    return np.array([k_half(point(l1, t1, c1, i), point(l2, t2, c2, i)) for i in range(N)])
+    return np.array([k_half(point(l1, t1, c1, i), point(l2, t2, c2, i))
+                     for i in range(len(l1))])
 
 
 class TestKHalfBranches:
-    @pytest.mark.parametrize("case", ["radial", "far", "atanh", "complement",
-                                      "cached_cosine", "flip"])
+    @pytest.mark.parametrize("case", ["radial", "wide_ratio", "close", "opposite_sides",
+                                      "cached_cosine", "lower_half"])
     def test_batch_matches_scalar(self, case):
         l1, t1, c1, l2, t2, c2 = args = pairs(case, np.random.default_rng(5))
         batch = k_half(HalfPlanePoint(l1, t1, c1), HalfPlanePoint(l2, t2, c2))
@@ -87,11 +90,11 @@ class TestKHalfBranches:
         d = np.abs(l2 - l1)
         if case == "radial":
             assert np.array_equal(batch, 0.5 * d)
-        elif case == "far":
+        elif case == "wide_ratio":
             assert np.all(d > 30)
-        elif case == "atanh":
+        elif case == "close":
             assert np.all(scalar < K_ATANH)
-        elif case == "complement":
+        elif case == "opposite_sides":
             assert np.all((scalar > K_ATANH) & (d <= 30))
         elif case == "cached_cosine":
             assert np.all(np.abs(np.abs(t1) - HALF_PI) <= 1e-12)
@@ -112,6 +115,78 @@ class TestKHalfBranches:
             HalfPlanePoint(np.zeros(3), np.array([0.0, 2.0, 0.0]))
         with pytest.raises(DomainError):
             HalfPlanePoint(np.array([0.0, np.inf]), 0.0)
+
+    @pytest.mark.parametrize("cos", [math.nan, math.inf, 2.0, 1.0 + 1e-11, -0.3, 0.0, -0.0])
+    def test_cached_cosine_is_validated(self, cos):
+        with pytest.raises(DomainError, match="cos_theta"):
+            HalfPlanePoint(0.0, 0.5, cos)
+        with pytest.raises(DomainError, match="cos_theta"):
+            HalfPlanePoint(np.zeros(3), 0.5, np.array([0.5, cos, 0.5]))
+
+    def test_cached_cosine_edges_are_accepted(self):
+        # the smallest subnormal cosine, and a cosine rounded just past 1
+        for cos in (5e-324, 1.0 + 1e-13):
+            assert HalfPlanePoint(0.0, 0.0, cos).cos == cos
+            assert HalfPlanePoint(np.zeros(2), 0.0, np.full(2, cos)).cos[1] == cos
+
+
+def oracle_k(l1, t1, c1, l2, t2, c2):
+    """mp_k_half at 50 digits for each pair; c is a cached cosine or None."""
+    def cos(c, i):
+        return None if c is None else float(c[i])
+    return np.array([float(mp_k_half(float(l1[i]), float(t1[i]), float(l2[i]), float(t2[i]),
+                                     cos(c1, i), cos(c2, i)))
+                     for i in range(len(l1))])
+
+
+def regime(case, rng, n=150):
+    """(l1, t1, c1, l2, t2, c2) for n pairs of a regime of the k_half formula.
+    A point that hugs the boundary has theta = +-acos(c) and its cosine c
+    cached; the oracle then reads the point from c and the side."""
+    u = lambda lo, hi: rng.uniform(lo, hi, n)  # noqa: E731
+    side = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    l1 = u(-5, 5)
+    if case == "ratio_29_33":  # |d log rho| in [29, 33]
+        return l1, u(-1.5, 1.5), None, l1 + side * u(29, 33), u(-1.5, 1.5), None
+    if case == "ratio_to_1e6":
+        d = np.concatenate([10 ** u(0, 6)[: n // 3], u(1380, 1440)[: n // 3],
+                            10 ** u(3.15, 6)[: n - 2 * (n // 3)]])
+        return l1, u(-1.5, 1.5), None, l1 + side * d, u(-1.5, 1.5), None
+    if case == "tiny_cosines":  # down to 5e-324, on either side
+        c1 = np.concatenate([10 ** u(-323, -3)[: n - 10], np.full(10, 5e-324)])
+        c2 = rng.permutation(c1)
+        side2 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        d = np.where(rng.random(n) < 0.5, 10 ** u(-15, 1.5), 10 ** u(1.5, 4))
+        return (l1, side * np.arccos(c1), c1,
+                l1 + side2 * d, side2 * np.arccos(c2), c2)
+    if case == "uncached_neighbours":  # cos theta < 0.5 known from theta alone
+        t1, step = side * u(1.05, 1.5), 10 ** u(-15, -3)
+        return l1, t1, None, l1 + step * u(-1, 1), t1 + step * u(-1, 1), None
+    c1 = 10 ** u(-300, math.log10(0.49))
+    c2 = np.minimum(c1 * u(0.5, 1.5), 0.49)
+    step = np.where(rng.random(n) < 0.5, c1 * u(-1, 1), 10 ** u(-15, 2))
+    if case == "same_side":  # the gaps asin(c), neighbours among them
+        return l1, side * np.arccos(c1), c1, l1 + step, side * np.arccos(c2), c2
+    if case == "opposite_sides":
+        return l1, side * np.arccos(c1), c1, l1 + step, -side * np.arccos(c2), c2
+    raise ValueError(case)
+
+
+class TestKHalfRegimes:
+    @pytest.mark.parametrize("case", ["ratio_29_33", "ratio_to_1e6", "tiny_cosines",
+                                      "uncached_neighbours", "same_side", "opposite_sides"])
+    def test_against_50_digits(self, case):
+        l1, t1, c1, l2, t2, c2 = args = regime(case, np.random.default_rng(31))
+        want = oracle_k(*args)
+        batch = k_half(HalfPlanePoint(l1, t1, c1), HalfPlanePoint(l2, t2, c2))
+        for got in (batch, scalar_k(*args)):
+            assert np.max(np.abs(got - want) / want) <= 1e-15
+        d = np.abs(l2 - l1)
+        if case == "ratio_to_1e6":
+            assert np.any(d > 1400) and np.any(d < 1400) and np.max(d) > 1e5
+        elif case == "tiny_cosines":
+            assert np.min(c1) == 5e-324
+            assert np.any(c1 * c2 < np.finfo(float).smallest_normal)
 
 
 class TestKHalfOracle:
@@ -185,6 +260,19 @@ class TestDiscBatches:
         assert np.all(batch[:10] == 0.0)
         assert ulps_apart(batch[10:], scalar[10:]) <= ULPS
 
+    @pytest.mark.parametrize("op", ["cayley", "omega", "automorphism"])
+    def test_divisor_with_a_subnormal_part(self, op):
+        # the divisor 1 - 2e-310j: the ratio of its parts that the complex
+        # quotient discards overflows, silently (warnings are errors here)
+        z, m = 2e-310j, DiscAutomorphism(0.5, 0.0)
+        if op == "cayley":
+            got, want = cayley(DiscPoint(np.array([z]))).theta, cayley(z).theta
+        elif op == "omega":
+            got, want = omega(DiscPoint(np.array([0.5])), DiscPoint(np.array([z]))), omega(0.5, z)
+        else:
+            got, want = m.apply(DiscPoint(np.array([z]))).value, m.apply(z).value
+        assert np.allclose(got, want, rtol=1e-15, atol=1e-320)
+
     def test_cayley(self):
         z = disc_batch(np.random.default_rng(13), 8.0)
         batch = cayley(DiscPoint(z))
@@ -224,7 +312,7 @@ class TestTangentialBatch:
                                                             HALF_PI, -HALF_PI]])
         cos = np.cos(theta)
         # cached cosines within 1e-12 of the boundary, and below 1e-308,
-        # where (1 + sin)/cos overflows
+        # where 2/cos leaves the double range
         cos[-4:] = [1e-13, 1e-15, 1e-309, 5e-324]
         batch = tangential_distance(theta, cos)
         scalar = [tangential_distance(float(t), float(c)) for t, c in zip(theta, cos)]
@@ -232,8 +320,25 @@ class TestTangentialBatch:
         assert batch[N] == 0.0 and np.all(np.isfinite(batch))
         assert batch[-1] == pytest.approx(0.5 * (math.log(2.0) - math.log(5e-324)), rel=1e-15)
 
+    def test_against_50_digits(self):
+        # angles across (-pi/2, pi/2), and cached cosines of boundary-hugging
+        # points down to 5e-324 with theta = +-acos(c)
+        rng = np.random.default_rng(16)
+        cos = np.concatenate([10 ** rng.uniform(-323, -1, 100), [5e-324]])
+        theta = np.concatenate([rng.uniform(-1.5, 1.5, 100), signs(rng)[:101] * np.arccos(cos)])
+        cached = np.concatenate([np.full(100, np.nan), cos])
+        want = np.array([float(mp_k_half(0.0, t, 0.0, 0.0, None if np.isnan(c) else c))
+                         for t, c in zip(theta, cached)])
+        batch = np.concatenate([tangential_distance(theta[:100]),
+                                tangential_distance(theta[100:], cos)])
+        scalar = [tangential_distance(float(t), None if np.isnan(c) else float(c))
+                  for t, c in zip(theta, cached)]
+        for got in (batch, np.array(scalar)):
+            assert np.max(np.abs(got - want) / want) <= 1e-15
+
     def test_overflow_branch_is_continuous(self):
-        # just above and below the largest cosine at which the quotient overflows
+        # just above and below the cosine 2/DBL_MAX, where 2/cos leaves the
+        # double range
         c = 2.0 / 1.7976931348623157e308
         near = [tangential_distance(HALF_PI, c * f) for f in (1.0001, 0.9999)]
         assert near[1] - near[0] == pytest.approx(-0.5 * math.log(0.9999 / 1.0001), rel=1e-6)

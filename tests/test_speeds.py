@@ -4,12 +4,34 @@ import pytest
 
 from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, Sector,
                       SpeedSample, Strip, UnsupportedDomainOperation,
-                      default_grid, fit_asymptotic, koenigs_semigroup,
+                      default_grid, domain_from_json, fit_asymptotic, koenigs_semigroup,
                       nontangential_ratio, sample_speeds, surrogate_speeds,
                       surrogate_threshold)
 from hypspeed.semigroups import model_point
 
 LOG2 = math.log(2.0)
+
+#: the domains of the benchmark's `tables` workload
+TABLE_DOMAINS = (
+    {"type": "strip", "r": math.pi / 2},
+    {"type": "halfplane", "p": [0.0, 0.0]},
+    {"type": "sector", "p": [0.0, 0.0], "alpha": math.pi / 4, "beta": math.pi / 4},
+    {"type": "sector", "p": [0.0, 0.0], "alpha": math.pi, "beta": 0.0},
+    {"type": "koebe", "p": [0.0, 0.0]},
+    {"type": "sector", "p": [1.0, -2.0], "alpha": 0.7, "beta": 1.9},
+    {"type": "sector", "p": [0.0, 0.5], "alpha": math.pi, "beta": math.pi},
+    {"type": "koebe", "p": [2.0, 1.0]},
+    {"type": "strip", "r": 3.0},
+    {"type": "halfplane", "p": [-1.0, 2.0]},
+)
+
+
+def log_cosh(x: float) -> float:
+    """log cosh x for x >= 0 without cancellation: log1p(2 sinh^2(x/2)),
+    and x - log 2 + log1p(e^-2x) where sinh^2 would overflow."""
+    if x > 20.0:
+        return x - LOG2 + math.log1p(math.exp(-2.0 * x))
+    return math.log1p(2.0 * math.sinh(0.5 * x) ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +59,18 @@ class TestSampleSpeeds:
             sg = koenigs_semigroup(dom)
             for s in sample_speeds(sg, default_grid(1.0, 1e8, 100)):
                 assert s.v_o + s.v_T - 0.5 * LOG2 - 1e-9 <= s.v <= s.v_o + s.v_T + 1e-9
+
+    @pytest.mark.parametrize("t_max", [1e8, 1e12], ids=["1e8", "1e12"])
+    @pytest.mark.parametrize("domain", TABLE_DOMAINS,
+                             ids=[f"{d['type']}{i}" for i, d in enumerate(TABLE_DOMAINS)])
+    def test_pythagorean_identity(self, domain, t_max):
+        # cosh 2v = cosh 2v_o cosh 2v_T exactly, the relation behind the
+        # split inequality, on every row of a 512-point `hypspeed speeds` table
+        sg = koenigs_semigroup(domain_from_json(domain))
+        for s in sample_speeds(sg, default_grid(1.0, t_max, 512)):
+            lhs = log_cosh(2.0 * s.v)
+            rhs = log_cosh(2.0 * s.v_o) + log_cosh(2.0 * s.v_T)
+            assert abs(lhs - rhs) <= 1e-15 * lhs, s
 
     def test_grid_validation(self):
         sg = koenigs_semigroup(Koebe(0j))
