@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .domains import Comb, _comb_axis_integrals
+from .domains import Comb, _axis_integrals
 
 _PROBE_GRID = [10.0 ** k for k in range(3, 13)]
 _MARGIN = 0.999
@@ -159,7 +159,7 @@ def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
     below j/4 - 1e-9; the construction guarantees it cannot.
     """
     g = cc.g
-    bounds = _comb_axis_integrals(cc.domain(), t_start, cc.b[1:])
+    bounds = _axis_integrals(cc.domain(), t_start, cc.b[1:])
     rows = []
     for j, (bj1, bound) in enumerate(zip(cc.b[1:], bounds), start=1):
         ratio = bound / g(bj1)

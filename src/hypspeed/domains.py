@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import GL_NODES, GL_WEIGHTS, DomainError, in_halfplane, k_half
+from .hyperbolic import DomainError, in_halfplane, k_half
 from .mapchain import (HALF_PI, TWO_PI, Affine, ExpScale, LogPolar, Power,
                        RiemannMapChain)
 
@@ -340,7 +340,7 @@ def _dist_to_ray(q: np.ndarray, apex: complex, direction: complex,
     """Distance from each point of q to {apex + s*direction : s in [s_lo, s_hi]},
     |direction| = 1, on a nonempty parameter range."""
     vr, vi = q.real - apex.real, q.imag - apex.imag
-    s = np.clip(vr * direction.real + vi * direction.imag, s_lo, s_hi)
+    s = np.minimum(np.maximum(vr * direction.real + vi * direction.imag, s_lo), s_hi)
     return np.hypot(vr - s * direction.real, vi - s * direction.imag)
 
 
@@ -471,122 +471,101 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
 # ---------------------------------------------------------------------------
 # quasi-hyperbolic lower bound along the imaginary axis
 
-def _gl_panels(f, los: list[float], his: list[float]) -> list[float]:
-    """16-point Gauss-Legendre panels over [los[i], his[i]], from one call of
-    f on all their nodes (a flat array, 16 per panel).
+def _axis_pieces(domain: DomainSpec) -> list[tuple[float, ...]]:
+    """The boundary as seen from the axis {ir}, as pieces (a, b, A, B, C, D):
+    the distance from ir to a piece is hypot(a, r - b), its apex regime,
+    where C + D*r > 0, and |A + B*r|, its perpendicular regime, elsewhere.
 
-    Each panel is summed by its own dot product: `np.vecdot` runs the same
-    per-vector dot as `np.dot(GL_WEIGHTS, row)`, so every panel equals the
-    one-panel rule bit for bit, where a matrix-vector product over all
-    panels rounds differently in some rows."""
-    halves = [0.5 * (hi - lo) for lo, hi in zip(los, his)]
-    mids = np.array([0.5 * (hi + lo) for lo, hi in zip(los, his)])
-    xs = mids[:, None] + np.multiply.outer(halves, GL_NODES)
-    sums = np.vecdot(GL_WEIGHTS, f(xs.ravel()).reshape(xs.shape))
-    return [half * s for half, s in zip(halves, sums.tolist())]
-
-
-def _adaptive(f, los: list[float], his: list[float], rel_tol: float = 1e-9,
-              depth: int = 48) -> list[float]:
-    """Integral of f over each [los[i], his[i]] by bisection, level by level.
-
-    One f call evaluates the root panels and one per level the two half
-    panels of every node still live, in segment order and left to right; a
-    node whose halves do not match its panel splits, and its halves become
-    its children's panels.  Each segment's value is then summed over its
-    recorded tree, left + right at every node, as a depth-first recursion
-    adds it.  The bookkeeping is on Python floats: a level holds a few
-    nodes per segment, too few for numpy calls to pay.
-    """
-    wholes = _gl_panels(f, los, his)
-    levels = []  # per level: which nodes were accepted, and their half sums
-    for level in range(depth + 1):
-        n = len(los)
-        mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
-        halves = _gl_panels(f, los + mids, mids + his)  # the left halves, then the right
-        left, right = halves[:n], halves[n:]
-        sums = [a + b for a, b in zip(left, right)]
-        done = [abs(s - w) <= rel_tol * max(1.0, abs(s)) for s, w in zip(sums, wholes)]
-        levels.append((done, sums))
-        if all(done):
-            break
-        split = [i for i, ok in enumerate(done) if not ok]
-        if level == depth:
-            i = split[0]  # the first segment's leftmost unresolved node
-            raise ValueError(f"quadrature did not converge on [{los[i]!r}, {his[i]!r}]")
-        # a split node's halves become two adjacent children, left first
-        los = [x for i in split for x in (los[i], mids[i])]
-        his = [x for i in split for x in (mids[i], his[i])]
-        wholes = [x for i in split for x in (left[i], right[i])]
-    vals = levels.pop()[1]
-    while levels:
-        done, sums = levels.pop()
-        kids = iter(vals)
-        vals = [s if ok else next(kids) + next(kids) for ok, s in zip(done, sums)]
-    return vals
+    A slit {x + iy : y <= top} is (|x|, top, |x|, 0, -top, 1), with the
+    mirror slits of a comb merged.  A sector ray from p along e is seen at
+    its apex p while the projection (ir - p).e is negative, and along its
+    line after."""
+    if isinstance(domain, Sector):
+        p, pieces = domain.p, []
+        for ang in (domain.ray_lo, domain.ray_hi):
+            e = cmath.exp(1j * ang)
+            pieces.append((abs(p.real), p.imag, p.real * e.imag - p.imag * e.real, e.real,
+                           p.real * e.real + p.imag * e.imag, -e.imag))
+        return pieces
+    slits = dict.fromkeys((abs(x), top) for x, top in _slits(domain))
+    return [(x, top, x, 0.0, -top, 1.0) for x, top in slits]
 
 
-def _comb_axis_breakpoints(comb: Comb, t0: float, t1: float) -> list[float]:
-    """Points where the active nearest tooth (or its const/slant regime)
-    can change along {ir}: tooth tops and pairwise crossovers, all exact."""
-    teeth = comb.teeth
+def _axis_distance(piece, r: float) -> float:
+    a, b, A, B, C, D = piece
+    return math.hypot(a, r - b) if C + D * r > 0 else abs(A + B * r)
+
+
+def _axis_breakpoints(domain: DomainSpec, pieces, t0: float, t1: float) -> list[float]:
+    """Every height in [t0, t1] where the nearest piece, or its regime, can
+    change along {ir}: the regime switches and the pairwise crossings, all
+    exact."""
     pts = {t0, t1}
-    for a, b in teeth:
-        if t0 < b < t1:
-            pts.add(b)
-    n = len(teeth)
-    for i in range(n):
-        ai, bi = teeth[i]
-        for j in range(n):
-            if i == j:
-                continue
-            aj, bj = teeth[j]
-            # slant of tooth i (r > bi) crossing the constant a_j of tooth j
+
+    def add(r: float) -> None:
+        if t0 < r < t1:
+            pts.add(r)
+
+    for _, _, _, _, C, D in pieces:
+        if D != 0.0:
+            add(-C / D)
+    if isinstance(domain, Sector):
+        # the rays share their apex, so their distances cross only on the
+        # bisector of a convex sector, both in the perpendicular regime,
+        # where A1 + B1 r > 0 > A2 + B2 r: at A1 + B1 r = -(A2 + B2 r)
+        (_, _, A1, B1, _, _), (_, _, A2, B2, _, _) = pieces
+        if B1 + B2 != 0.0:
+            add(-(A1 + A2) / (B1 + B2))
+        return sorted(pts)
+    for ai, bi, *_ in pieces:
+        for aj, bj, *_ in pieces:
+            # the hypot of slit i above its top meets the |x| of slit j ...
             if aj > ai:
-                r = bi + math.sqrt(aj * aj - ai * ai)
-                if t0 < r < t1:
-                    pts.add(r)
-            # slant of tooth i crossing slant of tooth j
+                add(bi + math.sqrt(aj * aj - ai * ai))
+            # ... or the hypot of slit j
             if bj != bi:
                 r = 0.5 * ((aj * aj - ai * ai) / (bj - bi) + bi + bj)
-                if r > max(bi, bj) and t0 < r < t1:
-                    pts.add(r)
+                if r > max(bi, bj):
+                    add(r)
     return sorted(pts)
 
 
-def _comb_piece_integral(comb: Comb, lo: float, hi: float) -> float:
-    """Exact integral of dr/delta(ir) over one piece with a fixed active tooth."""
-    mid = 0.5 * (lo + hi)
-    best, active = math.inf, None
-    for a, b in comb.teeth:
-        d = a if mid <= b else math.hypot(a, mid - b)
-        if d < best:
-            best, active = d, (a, b)
-    a, b = active
-    if hi <= b:
-        return (hi - lo) / a
-    # 1/hypot(a, r-b) integrates to asinh((r-b)/a)
-    return math.asinh((hi - b) / a) - math.asinh((lo - b) / a)
+def _piece_integral(piece, lo: float, hi: float, mid: float) -> float:
+    """Exact integral of dr/distance over [lo, hi], in the regime at mid."""
+    a, b, A, B, C, D = piece
+    if C + D * mid > 0:
+        if a > 0.0:  # 1/hypot(a, r - b) integrates to asinh((r - b)/a)
+            return math.asinh((hi - b) / a) - math.asinh((lo - b) / a)
+        A, B = -b, 1.0  # an apex on the axis: the distance is |r - b|
+    u = A + B * lo
+    if B == 0.0:
+        return (hi - lo) / abs(u)
+    m = B if u > 0 else -B  # the slope of |A + B*r|
+    return math.log1p(m * (hi - lo) / abs(u)) / m
 
 
-def _comb_axis_integrals(comb: Comb, t0: float, heights) -> list[float]:
+def _axis_integrals(domain: DomainSpec, t0: float, heights) -> list[float]:
     """(1/4) * integral of dr/delta(ir) over [t0, h] for each h of the
-    increasing `heights`, from one left-to-right pass over the pieces.
+    increasing `heights`, from one left-to-right pass over the pieces of
+    the envelope delta(ir) = min over the boundary pieces.
 
-    Every height but the last must be a tooth top, hence a breakpoint: the
-    pieces below it, and the order of their sum, are those of a pass that
-    ends there.
+    Every height but the last must be a breakpoint (a comb's tooth tops
+    are): the pieces below it, and the order of their sum, are those of a
+    pass that ends there.
     """
     if not t0 <= heights[0]:
         raise ValueError("need t0 <= t1")
-    if not contains(comb, complex(0.0, t0)):
-        raise DomainError("segment exits the domain")
-    if heights[-1] > comb.extent:
+    if not contains(domain, complex(0.0, t0)):
+        raise DomainError("segment exits the domain")  # upward-closed: t0 decides
+    if isinstance(domain, Comb) and heights[-1] > domain.extent:
         raise DomainError("segment exceeds the materialised comb extent")
-    pts = _comb_axis_breakpoints(comb, t0, heights[-1])
+    pieces = _axis_pieces(domain)
+    pts = _axis_breakpoints(domain, pieces, t0, heights[-1])
     total, upto = 0.0, {t0: 0.0}
     for lo, hi in zip(pts[:-1], pts[1:]):
-        total += _comb_piece_integral(comb, lo, hi)
+        mid = 0.5 * (lo + hi)
+        piece = min(pieces, key=lambda p: _axis_distance(p, mid))
+        total += _piece_integral(piece, lo, hi, mid)
         upto[hi] = total
     return [0.25 * upto[h] for h in heights]
 
@@ -597,12 +576,13 @@ def quasihyp_lower(domain: DomainSpec, t0, t1):
     The classical density bound kappa >= 1/(4 delta) makes this a lower bound
     for the hyperbolic length of the vertical segment; when that segment is a
     geodesic of the domain (combs, Koebe{0}, symmetric sectors at 0) it lower
-    bounds the hyperbolic distance itself.  Where delta(ir) grows like r
-    (Koebe, sectors) the quadrature converges for t1/t0 up to about 1e15 and
-    raises ValueError beyond.
+    bounds the hyperbolic distance itself.  Along the axis delta is the lower
+    envelope of constants, linear functions and hypots, one per boundary
+    piece and regime, and the integral is summed exactly piece by piece, for
+    any finite t1/t0.
 
-    Broadcastable arrays of bounds give an array, one value per segment, from
-    one bisection over all segments; one segment gives a float.
+    Broadcastable arrays of bounds give an array, one value per segment; one
+    segment gives a float.
     """
     t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
     finite = np.isfinite(t0) & np.isfinite(t1)
@@ -614,15 +594,6 @@ def quasihyp_lower(domain: DomainSpec, t0, t1):
         raise ValueError("need t0 <= t1")
     out = np.zeros(t0.shape)
     live = t1 != t0
-    los, his = t0[live].tolist(), t1[live].tolist()
-    if isinstance(domain, Comb):
-        out[live] = [_comb_axis_integrals(domain, lo, [hi])[0] for lo, hi in zip(los, his)]
-    elif los:
-        if not contains(domain, 1j * t0[live]).all():
-            raise DomainError("segment exits the domain")  # upward-closed: t0 decides
-
-        def f(r: np.ndarray) -> np.ndarray:
-            return 1.0 / delta(domain, 1j * r)
-
-        out[live] = [0.25 * v for v in _adaptive(f, los, his)]
+    out[live] = [_axis_integrals(domain, lo, [hi])[0]
+                 for lo, hi in zip(t0[live].tolist(), t1[live].tolist())]
     return float(out) if out.ndim == 0 else out

@@ -41,18 +41,27 @@ class DomainError(ValueError):
 
 def in_halfplane(p: LogPolar) -> LogPolar:
     """Return p once it is checked to be a right half-plane point: a finite
-    log-modulus and |theta| <= pi/2, for every point of a batch.  Chain
-    results pass through here when they enter the half-plane layer."""
+    log-modulus, |theta| <= pi/2 and a cached cosine, if any, above 0, for
+    every point of a batch.  Chain results pass through here when they
+    enter the half-plane layer.  A cosine of 0 is a point on the imaginary
+    axis, or one whose Re w / |w| underflows; no distance to it is finite
+    in double precision."""
     if isinstance(p.log_rho, np.ndarray):
         if not np.all(np.isfinite(p.log_rho)):
             raise DomainError("log_rho must be finite")
         if not np.all(np.abs(p.theta) <= HALF_PI):
             raise DomainError("theta must lie in (-pi/2, pi/2)")
+        if p.cos_theta is not None and not np.all(p.cos_theta > 0.0):
+            raise DomainError("cos_theta must be positive: a batch point lies on the "
+                              "imaginary axis to double precision")
         return p
     if not math.isfinite(p.log_rho):
         raise DomainError("log_rho must be finite")
     if not abs(p.theta) <= HALF_PI:
         raise DomainError("theta must lie in (-pi/2, pi/2)")
+    if p.cos_theta is not None and not p.cos_theta > 0.0:
+        raise DomainError("cos_theta must be positive: the point lies on the imaginary "
+                          "axis to double precision")
     return p
 
 
@@ -86,11 +95,11 @@ def _halfplane_from_complex(w: complex) -> LogPolar:
         w = w.astype(complex, copy=False)
         if not np.all(w.real > 0):
             raise DomainError("a batch point is not in the right half plane")
-        return _from_complex_array(w)
+        return in_halfplane(_from_complex_array(w))
     w = complex(w)
     if w.real <= 0:
         raise DomainError(f"{w} is not in the right half plane")
-    return LogPolar.from_complex(w)
+    return in_halfplane(LogPolar.from_complex(w))
 
 
 HalfPlanePoint.from_complex = _halfplane_from_complex

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypspeed.cli import CliConfig, main, parse_args, run
@@ -61,6 +61,15 @@ class TestSpeeds:
             main(["speeds", *argv, "--points", "4"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("p", ["9007199254740992.0", "1e16", "1e17"])
+    def test_offset_rounds_orbit_onto_axis_exit_2(self, p, capsys):
+        # h(0) = p + 1 rounds so that the orbit point, less p, lies on the
+        # imaginary axis, where no distance is finite
+        with pytest.raises(SystemExit) as exc:
+            main(["speeds", "--domain", f'{{"type":"halfplane","p":[{p},0]}}', "--points", "4"])
+        assert exc.value.code == 2
+        assert "cos_theta must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("r", ["5e-324", "1e-310"])
     def test_too_thin_strip_exit_2(self, r, capsys):
@@ -197,6 +206,7 @@ _OPTIONS = st.fixed_dictionaries(
 class TestFuzz:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_DOMAIN, _OPTIONS)
+    @example('{"type": "halfplane", "p": [9007199254740992.0, 0]}', {})
     def test_speeds_exit_codes(self, domain, options):
         # `--opt=value` keeps a value such as "-1" from reading as an option
         argv = ["speeds", "--domain", domain] + [f"{k}={v}" for k, v in options.items()]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from hypspeed import build_comb, delta, gauge, quasihyp_lower, verify_comb
 from hypspeed.comb import check_sublinear, resolve_abscissae
-from hypspeed.domains import DomainError, _comb_axis_breakpoints, _comb_piece_integral
+from hypspeed.cli import main
+from hypspeed.domains import DomainError
 
 from oracles import brute_force_distance, comb_boundary_points
 
@@ -130,12 +132,24 @@ class TestVerify:
 
 
 def _comb_bound_per_step(dom, t0, t1):
-    """The comb integral from scratch over [t0, t1], as computed before the
-    ratio table came from one pass."""
-    pts = _comb_axis_breakpoints(dom, t0, t1)
-    total = 0.0
+    """The comb integral from scratch over [t0, t1], written for teeth
+    alone: the tooth tops and pairwise crossovers as breakpoints, and on
+    each piece the exact integral for the tooth nearest at its midpoint."""
+    teeth = dom.teeth
+    pts = {t0, t1} | {b for _, b in teeth if t0 < b < t1}
+    for ai, bi in teeth:
+        for aj, bj in teeth:
+            if aj > ai and t0 < bi + math.sqrt(aj * aj - ai * ai) < t1:
+                pts.add(bi + math.sqrt(aj * aj - ai * ai))
+            if bj != bi:
+                r = 0.5 * ((aj * aj - ai * ai) / (bj - bi) + bi + bj)
+                if r > max(bi, bj) and t0 < r < t1:
+                    pts.add(r)
+    pts, total = sorted(pts), 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        total += _comb_piece_integral(dom, lo, hi)
+        mid = 0.5 * (lo + hi)
+        a, b = min(teeth, key=lambda t: t[0] if mid <= t[1] else math.hypot(t[0], mid - t[1]))
+        total += (hi - lo) / a if hi <= b else math.asinh((hi - b) / a) - math.asinh((lo - b) / a)
     return 0.25 * total
 
 
@@ -165,3 +179,44 @@ class TestOnePass:
         dom = build_comb("log1p", "linear", 3).domain()
         with pytest.raises(DomainError, match="exceeds the materialised comb extent"):
             quasihyp_lower(dom, 1e-6, dom.extent * 1.01)
+
+
+#: sha256 of the construction JSON and of the ratio CSV of `hypspeed comb`:
+#: any change to a bound, a tooth height or the order of a sum shows here
+COMB_DIGESTS = {
+    ("log1p", "linear", 10): (
+        "1a4d8f021af40b5a8e95653f70fb5d4b4102076f4a9e4dc111ee0f06a0e04aec",
+        "adfaeb79fd8284e07671ac85ebc79d865964f1a366b3ec8a6ff4bb70e085eeea"),
+    ("log1p", "geom:2", 16): (
+        "38a6d959aec51e54d7f6eecf046caec34264b5418546234748f94d9452890d5f",
+        "89b81f92b4734ace74a3f2609145242752fc2ea6aadb8d87aa16639f4d298b41"),
+    ("sqrt", "linear", 10): (
+        "675c22fb66c96257485f8b6d965672adf8559a50c3e9a33928022fbe30761dd1",
+        "9b80325537e2a7dd4371be327c679fb10e7ec1a78fbaa4304307dc921eddbe21"),
+    ("sqrt", "geom:2", 16): (
+        "97c93df22d2a47f2751296a1139b85d19ee26700721c078e1a0d4e91c5a4ee45",
+        "d7eea4a8072bdaae53fca40cb7a36d359777c284007d8f33faa8e4446a87904a"),
+    ("pow:0.5", "linear", 10): (
+        "a2fcf01443722141e862340e64a0b37f0eca1e70479606bc2bb564adf244de93",
+        "9b80325537e2a7dd4371be327c679fb10e7ec1a78fbaa4304307dc921eddbe21"),
+    ("pow:0.5", "geom:2", 16): (
+        "fa9f5176adef6a1148a82395eeb6986db6347da34ea5e1f6c44bd2904122f95f",
+        "d7eea4a8072bdaae53fca40cb7a36d359777c284007d8f33faa8e4446a87904a"),
+    ("pow:0.3", "linear", 10): (
+        "a9e9fcfeaca16b5f2ded5773d8e63f10576b07080a9c24606d28a7326aedcbc4",
+        "5c0baa44154fd1535fc34a6e78a4eb464442d9ebe39bcef55764effcb0f3c27b"),
+    ("pow:0.3", "geom:2", 16): (
+        "1703de05b7b3ab7f7a016c35f786b430dbec81dbafc41996752770f475435bb0",
+        "6bbab6fd87a9af571b588355492c5119278639d5715e1c1605569fbfe85e069d"),
+}
+
+
+@pytest.mark.parametrize("gauge_spec, abscissae, steps", sorted(COMB_DIGESTS))
+def test_comb_output_bytes_pinned(gauge_spec, abscissae, steps, tmp_path):
+    cjson, ccsv = tmp_path / "comb.json", tmp_path / "ratios.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["comb", "--gauge", gauge_spec, "--abscissae", abscissae, "--steps", str(steps),
+              "-o", str(cjson), "--ratios", str(ccsv)])
+    assert exc.value.code == 0
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (cjson, ccsv))
+    assert digests == COMB_DIGESTS[gauge_spec, abscissae, steps]

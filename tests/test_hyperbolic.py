@@ -300,6 +300,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             HalfPlanePoint(0.0, 2.0)
 
+    def test_from_complex_with_underflowing_cosine(self):
+        # Re w > 0, but Re w / |w| underflows to a cosine of 0, for which no
+        # distance is finite in double precision
+        w = complex(1e-320, 1e10)
+        with pytest.raises(DomainError, match="cos_theta must be positive"):
+            HalfPlanePoint.from_complex(w)
+        with pytest.raises(DomainError, match="cos_theta must be positive"):
+            HalfPlanePoint.from_complex(np.array([2.0 + 0j, w]))
+
     def test_geodesic_direction(self):
         with pytest.raises(DomainError):
             RadialGeodesic(0.5)
