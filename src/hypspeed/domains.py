@@ -570,7 +570,7 @@ def _axis_integrals(domain: DomainSpec, t0: float, heights) -> list[float]:
     return [0.25 * upto[h] for h in heights]
 
 
-def quasihyp_lower(domain: DomainSpec, t0, t1):
+def quasihyp_lower(domain: DomainSpec, t0: float, t1: float) -> float:
     """(1/4) * integral of dr/delta(ir) for r in [t0, t1].
 
     The classical density bound kappa >= 1/(4 delta) makes this a lower bound
@@ -579,21 +579,9 @@ def quasihyp_lower(domain: DomainSpec, t0, t1):
     bounds the hyperbolic distance itself.  Along the axis delta is the lower
     envelope of constants, linear functions and hypots, one per boundary
     piece and regime, and the integral is summed exactly piece by piece, for
-    any finite t1/t0.
-
-    Broadcastable arrays of bounds give an array, one value per segment; one
-    segment gives a float.
+    any finite t1/t0.  A segment of length 0 is checked like any other.
     """
-    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
-    finite = np.isfinite(t0) & np.isfinite(t1)
-    if not finite.all():
-        i = np.argmin(finite)
-        raise ValueError(f"segment bounds must be finite, got "
-                         f"[{float(t0.flat[i])!r}, {float(t1.flat[i])!r}]")
-    if (t1 < t0).any():
-        raise ValueError("need t0 <= t1")
-    out = np.zeros(t0.shape)
-    live = t1 != t0
-    out[live] = [_axis_integrals(domain, lo, [hi])[0]
-                 for lo, hi in zip(t0[live].tolist(), t1[live].tolist())]
-    return float(out) if out.ndim == 0 else out
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"segment bounds must be finite, got [{t0!r}, {t1!r}]")
+    return _axis_integrals(domain, t0, [t1])[0]

@@ -9,11 +9,11 @@ modulus ratios, angles within 1e-12 of +-pi/2).
 
 The metric operations, ``cayley_inv`` and ``DiscAutomorphism.apply`` also
 take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
-or ``RadialGeodesic`` whose value is an array of plain (unguarded) points,
-or a polyline given as an array.  A batch runs through array kernels that
-take the same branches element by element as the scalar code, whose
-results they match to a few ulp; a single point always takes the scalar
-code.
+or ``RadialGeodesic`` whose value is an array (of plain, unguarded points),
+or a polyline given as an array.  The radial projection and distance have
+one numpy body for a point, a guarded point and batches of either
+argument; the other batches run through array kernels that match the
+scalar code to a few ulp.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ _RADIAL_CROSSOVER = 30.0
 
 # Above this |log rho_1 - log rho_2| k_half takes the log form, before sinh(d/2) overflows.
 _LOG_FORM = 1400.0
+
+# Above this |log rho| dist_to_radius continues sinh(log rho) by e^{|log rho| - 700}, before it overflows.
+_SINH_MAX = 700.0
 
 
 class DomainError(ValueError):
@@ -343,60 +346,55 @@ def tangential_distance(theta: float, cos_theta: float | None = None) -> float:
     return math.asinh(abs(math.sin(0.5 * theta)) / math.sqrt(c))
 
 
+def dist_to_radius(z, geo: RadialGeodesic) -> float:
+    """Hyperbolic distance from z to the radial geodesic (-1, 1)*tau.
+
+    The geodesic's Cayley image is the circle through 1 that meets iR at
+    right angles at C(tau) and C(-tau), so for cayley(z) = rho e^{i theta}
+    and tau = x + iy the distance is asinh(q) / 2 with
+    q = |y sinh(log rho) - x sin theta| / cos theta; at tau = +-1 it is the
+    tangential distance asinh(|tan theta|) / 2.  Where q overflows it is
+    log(2q) / 2, with log|y sinh(log rho)| = |log rho| - log 2 + log|y|."""
+    hp = cayley(_as_disc(z))
+    lr, s, c = hp.log_rho, np.sin(hp.theta), hp.cos
+    x, y = np.real(geo.tau), np.imag(geo.tau)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ysh = y * np.sinh(np.clip(lr, -_SINH_MAX, _SINH_MAX))
+        huge = (np.abs(lr) > _SINH_MAX) & (y != 0.0)
+        if np.any(huge):  # sinh L = sinh(700) e^{|L| - 700} sign L, inf past double range
+            ysh = np.where(huge, ysh * np.exp(np.abs(lr) - _SINH_MAX), ysh)
+        num = np.abs(ysh - x * s)
+        q = num / c
+        d = 0.5 * np.arcsinh(q)
+        if np.any(np.isinf(q)):  # x sin theta is negligible where y sinh L is inf
+            log_num = np.where(np.isinf(num), np.abs(lr) + np.log(np.abs(0.5 * y)), np.log(num))
+            d = np.where(np.isinf(q), 0.5 * (math.log(2.0) + log_num - np.log(c)), d)
+    return float(d) if np.ndim(d) == 0 else d
+
+
 def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
     """Hyperbolic projection of z onto the radial geodesic (-1, 1)*tau.
 
-    Closed form: rotate tau to 1, move to H by the Cayley transform where the
-    projection onto (0, +inf) is the modulus, and pull back.
-    """
-    z = _as_disc(z)
-    hp = cayley(_rotated(z, geo))
-    tanh = np.tanh if isinstance(hp.log_rho, np.ndarray) else math.tanh
-    return DiscPoint(tanh(0.5 * hp.log_rho) * geo.tau)
-
-
-def dist_to_radius(z, geo: RadialGeodesic) -> float:
-    """Hyperbolic distance from z to the radial geodesic (-1, 1)*tau."""
-    z = _as_disc(z)
-    hp = cayley(_rotated(z, geo))
-    return tangential_distance(hp.theta, hp.cos)
-
-
-def _rotated(z: DiscPoint, geo: RadialGeodesic) -> DiscPoint:
-    """conj(tau) * z, with the half-plane witness transported through the
-    conjugated Moebius map when z is boundary-guarded."""
-    tau_bar = geo.tau.conjugate()
-    if isinstance(tau_bar, np.ndarray) or isinstance(z.value, np.ndarray):
-        if z.guarded:
-            raise DomainError("a batch of geodesics takes plain disc points only")
-        return DiscPoint(_cmul(tau_bar, z.value))
-    if z.halfplane is None:
-        return DiscPoint(tau_bar * z.value)
-    hp = z.halfplane
-    if tau_bar == 1.0:
-        return z
-    # C(tau_bar * C^{-1}(w)) = N/D with N = (1+tb) - tb*e, D = (1-tb) + tb*e
-    # and e = 2/(w+1) = 2u/(1+u), u = 1/w.  Since |tb| = 1 the cross terms
-    # collapse to Re(N conj(D)) = 2 Re(e) - |e|^2 exactly, which keeps the
-    # boundary distance resolvable however tiny e is.
-    u = cmath.exp(complex(-hp.log_rho, -hp.theta))
-    e = 2.0 * u / (1.0 + u)
-    num = (1.0 + tau_bar) - tau_bar * e
-    den = (1.0 - tau_bar) + tau_bar * e
-    re_cross = 2.0 * e.real - (e.real * e.real + e.imag * e.imag)
-    value = tau_bar * z.value
-    if abs(value) >= 1.0:
-        value *= (1.0 - 1e-16) / abs(value)
-    if re_cross <= 0.0 or abs(den) == 0.0:
-        return DiscPoint(value)  # fell across the Cayley pole: plain is fine
-    theta = cmath.phase(num) - cmath.phase(den)
-    theta = min(max(theta, -HALF_PI), HALF_PI)
-    witness = HalfPlanePoint(
-        math.log(abs(num)) - math.log(abs(den)),
-        theta,
-        re_cross / (abs(num) * abs(den)),
-    )
-    return DiscPoint(value, halfplane=witness)
+    The foot is tanh(L'/2) * tau, L' = log|M(w)| for w = cayley(z) and M =
+    C o (conj(tau) *) o C^{-1}, which takes the geodesic onto (0, +inf) where
+    the projection keeps the modulus.  For w = e^{L + i theta}, tau = x + iy,
+    s = sin theta sech L and c = cos theta sech L (so nothing overflows),
+    tanh(L'/2) = (x tanh L + y s) / (1 + hypot(c, y tanh L - x s)).  A foot
+    that rounds onto the circle keeps the half-plane witness e^L on the real
+    diameter, and is a DomainError on any other geodesic or in a batch."""
+    hp = cayley(_as_disc(z))
+    lr, x, y = hp.log_rho, np.real(geo.tau), np.imag(geo.tau)
+    with np.errstate(over="ignore"):  # sech L = 0 past cosh's range
+        t, sech = np.tanh(lr), 1.0 / np.cosh(lr)
+    s, c = np.sin(hp.theta) * sech, hp.cos * sech
+    perp = y * t - x * s  # squares that underflow are negligible against 1
+    r = (x * t + y * s) / (1.0 + np.sqrt(c * c + perp * perp))
+    if np.ndim(r) == 0 and abs(r) >= 1.0 and y == 0.0:
+        return DiscPoint(r * geo.tau, halfplane=HalfPlanePoint(lr, 0.0, 1.0))
+    if np.any(np.abs(r) >= 1.0):
+        raise DomainError("the projection rounds onto the unit circle, where only a single "
+                          "point's foot on the real diameter keeps a half-plane witness")
+    return DiscPoint(r * geo.tau)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def _suite_chains(n, rng):
         for i in range(16):  # the scalar draws, in the order of one loop
             t0s[i] = math.exp(rng.uniform(-2, 2))
             t1s[i] = t0s[i] * math.exp(rng.uniform(0.1, 6.0))
-        q = D.quasihyp_lower(dom, t0s, t1s)
+        q = np.array([D.quasihyp_lower(dom, t0, t1) for t0, t1 in zip(t0s, t1s)])
         margins.append(D.k_domain(dom, 1j * t0s, 1j * t1s) - q)
     # analytic spot value: Koebe delta along the axis integrates to log/4
     q = D.quasihyp_lower(BUILTIN_DOMAINS["koebe"], 1.0, math.e ** 4)

@@ -4,8 +4,11 @@ These deliberately avoid the closed forms they are checking: golden-section
 search for hyperbolic projections, brute-force discretised boundaries for
 Euclidean distances (also to the complements of the enlarged domains
 Omega^+-), 50-digit cartesian evaluations of the half-plane
-distance and of the Euclidean surrogates, and a 50-digit quadrature of the
-quasi-hyperbolic density along the imaginary axis.
+distance and of the Euclidean surrogates, the distance to a radial geodesic
+and the foot on it from the stored disc point turned onto the real
+diameter (at as many digits as the point's distance to the circle needs),
+and a 50-digit quadrature of the quasi-hyperbolic density along the
+imaginary axis.
 """
 
 import math
@@ -137,6 +140,32 @@ def mp_surrogates(log_rho, theta, cos_theta):
         s_total = -mpmath.log(4 * w.real / abs(w + 1) ** 2 / (1 + abs(eta))) / 2
         s_orth = -mpmath.log(abs(2 / (w + 1))) / 2
         return s_total, s_orth, s_total - s_orth
+
+
+def mp_radial(z, tau):
+    """(distance from z to the radial geodesic (-1, 1)*tau, log|C(conj(tau) z)|)
+    from the point as stored: zeta = z.value for a plain point, C^{-1}(w) of
+    the witness w for a guarded one.  zeta is turned by conj(tau)/|tau| onto
+    the real diameter, where the distance is the tangential distance
+    asinh(|Im w'| / Re w') / 2 of w' = C(conj(tau) zeta) and the foot's
+    half-plane image is |w'|.  Re w' = (1 - |zeta|^2) / |1 - conj(tau) zeta|^2
+    cancels about -2 log10(1 - |zeta|) digits, so the working precision grows
+    with log rho and -log cos theta of the witness."""
+    w = z.halfplane
+    dps = 50 if w is None else 50 + math.ceil(2 * (abs(w.log_rho) - math.log(w.cos)) / math.log(10))
+    with mpmath.workdps(dps):
+        if w is None:
+            zeta = mpmath.mpc(z.value)
+        else:
+            u = mp_point(w.log_rho, w.theta, w.cos)
+            zeta = (u - 1) / (u + 1)
+        t = mpmath.mpc(tau)
+        zeta = mpmath.conj(t) / abs(t) * zeta
+        den = abs(1 - zeta) ** 2
+        re_w = (1 - abs(zeta) ** 2) / den
+        im_w = 2 * zeta.imag / den
+        return (mpmath.asinh(abs(im_w) / re_w) / 2,
+                mpmath.log(abs((1 + zeta) / (1 - zeta))))
 
 
 def _mp_rays(domain):

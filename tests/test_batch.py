@@ -300,9 +300,20 @@ class TestDiscBatches:
             DiscPoint(np.array([0.5, 1.0]))
         with pytest.raises(DomainError):
             RadialGeodesic(np.array([1.0, 0.5]))
+        # a foot that rounds onto the circle has no witness in a batch
         guarded = DiscPoint(1.0 + 0j, halfplane=HalfPlanePoint(40.0, 0.0, 1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="rounds onto the unit circle"):
             project_to_radius(guarded, RadialGeodesic(np.array([1.0, 1j])))
+
+    def test_guarded_point_on_a_batch_of_geodesics(self):
+        z = cayley_inv(HalfPlanePoint(80.0, 1.2))
+        tau = np.exp(1j * np.random.default_rng(16).uniform(-math.pi, math.pi, N))
+        proj = project_to_radius(z, RadialGeodesic(tau)).value
+        dist = dist_to_radius(z, RadialGeodesic(tau))
+        for i in range(N):
+            g = RadialGeodesic(complex(tau[i]))
+            assert proj[i] == project_to_radius(z, g).value
+            assert dist[i] == dist_to_radius(z, g)
 
 
 class TestTangentialBatch:

@@ -133,6 +133,19 @@ class TestComb:
         assert rows[0] == "j,b,x,bound,gauge,ratio"
         assert len(rows) == 5
 
+    def test_explicit_abscissae_match_linear(self, tmp_path):
+        outs = []
+        for abscissae in ("1,2,3,4", "linear"):
+            cjson, ccsv = tmp_path / f"{abscissae}.json", tmp_path / f"{abscissae}.csv"
+            assert run_cli(["comb", "--abscissae", abscissae, "--steps", "3",
+                            "-o", str(cjson), "--ratios", str(ccsv)]) == 0
+            outs.append((cjson.read_bytes(), ccsv.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_explicit_abscissae_count_exit_2(self, capsys):
+        assert run_cli(["comb", "--abscissae", "1,2", "--steps", "3"]) == 2
+        assert "need 4 abscissae, got 2" in capsys.readouterr().err
+
     def test_pow_gauge(self, tmp_path):
         code = run_cli(["comb", "--gauge", "pow:0.5", "--steps", "2",
                         "-o", str(tmp_path / "c.json"), "--ratios", str(tmp_path / "r.csv")])

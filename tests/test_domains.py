@@ -347,51 +347,23 @@ class TestQuasihyp:
             got = quasihyp_lower(dom, t0, t1)
             assert abs(got - want[dom, t0, t1]) <= 1e-14 * got, (dom, t0, t1)
 
-    def test_batch_matches_mp_oracle(self):
-        ranges, want = list(self._seeded_ranges()), self._seeded_oracle()
-        for dom in QUAD_DOMAINS:
-            t0s = np.array([t0 for d, t0, _ in ranges if d is dom])
-            t1s = np.array([t1 for d, _, t1 in ranges if d is dom])
-            got = quasihyp_lower(dom, t0s, t1s)
-            assert got.shape == t0s.shape
-            for t0, t1, q in zip(t0s, t1s, got):
-                assert abs(q - want[dom, t0, t1]) <= 1e-14 * q, (dom, t0, t1)
-
-    def test_batch_with_empty_segments_and_batch_of_one(self):
-        dom = QUAD_DOMAINS[1]
-        want = quasihyp_lower(dom, 1.5, 900.0)
-        assert abs(want - mp_quasihyp(dom, 1.5, 900.0)) <= 1e-14 * want
-        got = quasihyp_lower(dom, np.array([2.0, 1.5, 0.7]), np.array([2.0, 900.0, 0.7]))
-        assert got.tolist() == [0.0, want, 0.0]
-        one = quasihyp_lower(dom, np.array([1.5]), np.array([900.0]))
-        assert one.shape == (1,) and one[0] == want
-        # broadcasting: one start, several ends
-        ends = np.array([3.0, 900.0])
-        assert quasihyp_lower(dom, 1.5, ends).tolist() == [
-            quasihyp_lower(dom, 1.5, float(t1)) for t1 in ends]
-        scalar = quasihyp_lower(dom, 1.5, 900.0)
-        assert type(scalar) is float and scalar == want
-
-    def test_batch_errors(self):
+    def test_bound_errors(self):
         dom = Koebe(0)
         with pytest.raises(ValueError, match="must be finite"):
-            quasihyp_lower(dom, np.array([1.0, 1.0]), np.array([2.0, math.nan]))
+            quasihyp_lower(dom, 1.0, math.nan)
         with pytest.raises(ValueError, match="need t0 <= t1"):
-            quasihyp_lower(dom, np.array([1.0, 3.0]), np.array([2.0, 2.5]))
+            quasihyp_lower(dom, 3.0, 2.5)
         with pytest.raises(DomainError, match="segment exits the domain"):
-            quasihyp_lower(Koebe(5j), np.array([6.0, 1.0]), np.array([7.0, 8.0]))
+            quasihyp_lower(Koebe(5j), 1.0, 8.0)
 
-    def test_batch_large_ratios(self):
-        t0s, t1s = np.array([2.0, 1.0, 1.0, 2.0]), np.array([50.0, 1e3, 1e16, 1e300])
-        got = quasihyp_lower(Koebe(0), t0s, t1s)
-        assert got.tolist() == [quasihyp_lower(Koebe(0), a, b) for a, b in zip(t0s, t1s)]
-        assert np.isfinite(got).all()
-
-    def test_comb_batch_equals_scalar(self):
-        c = Comb([(1.0, 1.0), (2.0, 6.0), (3.5, 9.0)])
-        t0s, t1s = np.array([0.25, 1.0 + math.sqrt(3.0), 2.0, 4.0]), np.array([8.75, 6.0, 2.0, 9.0])
-        got = quasihyp_lower(c, t0s, t1s)
-        assert got.tolist() == [quasihyp_lower(c, a, b) for a, b in zip(t0s, t1s)]
+    @pytest.mark.parametrize("dom, t, match", [
+        (Strip(1.0), 0.0, "segment exits the domain"),
+        (Koebe(0), -1.0, "segment exits the domain"),
+        (Comb([(1.0, 1.0), (2.0, 6.0)]), 9.0, "exceeds the materialised comb extent"),
+    ], ids=["strip_wall", "koebe_slit", "comb_beyond_extent"])
+    def test_zero_length_segment_is_checked(self, dom, t, match):
+        with pytest.raises(DomainError, match=match):
+            quasihyp_lower(dom, t, t)
 
     def test_lower_bounds_distance_on_symmetric_domains(self):
         for dom in (Koebe(0), Sector(0j, 0.6, 0.6)):

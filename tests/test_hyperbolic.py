@@ -1,17 +1,18 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypspeed import (DiscAutomorphism, DiscPoint, HalfPlanePoint,
+from hypspeed import (ORIGIN, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                       RadialGeodesic, cayley, cayley_inv, dist_to_radius,
                       k_half, kappa, omega, path_length, project_to_radius)
 from hypspeed.hyperbolic import DomainError, tangential_distance
 
-from oracles import project_by_golden
+from oracles import mp_radial, project_by_golden
 
 LOG2 = math.log(2.0)
 
@@ -207,6 +208,88 @@ class TestDistToRadius:
             assert dist_to_radius(z, geo) <= bound + 1e-9
 
 
+RADIAL_LOG_RHO = (-5.0, 0.3, 3.0, 31.0, 40.0, 80.0, 200.0, 700.0)
+RADIAL_COS = (0.9, 0.3, 1e-3, 1e-12, 1e-40, 1e-100, 1e-300)
+RADIAL_TAU = (1.0, -1.0, 1j, -1j, cmath.exp(1j), cmath.exp(-2.5j), cmath.exp(3.1j))
+
+
+class TestRadialOracle:
+    """dist_to_radius and project_to_radius on points from deep inside the
+    disc to within e^{-700} * 1e-300 of its boundary, against mp_radial."""
+
+    @pytest.mark.parametrize("tau", RADIAL_TAU, ids=["1", "-1", "i", "-i", "e^i", "e^-2.5i", "e^3.1i"])
+    def test_matches_mp_oracle(self, tau):
+        geo = RadialGeodesic(tau)
+        for lr in RADIAL_LOG_RHO:
+            for c in RADIAL_COS:
+                # a boundary-hugging orbit point stores theta rounded to pi/2
+                theta = math.pi / 2 if c < 1e-8 else math.acos(c)
+                z = cayley_inv(HalfPlanePoint(lr, theta, c))
+                want_d, want_lp = mp_radial(z, geo.tau)
+                d, foot = dist_to_radius(z, geo), project_to_radius(z, geo)
+                assert abs(d - want_d) <= 1e-14 * want_d, (lr, c)
+                if foot.guarded:
+                    want = geo.tau.real * want_lp
+                    assert abs(foot.halfplane.log_rho - want) <= 1e-14 * abs(want), (lr, c)
+                else:
+                    want = mpmath.tanh(want_lp / 2) * mpmath.mpc(geo.tau)
+                    assert abs(foot.value - want) <= 1e-14, (lr, c)
+
+    @pytest.mark.parametrize("lr, c, tau", [(1e-14, 1e-9, 1j), (1e-14, 1e-12, 1j),
+                                            (-1e-14, 1e-15, -1j)])
+    def test_foot_near_the_end_of_its_geodesic(self, lr, c, tau):
+        # next to the diameter through i, near its end: only the cached
+        # cosine tells the foot's distance to the circle
+        geo, z = RadialGeodesic(tau), cayley_inv(HalfPlanePoint(lr, math.pi / 2, c))
+        want_d, want_lp = mp_radial(z, geo.tau)
+        assert abs(dist_to_radius(z, geo) - want_d) <= 1e-14 * want_d
+        want = mpmath.tanh(want_lp / 2) * mpmath.mpc(geo.tau)
+        assert abs(project_to_radius(z, geo).value - want) <= 1e-14
+
+    @pytest.mark.parametrize("lr, c, tau", [(701.0, 0.3, complex(1.0, 1e-300)),
+                                            (-750.0, 0.9, complex(-1.0, 1e-300))])
+    def test_nearly_real_geodesic_far_out(self, lr, c, tau):
+        # y sinh(log rho) is O(1e4) here, so x sin theta still counts and
+        # asinh q is not yet log 2q; the foot is within 1e-300 of the circle
+        geo, z = RadialGeodesic(tau), cayley_inv(HalfPlanePoint(lr, math.acos(c), c))
+        want_d, _ = mp_radial(z, geo.tau)
+        assert abs(dist_to_radius(z, geo) - want_d) <= 1e-14 * want_d
+        with pytest.raises(DomainError, match="rounds onto the unit circle"):
+            project_to_radius(z, geo)
+
+    def test_both_ends_of_the_real_diameter_agree(self):
+        # tau = 1 and tau = -1 name the same geodesic
+        for lr in RADIAL_LOG_RHO:
+            for c in RADIAL_COS:
+                z = cayley_inv(HalfPlanePoint(lr, math.pi / 2 if c < 1e-8 else math.acos(c), c))
+                plus, minus = RadialGeodesic(1.0), RadialGeodesic(-1.0)
+                assert dist_to_radius(z, plus) == dist_to_radius(z, minus)
+                assert project_to_radius(z, plus).value == project_to_radius(z, minus).value
+
+    def test_guarded_foot_on_the_real_diameter(self):
+        z = cayley_inv(HalfPlanePoint(80.0, 0.3))
+        for tau in (1.0, -1.0):
+            foot = project_to_radius(z, RadialGeodesic(tau))
+            assert foot.guarded and foot.value == 1.0
+            assert foot.halfplane.log_rho == 80.0 and foot.halfplane.theta == 0.0
+            assert omega(ORIGIN, foot) == 40.0
+
+    def test_foot_on_the_circle_off_the_real_diameter_raises(self):
+        # z rounds to i, and so does its foot on the diameter through i
+        z = cayley_inv(HalfPlanePoint(0.0, math.pi / 2, 1e-300))
+        assert z.guarded
+        with pytest.raises(DomainError, match="rounds onto the unit circle"):
+            project_to_radius(z, RadialGeodesic(1j))
+        assert dist_to_radius(z, RadialGeodesic(1.0)) == pytest.approx(
+            0.5 * (LOG2 + 300 * math.log(10.0)), rel=1e-15)
+
+    def test_single_point_types(self):
+        z, geo = DiscPoint(0.3 + 0.4j), RadialGeodesic(cmath.exp(0.7j))
+        assert type(dist_to_radius(z, geo)) is float
+        foot = project_to_radius(z, geo)
+        assert type(foot.value) is complex and not foot.guarded
+
+
 class TestPathLength:
     def test_constant_path(self):
         assert path_length("halfplane", [1 + 0j, 1 + 0j]) == 0.0
@@ -253,6 +336,14 @@ class TestAutomorphism:
         m = m1.compose(m2)
         for z in (DiscPoint(0), DiscPoint(0.4 - 0.1j), DiscPoint(-0.7j)):
             assert abs(m.apply(z).value - m1.apply(m2.apply(z)).value) < 1e-12
+
+    def test_compose_with_inverse_is_identity(self):
+        # the composite's parameter is ~0, so its phase comes from a probe point
+        m = DiscAutomorphism(0.3 + 0.2j, 0.8)
+        ident = m.compose(m.inverse())
+        assert abs(ident.a) < 1e-15
+        for z in (0j, 0.5, 0.4 - 0.1j, -0.7j):
+            assert abs(ident.apply(DiscPoint(z)).value - z) < 1e-15
 
     @given(disc_points(0.9), disc_points(0.9))
     @settings(max_examples=200, deadline=None)

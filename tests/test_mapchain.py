@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hypspeed import Koebe, to_halfplane
 from hypspeed.mapchain import (Affine, BranchError, ExpLog, ExpScale,
                                LogPolar, Power, RiemannMapChain, wrap_angle)
 
@@ -29,6 +30,12 @@ def test_logpolar_keeps_cartesian_exact():
     p = lp(1e8j)
     assert p.to_complex() == 1e8j
     assert p.cos_theta == 0.0
+
+
+def test_affine_maps_zero_to_its_offset():
+    assert Affine(1.0, 1j).fwd(lp(0j)).to_complex() == 1j
+    # Koebe(-i)'s chain shifts by +i before the square root, so 0 goes to 1
+    assert to_halfplane(Koebe(-1j)).forward(0j) == 1
 
 
 def test_affine_huge_input():

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, Sector,
-                      SpeedSample, Strip, UnsupportedDomainOperation,
-                      default_grid, domain_from_json, fit_asymptotic, koenigs_semigroup,
-                      nontangential_ratio, sample_speeds, surrogate_speeds,
+from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, RadialGeodesic,
+                      Sector, SpeedSample, Strip, UnsupportedDomainOperation,
+                      default_grid, dist_to_radius, domain_from_json, fit_asymptotic,
+                      koenigs_semigroup, nontangential_ratio, omega, orbit,
+                      project_to_radius, sample_speeds, surrogate_speeds,
                       surrogate_threshold)
 from hypspeed.semigroups import model_point
 
@@ -229,3 +230,27 @@ class TestStartingPoint:
         for s1, s2 in zip(a, b):
             assert abs(s1.v_o - s2.v_o) <= d + 1e-9
             assert abs(s1.v_T - s2.v_T) <= 2 * d + 1e-9
+
+
+class TestRadialDefinitions:
+    """The tangential and orthogonal speeds are the distance from the orbit
+    point to the real diameter and the distance from the origin to its foot
+    there; the public disc API must give the table's values."""
+
+    def test_orbit_points_on_the_real_diameter(self):
+        guarded = 0
+        for spec in TABLE_DOMAINS:
+            sg = koenigs_semigroup(domain_from_json(spec))
+            for t in (1.0, 1e4, 1e8, 1e12, 1e20):
+                z, (sample,) = orbit(sg, ORIGIN, t), sample_speeds(sg, [t])
+                dists = [dist_to_radius(z, RadialGeodesic(tau)) for tau in (1.0, -1.0)]
+                assert abs(dists[0] - dists[1]) <= 1e-14 * max(dists), (spec, t)
+                if z.guarded:
+                    guarded += 1
+                    for d in dists:
+                        assert abs(d - sample.v_T) <= 1e-14 * sample.v_T, (spec, t)
+                for tau in (1.0, -1.0):
+                    foot = project_to_radius(z, RadialGeodesic(tau))
+                    if foot.guarded:
+                        assert abs(omega(ORIGIN, foot) - sample.v_o) <= 1e-14 * sample.v_o
+        assert guarded == 19
