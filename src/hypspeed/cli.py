@@ -2,7 +2,8 @@
 and static SVG charts.
 
 Exit codes: 0 success (and zero violations for `verify`), 1 verification
-violations, 2 malformed input, 3 an operation unsupported for the domain.
+violations, 2 malformed input or a file that cannot be read or written, 3 an
+operation unsupported for the domain.
 All emitted CSV/JSON/SVG is byte-deterministic for identical invocations.
 """
 
@@ -212,7 +213,7 @@ def run(cfg: CliConfig) -> int:
     except UnsupportedDomainOperation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, DomainError, ValueError, OverflowError) as exc:
+    except (json.JSONDecodeError, DomainError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -268,7 +268,13 @@ def _snap(w: complex) -> complex:
 
 
 def canonical_base_point(domain: DomainSpec) -> complex:
-    """The point each chain sends exactly to 1 (the model image of h(0))."""
+    """The point each chain sends exactly to 1 (the model image of h(0)).
+    From |Re p| or |Im p| = 2**52 on, p + 1 no longer resolves unit steps:
+    such an offset is a DomainError."""
+    p = getattr(domain, "p", 0j)
+    if max(abs(p.real), abs(p.imag)) >= 2.0 ** 52:
+        raise DomainError(f"domain point p={p} is too far out: "
+                          "|Re p| and |Im p| must be below 2**52")
     if isinstance(domain, HalfPlaneRight):
         return domain.p + 1.0
     if isinstance(domain, Strip):

@@ -33,7 +33,7 @@ HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
 LOG2 = math.log(2.0)
 
-# Complex doubles stay finite below exp(709); switch representations before.
+# Complex doubles stay finite below exp(709); to_complex refuses more than this.
 _LOG_WIDE = 700.0
 
 
@@ -100,8 +100,7 @@ class LogPolar:
     The fields may also be numpy arrays of one shape: such a value is a
     batch of points, which chain links and the metric operations of
     ``hyperbolic`` accept in place of a single point.  A batch's ``cart`` is
-    None or a complex array whose NaN entries mark the points that have no
-    exact cartesian value.
+    None or the exact cartesian value of every point.
     """
 
     log_rho: float
@@ -155,46 +154,36 @@ def _from_complex_array(w: np.ndarray) -> LogPolar:
     return LogPolar(log_r, np.where(zero, 0.0, theta), np.where(zero, 1.0, cos), w)
 
 
-def _cartesian(p: LogPolar) -> np.ndarray:
-    """to_complex on a batch without its overflow check: the exact cartesian
-    value where a point has one, else rect(exp(log_rho), theta), which
-    overflows beyond _LOG_WIDE."""
-    lost = None if p.cart is None else np.isnan(p.cart.real)
-    if lost is not None and not lost.any():
-        return p.cart
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.exp(p.log_rho)
-        rect = _complex(r * np.cos(p.theta), r * np.sin(p.theta))
-    return rect if lost is None else np.where(lost, rect, p.cart)
-
-
 def _to_complex(p: LogPolar):
     """p.to_complex() for a point or a batch; a batch fails as a whole when
     one of its points would overflow."""
     if not isinstance(p.log_rho, np.ndarray):
         return p.to_complex()
-    lost = p.log_rho > _LOG_WIDE
     if p.cart is not None:
-        lost &= np.isnan(p.cart.real)
+        return p.cart
+    lost = p.log_rho > _LOG_WIDE
     if lost.any():
         raise OverflowError(
             f"log-polar value with log_rho={p.log_rho[lost].max():g} "
             "does not fit in a complex double"
         )
-    return _cartesian(p)
+    r = np.exp(p.log_rho)
+    return _complex(r * np.cos(p.theta), r * np.sin(p.theta))
 
 
 def _coerce(w) -> LogPolar:
+    """A point from a number (as sample_speeds passes), a batch from a
+    complex array; a LogPolar as it is."""
     if isinstance(w, LogPolar):
         return w
-    if isinstance(w, np.ndarray):
-        return _from_complex_array(w.astype(complex, copy=False))
-    return LogPolar.from_complex(w)
+    if isinstance(w, (complex, float, int)):
+        return LogPolar.from_complex(w)
+    return _from_complex_array(np.asarray(w, dtype=complex))
 
 
 @dataclass(frozen=True)
 class Affine:
-    """w -> a*w + b."""
+    """w -> a*w + b on the input's complex value (see LogPolar.to_complex)."""
 
     a: complex
     b: complex
@@ -204,46 +193,17 @@ class Affine:
             raise ValueError("affine link requires a != 0")
 
     def fwd(self, p: LogPolar) -> LogPolar:
-        if p.is_zero:
-            return LogPolar.from_complex(self.b)
-        if p.log_rho <= _LOG_WIDE:
-            return LogPolar.from_complex(self.a * p.to_complex() + self.b)
-        if p.cart is not None:  # an exact value stays exact while a*w + b is finite
-            w = self.a * p.cart + self.b
-            if math.isfinite(math.hypot(w.real, w.imag)):
-                return LogPolar.from_complex(w)
-        # |w| too large for a double: a*w + b = a*w*(1 + b/(a*w)), u underflows
-        # harmlessly to 0 when it is below double resolution.
-        u = (self.b / self.a) * cmath.exp(complex(-p.log_rho, -p.theta))
-        corr = 1.0 + u
-        ang = wrap_angle(p.theta + cmath.phase(self.a) + cmath.phase(corr))
-        # carry the cosine through the turn phi: theta may have rounded to
-        # +-pi/2, where cos(theta + phi) cannot be recovered from the angle
-        turn = self.a / abs(self.a) * (corr / abs(corr))
-        cos_ang = p.cos * turn.real - math.sin(p.theta) * turn.imag
-        return LogPolar(p.log_rho + math.log(abs(self.a)) + math.log(abs(corr)), ang, cos_ang)
+        w = self.a * p.to_complex() + self.b
+        if not math.isfinite(math.hypot(w.real, w.imag)):
+            raise OverflowError("affine link value a*w + b does not fit in a complex double")
+        return LogPolar.from_complex(w)
 
     def fwd_array(self, p: LogPolar) -> LogPolar:
-        with np.errstate(all="ignore"):  # each branch is kept on its own points only
-            narrow = _from_complex_array(_cmul(self.a, _cartesian(p)) + self.b)
-            wide = p.log_rho > _LOG_WIDE
-            if p.cart is not None:
-                wide &= ~(np.isfinite(narrow.log_rho) & ~np.isnan(p.cart.real))
-            if not wide.any():
-                return narrow
-            e = np.exp(-p.log_rho)
-            u = _cmul(self.b / self.a, _complex(e * np.cos(-p.theta), e * np.sin(-p.theta)))
-            corr = 1.0 + u
-            ang = _wrap_angle_array(p.theta + cmath.phase(self.a)
-                                    + np.arctan2(corr.imag, corr.real))
-            r_corr = _cabs(corr)
-            turn = _cmul(self.a / abs(self.a), _complex(corr.real / r_corr, corr.imag / r_corr))
-            cos_ang = p.cos * turn.real - np.sin(p.theta) * turn.imag
-            log_rho = p.log_rho + math.log(abs(self.a)) + np.log(r_corr)
-        return LogPolar(np.where(wide, log_rho, narrow.log_rho),
-                        np.where(wide, ang, narrow.theta),
-                        np.where(wide, cos_ang, narrow.cos_theta),
-                        np.where(wide, complex(math.nan, math.nan), narrow.cart))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            w = _cmul(self.a, _to_complex(p)) + self.b
+            if not np.isfinite(_cabs(w)).all():
+                raise OverflowError("affine link value a*w + b does not fit in a complex double")
+        return _from_complex_array(w)
 
     def inverse_link(self) -> "Affine":
         return Affine(1.0 / self.a, -self.b / self.a)
@@ -399,14 +359,8 @@ class RiemannMapChain:
 
 
 def _apply(links: tuple[Link, ...], w) -> LogPolar:
-    if isinstance(w, (complex, float, int)):  # one point, as sample_speeds passes
-        p = LogPolar.from_complex(w)
-    else:
-        p = w if isinstance(w, LogPolar) else _from_complex_array(np.asarray(w, dtype=complex))
-        if isinstance(p.log_rho, np.ndarray):
-            for link in links:
-                p = link.fwd_array(p)
-            return p
+    p = _coerce(w)
+    batch = isinstance(p.log_rho, np.ndarray)
     for link in links:
-        p = link.fwd(p)
+        p = link.fwd_array(p) if batch else link.fwd(p)
     return p

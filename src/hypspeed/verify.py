@@ -566,11 +566,11 @@ def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9
     """Run one named suite; deterministic given (name, n, seed, tol)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if n is not None and n < 0:
-        raise ValueError(f"the sample count must be nonnegative, got {n}")
+    if n is not None and n < 1:
+        raise ValueError(f"the sample count must be positive, got {n}")
     fn, default_n = SUITES[name]
     rng = np.random.default_rng(seed)
-    samples, margins = fn(n or default_n, rng)
+    samples, margins = fn(default_n if n is None else n, rng)
     margins = np.asarray(margins, dtype=float)  # a list of numbers or one array
     violations = int(np.count_nonzero(~(margins >= -tol)))  # NaN counts
     worst = float(margins.min()) if margins.size else math.inf

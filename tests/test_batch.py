@@ -8,6 +8,7 @@ may differ from the math module in the last bit, so scalar and batch agree
 to a few ulp, not bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -409,8 +410,8 @@ TABLE_DOMAINS = {
     "strip_wide": Strip(3.0),
     "halfplane_shift": HalfPlaneRight(-1 + 2j),
 }
-#: times from 0 to 1e12; |w| within a factor e of e^700, beyond which Affine
-#: links without an exact cartesian value switch to their wide branch; and
+#: times from 0 to 1e12; |w| within a factor e of e^700, beyond which a
+#: log-polar point without an exact cartesian value has no complex value; and
 #: around 1e300
 TIMES = {
     "to_1e12": np.concatenate([[0.0], np.geomspace(1e-3, 1e12, 120)]),
@@ -442,22 +443,34 @@ class TestChainBatches:
         chain = to_halfplane(dom)
         w = model_point(koenigs_semigroup(dom), START) + 1j * TIMES[span]
         assert_points_match(chain.forward_lp(w), [chain.forward_lp(complex(x)) for x in w])
-        if span == "e700":  # points on both sides of the wide switch in one batch
+        if span == "e700":  # points on both sides of e^700 in one batch
             assert np.any(np.abs(w) > math.exp(700)) and np.any(np.abs(w) < math.exp(700))
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_inverse_chain(self, name):
-        # F^-1 from half-plane points up to log rho = 750: Power, ExpLog and
-        # the narrow and wide Affine branches of the inverse links
+        # F^-1 from half-plane points up to log rho = 750 through Power, ExpLog
+        # and Affine links.  An Affine link needs its input's complex value,
+        # which a log-polar point has only up to e^700: the Power links scale
+        # log rho by their exponents on the way there.
         rng = np.random.default_rng(21)
         log_rho = np.concatenate([rng.uniform(-5.0, 30.0, 60), rng.uniform(650.0, 750.0, 60)])
         if isinstance(TABLE_DOMAINS[name], Strip):
             log_rho = log_rho[:60]
-        hp = HalfPlanePoint(log_rho, rng.uniform(-1.5, 1.5, log_rho.size))
+        theta = rng.uniform(-1.5, 1.5, log_rho.size)
         chain = koenigs_semigroup(TABLE_DOMAINS[name]).chain
+        gamma = math.prod(link.gamma for link in chain.links if isinstance(link, Power))
+        fits = gamma * log_rho <= 700.0
+        assert fits.all() == (name in ("strip", "sector_sym", "sector_skew", "strip_wide"))
         scalars = [chain.forward_lp(HalfPlanePoint(float(l), float(t)))
-                   for l, t in zip(hp.log_rho, hp.theta)]
-        assert_points_match(chain.forward_lp(hp), scalars)
+                   for l, t in zip(log_rho[fits], theta[fits])]
+        assert_points_match(chain.forward_lp(HalfPlanePoint(log_rho[fits], theta[fits])), scalars)
+        msg = "log-polar value with log_rho=.* does not fit in a complex double"
+        for l, t in zip(log_rho[~fits], theta[~fits]):
+            with pytest.raises(OverflowError, match=msg):
+                chain.forward_lp(HalfPlanePoint(float(l), float(t)))
+        if not fits.all():  # one such point fails the whole batch
+            with pytest.raises(OverflowError, match=msg):
+                chain.forward_lp(HalfPlanePoint(log_rho, theta))
 
     def test_every_link_type(self):
         rng = np.random.default_rng(22)
@@ -467,14 +480,43 @@ class TestChainBatches:
             batch = link.fwd_array(_from_complex_array(w))
             assert_points_match(batch, [link.fwd(LogPolar.from_complex(complex(x))) for x in w])
 
-    def test_affine_mixed_branches_keep_exact_cartesian_values(self):
+    def test_affine_beyond_e700_needs_cartesian_values(self):
         link = Affine(1j, 2.0)
         p = LogPolar(np.array([1.0, 705.0]), np.array([0.3, 0.3]))
-        q = link.fwd_array(p)
-        assert q.cart[0] == link.fwd(LogPolar(1.0, 0.3)).cart
-        assert np.isnan(q.cart[1])
-        with pytest.raises(OverflowError):
-            RiemannMapChain([link]).forward(p)
+        msg = "log-polar value with log_rho=705 does not fit in a complex double"
+        with pytest.raises(OverflowError, match=msg):
+            link.fwd(LogPolar(705.0, 0.3))
+        with pytest.raises(OverflowError, match=msg):
+            link.fwd_array(p)
+        with pytest.raises(OverflowError, match=msg):
+            RiemannMapChain([link]).forward_lp(p)
+        # with its cartesian value a point beyond e^700 maps exactly
+        w = np.array([1.0 + 2.0j, 1e306 + 1e306j])
+        q = link.fwd_array(_from_complex_array(w))
+        assert q.cart.tolist() == [1j * x + 2.0 for x in w.tolist()]
+        assert q.cart.tolist() == [link.fwd(LogPolar.from_complex(x)).cart for x in w.tolist()]
+
+    def test_affine_value_beyond_the_largest_double_raises(self):
+        msg = r"affine link value a\*w \+ b does not fit in a complex double"
+        for link, w in ((Affine(2.0, 5.0), 1e308), (Affine(1.0, 1.5e308j), 1.5e308)):
+            with pytest.raises(OverflowError, match=msg):
+                link.fwd(LogPolar.from_complex(w))
+            with pytest.raises(OverflowError, match=msg):
+                link.fwd_array(_from_complex_array(np.array([1.0, w], dtype=complex)))
+
+    @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
+    def test_affine_outputs_carry_cartesian_values(self, name):
+        # the orbit's model points up to |w| = 1.7e308 pass every Affine link
+        # (they lead each forward chain) with an exact complex value
+        dom = TABLE_DOMAINS[name]
+        w = model_point(koenigs_semigroup(dom), START) + 1j * np.geomspace(1.0, 1.7e308, 200)
+        p = _from_complex_array(w)
+        links = to_halfplane(dom).links
+        affine = list(itertools.takewhile(lambda link: isinstance(link, Affine), links))
+        assert affine and not any(isinstance(link, Affine) for link in links[len(affine):])
+        for link in affine:
+            p = link.fwd_array(p)
+            assert p.cart is not None and not np.isnan(p.cart).any()
 
     def test_one_point_outside_a_power_sector_fails_the_batch(self):
         chain = to_halfplane(TABLE_DOMAINS["sector_sym"])

@@ -64,12 +64,30 @@ class TestSpeeds:
 
     @pytest.mark.parametrize("p", ["9007199254740992.0", "1e16", "1e17"])
     def test_offset_rounds_orbit_onto_axis_exit_2(self, p, capsys):
-        # h(0) = p + 1 rounds so that the orbit point, less p, lies on the
-        # imaginary axis, where no distance is finite
+        # h(0) = p + 1 would round so that the orbit point, less p, lies on
+        # the imaginary axis, where no distance is finite
         with pytest.raises(SystemExit) as exc:
             main(["speeds", "--domain", f'{{"type":"halfplane","p":[{p},0]}}', "--points", "4"])
         assert exc.value.code == 2
-        assert "cos_theta must be positive" in capsys.readouterr().err
+        assert "domain point p=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ['{"type":"halfplane","p":[1e308,1e308]}',
+                                        '{"type":"koebe","p":[1e300,-1e300]}',
+                                        '{"type":"halfplane","p":[1e16,0]}'])
+    def test_far_offset_message_names_p(self, domain, capsys):
+        assert run_cli(["speeds", "--domain", domain, "--points", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain point p=") and "2**52" in err
+
+    def test_domain_path_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["speeds", "--domain", str(tmp_path), "--points", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(["speeds", "--domain", KOEBE, "--points", "4", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("r", ["5e-324", "1e-310"])
     def test_too_thin_strip_exit_2(self, r, capsys):

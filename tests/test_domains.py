@@ -9,7 +9,8 @@ import pytest
 from hypspeed import (Comb, HalfPlaneRight, Koebe, OmegaSign, Sector, Strip,
                       UnsupportedDomainOperation, build_domain, contains,
                       delta, delta_pm, domain_from_json, domain_to_json,
-                      k_domain, quasihyp_lower, to_halfplane)
+                      k_domain, koenigs_semigroup, quasihyp_lower,
+                      to_halfplane)
 from hypspeed.domains import DomainError, canonical_base_point
 
 from oracles import (brute_force_distance, comb_boundary_points, mp_quasihyp,
@@ -57,6 +58,30 @@ class TestBuild:
     def test_non_finite(self, spec):
         with pytest.raises(DomainError):
             domain_from_json(spec)
+
+    @pytest.mark.parametrize("dom,w", [
+        (HalfPlaneRight(complex(1e308, 1e308)), 1.5e308 + 0j),
+        (Koebe(complex(1e300, -1e300)), 1j),
+        (HalfPlaneRight(1e16), 2e16 + 1j),
+        (HalfPlaneRight(-2.0 ** 52), 1j),
+        (Sector(2.0 ** 52 * 1j, 1.0, 1.0), 2.0 ** 53 * 1j),
+    ])
+    def test_far_offset_has_no_base_point(self, dom, w):
+        # from |Re p| or |Im p| = 2**52 on, p + 1 no longer resolves unit steps
+        with pytest.raises(DomainError, match=r"domain point p=.* must be below 2\*\*52"):
+            canonical_base_point(dom)
+        with pytest.raises(DomainError, match=r"domain point p="):
+            koenigs_semigroup(dom)
+        # the domain itself stays usable
+        assert contains(dom, w) and delta(dom, w) > 0.0
+
+    def test_far_offset_domain_keeps_its_quadrature(self):
+        assert quasihyp_lower(HalfPlaneRight(-2.0 ** 52), 1.0, 2.0) == 0.25 / 2.0 ** 52
+
+    def test_offset_below_2_52_keeps_its_base_point(self):
+        p = complex(2.0 ** 52 - 1.0, -(2.0 ** 52 - 1.0))
+        assert canonical_base_point(HalfPlaneRight(p)) == p + 1.0
+        assert canonical_base_point(Koebe(p)) == p + 1j
 
     def test_malformed(self):
         with pytest.raises(DomainError):

@@ -39,12 +39,13 @@ def test_affine_maps_zero_to_its_offset():
 
 
 def test_affine_huge_input():
+    # a log-polar point beyond e^700 has no complex value for the link to map
     link = Affine(2.0, 5.0)
-    p = LogPolar(800.0, 0.3)
-    q = link.fwd(p)
-    # a*w dominates: log|a w + b| = log 2 + 800 to double precision
-    assert q.log_rho == pytest.approx(800.0 + math.log(2.0), abs=1e-12)
-    assert q.theta == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(OverflowError, match="log_rho=800 does not fit in a complex double"):
+        link.fwd(LogPolar(800.0, 0.3))
+    with pytest.raises(OverflowError, match=r"a\*w \+ b does not fit in a complex double"):
+        link.fwd(lp(1e308))  # 2e308 is beyond the largest double
+    assert link.fwd(lp(1e300j)).cart == 5.0 + 2e300j
 
 
 def test_power_branch_validation():

@@ -58,8 +58,9 @@ def test_unknown_suite():
 
 
 def test_negative_sample_count():
-    with pytest.raises(ValueError, match="nonnegative"):
-        run_suite("contraction", n=-3)
+    for n in (-3, 0):  # 0 is not a request for the default count
+        with pytest.raises(ValueError, match="must be positive"):
+            run_suite("contraction", n=n)
 
 
 def test_deterministic():
