@@ -294,7 +294,19 @@ def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
     Sector:         translate by -p, rotate the bisector onto (0, inf) with
                     -i exp(-i(beta-alpha)/2), then the power pi/(alpha+beta).
     Koebe:          sqrt(-i (z - p)) with the branch fixed by sqrt(1) = 1.
+
+    The first call for a domain object builds the chain and keeps it on the
+    object, outside its fields (so outside ==, hash and repr); later calls
+    return that same chain.  Domains are frozen, so it never goes stale.
     """
+    chain = getattr(domain, "__dict__", {}).get("_halfplane_chain")
+    if chain is None:
+        chain = _build_chain(domain)
+        object.__setattr__(domain, "_halfplane_chain", chain)
+    return chain
+
+
+def _build_chain(domain: DomainSpec) -> RiemannMapChain:
     if isinstance(domain, HalfPlaneRight):
         return RiemannMapChain([Affine(1.0, -domain.p)])
     if isinstance(domain, Strip):

@@ -2,22 +2,26 @@
 
 ``LogPolar`` is the package's one point type: a nonzero complex number
 ``rho * exp(i*theta)`` carried as ``(log rho, theta)``, with an optional
-full-precision ``cos theta`` and an optional exact cartesian value.  Chain
-links map it to itself, and the half-plane layer (``hyperbolic``) reads
-orbit points in the right half plane as the same values once they pass its
-validity check.
+full-precision ``cos theta`` and an optional exact cartesian value.  The
+half-plane layer (``hyperbolic``) reads orbit points in the right half plane
+as the same values once they pass its validity check.
 
-Every primitive here acts simply on that representation.  That is what
-makes orbits at huge times tractable: a sector power map multiplies
-``log rho`` by its exponent and an exponential map turns a bounded strip
-coordinate into a possibly enormous ``log rho`` without ever materialising
-the overflowing complex number.
+Every primitive here acts simply on the form it reads.  That is what makes
+orbits at huge times tractable: a sector power map multiplies ``log rho`` by
+its exponent and an exponential map turns a bounded strip coordinate into a
+possibly enormous ``log rho`` without ever materialising the overflowing
+complex number.  ``Affine`` and ``ExpScale`` read a complex value, ``Power``
+and ``ExpLog`` a ``LogPolar``; ``Affine`` and ``ExpLog`` return a complex
+value, ``Power`` and ``ExpScale`` a ``LogPolar``.  A chain hands each link's
+result straight to the next link and converts only where the next link reads
+the other form, so a value takes no polar round trip between two cartesian
+links.  Since ``LogPolar.from_complex(w)`` keeps ``w`` as its cartesian
+value, every link sees the value it would see after such a round trip.
 
 Links and chains also act on a batch: a ``LogPolar`` whose fields are numpy
-arrays, or a complex array handed to a chain.  A chain dispatches once per
-call, to the links' scalar ``fwd`` for a single point or to their
-``fwd_array`` for a batch, which takes each element through the branch the
-scalar code would take.
+arrays, or a complex array.  A chain dispatches once per call, to the links'
+scalar ``fwd`` for a single point or to their ``fwd_array`` for a batch,
+which takes each element through the branch the scalar code would take.
 """
 
 from __future__ import annotations
@@ -171,44 +175,66 @@ def _to_complex(p: LogPolar):
     return _complex(r * np.cos(p.theta), r * np.sin(p.theta))
 
 
-def _coerce(w) -> LogPolar:
-    """A point from a number (as sample_speeds passes), a batch from a
-    complex array; a LogPolar as it is."""
+def _coerce(w):
+    """A chain's input: a LogPolar as it is, a number as a complex value
+    (a zero as 0j, as LogPolar.from_complex keeps it), and anything else as
+    a complex array, which is a batch."""
     if isinstance(w, LogPolar):
         return w
     if isinstance(w, (complex, float, int)):
-        return LogPolar.from_complex(w)
-    return _from_complex_array(np.asarray(w, dtype=complex))
+        w = complex(w)
+        return w if w else 0j
+    return np.asarray(w, dtype=complex)
+
+
+def _batch_shape(v) -> tuple[int, ...] | None:
+    """The shape of a batch, a LogPolar or a complex array; None for a point."""
+    a = v.log_rho if isinstance(v, LogPolar) else v
+    return a.shape if isinstance(a, np.ndarray) else None
+
+
+def _polar(v) -> LogPolar:
+    """A LogPolar or a complex value (a point or a batch) in log-polar form."""
+    if isinstance(v, LogPolar):
+        return v
+    return _from_complex_array(v) if isinstance(v, np.ndarray) else LogPolar.from_complex(v)
+
+
+def _cart(v):
+    """A LogPolar or a complex value (a point or a batch) as a complex value;
+    a point without one beyond e^700 raises OverflowError."""
+    return _to_complex(v) if isinstance(v, LogPolar) else v
 
 
 @dataclass(frozen=True)
 class Affine:
-    """w -> a*w + b on the input's complex value (see LogPolar.to_complex)."""
+    """w -> a*w + b, from a complex value to a complex value (a zero as 0j)."""
 
     a: complex
     b: complex
+    reads_polar = False
 
     def __post_init__(self):
         if self.a == 0:
             raise ValueError("affine link requires a != 0")
 
-    def fwd(self, p: LogPolar) -> LogPolar:
-        w = self.a * p.to_complex() + self.b
+    def fwd(self, w: complex) -> complex:
+        w = self.a * w + self.b
         if not math.isfinite(math.hypot(w.real, w.imag)):
             raise OverflowError("affine link value a*w + b does not fit in a complex double")
-        return LogPolar.from_complex(w)
+        return w if w else 0j
 
-    def fwd_array(self, p: LogPolar) -> LogPolar:
+    def fwd_array(self, w: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            w = _cmul(self.a, _to_complex(p)) + self.b
+            w = _cmul(self.a, w) + self.b
             if not np.isfinite(_cabs(w)).all():
                 raise OverflowError("affine link value a*w + b does not fit in a complex double")
-        return _from_complex_array(w)
+        return w
 
     def inverse_link(self) -> "Affine":
         return Affine(1.0 / self.a, -self.b / self.a)
 
-    def log_abs_deriv(self, p: LogPolar) -> float:
+    def log_abs_deriv(self, w: complex) -> float:
         return math.log(abs(self.a))
 
 
@@ -219,6 +245,7 @@ class Power:
     gamma: float
     angle_lo: float
     angle_hi: float
+    reads_polar = True
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -267,44 +294,47 @@ class Power:
 
 @dataclass(frozen=True)
 class ExpScale:
-    """w -> -i * exp(c*w).  Output handed over in log-polar form."""
+    """w -> -i * exp(c*w), from a complex value to log-polar form."""
 
     c: complex
+    reads_polar = False
 
-    def fwd(self, p: LogPolar) -> LogPolar:
-        cw = self.c * p.to_complex()
+    def fwd(self, w: complex) -> LogPolar:
+        cw = self.c * w
         # cos(Im(cw) - pi/2) == sin(Im(cw)): full precision near the sector rim.
         return LogPolar(cw.real, wrap_angle(cw.imag - HALF_PI), math.sin(cw.imag))
 
-    def fwd_array(self, p: LogPolar) -> LogPolar:
-        cw = _cmul(self.c, _to_complex(p))
+    def fwd_array(self, w: np.ndarray) -> LogPolar:
+        with np.errstate(over="ignore"):  # an infinite log rho, as in fwd
+            cw = _cmul(self.c, w)
         return LogPolar(cw.real, _wrap_angle_array(cw.imag - HALF_PI), np.sin(cw.imag))
 
     def inverse_link(self) -> "ExpLog":
         return ExpLog(self.c)
 
-    def log_abs_deriv(self, p: LogPolar) -> float:
-        w = _to_complex(p)  # Re(c*w), rounded as the complex product rounds it
+    def log_abs_deriv(self, w: complex) -> float:
+        # Re(c*w), rounded as the complex product rounds it
         return math.log(abs(self.c)) + (self.c.real * w.real - self.c.imag * w.imag)
 
 
 @dataclass(frozen=True)
 class ExpLog:
-    """w -> Log(i*w)/c, the principal inverse of ExpScale(c)."""
+    """w -> Log(i*w)/c, the principal inverse of ExpScale(c), from log-polar
+    form to a complex value (a zero as 0j)."""
 
     c: complex
+    reads_polar = True
 
-    def fwd(self, p: LogPolar) -> LogPolar:
+    def fwd(self, p: LogPolar) -> complex:
         if p.is_zero:
             raise ValueError("log link is singular at 0")
         z = complex(p.log_rho, wrap_angle(p.theta + HALF_PI)) / self.c
-        return LogPolar.from_complex(z)
+        return z if z else 0j
 
-    def fwd_array(self, p: LogPolar) -> LogPolar:
+    def fwd_array(self, p: LogPolar) -> np.ndarray:
         if p.is_zero.any():
             raise ValueError("log link is singular at 0")
-        z = _cdiv(_complex(p.log_rho, _wrap_angle_array(p.theta + HALF_PI)), self.c)
-        return _from_complex_array(z)
+        return _cdiv(_complex(p.log_rho, _wrap_angle_array(p.theta + HALF_PI)), self.c)
 
     def inverse_link(self) -> "ExpScale":
         return ExpScale(self.c)
@@ -327,10 +357,10 @@ class RiemannMapChain:
 
     def forward_lp(self, w) -> LogPolar:
         """F(w) for a point, a complex array or a batch LogPolar."""
-        return _apply(self.links, w)
+        return _polar(_apply(self.links, w))
 
     def forward(self, w) -> complex:
-        return _to_complex(self.forward_lp(w))
+        return _cart(_apply(self.links, w))
 
     def inverse_links(self) -> tuple[Link, ...]:
         return self._inverse_links
@@ -341,26 +371,30 @@ class RiemannMapChain:
         return tuple(link.inverse_link() for link in reversed(self.links))
 
     def inverse_lp(self, w) -> LogPolar:
-        return _apply(self._inverse_links, w)
+        return _polar(_apply(self._inverse_links, w))
 
     def inverse(self, w) -> complex:
-        return _to_complex(self.inverse_lp(w))
+        return _cart(_apply(self._inverse_links, w))
 
     def log_abs_derivative(self, w) -> float:
         """log |F'(w)| accumulated link by link (never over/underflows); a
         complex array or a batch LogPolar gives an array."""
-        p = _coerce(w)
-        batch = isinstance(p.log_rho, np.ndarray)
-        total = np.zeros(p.log_rho.shape) if batch else 0.0
+        v = _coerce(w)
+        shape = _batch_shape(v)
+        batch = shape is not None
+        total = np.zeros(shape) if batch else 0.0
         for link in self.links:
-            total = total + link.log_abs_deriv(p)
-            p = link.fwd_array(p) if batch else link.fwd(p)
+            v = _polar(v) if link.reads_polar else _cart(v)
+            total = total + link.log_abs_deriv(v)
+            v = link.fwd_array(v) if batch else link.fwd(v)
         return total
 
 
-def _apply(links: tuple[Link, ...], w) -> LogPolar:
-    p = _coerce(w)
-    batch = isinstance(p.log_rho, np.ndarray)
+def _apply(links: tuple[Link, ...], w):
+    """The last link's result, a LogPolar or a complex value."""
+    v = _coerce(w)
+    batch = _batch_shape(v) is not None
     for link in links:
-        p = link.fwd_array(p) if batch else link.fwd(p)
-    return p
+        v = _polar(v) if link.reads_polar else _cart(v)
+        v = link.fwd_array(v) if batch else link.fwd(v)
+    return v

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domains import (Comb, DomainSpec, HalfPlaneRight, Koebe, Sector, Strip,
                       UnsupportedDomainOperation, canonical_base_point,
                       to_halfplane)
@@ -96,12 +98,22 @@ def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     """The half-plane representation C(phi_t(z)) = F(h(z) + it), exact in
     log-polar form for t as large as 1e12.  An array of times, or a batch z
     whose shape broadcasts against it, gives a batch LogPolar from one pass
-    through the chain."""
+    through the chain.  A point whose log rho overflows (a strip past its
+    time range) is a DomainError naming the first such time."""
     negative = t < 0  # a bool for one time, an array for an array of times
     if negative is True or (negative is not False and negative.any()):
         raise ValueError("orbit times must be nonnegative")
     hz = model_point(sg, z)
-    return in_halfplane(to_halfplane(sg.image_domain).forward_lp(hz + 1j * t))
+    p = to_halfplane(sg.image_domain).forward_lp(hz + 1j * t)
+    try:
+        return in_halfplane(p)
+    except DomainError as exc:
+        over = np.asarray(p.log_rho) == math.inf
+        if not over.any():
+            raise
+        first = float(np.broadcast_to(t, over.shape)[over][0])
+        raise DomainError(f"orbit time t={first!r} is past the supported time range: "
+                          "the half-plane log rho overflows a double") from exc
 
 
 def orbit(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> DiscPoint:

@@ -473,50 +473,66 @@ class TestChainBatches:
                 chain.forward_lp(HalfPlanePoint(log_rho, theta))
 
     def test_every_link_type(self):
+        # each link reads its own form: a complex value (Affine, ExpScale)
+        # or a LogPolar (Power, ExpLog)
         rng = np.random.default_rng(22)
         w = rng.uniform(0.1, 3.0, N) * np.exp(1j * rng.uniform(-1.4, 1.4, N))
         for link in (Affine(2.0 - 1j, 0.5), Affine(1.0, -3.0j), Power(0.7, -1.5, 1.5),
                      Power(1.0, -1.5, 1.5), ExpScale(-1j * math.pi / 1.3), ExpLog(0.5 - 2j)):
-            batch = link.fwd_array(_from_complex_array(w))
-            assert_points_match(batch, [link.fwd(LogPolar.from_complex(complex(x))) for x in w])
+            if link.reads_polar:
+                batch = link.fwd_array(_from_complex_array(w))
+                scalars = [link.fwd(LogPolar.from_complex(complex(x))) for x in w]
+            else:
+                batch = link.fwd_array(w)
+                scalars = [link.fwd(complex(x)) for x in w]
+            if isinstance(link, Affine):  # the complex product in CPython's order
+                assert batch.tolist() == scalars
+            elif isinstance(link, ExpLog):  # log rho, theta and cosine, each in its own ulps
+                assert_points_match(_from_complex_array(batch),
+                                    [LogPolar.from_complex(s) for s in scalars])
+            else:
+                assert_points_match(batch, scalars)
 
     def test_affine_beyond_e700_needs_cartesian_values(self):
-        link = Affine(1j, 2.0)
+        # a log-polar point without its cartesian value has no complex value
+        # for the link beyond e^700, one point or a batch
+        chain = RiemannMapChain([Affine(1j, 2.0)])
         p = LogPolar(np.array([1.0, 705.0]), np.array([0.3, 0.3]))
         msg = "log-polar value with log_rho=705 does not fit in a complex double"
         with pytest.raises(OverflowError, match=msg):
-            link.fwd(LogPolar(705.0, 0.3))
+            chain.forward_lp(LogPolar(705.0, 0.3))
         with pytest.raises(OverflowError, match=msg):
-            link.fwd_array(p)
-        with pytest.raises(OverflowError, match=msg):
-            RiemannMapChain([link]).forward_lp(p)
+            chain.forward_lp(p)
         # with its cartesian value a point beyond e^700 maps exactly
         w = np.array([1.0 + 2.0j, 1e306 + 1e306j])
-        q = link.fwd_array(_from_complex_array(w))
-        assert q.cart.tolist() == [1j * x + 2.0 for x in w.tolist()]
-        assert q.cart.tolist() == [link.fwd(LogPolar.from_complex(x)).cart for x in w.tolist()]
+        want = [1j * x + 2.0 for x in w.tolist()]
+        assert chain.links[0].fwd_array(w).tolist() == want
+        assert [chain.links[0].fwd(x) for x in w.tolist()] == want
+        assert chain.forward_lp(_from_complex_array(w)).cart.tolist() == want
+        assert [chain.forward_lp(LogPolar.from_complex(x)).cart for x in w.tolist()] == want
 
     def test_affine_value_beyond_the_largest_double_raises(self):
         msg = r"affine link value a\*w \+ b does not fit in a complex double"
         for link, w in ((Affine(2.0, 5.0), 1e308), (Affine(1.0, 1.5e308j), 1.5e308)):
             with pytest.raises(OverflowError, match=msg):
-                link.fwd(LogPolar.from_complex(w))
+                link.fwd(complex(w))
             with pytest.raises(OverflowError, match=msg):
-                link.fwd_array(_from_complex_array(np.array([1.0, w], dtype=complex)))
+                link.fwd_array(np.array([1.0, w], dtype=complex))
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_affine_outputs_carry_cartesian_values(self, name):
         # the orbit's model points up to |w| = 1.7e308 pass every Affine link
-        # (they lead each forward chain) with an exact complex value
+        # (they lead each forward chain) as exact complex values
         dom = TABLE_DOMAINS[name]
         w = model_point(koenigs_semigroup(dom), START) + 1j * np.geomspace(1.0, 1.7e308, 200)
-        p = _from_complex_array(w)
         links = to_halfplane(dom).links
         affine = list(itertools.takewhile(lambda link: isinstance(link, Affine), links))
         assert affine and not any(isinstance(link, Affine) for link in links[len(affine):])
         for link in affine:
-            p = link.fwd_array(p)
-            assert p.cart is not None and not np.isnan(p.cart).any()
+            want = [link.a * x + link.b for x in w.tolist()]
+            assert [link.fwd(x) for x in w.tolist()] == want
+            w = link.fwd_array(w)
+            assert w.dtype == complex and w.tolist() == want
 
     def test_one_point_outside_a_power_sector_fails_the_batch(self):
         chain = to_halfplane(TABLE_DOMAINS["sector_sym"])

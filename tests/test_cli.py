@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypspeed.cli import CliConfig, main, parse_args, run
+
+from test_speeds import TABLE_DOMAINS
 
 KOEBE = '{"type":"koebe","p":[0,0]}'
 COMB = '{"type":"comb","teeth":[[1,1],[2,3]]}'
@@ -89,6 +92,15 @@ class TestSpeeds:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.parent.exists()
 
+    def test_strip_past_its_time_range_names_the_time(self, capsys):
+        # log rho = pi t / r = 2t overflows from t = 9e307 on; an 8-point
+        # grid to 1.7e308 reaches that only at its last time
+        assert run_cli(["speeds", "--domain", STRIP, "--t-max", "1.7e308",
+                        "--points", "8"]) == 2
+        assert capsys.readouterr().err == (
+            "error: orbit time t=1.7e+308 is past the supported time range: "
+            "the half-plane log rho overflows a double\n")
+
     @pytest.mark.parametrize("r", ["5e-324", "1e-310"])
     def test_too_thin_strip_exit_2(self, r, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -105,6 +117,43 @@ class TestSpeeds:
         last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert float(last[0]) == pytest.approx(float(t_max))
         assert math.isfinite(float(last[3]))
+
+
+#: sha256 of `hypspeed speeds --domain D --t-max T --points 512` for the
+#: tables domains at T = 1e8 and 1e12: any change to a digit of a speed table
+#: shows here
+SPEEDS_DIGESTS = [
+    ("ce06bea5267b8c1a2433269ec19ce4884e4291672ff97fbf627f89a740d38da3",
+     "32a5df26effdfbfa4caf555593cb6924fbd77603efefeee161f91d640c813a40"),
+    ("ebe2f60a8f923360aaacb1ddbbfa39f846aaaad5f5786004164015112ab7bb9b",
+     "2149f73ec0c26df260e50afeb5331f7a6cc55667259a2f1b0f6f88ec50fcd713"),
+    ("37ed45529a98aed41f85e7b986503c7f4d36d48719a53f2356b2a728644b9871",
+     "6fe1d9a6d0bb545b3e09316d9b82a84a72548c7c1d048524f7c1acae13127a33"),
+    ("ebe2f60a8f923360aaacb1ddbbfa39f846aaaad5f5786004164015112ab7bb9b",
+     "2149f73ec0c26df260e50afeb5331f7a6cc55667259a2f1b0f6f88ec50fcd713"),
+    ("d160d8efc13edb1cab4e1e8f25f5b89e0cc3e4c3ec5927dbdba3c70f44b2d621",
+     "df4fb464f0b71c5df18906a7ad41f7da5c035adf461ccddbb64ffc335633163f"),
+    ("102875aa8aa815a24baee5bb0fbf1241234316a90bd01135328a4fe682cc24df",
+     "c21e29bb5da3ee2fd046d1e7ba31afbe001fe6267238c0cac09339d312229420"),
+    ("e6455751740c91561e17ca7899d6c90c5ccd51ce01ddd1fac76b825c3725c354",
+     "df4fb464f0b71c5df18906a7ad41f7da5c035adf461ccddbb64ffc335633163f"),
+    ("d0bfafaa08509c2606fedf32524716d30d4c40017c56f28d5bfcdd07972db4e0",
+     "9aaa5a0e3816b344f2c9d62a57ebc25634d46018dae2ef25d675348bb4afc5e2"),
+    ("f93929a44096e765ff04f879f56273012dbfd288d151cd5c6daeac996ff517f8",
+     "2829d1d416b81c528fddeb46e4f5669d9e94efe65cfe3c39c7f7209d32af459d"),
+    ("129c690a9ad587267bb41e73c859ae1f9ecec636f675da9b0a784c575f0564fc",
+     "2632789fa1cc73116c5d845d6b571e63bf2c9b1b7f23b32f109026e8f71e7c9b"),
+]
+
+
+@pytest.mark.parametrize("t_max", ["1e8", "1e12"])
+@pytest.mark.parametrize("i", range(len(TABLE_DOMAINS)))
+def test_speed_table_bytes(i, t_max, tmp_path):
+    out = tmp_path / "speeds.csv"
+    assert run_cli(["speeds", "--domain", json.dumps(TABLE_DOMAINS[i]), "--t-max", t_max,
+                    "--points", "512", "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SPEEDS_DIGESTS[i][("1e8", "1e12").index(t_max)]
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import math
 import random
@@ -8,9 +9,9 @@ import pytest
 
 from hypspeed import (Comb, HalfPlaneRight, Koebe, OmegaSign, Sector, Strip,
                       UnsupportedDomainOperation, build_domain, contains,
-                      delta, delta_pm, domain_from_json, domain_to_json,
-                      k_domain, koenigs_semigroup, quasihyp_lower,
-                      to_halfplane)
+                      default_grid, delta, delta_pm, domain_from_json,
+                      domain_to_json, k_domain, koenigs_semigroup, mapchain,
+                      quasihyp_lower, sample_speeds, to_halfplane)
 from hypspeed.domains import DomainError, canonical_base_point
 
 from oracles import (brute_force_distance, comb_boundary_points, mp_quasihyp,
@@ -133,8 +134,10 @@ class TestChains:
         assert abs(to_halfplane(Strip(2.0)).forward(1.0) - 1.0) < 1e-12
 
     def test_comb_has_no_chain(self):
-        with pytest.raises(UnsupportedDomainOperation):
-            to_halfplane(Comb([(1, 1)]))
+        comb = Comb([(1, 1)])
+        for _ in range(2):  # a failed build leaves nothing behind
+            with pytest.raises(UnsupportedDomainOperation):
+                to_halfplane(comb)
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
@@ -151,6 +154,41 @@ class TestChains:
             for _ in range(1000):
                 w = draw()
                 assert abs(ch.inverse(ch.forward(w)) - w) <= 1e-10 * (1 + abs(w))
+
+
+CHAIN_ONCE_DOMAINS = [HalfPlaneRight(-1 + 2j), Strip(3.0), Sector(1 - 2j, 0.7, 1.9), Koebe(2 + 1j)]
+
+
+class TestChainOnce:
+    @pytest.mark.parametrize("dom", CHAIN_ONCE_DOMAINS, ids=lambda d: type(d).__name__)
+    def test_same_chain_object(self, dom):
+        assert to_halfplane(dom) is to_halfplane(dom)
+        # an equal domain object builds its own, equal chain
+        assert to_halfplane(domain_from_json(domain_to_json(dom))) == to_halfplane(dom)
+
+    @pytest.mark.parametrize("dom", CHAIN_ONCE_DOMAINS, ids=lambda d: type(d).__name__)
+    def test_table_builds_each_link_once(self, dom, monkeypatch):
+        # a 512-point speed table builds the chain and its inverse once
+        dom = domain_from_json(domain_to_json(dom))  # a fresh object
+        built = collections.Counter()
+        for cls in (mapchain.Affine, mapchain.Power, mapchain.ExpScale, mapchain.ExpLog):
+            def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+        assert len(sample_speeds(koenigs_semigroup(dom), default_grid(points=512))) == 512
+        chain = to_halfplane(dom)
+        want = collections.Counter(type(link).__name__
+                                   for link in chain.links + chain.inverse_links())
+        assert built == want
+
+    @pytest.mark.parametrize("dom", CHAIN_ONCE_DOMAINS, ids=lambda d: type(d).__name__)
+    def test_chain_outside_equality_hash_and_repr(self, dom):
+        fresh, built = (domain_from_json(domain_to_json(dom)) for _ in range(2))
+        to_halfplane(built)
+        assert fresh == built and hash(fresh) == hash(built)
+        assert repr(fresh) == repr(built) and domain_to_json(fresh) == domain_to_json(built)
+        assert {fresh: 1}[built] == 1
 
 
 class TestDelta:

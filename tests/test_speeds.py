@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, RadialGeodesic,
@@ -8,7 +10,8 @@ from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, RadialGeod
                       koenigs_semigroup, nontangential_ratio, omega, orbit,
                       project_to_radius, sample_speeds, surrogate_speeds,
                       surrogate_threshold)
-from hypspeed.semigroups import model_point
+from hypspeed.hyperbolic import DomainError
+from hypspeed.semigroups import model_point, orbit_halfplane
 
 LOG2 = math.log(2.0)
 
@@ -114,6 +117,20 @@ class TestSampleSpeeds:
         s = sample_speeds(koenigs_semigroup(dom), [t])[0]
         assert math.isfinite(s.v_T)
         assert s.v_T == pytest.approx(0.5 * (LOG2 + math.log(t)), rel=1e-12)
+
+    def test_strip_past_its_time_range_names_the_first_time(self):
+        # log rho = pi t / r = 2t is a finite double below t = 9e307
+        sg = koenigs_semigroup(Strip(math.pi / 2))
+        msg = re.escape("orbit time t=1e+308 is past the supported time range: "
+                        "the half-plane log rho overflows a double")
+        with pytest.raises(DomainError, match=msg):
+            orbit_halfplane(sg, ORIGIN, np.array([1.0, 8e307, 1e308, 1.5e308]))
+        with pytest.raises(DomainError, match=msg):
+            sample_speeds(sg, [1.0, 8e307, 1e308, 1.5e308])
+        starts = DiscPoint(np.array([[0.0], [0.2 + 0.1j]]))
+        with pytest.raises(DomainError, match=msg):
+            orbit_halfplane(sg, starts, np.array([1.0, 1e308, 1.5e308]))
+        assert sample_speeds(sg, [8e307])[0].v_o == pytest.approx(8e307, rel=1e-15)
 
     def test_sample_invariant_enforced(self):
         with pytest.raises(ValueError):
