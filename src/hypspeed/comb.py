@@ -111,8 +111,9 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     """Construct a comb certifying `steps` ratio milestones.
 
     Materialises steps + 1 teeth: b_1 = 1 and each b_{j+1} is the smallest
-    height (doubling search then 60 bisections, margin 0.999) satisfying the
-    strict growth constraint, which forces b_{j+1} - x_j >= j a_{j+1} g(b_{j+1}).
+    height (doubling search, then up to 60 bisections that stop at a fixed
+    point; margin 0.999) satisfying the strict growth constraint, which
+    forces b_{j+1} - x_j >= j a_{j+1} g(b_{j+1}).
     """
     if steps < 1:
         raise ValueError("need at least one construction step")
@@ -142,7 +143,11 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if constraint(mid) <= _MARGIN:
+                if mid == hi:
+                    break  # a fixed point: every later iteration repeats this one
                 hi = mid
+            elif mid == lo:
+                break
             else:
                 lo = mid
         xs.append(xj)

@@ -518,33 +518,33 @@ def _axis_breakpoints(domain: DomainSpec, pieces, t0: float, t1: float) -> list[
     """Every height in [t0, t1] where the nearest piece, or its regime, can
     change along {ir}: the regime switches and the pairwise crossings, all
     exact."""
-    pts = {t0, t1}
-
-    def add(r: float) -> None:
-        if t0 < r < t1:
-            pts.add(r)
-
+    cands = []
     for _, _, _, _, C, D in pieces:
         if D != 0.0:
-            add(-C / D)
+            cands.append(-C / D)
     if isinstance(domain, Sector):
         # the rays share their apex, so their distances cross only on the
         # bisector of a convex sector, both in the perpendicular regime,
         # where A1 + B1 r > 0 > A2 + B2 r: at A1 + B1 r = -(A2 + B2 r)
         (_, _, A1, B1, _, _), (_, _, A2, B2, _, _) = pieces
         if B1 + B2 != 0.0:
-            add(-(A1 + A2) / (B1 + B2))
-        return sorted(pts)
-    for ai, bi, *_ in pieces:
-        for aj, bj, *_ in pieces:
-            # the hypot of slit i above its top meets the |x| of slit j ...
-            if aj > ai:
-                add(bi + math.sqrt(aj * aj - ai * ai))
-            # ... or the hypot of slit j
-            if bj != bi:
-                r = 0.5 * ((aj * aj - ai * ai) / (bj - bi) + bi + bj)
-                if r > max(bi, bj):
-                    add(r)
+            cands.append(-(A1 + A2) / (B1 + B2))
+    else:
+        squares = [(a, a * a, b) for a, b, _, _, _, _ in pieces]
+        for ai, ai2, bi in squares:
+            for aj, aj2, bj in squares:
+                # the hypot of slit i above its top meets the |x| of slit j ...
+                if aj > ai:
+                    cands.append(bi + math.sqrt(aj2 - ai2))
+                # ... or the hypot of slit j
+                if bj != bi:
+                    r = 0.5 * ((aj2 - ai2) / (bj - bi) + bi + bj)
+                    if r > bi and r > bj:
+                        cands.append(r)
+    pts = {t0, t1}
+    for r in cands:
+        if t0 < r < t1:
+            pts.add(r)
     return sorted(pts)
 
 
@@ -579,10 +579,29 @@ def _axis_integrals(domain: DomainSpec, t0: float, heights) -> list[float]:
         raise DomainError("segment exceeds the materialised comb extent")
     pieces = _axis_pieces(domain)
     pts = _axis_breakpoints(domain, pieces, t0, heights[-1])
-    total, upto = 0.0, {t0: 0.0}
+    sector = isinstance(domain, Sector)
+    total, upto, above = 0.0, {t0: 0.0}, 0
     for lo, hi in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (lo + hi)
-        piece = min(pieces, key=lambda p: _axis_distance(p, mid))
+        if sector:
+            piece = min(pieces, key=lambda p: _axis_distance(p, mid))
+        else:
+            # the slits come with nondecreasing x and top, and mid only
+            # rises: those from `above` on reach mid, so the first of them
+            # is the nearest at x; one below it is hypot(x, mid - top) >=
+            # mid - top away, which grows going down, so the scan stops
+            # there, and `<=` keeps the lowest index on a tie, as min does
+            while above < len(pieces) and pieces[above][1] < mid:
+                above += 1
+            best, piece = ((pieces[above][0], pieces[above]) if above < len(pieces)
+                           else (math.inf, None))
+            for j in range(above - 1, -1, -1):
+                p = pieces[j]
+                if mid - p[1] > best:
+                    break
+                d = math.hypot(p[0], mid - p[1])
+                if d <= best:
+                    best, piece = d, p
         total += _piece_integral(piece, lo, hi, mid)
         upto[hi] = total
     return [0.25 * upto[h] for h in heights]

@@ -7,7 +7,8 @@ import pytest
 from hypspeed import build_comb, delta, gauge, quasihyp_lower, verify_comb
 from hypspeed.comb import check_sublinear, resolve_abscissae
 from hypspeed.cli import main
-from hypspeed.domains import DomainError
+from hypspeed.domains import (Comb, DomainError, HalfPlaneRight, Koebe, Sector, _axis_distance,
+                              _axis_integrals, _axis_pieces, _piece_integral)
 
 from oracles import brute_force_distance, comb_boundary_points
 
@@ -179,6 +180,128 @@ class TestOnePass:
         dom = build_comb("log1p", "linear", 3).domain()
         with pytest.raises(DomainError, match="exceeds the materialised comb extent"):
             quasihyp_lower(dom, 1e-6, dom.extent * 1.01)
+
+
+def _min_axis_integrals(domain, t0, heights):
+    """The axis pass with nothing pruned: every pairwise crossing of the
+    pieces as a breakpoint, and on each interval the nearest piece by min
+    over all of them, ties to the first."""
+    pieces, t1 = _axis_pieces(domain), heights[-1]
+    pts = {t0, t1}
+    for _, _, _, _, C, D in pieces:
+        if D != 0.0 and t0 < -C / D < t1:
+            pts.add(-C / D)
+    if isinstance(domain, Sector):
+        (_, _, A1, B1, _, _), (_, _, A2, B2, _, _) = pieces
+        if B1 + B2 != 0.0 and t0 < -(A1 + A2) / (B1 + B2) < t1:
+            pts.add(-(A1 + A2) / (B1 + B2))
+    else:
+        for ai, bi, *_ in pieces:
+            for aj, bj, *_ in pieces:
+                if aj > ai and t0 < bi + math.sqrt(aj * aj - ai * ai) < t1:
+                    pts.add(bi + math.sqrt(aj * aj - ai * ai))
+                if bj != bi:
+                    r = 0.5 * ((aj * aj - ai * ai) / (bj - bi) + bi + bj)
+                    if r > max(bi, bj) and t0 < r < t1:
+                        pts.add(r)
+    pts, total, upto = sorted(pts), 0.0, {t0: 0.0}
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (lo + hi)
+        total += _piece_integral(min(pieces, key=lambda p: _axis_distance(p, mid)), lo, hi, mid)
+        upto[hi] = total
+    return [0.25 * upto[h] for h in heights]
+
+
+def _full_bisection(g_spec, a_spec, steps):
+    """(b, x, constraint) of build_comb with all 60 bisections run."""
+    _, g = gauge(g_spec)
+    a = resolve_abscissae(a_spec, steps + 1)
+    b, xs, cons = [1.0], [], []
+    for j in range(1, steps + 1):
+        xj = b[-1] + math.sqrt(a[j] * a[j] - a[j - 1] * a[j - 1])
+
+        def constraint(bb):
+            return (j * a[j] * g(bb) + xj) / bb
+
+        lo, hi = xj, 2.0 * xj
+        while not constraint(hi) <= 0.999:
+            hi *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if constraint(mid) <= 0.999:
+                hi = mid
+            else:
+                lo = mid
+        xs.append(xj)
+        cons.append(constraint(hi))
+        b.append(hi)
+    return tuple(b), tuple(xs), tuple(cons)
+
+
+def _assert_same_as_references(g_spec, a_spec, steps):
+    cc = build_comb(g_spec, a_spec, steps)
+    assert (cc.b, cc.x, cc.constraint) == _full_bisection(g_spec, a_spec, steps)
+    bounds = _axis_integrals(cc.domain(), 1e-6, cc.b[1:])
+    assert bounds == _min_axis_integrals(cc.domain(), 1e-6, cc.b[1:])
+    return cc, bounds
+
+
+_ABSCISSAE = {"linear": "linear", "geom:1.3": ("geometric", 1.3), "geom:2": ("geometric", 2.0),
+              "geom:3": ("geometric", 3.0)}
+
+
+class TestSweepExact:
+    """The upward sweep for the nearest slit, and the bisection stopped at
+    its fixed point, give the same bits as min over all pieces and all 60
+    bisections."""
+
+    @pytest.mark.parametrize("abscissae", sorted(_ABSCISSAE))
+    @pytest.mark.parametrize("spec", ["log1p", "sqrt", "pow:0.5", "pow:0.3"])
+    def test_constructions(self, spec, abscissae):
+        for steps in range(1, 17):
+            cc, bounds = _assert_same_as_references(spec, _ABSCISSAE[abscissae], steps)
+            assert [r["bound"] for r in verify_comb(cc)] == bounds
+
+    def test_constructions_cover_the_pinned_digests(self):
+        assert {(g, a) for g, a, _ in COMB_DIGESTS} <= {
+            (g, a) for g in ("log1p", "sqrt", "pow:0.5", "pow:0.3") for a in _ABSCISSAE}
+        assert {steps for _, _, steps in COMB_DIGESTS} <= set(range(1, 17))
+
+    def test_random_combs(self):
+        rng = np.random.default_rng(16)
+        for _ in range(3000):
+            k = int(rng.integers(1, 18))
+            if rng.random() < 0.5:  # small integers make equal distances likely
+                a = np.sort(rng.choice(np.arange(1, 40), k, replace=False))
+                b = np.sort(rng.choice(np.arange(-20, 60), k, replace=False))
+            else:
+                a = np.sort(rng.uniform(0.01, 50.0, k))
+                b = np.sort(rng.uniform(-5.0, 200.0, k))
+            if len(set(a)) < k or len(set(b)) < k:
+                continue
+            dom = Comb(zip(a.tolist(), b.tolist()))
+            t0 = float(rng.uniform(min(0.0, b[0]) - 5.0, dom.extent))
+            t1 = float(rng.uniform(t0, dom.extent))
+            heights = sorted({float(x) for x in b if t0 < x < t1} | {t1})
+            assert _axis_integrals(dom, t0, heights) == _min_axis_integrals(dom, t0, heights)
+
+    @pytest.mark.parametrize("dom", [Koebe(0j), Koebe(2 + 1j), HalfPlaneRight(-1 + 0j),
+                                     Sector(0j, math.pi / 4, math.pi / 4),
+                                     Sector(0.5j, math.pi, math.pi)], ids=repr)
+    def test_segments(self, dom):
+        rng = np.random.default_rng(400)
+        for _ in range(400):
+            t0 = abs(dom.p) + math.exp(rng.uniform(-3.0, 5.0))
+            t1 = t0 * math.exp(rng.uniform(0.0, 18.0))
+            assert quasihyp_lower(dom, t0, t1) == _min_axis_integrals(dom, t0, [t1])[0]
+
+    def test_gauge_not_positive_at_the_first_onset(self):
+        # g(x_1) <= 0 satisfies the constraint at lo = x_1, which no
+        # bisection tests, so the last halving moves hi down onto it
+        table = [(0.0, -10.0), (5.0, -1.0), (10.0, 0.5)] + [
+            (10.0 ** k, math.log1p(10.0 ** k)) for k in range(2, 14)]
+        cc, _ = _assert_same_as_references(table, [1.0, 1.5, 3.0, 4.5], 3)
+        assert cc.b[1] == cc.x[0]
 
 
 #: sha256 of the construction JSON and of the ratio CSV of `hypspeed comb`:
