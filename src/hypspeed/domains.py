@@ -553,7 +553,20 @@ def _piece_integral(piece, lo: float, hi: float, mid: float) -> float:
     a, b, A, B, C, D = piece
     if C + D * mid > 0:
         if a > 0.0:  # 1/hypot(a, r - b) integrates to asinh((r - b)/a)
-            return math.asinh((hi - b) / a) - math.asinh((lo - b) / a)
+            x, y = (hi - b) / a, (lo - b) / a
+            if not (y > 0.0 or x < 0.0) or math.isinf(x) or math.isinf(y):
+                return math.asinh(x) - math.asinh(y)
+            # on one side of the apex the difference cancels; with s > t > 0
+            # the far and near |r - b|/a it is asinh((s - t) w), where
+            # w = (s + t)/(s hypot(1, t) + t hypot(1, s)), here divided
+            # through by s t or by s so that nothing overflows
+            s, t = (x, y) if y > 0.0 else (-y, -x)
+            if t >= 1.0:
+                w = (1.0 / s + 1.0 / t) / (math.hypot(1.0, 1.0 / t) + math.hypot(1.0, 1.0 / s))
+            else:
+                v = t / s
+                w = (1.0 + v) / (math.hypot(1.0, t) + v * math.hypot(1.0, s))
+            return math.asinh((hi - lo) / a * w)
         A, B = -b, 1.0  # an apex on the axis: the distance is |r - b|
     u = A + B * lo
     if B == 0.0:

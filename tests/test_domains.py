@@ -381,6 +381,24 @@ class TestQuasihyp:
             got = quasihyp_lower(dom, t0, t1)
             assert abs(got - want) <= 1e-14 * got, (t0, t1)
 
+    @pytest.mark.parametrize("dom, t0, t1", [
+        (Koebe(1e10 - 1e10j), 1.0, 2.0),
+        (Koebe(1e100 - 1e100j), 1.0, 2.0),
+        (Koebe(1e5 - 1e5j), 1.0, 1.5),
+        (Koebe(1e-160 + 0j), 1.0, 2.0),
+        (Koebe(1 + 0j), 1e155, 1e160),
+        (Koebe(1 + 0j), 1e300, 1.7e308),
+        (Koebe(3 - 2j), 0.5, 40.0),
+        (Sector(1e8 - 1e8j, math.pi, math.pi), 1.0, 3.0),
+        (Sector(1e8 - 1e8j, 3.0, 3.1), 1.0, 3.0),
+        (Sector(2e3 - 1e4j, 3.0, 3.1), 1.0, 30.0),
+    ], ids=repr)
+    def test_far_apex_matches_oracle(self, dom, t0, t1):
+        # asinh((r - b)/a) differs little between the ends of a segment far
+        # from the apex, where the plain difference of the two cancels
+        got = quasihyp_lower(dom, t0, t1)
+        assert abs(got - mp_quasihyp(dom, t0, t1)) <= 1e-14 * got
+
     def test_ratio_1e15_converges(self):
         assert quasihyp_lower(Koebe(0), 1.0, 1e15) == pytest.approx(
             0.25 * math.log(1e15), rel=1e-12)
