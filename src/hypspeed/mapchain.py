@@ -289,6 +289,8 @@ class Power:
         return Power(1.0 / self.gamma, self.gamma * self.angle_lo, self.gamma * self.angle_hi)
 
     def log_abs_deriv(self, p: LogPolar) -> float:
+        if self.gamma == 1.0:  # the identity, also at 0 where log_rho = -inf
+            return 0.0
         return math.log(self.gamma) + (self.gamma - 1.0) * p.log_rho
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hypspeed import DiscPoint, Koebe, Strip, koenigs_semigroup, to_halfplane
+from hypspeed import DiscPoint, Koebe, Sector, Strip, koenigs_semigroup, to_halfplane
 from hypspeed.domains import canonical_base_point
 from hypspeed.mapchain import (Affine, BranchError, ExpLog, ExpScale,
                                LogPolar, Power, RiemannMapChain,
@@ -115,6 +115,16 @@ def test_chain_derivative_huge_values_stay_in_log():
     chain = RiemannMapChain((Affine(1.0, -1.5), ExpScale(-1j * math.pi / 1.5)))
     logd = chain.log_abs_derivative(0.7 + 1e6j)
     assert logd == pytest.approx(math.log(math.pi / 1.5) + math.pi * 1e6 / 1.5, rel=1e-12)
+
+
+def test_identity_power_derivative_at_the_origin():
+    # Sector(0, pi, 0) is the right half plane, mapped by a power link with
+    # gamma = 1, whose (gamma - 1) log rho was 0 * -inf = nan at w = 0
+    chain = to_halfplane(Sector(0j, math.pi, 0.0))
+    assert any(isinstance(link, Power) and link.gamma == 1.0 for link in chain.links)
+    assert chain.log_abs_derivative(0j) == 0.0
+    got = chain.log_abs_derivative(np.array([0j, 1.0 + 0j, 2.0 + 3.0j]))
+    assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_forward_lp_no_overflow():
