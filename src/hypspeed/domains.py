@@ -495,9 +495,10 @@ def _axis_pieces(domain: DomainSpec) -> list[tuple[float, ...]]:
     where C + D*r > 0, and |A + B*r|, its perpendicular regime, elsewhere.
 
     A slit {x + iy : y <= top} is (|x|, top, |x|, 0, -top, 1), with the
-    mirror slits of a comb merged.  A sector ray from p along e is seen at
-    its apex p while the projection (ir - p).e is negative, and along its
-    line after."""
+    mirror slits of a comb merged; slits come by nondecreasing |x| and top
+    (a comb's teeth strictly increase in both).  A sector ray from p along
+    e is seen at its apex p while the projection (ir - p).e is negative,
+    and along its line after."""
     if isinstance(domain, Sector):
         p, pieces = domain.p, []
         for ang in (domain.ray_lo, domain.ray_hi):
@@ -599,11 +600,12 @@ def _axis_integrals(domain: DomainSpec, t0: float, heights) -> list[float]:
         if sector:
             piece = min(pieces, key=lambda p: _axis_distance(p, mid))
         else:
-            # the slits come with nondecreasing x and top, and mid only
-            # rises: those from `above` on reach mid, so the first of them
-            # is the nearest at x; one below it is hypot(x, mid - top) >=
-            # mid - top away, which grows going down, so the scan stops
-            # there, and `<=` keeps the lowest index on a tie, as min does
+            # the slits come by nondecreasing x and top, and mid only rises.
+            # Those from `above` on reach up to mid and are x away, so the
+            # first of them is the nearest; a slit below is hypot(x, mid -
+            # top) >= mid - top away, which only grows going down, so the
+            # scan stops once that exceeds the best.  `<=` gives a tie to
+            # the lowest index, as min does.
             while above < len(pieces) and pieces[above][1] < mid:
                 above += 1
             best, piece = ((pieces[above][0], pieces[above]) if above < len(pieces)
