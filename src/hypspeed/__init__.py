@@ -14,7 +14,6 @@ from .domains import (Comb, DomainError, DomainSpec, HalfPlaneRight, Koebe,
 from .hyperbolic import (ORIGIN, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                          RadialGeodesic, cayley, cayley_inv, dist_to_radius,
                          k_half, kappa, omega, path_length, project_to_radius)
-from .mapchain import RiemannMapChain
 from .semigroups import (Hyperbolic, KoenigsSemigroup, ParabolicPositiveStep,
                          ParabolicZeroStep, classify, denjoy_wolff,
                          koenigs_semigroup, orbit, orbit_halfplane)
@@ -30,7 +29,7 @@ __all__ = [
     "DiscPoint", "DomainError", "DomainSpec", "HalfPlanePoint",
     "HalfPlaneRight", "Hyperbolic", "Koebe", "KoenigsSemigroup", "ORIGIN",
     "OmegaSign", "ParabolicPositiveStep", "ParabolicZeroStep",
-    "RadialGeodesic", "RiemannMapChain", "Sector", "SpeedSample", "Strip",
+    "RadialGeodesic", "Sector", "SpeedSample", "Strip",
     "SuiteReport", "SurrogateSpeeds", "UnsupportedDomainOperation",
     "build_comb", "build_domain", "cayley", "cayley_inv", "classify",
     "contains", "coverage_check", "default_grid", "delta", "delta_pm",

@@ -1,7 +1,7 @@
 """Canonical starlike-at-infinity domains and their closed-form maps onto H.
 
 Every domain below is closed under upward translation (w + it stays inside
-for t >= 0).  The map chains are normalised so that the upward end -- the
+for t >= 0).  The maps are normalised so that the upward end -- the
 prime end every orbit drifts into -- goes to infinity of the right half
 plane and the domain's canonical base point goes exactly to 1.
 """
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import DomainError, in_halfplane, k_half
-from .mapchain import (HALF_PI, TWO_PI, Affine, ExpScale, LogPolar, Power,
-                       RiemannMapChain)
+from .mapchain import HALF_PI, LOG2, TWO_PI, LogPolar, RiemannMapChain
 
 
 class UnsupportedDomainOperation(ValueError):
@@ -255,7 +254,7 @@ def _contains_array(domain: DomainSpec, w: np.ndarray) -> np.ndarray:
 
 def _snap(w: complex) -> complex:
     """Zero out components below double resolution of the other one; keeps
-    exactly-axial chain constants exactly axial."""
+    exactly-axial map constants exactly axial."""
     re, im = w.real, w.imag
     scale = max(abs(re), abs(im))
     if scale == 0.0:
@@ -268,68 +267,58 @@ def _snap(w: complex) -> complex:
 
 
 def canonical_base_point(domain: DomainSpec) -> complex:
-    """The point each chain sends exactly to 1 (the model image of h(0)).
-    From |Re p| or |Im p| = 2**52 on, p + 1 no longer resolves unit steps:
-    such an offset is a DomainError."""
+    """h(0), the point each map sends exactly to 1.  From |Re p| or |Im p| =
+    2**52 on, p + 1 no longer resolves unit steps: such an offset is a
+    DomainError."""
     p = getattr(domain, "p", 0j)
     if max(abs(p.real), abs(p.imag)) >= 2.0 ** 52:
         raise DomainError(f"domain point p={p} is too far out: "
                           "|Re p| and |Im p| must be below 2**52")
-    if isinstance(domain, HalfPlaneRight):
-        return domain.p + 1.0
-    if isinstance(domain, Strip):
-        return complex(0.5 * domain.r, 0.0)
-    if isinstance(domain, Sector):
-        return domain.p + _snap(1j * cmath.exp(0.5j * (domain.beta - domain.alpha)))
-    if isinstance(domain, Koebe):
-        return domain.p + 1j
-    raise UnsupportedDomainOperation("comb domains have no closed-form base normalisation")
+    fmap = to_halfplane(domain)  # a comb has none
+    return fmap.p + fmap.base
 
 
 def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
-    """Biholomorphism domain -> H sending the upward end to infinity.
+    """Biholomorphism domain -> H sending the upward end to infinity and
+    h(0) = p + base to 1, in closed form at u = w - p.
 
-    HalfPlaneRight: w - p.
-    Strip:          -i exp(-i pi (z - r)/r), i.e. the top end escapes to inf.
-    Sector:         translate by -p, rotate the bisector onto (0, inf) with
-                    -i exp(-i(beta-alpha)/2), then the power pi/(alpha+beta).
-    Koebe:          sqrt(-i (z - p)) with the branch fixed by sqrt(1) = 1.
+    HalfPlaneRight: u, base 1.
+    Strip:          -i exp(-i pi (u - r)/r) with p = 0, base r/2.
+    Sector:         (rot u)^(pi/(alpha+beta)), rot = -i exp(-i(beta-alpha)/2)
+                    turning the bisector onto (0, inf), base i exp(i(beta-alpha)/2).
+    Koebe:          sqrt(-i u) with the branch fixed by sqrt(1) = 1, base i.
 
-    The first call for a domain object builds the chain and keeps it on the
+    The first call for a domain object builds the map and keeps it on the
     object, outside its fields (so outside ==, hash and repr); later calls
-    return that same chain.  Domains are frozen, so it never goes stale.
+    return that same map.  Domains are frozen, so it never goes stale.
     """
-    chain = getattr(domain, "__dict__", {}).get("_halfplane_chain")
-    if chain is None:
-        chain = _build_chain(domain)
-        object.__setattr__(domain, "_halfplane_chain", chain)
-    return chain
+    fmap = getattr(domain, "__dict__", {}).get("_halfplane_map")
+    if fmap is None:
+        fmap = _build_map(domain)
+        object.__setattr__(domain, "_halfplane_map", fmap)
+    return fmap
 
 
-def _build_chain(domain: DomainSpec) -> RiemannMapChain:
+def _build_map(domain: DomainSpec) -> RiemannMapChain:
     if isinstance(domain, HalfPlaneRight):
-        return RiemannMapChain([Affine(1.0, -domain.p)])
+        return RiemannMapChain(domain.p, 1 + 0j)
     if isinstance(domain, Strip):
-        return RiemannMapChain([Affine(1.0, -domain.r), ExpScale(-1j * math.pi / domain.r)])
+        return RiemannMapChain(0j, complex(0.5 * domain.r, 0.0), width=domain.r,
+                               k=math.pi / domain.r)
     if isinstance(domain, Sector):
-        half = 0.5 * (domain.alpha + domain.beta)
-        rot = _snap(-1j * cmath.exp(-0.5j * (domain.beta - domain.alpha)))
-        return RiemannMapChain([
-            Affine(1.0, -domain.p),
-            Affine(rot, 0.0),
-            Power(math.pi / (domain.alpha + domain.beta), -half, half),
-        ])
+        turn = 0.5 * (domain.beta - domain.alpha)
+        return RiemannMapChain(domain.p, _snap(1j * cmath.exp(1j * turn)),
+                               math.pi / (domain.alpha + domain.beta),
+                               _snap(-1j * cmath.exp(-1j * turn)),
+                               _snap(cmath.exp(1j * domain.ray_lo)),
+                               _snap(cmath.exp(1j * domain.ray_hi)))
     if isinstance(domain, Koebe):
-        return RiemannMapChain([
-            Affine(1.0, -domain.p),
-            Affine(-1j, 0.0),
-            Power(0.5, -math.pi, math.pi),
-        ])
+        return RiemannMapChain(domain.p, 1j, 0.5, -1j, -1j, -1j)
     raise UnsupportedDomainOperation("no closed-form map; use quasihyp_lower")
 
 
 def map_to_halfplane(domain: DomainSpec, w) -> LogPolar:
-    """Evaluate the chain at an interior point, staying in log-polar form.
+    """Evaluate the map at an interior point, staying in log-polar form.
     A complex array gives a batch; one point outside the domain fails it."""
     if isinstance(w, np.ndarray):
         w = w.astype(complex, copy=False)
@@ -342,7 +331,7 @@ def map_to_halfplane(domain: DomainSpec, w) -> LogPolar:
 
 
 def k_domain(domain: DomainSpec, w1, w2) -> float:
-    """Hyperbolic distance of the domain via its half-plane chain (an array
+    """Hyperbolic distance of the domain via its half-plane map (an array
     when either point is a complex array)."""
     if isinstance(domain, Comb):
         raise UnsupportedDomainOperation("comb distances are available as bounds only")
@@ -549,13 +538,24 @@ def _axis_breakpoints(domain: DomainSpec, pieces, t0: float, t1: float) -> list[
     return sorted(pts)
 
 
+def _asinh_quotient(num: float, a: float) -> float:
+    """asinh(num / a), a > 0, also where the quotient overflows: there
+    asinh is log 2|num| - log a to double precision, with num's sign."""
+    q = num / a
+    if math.isinf(q):
+        return math.copysign(LOG2 + math.log(abs(num)) - math.log(a), num)
+    return math.asinh(q)
+
+
 def _piece_integral(piece, lo: float, hi: float, mid: float) -> float:
     """Exact integral of dr/distance over [lo, hi], in the regime at mid."""
     a, b, A, B, C, D = piece
     if C + D * mid > 0:
         if a > 0.0:  # 1/hypot(a, r - b) integrates to asinh((r - b)/a)
             x, y = (hi - b) / a, (lo - b) / a
-            if not (y > 0.0 or x < 0.0) or math.isinf(x) or math.isinf(y):
+            if math.isinf(x) or math.isinf(y):
+                return _asinh_quotient(hi - b, a) - _asinh_quotient(lo - b, a)
+            if not (y > 0.0 or x < 0.0):
                 return math.asinh(x) - math.asinh(y)
             # on one side of the apex the difference cancels; with s > t > 0
             # the far and near |r - b|/a it is asinh((s - t) w), where

@@ -45,7 +45,7 @@ class DomainError(ValueError):
 def in_halfplane(p: LogPolar) -> LogPolar:
     """Return p once it is checked to be a right half-plane point: a finite
     log-modulus, |theta| <= pi/2 and a cached cosine, if any, above 0, for
-    every point of a batch.  Chain results pass through here when they
+    every point of a batch.  Map results pass through here when they
     enter the half-plane layer.  A cosine of 0 is a point on the imaginary
     axis, or one whose Re w / |w| underflows; no distance to it is finite
     in double precision."""
@@ -253,8 +253,6 @@ def omega(z, w) -> float:
         return 0.0
     den = 1.0 - z.value.conjugate() * w.value
     m = abs((z.value - w.value) / den)
-    if m >= 1.0:
-        return math.inf
     if m < 0.9:
         return math.atanh(m)
     # near the boundary use 1 - m^2 = (1-|z|^2)(1-|w|^2)/|1-conj(z) w|^2,
@@ -273,7 +271,7 @@ def _omega_array(zv, wv):
         near = np.arctanh(m)
         one_minus_m2 = (1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw) / _cabs(den) ** 2
         far = np.log1p(m) - 0.5 * np.log(one_minus_m2)
-    return np.where(m >= 1.0, np.inf, np.where(m < 0.9, near, far))
+    return np.where(m < 0.9, near, far)
 
 
 def kappa(space: str, point: complex, vector: complex) -> float:

@@ -1,4 +1,4 @@
-"""Log-polar points and invertible chains of primitive conformal maps.
+"""Log-polar points and the closed-form maps of the model domains onto H.
 
 ``LogPolar`` is the package's one point type: a nonzero complex number
 ``rho * exp(i*theta)`` carried as ``(log rho, theta)``, with an optional
@@ -6,28 +6,18 @@ full-precision ``cos theta`` and an optional exact cartesian value.  The
 half-plane layer (``hyperbolic``) reads orbit points in the right half plane
 as the same values once they pass its validity check.
 
-Every primitive here acts simply on the form it reads.  That is what makes
-orbits at huge times tractable: a sector power map multiplies ``log rho`` by
-its exponent and an exponential map turns a bounded strip coordinate into a
-possibly enormous ``log rho`` without ever materialising the overflowing
-complex number.  ``Affine`` and ``ExpScale`` read a complex value, ``Power``
-and ``ExpLog`` a ``LogPolar``; ``Affine`` and ``ExpLog`` return a complex
-value, ``Power`` and ``ExpScale`` a ``LogPolar``.  A chain hands each link's
-result straight to the next link and converts only where the next link reads
-the other form, so a value takes no polar round trip between two cartesian
-links.  Since ``LogPolar.from_complex(w)`` keeps ``w`` as its cartesian
-value, every link sees the value it would see after such a round trip.
-
-Links and chains also act on a batch: a ``LogPolar`` whose fields are numpy
-arrays, or a complex array.  A chain dispatches once per call, to the links'
-scalar ``fwd`` for a single point or to their ``fwd_array`` for a batch,
-which takes each element through the branch the scalar code would take.
+``RiemannMapChain`` is the map F of one model domain onto the right half
+plane, written in closed form at the point u = w - p relative to the
+domain's apex p.  That is what makes orbits tractable at huge times and far
+offsets: a strip's exponential turns a bounded coordinate into a possibly
+enormous ``log rho`` without materialising the overflowing complex number,
+and an orbit point h(z) + it is handed over as h(z) - p + it, so the digits
+of p never enter it.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +29,6 @@ LOG2 = math.log(2.0)
 
 # Complex doubles stay finite below exp(709); to_complex refuses more than this.
 _LOG_WIDE = 700.0
-
-
-class BranchError(ValueError):
-    """A power link was evaluated (or built) outside its recorded sector."""
 
 
 # Complex arithmetic on arrays in CPython's operation order (numpy's own
@@ -75,21 +61,6 @@ def _cdiv(a, b) -> np.ndarray:
                     np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-def wrap_angle(a: float) -> float:
-    """Reduce an angle to the principal range (-pi, pi]."""
-    a = math.fmod(a, TWO_PI)
-    if a <= -math.pi:
-        a += TWO_PI
-    elif a > math.pi:
-        a -= TWO_PI
-    return a
-
-
-def _wrap_angle_array(a: np.ndarray) -> np.ndarray:
-    a = np.fmod(a, TWO_PI)
-    return np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
-
-
 @dataclass(frozen=True)
 class LogPolar:
     """A nonzero complex number rho*exp(i*theta) stored as (log rho, theta).
@@ -98,11 +69,11 @@ class LogPolar:
     point is created from exact cartesian data the cosine is known to full
     relative precision even for angles within 1e-12 of +-pi/2, which the
     stored ``theta`` alone cannot resolve.  ``cart`` keeps the originating
-    cartesian value so that chains of moderate-size links never degrade it
-    by round-tripping through polar form.  log_rho == -inf encodes zero.
+    cartesian value, so that a point converted back to a complex value is
+    not degraded by a round trip through polar form.  log_rho == -inf encodes zero.
 
     The fields may also be numpy arrays of one shape: such a value is a
-    batch of points, which chain links and the metric operations of
+    batch of points, which the maps here and the metric operations of
     ``hyperbolic`` accept in place of a single point.  A batch's ``cart`` is
     None or the exact cartesian value of every point.
     """
@@ -121,8 +92,8 @@ class LogPolar:
         return LogPolar(math.log(r), cmath.phase(w), w.real / r, w)
 
     def to_complex(self) -> complex:
-        """The complex value of one point; a chain's ``forward`` and
-        ``inverse`` also convert a batch."""
+        """The complex value of one point; ``_to_complex`` also converts a
+        batch."""
         if self.cart is not None:
             return self.cart
         if self.log_rho == float("-inf"):
@@ -175,228 +146,111 @@ def _to_complex(p: LogPolar):
     return _complex(r * np.cos(p.theta), r * np.sin(p.theta))
 
 
-def _coerce(w):
-    """A chain's input: a LogPolar as it is, a number as a complex value
-    (a zero as 0j, as LogPolar.from_complex keeps it), and anything else as
-    a complex array, which is a batch."""
-    if isinstance(w, LogPolar):
-        return w
-    if isinstance(w, (complex, float, int)):
-        w = complex(w)
-        return w if w else 0j
-    return np.asarray(w, dtype=complex)
-
-
-def _batch_shape(v) -> tuple[int, ...] | None:
-    """The shape of a batch, a LogPolar or a complex array; None for a point."""
-    a = v.log_rho if isinstance(v, LogPolar) else v
-    return a.shape if isinstance(a, np.ndarray) else None
-
-
-def _polar(v) -> LogPolar:
-    """A LogPolar or a complex value (a point or a batch) in log-polar form."""
-    if isinstance(v, LogPolar):
-        return v
-    return _from_complex_array(v) if isinstance(v, np.ndarray) else LogPolar.from_complex(v)
-
-
-def _cart(v):
-    """A LogPolar or a complex value (a point or a batch) as a complex value;
-    a point without one beyond e^700 raises OverflowError."""
-    return _to_complex(v) if isinstance(v, LogPolar) else v
-
-
-@dataclass(frozen=True)
-class Affine:
-    """w -> a*w + b, from a complex value to a complex value (a zero as 0j)."""
-
-    a: complex
-    b: complex
-    reads_polar = False
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise ValueError("affine link requires a != 0")
-
-    def fwd(self, w: complex) -> complex:
-        w = self.a * w + self.b
-        if not math.isfinite(math.hypot(w.real, w.imag)):
-            raise OverflowError("affine link value a*w + b does not fit in a complex double")
-        return w if w else 0j
-
-    def fwd_array(self, w: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            w = _cmul(self.a, w) + self.b
-            if not np.isfinite(_cabs(w)).all():
-                raise OverflowError("affine link value a*w + b does not fit in a complex double")
-        return w
-
-    def inverse_link(self) -> "Affine":
-        return Affine(1.0 / self.a, -self.b / self.a)
-
-    def log_abs_deriv(self, w: complex) -> float:
-        return math.log(abs(self.a))
-
-
-@dataclass(frozen=True)
-class Power:
-    """w -> w**gamma, principal branch, restricted to a recorded input sector."""
-
-    gamma: float
-    angle_lo: float
-    angle_hi: float
-    reads_polar = True
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("power link requires gamma > 0")
-        if not (-math.pi <= self.angle_lo < self.angle_hi <= math.pi):
-            raise BranchError("power link input sector must sit inside (-pi, pi]")
-        tol = 1e-12
-        if self.gamma * self.angle_lo < -math.pi - tol or self.gamma * self.angle_hi > math.pi + tol:
-            raise BranchError(
-                "power link would leave the principal branch: "
-                f"gamma={self.gamma:g} on [{self.angle_lo:g}, {self.angle_hi:g}]"
-            )
-
-    def fwd(self, p: LogPolar) -> LogPolar:
-        if p.is_zero:
-            return p
-        slack = 1e-9
-        if not (self.angle_lo - slack <= p.theta <= self.angle_hi + slack):
-            raise BranchError(
-                f"power link input angle {p.theta:g} outside [{self.angle_lo:g}, {self.angle_hi:g}]"
-            )
-        if self.gamma == 1.0:
-            return p
-        return LogPolar(self.gamma * p.log_rho, self.gamma * p.theta)
-
-    def fwd_array(self, p: LogPolar) -> LogPolar:
-        """One element outside the sector fails the whole batch."""
-        slack = 1e-9
-        inside = (self.angle_lo - slack <= p.theta) & (p.theta <= self.angle_hi + slack)
-        outside = ~(inside | p.is_zero)
-        if outside.any():
-            raise BranchError(
-                f"power link input angle {p.theta[outside][0]:g} outside "
-                f"[{self.angle_lo:g}, {self.angle_hi:g}]"
-            )
-        if self.gamma == 1.0:
-            return p
-        return LogPolar(self.gamma * p.log_rho, self.gamma * p.theta)
-
-    def inverse_link(self) -> "Power":
-        return Power(1.0 / self.gamma, self.gamma * self.angle_lo, self.gamma * self.angle_hi)
-
-    def log_abs_deriv(self, p: LogPolar) -> float:
-        if self.gamma == 1.0:  # the identity, also at 0 where log_rho = -inf
-            return 0.0
-        return math.log(self.gamma) + (self.gamma - 1.0) * p.log_rho
-
-
-@dataclass(frozen=True)
-class ExpScale:
-    """w -> -i * exp(c*w), from a complex value to log-polar form."""
-
-    c: complex
-    reads_polar = False
-
-    def fwd(self, w: complex) -> LogPolar:
-        cw = self.c * w
-        # cos(Im(cw) - pi/2) == sin(Im(cw)): full precision near the sector rim.
-        return LogPolar(cw.real, wrap_angle(cw.imag - HALF_PI), math.sin(cw.imag))
-
-    def fwd_array(self, w: np.ndarray) -> LogPolar:
-        with np.errstate(over="ignore"):  # an infinite log rho, as in fwd
-            cw = _cmul(self.c, w)
-        return LogPolar(cw.real, _wrap_angle_array(cw.imag - HALF_PI), np.sin(cw.imag))
-
-    def inverse_link(self) -> "ExpLog":
-        return ExpLog(self.c)
-
-    def log_abs_deriv(self, w: complex) -> float:
-        # Re(c*w), rounded as the complex product rounds it
-        return math.log(abs(self.c)) + (self.c.real * w.real - self.c.imag * w.imag)
-
-
-@dataclass(frozen=True)
-class ExpLog:
-    """w -> Log(i*w)/c, the principal inverse of ExpScale(c), from log-polar
-    form to a complex value (a zero as 0j)."""
-
-    c: complex
-    reads_polar = True
-
-    def fwd(self, p: LogPolar) -> complex:
-        if p.is_zero:
-            raise ValueError("log link is singular at 0")
-        z = complex(p.log_rho, wrap_angle(p.theta + HALF_PI)) / self.c
-        return z if z else 0j
-
-    def fwd_array(self, p: LogPolar) -> np.ndarray:
-        if p.is_zero.any():
-            raise ValueError("log link is singular at 0")
-        return _cdiv(_complex(p.log_rho, _wrap_angle_array(p.theta + HALF_PI)), self.c)
-
-    def inverse_link(self) -> "ExpScale":
-        return ExpScale(self.c)
-
-    def log_abs_deriv(self, p: LogPolar) -> float:
-        return -math.log(abs(self.c)) - p.log_rho
-
-
-Link = Affine | Power | ExpScale | ExpLog
-
-
 @dataclass(frozen=True)
 class RiemannMapChain:
-    """An ordered, link-by-link invertible composition of primitive maps."""
+    """F: a model domain onto the right half plane, in closed form at the
+    apex-relative point u = w - p, sending h(0) to 1 and the upward end to
+    infinity.
 
-    links: tuple[Link, ...]
+    A strip {0 < Re u < r} (p = 0) goes by -i exp(-i k (u - r)), k = pi/r:
+    log rho = k Im u and theta = k (r - Re u) - pi/2.  Every other domain is
+    a sector about p (a half plane of opening pi, a Koebe domain of opening
+    2 pi about its slit) and goes by (rot u)^gamma, where rot turns the
+    bisector onto (0, inf) and gamma = pi / opening: log rho = gamma log|u|
+    and theta = gamma arg(rot u).  The gap pi/2 - |theta| is gamma times the
+    angle from u to the nearer boundary ray, taken from u's cross and dot
+    products with the ray; an axial ray makes both exact.  The cosine is
+    cos theta or sin(gap), from the smaller of |theta| and the gap: the two
+    are equally sensitive (tan|theta| = cot gap), and the smaller angle
+    carries the smaller rounding error, so the cosine keeps its relative
+    precision where an orbit runs along a ray.  At gamma = 1 the image
+    keeps rot u as its exact cartesian value.
 
-    def __init__(self, links):
-        object.__setattr__(self, "links", tuple(links))
+    One point (a number) runs through plain ``math``, a complex array
+    through numpy.  The inverse and ``log_abs_derivative`` have one numpy
+    body each, which takes one point as a 0-d array.
+    """
+
+    p: complex               # the apex; 0 for a strip
+    base: complex            # h(0) - p, which F sends to 1
+    gamma: float = 1.0
+    rot: complex = 1 + 0j
+    ray_lo: complex = -1j    # unit directions of the boundary rays below
+    ray_hi: complex = 1j     # and above the bisector
+    width: float = 0.0       # a strip's r; 0 for a sector
+    k: float = 0.0           # a strip's pi/r
+
+    def relative_lp(self, u) -> LogPolar:
+        """F(p + u) for a number or a complex array u."""
+        if isinstance(u, np.ndarray):
+            return self._strip_array(u) if self.width else self._sector_array(u)
+        if self.width:
+            a = self.k * (self.width - u.real)
+            return LogPolar(self.k * u.imag, a - HALF_PI, math.sin(a))
+        g, v = self.gamma, self.rot * u
+        if g == 1.0:
+            return LogPolar.from_complex(v)
+        e = self.ray_hi if v.imag >= 0.0 else self.ray_lo
+        gap = math.atan2(abs(e.real * u.imag - e.imag * u.real), e.real * u.real + e.imag * u.imag)
+        theta, gap = g * math.atan2(v.imag, v.real) + 0.0, g * gap  # -0.0 prints as 0
+        cos = math.cos(theta) if abs(theta) <= gap else math.sin(gap)
+        return LogPolar(g * math.log(abs(u)), theta, cos)
+
+    def _strip_array(self, u: np.ndarray) -> LogPolar:
+        a = self.k * (self.width - u.real)
+        with np.errstate(over="ignore"):  # an infinite log rho, as for one point
+            return LogPolar(self.k * u.imag, a - HALF_PI, np.sin(a))
+
+    def _sector_array(self, u: np.ndarray) -> LogPolar:
+        g, v = self.gamma, _cmul(self.rot, u)
+        if g == 1.0:
+            return _from_complex_array(v)
+        hi = v.imag >= 0.0
+        ex = np.where(hi, self.ray_hi.real, self.ray_lo.real)
+        ey = np.where(hi, self.ray_hi.imag, self.ray_lo.imag)
+        gap = g * np.arctan2(np.abs(ex * u.imag - ey * u.real), ex * u.real + ey * u.imag)
+        theta = g * np.arctan2(v.imag, v.real)
+        with np.errstate(divide="ignore"):  # log rho = -inf at the apex
+            log_rho = g * np.log(_cabs(u))
+        return LogPolar(log_rho, theta, np.where(np.abs(theta) <= gap, np.cos(theta), np.sin(gap)))
 
     def forward_lp(self, w) -> LogPolar:
-        """F(w) for a point, a complex array or a batch LogPolar."""
-        return _polar(_apply(self.links, w))
+        """F(w) for a number or a complex array."""
+        return self.relative_lp(w - self.p)
 
-    def forward(self, w) -> complex:
-        return _cart(_apply(self.links, w))
+    def forward(self, w):
+        """F(w) as a complex value; beyond e^700 a value without an exact
+        cartesian form raises OverflowError."""
+        return _to_complex(self.forward_lp(w))
 
-    def inverse_links(self) -> tuple[Link, ...]:
-        return self._inverse_links
+    def relative_inverse(self, w):
+        """F^-1(w) - p for a half-plane point or batch (a LogPolar), or a
+        complex value or array; a value beyond e^700 raises OverflowError."""
+        if not isinstance(w, LogPolar):
+            w = _from_complex_array(np.asarray(w, dtype=complex))
+        log_rho, theta = np.asarray(w.log_rho, dtype=float), np.asarray(w.theta, dtype=float)
+        if self.width:
+            u = _complex(self.width - (theta + HALF_PI) / self.k, log_rho / self.k)
+        elif self.gamma == 1.0 and w.cart is not None:  # the exact value an image keeps
+            u = _cmul(self.rot.conjugate(), w.cart)
+        else:
+            v = _to_complex(LogPolar(log_rho / self.gamma, theta / self.gamma))
+            u = _cmul(self.rot.conjugate(), v)
+        return complex(u) if u.ndim == 0 else u
 
-    @functools.cached_property
-    def _inverse_links(self) -> tuple[Link, ...]:
-        # built on first use, once per chain; not a field, so outside eq/repr
-        return tuple(link.inverse_link() for link in reversed(self.links))
+    def inverse(self, w):
+        """F^-1(w), as ``relative_inverse`` takes w."""
+        return self.p + self.relative_inverse(w)
 
-    def inverse_lp(self, w) -> LogPolar:
-        return _polar(_apply(self._inverse_links, w))
-
-    def inverse(self, w) -> complex:
-        return _cart(_apply(self._inverse_links, w))
-
-    def log_abs_derivative(self, w) -> float:
-        """log |F'(w)| accumulated link by link (never over/underflows); a
-        complex array or a batch LogPolar gives an array."""
-        v = _coerce(w)
-        shape = _batch_shape(v)
-        batch = shape is not None
-        total = np.zeros(shape) if batch else 0.0
-        for link in self.links:
-            v = _polar(v) if link.reads_polar else _cart(v)
-            total = total + link.log_abs_deriv(v)
-            v = link.fwd_array(v) if batch else link.fwd(v)
-        return total
-
-
-def _apply(links: tuple[Link, ...], w):
-    """The last link's result, a LogPolar or a complex value."""
-    v = _coerce(w)
-    batch = _batch_shape(v) is not None
-    for link in links:
-        v = _polar(v) if link.reads_polar else _cart(v)
-        v = link.fwd_array(v) if batch else link.fwd(v)
-    return v
+    def log_abs_derivative(self, w):
+        """log |F'(w)| (never over/underflows), a float for one point and an
+        array for a complex array."""
+        u = np.asarray(w, dtype=complex) - self.p
+        if self.width:
+            d = math.log(self.k) + self.k * u.imag
+        elif self.gamma == 1.0:  # the identity, also at the apex
+            d = np.zeros(u.shape)
+        else:
+            with np.errstate(divide="ignore"):  # +inf at the apex
+                d = math.log(self.gamma) + (self.gamma - 1.0) * np.log(_cabs(u))
+        return float(d) if d.ndim == 0 else d

@@ -3,9 +3,10 @@
 A semigroup here is the family phi_t = h^{-1}(h(.) + it) where h maps the
 unit disc onto a chosen starlike-at-infinity domain.  The model map is
 h = F^{-1} o C, with C the Cayley transform of ``hyperbolic`` and F the
-domain's chain onto the half plane, so h(0) is always the domain's
-canonical base point.  Every chain sends the upward end to infinity of H,
-so the Denjoy-Wolff point is C^{-1}(inf) = 1.
+domain's map onto the half plane, so h(0) is always the domain's
+canonical base point.  Every map sends the upward end to infinity of H,
+so the Denjoy-Wolff point is C^{-1}(inf) = 1.  Orbits are evaluated at
+h(z) - p + it, relative to the domain's apex p.
 """
 
 from __future__ import annotations
@@ -69,42 +70,51 @@ class KoenigsSemigroup:
     """A non-elliptic semigroup presented through its holomorphic model."""
 
     image_domain: DomainSpec
-    chain: RiemannMapChain | None  # F^{-1}: half plane -> image domain (None for combs)
-    base_model_point: complex | None
+    base_model_point: complex | None  # h(0); None for combs
 
 
 def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
     """Build the semigroup with Koenigs image the given domain."""
     classify(domain)  # rejects objects that are not domains
     if isinstance(domain, Comb):
-        return KoenigsSemigroup(domain, None, None)
-    chain = RiemannMapChain(to_halfplane(domain).inverse_links())
-    return KoenigsSemigroup(domain, chain, canonical_base_point(domain))
+        return KoenigsSemigroup(domain, None)
+    return KoenigsSemigroup(domain, canonical_base_point(domain))
+
+
+def _model_map(sg: KoenigsSemigroup) -> RiemannMapChain:
+    if sg.base_model_point is None:
+        raise UnsupportedDomainOperation("comb image domains carry no closed-form model map")
+    return to_halfplane(sg.image_domain)
+
+
+def _model_offset(fmap: RiemannMapChain, z: DiscPoint):
+    """h(z) - p: the map's exact base for z = 0, else F^{-1}(C(z)) - p."""
+    # for a batch the comparison is an array, never True: the map inverts it
+    if (z.value == 0) is True and not z.guarded:
+        return fmap.base
+    return fmap.relative_inverse(cayley(z))
 
 
 def model_point(sg: KoenigsSemigroup, z: DiscPoint = ORIGIN) -> complex:
     """h(z) = F^{-1}(C(z)): the model image of a disc point, or an array of
     them for a batch z.  A guarded z enters through its exact half-plane
     witness."""
-    if sg.chain is None:
-        raise UnsupportedDomainOperation("comb image domains carry no closed-form model map")
-    # for a batch the comparison is an array, never True: the chain maps it
-    if (z.value == 0) is True and not z.guarded:
-        return sg.base_model_point
-    return sg.chain.forward(cayley(z))
+    fmap = _model_map(sg)
+    return fmap.p + _model_offset(fmap, z)
 
 
 def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     """The half-plane representation C(phi_t(z)) = F(h(z) + it), exact in
-    log-polar form for t as large as 1e12.  An array of times, or a batch z
+    log-polar form for t as large as 1e12, evaluated at h(z) - p + it so
+    that no digit of the apex p enters.  An array of times, or a batch z
     whose shape broadcasts against it, gives a batch LogPolar from one pass
-    through the chain.  A point whose log rho overflows (a strip past its
+    through the map.  A point whose log rho overflows (a strip past its
     time range) is a DomainError naming the first such time."""
     negative = t < 0  # a bool for one time, an array for an array of times
     if negative is True or (negative is not False and negative.any()):
         raise ValueError("orbit times must be nonnegative")
-    hz = model_point(sg, z)
-    p = to_halfplane(sg.image_domain).forward_lp(hz + 1j * t)
+    fmap = _model_map(sg)
+    p = fmap.relative_lp(_model_offset(fmap, z) + 1j * t)
     try:
         return in_halfplane(p)
     except DomainError as exc:
@@ -125,11 +135,11 @@ def orbit(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> DiscPoint:
 def denjoy_wolff(sg: KoenigsSemigroup) -> complex:
     """The common orbit limit on the unit circle.
 
-    Fixed by the normalisation: every chain sends the upward end of the
+    Fixed by the normalisation: every map sends the upward end of the
     image domain to infinity of H, and the inverse Cayley transform sends
     infinity to 1.
     """
-    if sg.chain is None:
+    if sg.base_model_point is None:
         raise UnsupportedDomainOperation("comb image domains are not orbit-evaluable")
     return 1 + 0j
 

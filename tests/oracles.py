@@ -7,8 +7,9 @@ Omega^+-), 50-digit cartesian evaluations of the half-plane
 distance and of the Euclidean surrogates, the distance to a radial geodesic
 and the foot on it from the stored disc point turned onto the real
 diameter (at as many digits as the point's distance to the circle needs),
-and a 50-digit quadrature of the quasi-hyperbolic density along the
-imaginary axis.
+a 50-digit quadrature of the quasi-hyperbolic density along the
+imaginary axis, and the domain maps and orbit speeds from their plain
+complex formulas in coordinates relative to the domain's apex.
 """
 
 import math
@@ -257,3 +258,69 @@ def mp_quasihyp(domain, t0, t1, dps=50, scan=64):
             upto[b] = total
         out = [(upto[mpmath.log(h)] - upto[mpmath.log(l)]) / 4 for l, h in zip(los, his)]
         return out[0] if one else out
+
+
+def _mp_map_constants(domain):
+    """(gamma, rot) of a sector-type map (rot u)^gamma at the working
+    precision: a half plane is the sector of opening pi about its normal,
+    a Koebe domain the sector of opening 2 pi about its slit."""
+    if isinstance(domain, HalfPlaneRight):
+        return mpmath.mpf(1), mpmath.mpf(1)
+    if isinstance(domain, Koebe):
+        return mpmath.mpf(1) / 2, -1j
+    alpha, beta = mpmath.mpf(domain.alpha), mpmath.mpf(domain.beta)
+    return mpmath.pi / (alpha + beta), -1j * mpmath.expj(-(beta - alpha) / 2)
+
+
+def _dps(u):
+    """Digits for F at the apex-relative point u: 50, plus those that a
+    rotation constant rounded to the working precision loses against |u|."""
+    return 50 + 2 * max(0, int(mpmath.log10(abs(mpmath.mpc(u)) + 1)))
+
+
+def mp_halfplane(domain, u, dps=None):
+    """F(p + u) from the plain complex formula at the apex-relative point u:
+    u itself on a half plane, -i exp(-i pi (u - r)/r) on a strip, the
+    principal (rot u)^gamma on a sector or a Koebe domain."""
+    with mpmath.workdps(dps or _dps(u)):
+        u = mpmath.mpc(u)
+        if isinstance(domain, Strip):
+            r = mpmath.mpf(domain.r)
+            return -1j * mpmath.exp(-1j * mpmath.pi * (u - r) / r)
+        gamma, rot = _mp_map_constants(domain)
+        return mpmath.power(rot * u, gamma)
+
+
+def mp_preimage(domain, w, dps=50):
+    """F^-1(w) - p at the half-plane point w, from the same formulas."""
+    with mpmath.workdps(dps):
+        w = mpmath.mpc(w)
+        if isinstance(domain, Strip):
+            r = mpmath.mpf(domain.r)
+            return r + 1j * r * mpmath.log(1j * w) / mpmath.pi
+        gamma, rot = _mp_map_constants(domain)
+        return mpmath.power(w, 1 / gamma) / rot
+
+
+def mp_log_abs_derivative(domain, u, dps=None):
+    """log |F'(p + u)| by numerical differentiation of mp_halfplane."""
+    with mpmath.workdps(dps or _dps(u)):
+        d = mpmath.diff(lambda x: mp_halfplane(domain, x, mpmath.mp.dps), mpmath.mpc(u))
+        return mpmath.log(abs(d))
+
+
+def mp_lp(w, dps=50):
+    """(log rho, theta, cos theta) of the half-plane point w."""
+    with mpmath.workdps(dps):
+        return mpmath.log(abs(w)), mpmath.arg(w), w.real / abs(w)
+
+
+def mp_speeds(w, dps=50):
+    """(v, v_o, v_T) of the half-plane point w relative to the base point 1:
+    k_H(1, w), k_H(1, |w|) and k_H(w, |w|), from sinh k = |w1 - w2| /
+    (2 sqrt(Re w1 Re w2)), which never cancels."""
+    def k(w1, w2):
+        return mpmath.asinh(abs(w1 - w2) / (2 * mpmath.sqrt(w1.real * w2.real)))
+    with mpmath.workdps(dps):
+        rho = abs(w)
+        return k(mpmath.mpc(1), w), abs(mpmath.log(rho)) / 2, k(w, mpmath.mpc(rho))

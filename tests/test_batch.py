@@ -8,9 +8,9 @@ may differ from the math module in the last bit, so scalar and batch agree
 to a few ulp, not bit for bit.
 """
 
-import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,14 +25,12 @@ from hypspeed.domains import (UnsupportedDomainOperation, canonical_base_point,
                               map_to_halfplane)
 from hypspeed.hyperbolic import (GL_NODES, GL_WEIGHTS, ORIGIN, DomainError,
                                  tangential_distance)
-from hypspeed.mapchain import (HALF_PI, Affine, BranchError, ExpLog, ExpScale,
-                               LogPolar, Power, RiemannMapChain,
-                               _from_complex_array)
+from hypspeed.mapchain import HALF_PI, LogPolar
 from hypspeed.semigroups import hyperbolic_step_gap, model_point
 from hypspeed.speeds import speeds_from_halfplane
 from hypspeed.verify import _rand_domain_points
 
-from oracles import brute_delta_pm, mp_k_half, mp_surrogates
+from oracles import brute_delta_pm, mp_k_half, mp_preimage, mp_surrogates
 
 N = 300
 ULPS = 8
@@ -448,104 +446,32 @@ class TestChainBatches:
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_inverse_chain(self, name):
-        # F^-1 from half-plane points up to log rho = 750 through Power, ExpLog
-        # and Affine links.  An Affine link needs its input's complex value,
-        # which a log-polar point has only up to e^700: the Power links scale
-        # log rho by their exponents on the way there.
+        # F^-1 from half-plane points up to log rho = 750.  A sector-type
+        # preimage has log |u| = log rho / gamma and needs a complex double,
+        # which exists up to e^700; a strip's is linear in log rho and theta.
+        dom = TABLE_DOMAINS[name]
         rng = np.random.default_rng(21)
         log_rho = np.concatenate([rng.uniform(-5.0, 30.0, 60), rng.uniform(650.0, 750.0, 60)])
-        if isinstance(TABLE_DOMAINS[name], Strip):
-            log_rho = log_rho[:60]
         theta = rng.uniform(-1.5, 1.5, log_rho.size)
-        chain = koenigs_semigroup(TABLE_DOMAINS[name]).chain
-        gamma = math.prod(link.gamma for link in chain.links if isinstance(link, Power))
-        fits = gamma * log_rho <= 700.0
+        chain = to_halfplane(dom)
+        fits = log_rho <= (math.inf if isinstance(dom, Strip) else 700.0 * chain.gamma)
         assert fits.all() == (name in ("strip", "sector_sym", "sector_skew", "strip_wide"))
-        scalars = [chain.forward_lp(HalfPlanePoint(float(l), float(t)))
+        batch = chain.inverse(HalfPlanePoint(log_rho[fits], theta[fits]))
+        scalars = [chain.inverse(HalfPlanePoint(float(l), float(t)))
                    for l, t in zip(log_rho[fits], theta[fits])]
-        assert_points_match(chain.forward_lp(HalfPlanePoint(log_rho[fits], theta[fits])), scalars)
+        # one body, which numpy may round an ulp apart on a 0-d array
+        assert_complex_match(batch, scalars)
+        p = mpmath.mpc(getattr(dom, "p", 0j))
+        for l, t, got in zip(log_rho[fits], theta[fits], scalars):
+            want = complex(p + mp_preimage(dom, mpmath.exp(l) * mpmath.expj(t)))
+            assert abs(got - want) <= 1e-13 * abs(want)
         msg = "log-polar value with log_rho=.* does not fit in a complex double"
         for l, t in zip(log_rho[~fits], theta[~fits]):
             with pytest.raises(OverflowError, match=msg):
-                chain.forward_lp(HalfPlanePoint(float(l), float(t)))
+                chain.inverse(HalfPlanePoint(float(l), float(t)))
         if not fits.all():  # one such point fails the whole batch
             with pytest.raises(OverflowError, match=msg):
-                chain.forward_lp(HalfPlanePoint(log_rho, theta))
-
-    def test_every_link_type(self):
-        # each link reads its own form: a complex value (Affine, ExpScale)
-        # or a LogPolar (Power, ExpLog)
-        rng = np.random.default_rng(22)
-        w = rng.uniform(0.1, 3.0, N) * np.exp(1j * rng.uniform(-1.4, 1.4, N))
-        for link in (Affine(2.0 - 1j, 0.5), Affine(1.0, -3.0j), Power(0.7, -1.5, 1.5),
-                     Power(1.0, -1.5, 1.5), ExpScale(-1j * math.pi / 1.3), ExpLog(0.5 - 2j)):
-            if link.reads_polar:
-                batch = link.fwd_array(_from_complex_array(w))
-                scalars = [link.fwd(LogPolar.from_complex(complex(x))) for x in w]
-            else:
-                batch = link.fwd_array(w)
-                scalars = [link.fwd(complex(x)) for x in w]
-            if isinstance(link, Affine):  # the complex product in CPython's order
-                assert batch.tolist() == scalars
-            elif isinstance(link, ExpLog):  # log rho, theta and cosine, each in its own ulps
-                assert_points_match(_from_complex_array(batch),
-                                    [LogPolar.from_complex(s) for s in scalars])
-            else:
-                assert_points_match(batch, scalars)
-
-    def test_affine_beyond_e700_needs_cartesian_values(self):
-        # a log-polar point without its cartesian value has no complex value
-        # for the link beyond e^700, one point or a batch
-        chain = RiemannMapChain([Affine(1j, 2.0)])
-        p = LogPolar(np.array([1.0, 705.0]), np.array([0.3, 0.3]))
-        msg = "log-polar value with log_rho=705 does not fit in a complex double"
-        with pytest.raises(OverflowError, match=msg):
-            chain.forward_lp(LogPolar(705.0, 0.3))
-        with pytest.raises(OverflowError, match=msg):
-            chain.forward_lp(p)
-        # with its cartesian value a point beyond e^700 maps exactly
-        w = np.array([1.0 + 2.0j, 1e306 + 1e306j])
-        want = [1j * x + 2.0 for x in w.tolist()]
-        assert chain.links[0].fwd_array(w).tolist() == want
-        assert [chain.links[0].fwd(x) for x in w.tolist()] == want
-        assert chain.forward_lp(_from_complex_array(w)).cart.tolist() == want
-        assert [chain.forward_lp(LogPolar.from_complex(x)).cart for x in w.tolist()] == want
-
-    def test_affine_value_beyond_the_largest_double_raises(self):
-        msg = r"affine link value a\*w \+ b does not fit in a complex double"
-        for link, w in ((Affine(2.0, 5.0), 1e308), (Affine(1.0, 1.5e308j), 1.5e308)):
-            with pytest.raises(OverflowError, match=msg):
-                link.fwd(complex(w))
-            with pytest.raises(OverflowError, match=msg):
-                link.fwd_array(np.array([1.0, w], dtype=complex))
-
-    @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
-    def test_affine_outputs_carry_cartesian_values(self, name):
-        # the orbit's model points up to |w| = 1.7e308 pass every Affine link
-        # (they lead each forward chain) as exact complex values
-        dom = TABLE_DOMAINS[name]
-        w = model_point(koenigs_semigroup(dom), START) + 1j * np.geomspace(1.0, 1.7e308, 200)
-        links = to_halfplane(dom).links
-        affine = list(itertools.takewhile(lambda link: isinstance(link, Affine), links))
-        assert affine and not any(isinstance(link, Affine) for link in links[len(affine):])
-        for link in affine:
-            want = [link.a * x + link.b for x in w.tolist()]
-            assert [link.fwd(x) for x in w.tolist()] == want
-            w = link.fwd_array(w)
-            assert w.dtype == complex and w.tolist() == want
-
-    def test_one_point_outside_a_power_sector_fails_the_batch(self):
-        chain = to_halfplane(TABLE_DOMAINS["sector_sym"])
-        w = np.array([1j, 2j, -1.0 - 1j])
-        with pytest.raises(BranchError):
-            chain.forward_lp(-1.0 - 1j)
-        with pytest.raises(BranchError):
-            chain.forward_lp(w)
-        assert chain.forward_lp(w[:2]).log_rho.shape == (2,)
-
-    def test_log_link_rejects_a_zero_in_the_batch(self):
-        with pytest.raises(ValueError):
-            ExpLog(1.0).fwd_array(_from_complex_array(np.array([1.0 + 0j, 0j])))
+                chain.inverse(HalfPlanePoint(log_rho, theta))
 
     @pytest.mark.parametrize("name", ["strip", "strip_wide"])
     def test_strip_beyond_the_wide_switch_keeps_its_cartesian_value(self, name):
@@ -798,11 +724,9 @@ class TestChainSuiteBatches:
         dom = TABLE_DOMAINS[name]
         ws, pre = chain_draws(dom, 42)
         batch, scalars = map_to_halfplane(dom, ws), [map_to_halfplane(dom, complex(w)) for w in ws]
-        # a power link keeps no cosine: cos(theta), taken from an angle
-        # numpy's atan2 may round an ulp apart, is off by far more of its
-        # own ulps near pi/2, so only a cosine the chain carries is compared
-        fields = ("log_rho", "theta") + (("cos",) if batch.cos_theta is not None else ())
-        for field in fields:
+        # every map carries its cosine, so the cosine compares in its own
+        # ulps, also near pi/2 where cos(theta) of a rounded angle would not
+        for field in ("log_rho", "theta", "cos"):
             want = [getattr(p, field) for p in scalars]
             assert ulps_apart(getattr(batch, field), want) <= ULPS, field
         want = [k_domain(dom, complex(a), complex(b)) for a, b in zip(ws, pre)]

@@ -50,6 +50,42 @@ class TestOmega:
         exact = 0.5 * (math.log1p(r) - math.log(1.0 - r))
         assert omega(DiscPoint(0), DiscPoint(r)) == pytest.approx(exact, abs=1e-12)
 
+    @staticmethod
+    def mp_omega(z, w):
+        """atanh |z - w| / |1 - conj(z) w| at 60 digits."""
+        with mpmath.workdps(60):
+            z, w = mpmath.mpc(z), mpmath.mpc(w)
+            return mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w))
+
+    def test_opposite_points_where_m_rounds_to_1(self):
+        # m = |z - w| / |1 - conj(z) w| rounds to 1 for these interior pairs;
+        # the exact complement 1 - m^2 still gives the distance, which was inf
+        r = 1.0 - 2.0 ** -40
+        pairs = [(1.0 - 2.0 ** -50, -(1.0 - 2.0 ** -50)),
+                 (complex(0.6 * r, 0.8 * r), -complex(0.6 * r, 0.8 * r))]
+        want = [35.35050620855721, 28.4190344029573]
+        for (z, w), d in zip(pairs, want):
+            assert abs(d - float(self.mp_omega(z, w))) <= 1e-15 * d
+            assert abs(omega(DiscPoint(z), DiscPoint(w)) - d) <= 1e-15 * d
+        z, w = (DiscPoint(np.array(x, dtype=complex)) for x in zip(*pairs))
+        assert np.all(np.abs(omega(z, w) - want) <= 1e-15 * np.array(want))
+
+    def test_no_infinite_distance_near_the_boundary(self):
+        # 3,000 seeded pairs with 1 - |z| log-uniform in [1e-15, 0.8]
+        rng = np.random.default_rng(17)
+
+        def draw(n):
+            gap = 10.0 ** rng.uniform(-15.0, math.log10(0.8), n)
+            return (1.0 - gap) * np.exp(2j * math.pi * rng.random(n))
+
+        z, w = draw(3000), draw(3000)
+        inside = (np.abs(z) < 1.0) & (np.abs(w) < 1.0)
+        z, w = z[inside], w[inside]
+        assert z.size > 2900
+        assert np.all(np.isfinite(omega(DiscPoint(z), DiscPoint(w))))
+        assert all(math.isfinite(omega(DiscPoint(a), DiscPoint(b)))
+                   for a, b in zip(z.tolist(), w.tolist()))
+
 
 class TestKHalf:
     def test_equal_points(self):

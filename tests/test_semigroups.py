@@ -84,7 +84,7 @@ class TestOrbit:
 
     def test_comb_unsupported(self):
         sg = koenigs_semigroup(Comb([(1, 1)]))
-        assert sg.chain is None
+        assert sg.base_model_point is None
         with pytest.raises(UnsupportedDomainOperation):
             orbit(sg, ORIGIN, 1.0)
 
