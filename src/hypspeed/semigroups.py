@@ -81,12 +81,6 @@ def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
     return KoenigsSemigroup(domain, canonical_base_point(domain))
 
 
-def _model_map(sg: KoenigsSemigroup) -> RiemannMapChain:
-    if sg.base_model_point is None:
-        raise UnsupportedDomainOperation("comb image domains carry no closed-form model map")
-    return to_halfplane(sg.image_domain)
-
-
 def _model_offset(fmap: RiemannMapChain, z: DiscPoint):
     """h(z) - p: the map's exact base for z = 0, else F^{-1}(C(z)) - p."""
     # for a batch the comparison is an array, never True: the map inverts it
@@ -99,7 +93,7 @@ def model_point(sg: KoenigsSemigroup, z: DiscPoint = ORIGIN) -> complex:
     """h(z) = F^{-1}(C(z)): the model image of a disc point, or an array of
     them for a batch z.  A guarded z enters through its exact half-plane
     witness."""
-    fmap = _model_map(sg)
+    fmap = to_halfplane(sg.image_domain)  # a comb has none
     return fmap.p + _model_offset(fmap, z)
 
 
@@ -113,7 +107,7 @@ def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     negative = t < 0  # a bool for one time, an array for an array of times
     if negative is True or (negative is not False and negative.any()):
         raise ValueError("orbit times must be nonnegative")
-    fmap = _model_map(sg)
+    fmap = to_halfplane(sg.image_domain)  # a comb has none
     p = fmap.relative_lp(_model_offset(fmap, z) + 1j * t)
     try:
         return in_halfplane(p)

@@ -67,8 +67,9 @@ class TestSpeeds:
 
     @pytest.mark.parametrize("p", ["9007199254740992.0", "1e16", "1e17"])
     def test_offset_rounds_orbit_onto_axis_exit_2(self, p, capsys):
-        # h(0) = p + 1 would round so that the orbit point, less p, lies on
-        # the imaginary axis, where no distance is finite
+        # the absolute base point h(0) = p + 1 no longer resolves unit steps
+        # from 2**52 on; orbits run relative to p, but such an offset is
+        # still rejected
         with pytest.raises(SystemExit) as exc:
             main(["speeds", "--domain", f'{{"type":"halfplane","p":[{p},0]}}', "--points", "4"])
         assert exc.value.code == 2
