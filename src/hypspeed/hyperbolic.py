@@ -5,30 +5,31 @@ right half plane H carries the isometric distance k_half.  Half-plane points
 are stored as (log rho, theta) so that orbits with rho far beyond double
 range remain exact; all distance formulas below are written against that
 representation and stay accurate in every regime (nearly radial pairs, huge
-modulus ratios, angles within 1e-12 of +-pi/2).
+modulus ratios, angles within 1e-12 of +-pi/2).  Every point ``cayley_inv``
+returns carries its Cayley image as a half-plane witness, which the
+distances and projections read in place of the rounded disc value.
 
 The metric operations, ``cayley_inv`` and ``DiscAutomorphism.apply`` also
 take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
-or ``RadialGeodesic`` whose value is an array (of plain, unguarded points),
-or a polyline given as an array.  The radial projection and distance have
-one numpy body for a point, a guarded point and batches of either
-argument; the other batches run through array kernels that match the
-scalar code to a few ulp.
+(with or without a batch witness) or ``RadialGeodesic`` whose value is an
+array, or a polyline given as an array.  ``omega`` and the radial pair have
+one numpy body for a point and a batch; ``k_half`` and ``cayley_inv`` run
+one point in plain ``math``, which their array code matches to a few ulp.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .mapchain import (HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex,
                        _from_complex_array, _to_complex)
 
-# Above this log rho, 1 - |z| ~ 2 e^{-log rho} cos theta of the disc point
-# is below ~2e-13, and cayley_inv keeps the exact half-plane point as witness.
+# Above this log rho, 1 - |z| ~ 2 e^{-log rho} cos theta of the disc point is
+# below ~2e-13, and cayley_inv's disc value is 1 - 2 e^{-log rho - i theta}.
 _RADIAL_CROSSOVER = 30.0
 
 # Above this |log rho_1 - log rho_2| k_half takes the log form, before sinh(d/2) overflows.
@@ -108,41 +109,53 @@ def _halfplane_from_complex(w: complex) -> LogPolar:
 HalfPlanePoint.from_complex = _halfplane_from_complex
 
 
+def _square(x):
+    """x*x as the unevaluated sum p + e, exactly (Dekker's two-product)."""
+    c = 134217729.0 * x  # 2**27 + 1 splits x into halves with exact products
+    hi = c - (c - x)
+    lo = x - hi
+    p = x * x
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+
+def _one_minus_abs2(z):
+    """1 - |z|^2 rounded once, for a complex number or array, from exact
+    two-products and a two-sum (Knuth).  z is inside the disc iff it is > 0;
+    a part not finite or too large to split gives NaN, which is not."""
+    px, ex = _square(z.real)
+    py, ey = _square(z.imag)
+    s = px + py
+    b = s - px
+    es = (px - (s - b)) + (py - b)  # s + es = px + py exactly
+    return (1.0 - s) - (es + (ex + ey))
+
+
 @dataclass(frozen=True)
 class DiscPoint:
     """A point of the unit disc.
 
-    For orbit points so close to the boundary that 1 - |value| underflows,
-    ``halfplane`` stores the exact Cayley image; distance computations route
-    through it and never touch the rounded ``value``.  An array ``value``
-    is a batch of plain points, none of which may need the guard.
+    ``halfplane`` optionally stores the exact Cayley image, a batch of them
+    for an array ``value``, as every orbit point does; distances route
+    through it and never touch the rounded ``value``.
     """
 
     value: complex
     halfplane: LogPolar | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.value, np.ndarray):
-            self._check_batch()
-            return
-        object.__setattr__(self, "value", complex(self.value))
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise DomainError("disc point must have finite components")
-        if self.halfplane is None:
-            if abs(self.value) >= 1.0:
-                raise DomainError(f"|{self.value}| >= 1 is not in the unit disc")
-        elif abs(self.value) > 1.0 + 1e-12:
-            raise DomainError("guarded disc point strays past the boundary")
-
-    def _check_batch(self) -> None:
-        value = self.value.astype(complex, copy=False)
+        batch = isinstance(self.value, np.ndarray)
+        value = self.value.astype(complex, copy=False) if batch else complex(self.value)
         object.__setattr__(self, "value", value)
-        if self.halfplane is not None:
-            raise DomainError("a batch of disc points cannot carry a half-plane witness")
-        if not np.all(np.isfinite(value)):
-            raise DomainError("disc point must have finite components")
-        if not np.all(_cabs(value) < 1.0):
-            raise DomainError("a batch point is not in the unit disc")
+        if self.halfplane is None:  # a NaN or infinite part fails either test
+            inside = _one_minus_abs2(value) > 0.0
+        elif batch and np.shape(self.halfplane.log_rho) != value.shape:
+            raise DomainError("a batch witness must have the shape of its disc points")
+        else:
+            inside = abs(value) <= 1.0 + 1e-12
+        if not (inside.all() if batch else inside):
+            raise DomainError("a disc point must be finite and inside the unit disc"
+                              if self.halfplane is None else
+                              "a guarded disc point strays past the boundary")
 
     @property
     def guarded(self) -> bool:
@@ -243,35 +256,15 @@ def k_half(w1: LogPolar, w2: LogPolar) -> float:
 
 
 def omega(z, w) -> float:
-    """Hyperbolic distance in the unit disc (an array for a batch)."""
+    """Hyperbolic distance in the unit disc (an array for a batch), from
+    sinh omega = |z - w| / sqrt((1 - |z|^2)(1 - |w|^2)), or by k_half where
+    a point carries a half-plane witness."""
     z, w = _as_disc(z), _as_disc(w)
     if z.guarded or w.guarded:
         return k_half(cayley(z), cayley(w))
-    if isinstance(z.value, np.ndarray) or isinstance(w.value, np.ndarray):
-        return _omega_array(z.value, w.value)
-    if z.value == w.value:
-        return 0.0
-    den = 1.0 - z.value.conjugate() * w.value
-    m = abs((z.value - w.value) / den)
-    if m < 0.9:
-        return math.atanh(m)
-    # near the boundary use 1 - m^2 = (1-|z|^2)(1-|w|^2)/|1-conj(z) w|^2,
-    # which avoids the 1 - m cancellation; (1-a)(1+a) keeps 1-a exact
-    az, aw = abs(z.value), abs(w.value)
-    one_minus_m2 = ((1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw)
-                    / abs(den) ** 2)
-    return math.log1p(m) - 0.5 * math.log(one_minus_m2)
-
-
-def _omega_array(zv, wv):
-    den = 1.0 - _cmul(np.conj(zv), wv)
-    m = _cabs(_cdiv(zv - wv, den))
-    az, aw = _cabs(zv), _cabs(wv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.arctanh(m)
-        one_minus_m2 = (1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw) / _cabs(den) ** 2
-        far = np.log1p(m) - 0.5 * np.log(one_minus_m2)
-    return np.where(m < 0.9, near, far)
+    rest = _one_minus_abs2(z.value) * _one_minus_abs2(w.value)
+    d = np.arcsinh(abs(z.value - w.value) / np.sqrt(rest))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def kappa(space: str, point: complex, vector: complex) -> float:
@@ -281,10 +274,10 @@ def kappa(space: str, point: complex, vector: complex) -> float:
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise DomainError(f"kappa needs a finite {name}, got {value}")
     if space == "disc":
-        a2 = abs(point) ** 2
-        if a2 >= 1.0:
+        rest = _one_minus_abs2(point)
+        if not rest > 0.0:
             raise DomainError("kappa needs an interior disc point")
-        return abs(vector) / (1.0 - a2)
+        return abs(vector) / rest
     if space == "halfplane":
         if point.real <= 0.0:
             raise DomainError("kappa needs an interior half-plane point")
@@ -308,26 +301,28 @@ def cayley(z) -> LogPolar:
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:
-    """Inverse Cayley transform; guards points whose 1-|z| underflows.
-
-    A batch gives a batch of plain disc points; since those carry no
-    half-plane witness, a batch with one point that would need the guard
-    (log rho > 30, or |z| rounding to 1) is a DomainError."""
+    """Inverse Cayley transform, a point or a batch, carrying w as its
+    half-plane witness.  The disc value is (u - 1)/(u + 1), pulled just
+    inside the circle where it rounds onto it, up to log rho = 30."""
     if isinstance(w.log_rho, np.ndarray):
-        if (w.log_rho > _RADIAL_CROSSOVER).any():
-            raise DomainError("a batch point needs the boundary guard (log_rho > 30)")
-        u = _to_complex(w)
-        return DiscPoint(_cdiv(u - 1.0, u + 1.0))  # rejects |z| rounding to 1
+        u = _to_complex(replace(w, log_rho=np.minimum(w.log_rho, _RADIAL_CROSSOVER)))
+        with np.errstate(all="ignore"):  # each point keeps one form; the other may overflow
+            near = _cdiv(u - 1.0, u + 1.0)
+            r = _cabs(near)
+            eps = 2.0 * np.exp(-w.log_rho)
+            z = np.where(w.log_rho <= _RADIAL_CROSSOVER,
+                         np.where(r < 1.0, near, near / r * (1.0 - 1e-16)),
+                         _complex(1.0 - eps * w.cos, eps * np.sin(w.theta)))
+        return DiscPoint(z, halfplane=w)
     if w.log_rho <= _RADIAL_CROSSOVER:
         u = w.to_complex()
         z = (u - 1.0) / (u + 1.0)
-        if abs(z) < 1.0:
-            return DiscPoint(z)
-        return DiscPoint(z / abs(z) * (1.0 - 1e-16), halfplane=w)
-    eps = 2.0 * math.exp(-w.log_rho)
-    s = math.sin(w.theta)
-    value = complex(1.0 - eps * w.cos, eps * s)
-    return DiscPoint(value, halfplane=w)
+        if abs(z) >= 1.0:
+            z = z / abs(z) * (1.0 - 1e-16)
+    else:
+        eps = 2.0 * math.exp(-w.log_rho)
+        z = complex(1.0 - eps * w.cos, eps * math.sin(w.theta))
+    return DiscPoint(z, halfplane=w)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +372,10 @@ def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
     C o (conj(tau) *) o C^{-1}, which takes the geodesic onto (0, +inf) where
     the projection keeps the modulus.  For w = e^{L + i theta}, tau = x + iy,
     s = sin theta sech L and c = cos theta sech L (so nothing overflows),
-    tanh(L'/2) = (x tanh L + y s) / (1 + hypot(c, y tanh L - x s)).  A foot
-    that rounds onto the circle keeps the half-plane witness e^L on the real
-    diameter, and is a DomainError on any other geodesic or in a batch."""
+    tanh(L'/2) = (x tanh L + y s) / (1 + hypot(c, y tanh L - x s)).  On the
+    real diameter, where L' = L, every foot carries the half-plane witness
+    (L, 0, 1), a point as a batch; a foot that rounds onto the circle off
+    that diameter is a DomainError."""
     hp = cayley(_as_disc(z))
     lr, x, y = hp.log_rho, np.real(geo.tau), np.imag(geo.tau)
     with np.errstate(over="ignore"):  # sech L = 0 past cosh's range
@@ -387,11 +383,12 @@ def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
     s, c = np.sin(hp.theta) * sech, hp.cos * sech
     perp = y * t - x * s  # squares that underflow are negligible against 1
     r = (x * t + y * s) / (1.0 + np.sqrt(c * c + perp * perp))
-    if np.ndim(r) == 0 and abs(r) >= 1.0 and y == 0.0:
+    if np.all(y == 0.0):
+        lr = np.broadcast_to(lr, r.shape) if np.ndim(r) else lr
         return DiscPoint(r * geo.tau, halfplane=HalfPlanePoint(lr, 0.0, 1.0))
     if np.any(np.abs(r) >= 1.0):
-        raise DomainError("the projection rounds onto the unit circle, where only a single "
-                          "point's foot on the real diameter keeps a half-plane witness")
+        raise DomainError("the projection rounds onto the unit circle, where only a foot "
+                          "on the real diameter keeps a half-plane witness")
     return DiscPoint(r * geo.tau)
 
 
@@ -413,7 +410,7 @@ def path_length(space: str, polyline, subdivisions: int = 64) -> float:
         raise ValueError("polyline needs at least two vertices")
     if space not in ("disc", "halfplane"):
         raise ValueError(f"unknown space {space!r}")
-    inside = np.abs(pts) ** 2 < 1.0 if space == "disc" else pts.real > 0.0
+    inside = _one_minus_abs2(pts) > 0.0 if space == "disc" else pts.real > 0.0
     if not np.all(inside):
         raise DomainError(f"polyline has a vertex outside the {space}")
     if subdivisions < 1:
@@ -455,7 +452,8 @@ class DiscAutomorphism:
         """M(z) for a disc point, or for each point of a batch DiscPoint."""
         z = _as_disc(z)
         if z.guarded:
-            raise DomainError("automorphisms act on representable disc points only")
+            raise DomainError("automorphisms act on plain disc points only: pass "
+                              "DiscPoint(z.value) where that value is faithful")
         if isinstance(z.value, np.ndarray):
             v = _cdiv(self.a - z.value, 1.0 - _cmul(self.a.conjugate(), z.value))
             w = _cmul(cmath.exp(1j * self.phase), v)

@@ -121,8 +121,8 @@ def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
 
 
 def orbit(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> DiscPoint:
-    """phi_t(z) = h^{-1}(h(z) + it); boundary-hugging results come back in
-    guarded form carrying their exact half-plane witness."""
+    """phi_t(z) = h^{-1}(h(z) + it), a point or a batch, carrying its exact
+    half-plane point as witness, however close to the circle it lies."""
     return cayley_inv(orbit_halfplane(sg, z, t))
 
 

@@ -161,7 +161,7 @@ def _suite_lemma_halfplane(n, rng):
     z1, z2 = _rand_disc_batch(u[:, 0:2], 3.5), _rand_disc_batch(u[:, 2:4], 3.5)
     margins.append(_eq(k(H.cayley(z1), H.cayley(z2)), H.omega(z1, z2)))
     w = hp(_uniform(u[:, 4], -8.0, 8.0), _rand_theta(u[:, 5:8]))
-    back = H.cayley(H.cayley_inv(w))
+    back = H.cayley(H.DiscPoint(H.cayley_inv(w).value))  # the disc value, not the witness
     margins += [_eq(back.log_rho, w.log_rho), _eq(back.theta, w.theta)]
     # metric density spot values
     margins.append(_eq(H.kappa("disc", 0j, 1.0), 1.0))
@@ -252,8 +252,8 @@ def _suite_chains(n, rng):
         u1, u2 = (chain.inverse(np.e ** _uniform(u[:, c], -3, 3)
                                 * _unit(_uniform(u[:, c + 1], -1.2, 1.2))) for c in (3, 5))
         kd = D.k_domain(dom, u1, u2)
-        z1 = H.cayley_inv(chain.forward_lp(u1))
-        z2 = H.cayley_inv(chain.forward_lp(u2))
+        z1 = H.DiscPoint(H.cayley_inv(chain.forward_lp(u1)).value)
+        z2 = H.DiscPoint(H.cayley_inv(chain.forward_lp(u2)).value)
         margins.append(1e-9 - np.abs(kd - H.omega(z1, z2)))
         # deltas at the drawn points: monotone under enlarging the domain
         dv = D.delta(dom, ws)
@@ -410,7 +410,7 @@ def _suite_basepoint(n, rng):
         tau = SG.denjoy_wolff(sg)
         margins.append(_eq(abs(tau), 1.0))
         starts = [_rand_disc(rng, 3.0) for _ in range(max(2, n // 16))]
-        dist = np.array([[H.omega(H.ORIGIN, z2)] for z2 in starts])
+        dist = H.omega(H.ORIGIN, H.DiscPoint(np.array([z2.value for z2 in starts])))[:, None]
         # one orbit pass: row 0 from the origin, one row per drawn start
         z = H.DiscPoint(np.array([[0j]] + [[z2.value] for z2 in starts]))
         _v, v_o, v_t = SP.speeds_from_halfplane(SG.orbit_halfplane(sg, z, grid))
@@ -442,7 +442,8 @@ def _suite_conjugation(n, rng):
             z_start = m.apply(H.ORIGIN)
             tau_conj = m_inv.apply_boundary(1.0 + 0j)
             bound = 4.0 * H.omega(H.ORIGIN, z_start) + 4.0
-            eta = m_inv.apply(SG.orbit(sg, z_start, grid))
+            # the grid keeps 1 - |z| above about 1e-10, where the value is faithful
+            eta = m_inv.apply(H.DiscPoint(SG.orbit(sg, z_start, grid).value))
             cv, cvo, cvt = _curve_speeds(eta, tau_conj)
             margins += [bound - np.abs(v - cv), bound - np.abs(v_o - cvo),
                         bound - np.abs(v_t - cvt)]
@@ -467,8 +468,7 @@ def _suite_semigroup_model(n, rng):
             one_step = SG.orbit(sg, z, s + t)
             margins.append(1e-9 - abs(two_step.value - one_step.value))
             hold = SG.orbit(sg, z, rng.uniform(0.0, 1e3))
-            if not hold.guarded:
-                margins.append(1.0 - abs(hold.value))
+            margins.append(1.0 - abs(hold.value))
             # Schwarz-Pick: the semigroup contracts omega
             z2 = _rand_disc(rng, 2.5)
             tt = rng.uniform(0.0, 1e4)
@@ -564,6 +564,8 @@ SUITES = {
 
 def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9) -> SuiteReport:
     """Run one named suite; deterministic given (name, n, seed, tol)."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"the tolerance must be finite and >= 0, got {tol}")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if n is not None and n < 1:

@@ -4,7 +4,8 @@ These deliberately avoid the closed forms they are checking: golden-section
 search for hyperbolic projections, brute-force discretised boundaries for
 Euclidean distances (also to the complements of the enlarged domains
 Omega^+-), 50-digit cartesian evaluations of the half-plane
-distance and of the Euclidean surrogates, the distance to a radial geodesic
+distance and of the Euclidean surrogates, the disc distance and density
+from their definitions at 60 digits, the distance to a radial geodesic
 and the foot on it from the stored disc point turned onto the real
 diameter (at as many digits as the point's distance to the circle needs),
 a 50-digit quadrature of the quasi-hyperbolic density along the
@@ -127,6 +128,21 @@ def mp_k_half(l1, t1, l2, t2, c1=None, c2=None, dps=50):
         m = abs(w1 - w2) / s
         one_minus_m2 = 4 * w1.real * w2.real / s ** 2
         return mpmath.log1p(m) - mpmath.log(one_minus_m2) / 2
+
+
+def mp_omega(z, w, dps=60):
+    """omega(z, w) = atanh(|z - w| / |1 - conj(z) w|) of the stored disc
+    values at dps digits, from the definition that the program no longer
+    evaluates."""
+    with mpmath.workdps(dps):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        return mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w))
+
+
+def mp_kappa(z, v, dps=60):
+    """The disc density |v| / (1 - |z|^2) at dps digits."""
+    with mpmath.workdps(dps):
+        return abs(mpmath.mpc(v)) / (1 - abs(mpmath.mpc(z)) ** 2)
 
 
 def mp_surrogates(log_rho, theta, cos_theta):
@@ -313,6 +329,15 @@ def mp_lp(w, dps=50):
     """(log rho, theta, cos theta) of the half-plane point w."""
     with mpmath.workdps(dps):
         return mpmath.log(abs(w)), mpmath.arg(w), w.real / abs(w)
+
+
+def mp_orbit(domain, z, t):
+    """F(h(z) - p + it) at 50 digits and more, with h(z) - p the preimage
+    of the Cayley image of the disc value z.value."""
+    with mpmath.workdps(60):
+        zz = mpmath.mpc(z.value)
+        u = mp_preimage(domain, (1 + zz) / (1 - zz), dps=60)
+    return mp_halfplane(domain, u + 1j * mpmath.mpf(t))
 
 
 def mp_speeds(w, dps=50):

@@ -30,7 +30,8 @@ from hypspeed.semigroups import hyperbolic_step_gap, model_point
 from hypspeed.speeds import speeds_from_halfplane
 from hypspeed.verify import _rand_domain_points
 
-from oracles import brute_delta_pm, mp_k_half, mp_preimage, mp_surrogates
+from oracles import (brute_delta_pm, mp_k_half, mp_omega, mp_orbit, mp_preimage,
+                     mp_speeds, mp_surrogates)
 
 N = 300
 ULPS = 8
@@ -251,13 +252,16 @@ def disc_batch(rng, max_dist, n=N):
 class TestDiscBatches:
     @pytest.mark.parametrize("depth", [1.0, 8.0], ids=["near", "deep"])
     def test_omega(self, depth):
+        # a point and a batch run one body, so both answer to the definition
         rng = np.random.default_rng(12)
         z, w = disc_batch(rng, depth), disc_batch(rng, depth)
         w[:10] = z[:10]  # coincident points are at distance 0
         batch = omega(DiscPoint(z), DiscPoint(w))
-        scalar = [omega(complex(a), complex(b)) for a, b in zip(z, w)]
-        assert np.all(batch[:10] == 0.0)
-        assert ulps_apart(batch[10:], scalar[10:]) <= ULPS
+        scalar = np.array([omega(complex(a), complex(b)) for a, b in zip(z, w)])
+        want = np.array([float(mp_omega(a, b)) for a, b in zip(z, w)])
+        for got in (batch, scalar):
+            assert np.all(got[:10] == 0.0)
+            assert np.all(np.abs(got[10:] - want[10:]) <= 1e-15 * want[10:])
 
     @pytest.mark.parametrize("op", ["cayley", "omega", "automorphism"])
     def test_divisor_with_a_subnormal_part(self, op):
@@ -299,7 +303,7 @@ class TestDiscBatches:
             DiscPoint(np.array([0.5, 1.0]))
         with pytest.raises(DomainError):
             RadialGeodesic(np.array([1.0, 0.5]))
-        # a foot that rounds onto the circle has no witness in a batch
+        # a foot that rounds onto the circle off the real diameter has no witness
         guarded = DiscPoint(1.0 + 0j, halfplane=HalfPlanePoint(40.0, 0.0, 1.0))
         with pytest.raises(DomainError, match="rounds onto the unit circle"):
             project_to_radius(guarded, RadialGeodesic(np.array([1.0, 1j])))
@@ -735,18 +739,21 @@ class TestChainSuiteBatches:
     @pytest.mark.parametrize("name", CHAIN_DOMAINS)
     def test_cayley_inv(self, name):
         # chain images, which keep their exact cartesian values, and points
-        # given by (log rho, theta) alone, up to the guard's log rho = 30
+        # given by (log rho, theta) alone, on both sides of the switch to
+        # the far-field value at log rho = 30; each carries its witness
         dom = TABLE_DOMAINS[name]
         _ws, pre = chain_draws(dom, 43)
         rng = np.random.default_rng(44)
-        polar = HalfPlanePoint(rng.uniform(-20.0, 30.0, N), rng.uniform(-1.5, 1.5, N))
+        polar = HalfPlanePoint(rng.uniform(-20.0, 60.0, N), rng.uniform(-1.5, 1.5, N))
         for hp, scalars in [
             (map_to_halfplane(dom, pre), [map_to_halfplane(dom, complex(w)) for w in pre]),
             (polar, [HalfPlanePoint(float(l), float(t))
                      for l, t in zip(polar.log_rho, polar.theta)]),
         ]:
-            assert_complex_match(cayley_inv(hp).value, [cayley_inv(p).value for p in scalars])
-            assert not any(cayley_inv(p).guarded for p in scalars)
+            batch = cayley_inv(hp)
+            points = [cayley_inv(p) for p in scalars]
+            assert_complex_match(batch.value, [z.value for z in points])
+            assert batch.halfplane is hp and all(z.halfplane is p for z, p in zip(points, scalars))
 
     @pytest.mark.parametrize("name", CHAIN_DOMAINS)
     def test_automorphism_apply(self, name):
@@ -760,20 +767,28 @@ class TestChainSuiteBatches:
             m = DiscAutomorphism(complex(a), rng.uniform(-math.pi, math.pi))
             for z in (cayley_inv(map_to_halfplane(dom, pre)),
                       orbit(sg, m.apply(ORIGIN), np.geomspace(0.5, 10.0, 24))):
+                with pytest.raises(DomainError, match=r"DiscPoint\(z\.value\)"):
+                    m.apply(z)
                 want = [m.apply(complex(x)).value for x in z.value]
-                assert_complex_match(m.apply(z).value, want)
+                assert_complex_match(m.apply(DiscPoint(z.value)).value, want)
 
-    def test_a_guard_needing_point_fails_the_batch(self):
-        sg = koenigs_semigroup(HalfPlaneRight(0j))
-        assert orbit(sg, ORIGIN, 1e20).guarded
-        assert orbit(sg, ORIGIN, np.array([1.0])).value.shape == (1,)
-        with pytest.raises(DomainError):
-            orbit(sg, ORIGIN, np.array([1.0, 1e20]))
+    @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
+    def test_a_batch_orbit_to_1e20_matches_the_oracle(self, name):
+        # orbit points whose 1 - |z| underflows, beside plain ones, in one
+        # batch: each carries its witness, so the disc API gives the speeds
+        dom = TABLE_DOMAINS[name]
+        sg = koenigs_semigroup(dom)
+        ts = np.array([1.0, 1e4, 1e8, 1e12, 1e20])
+        z = orbit(sg, ORIGIN, ts)
+        geo = RadialGeodesic(1.0)
+        got = [omega(ORIGIN, z), omega(ORIGIN, project_to_radius(z, geo)), dist_to_radius(z, geo)]
+        want = np.array([[float(x) for x in mp_speeds(mp_orbit(dom, ORIGIN, t))] for t in ts])
+        for i, name in enumerate(("v", "v_o", "v_T")):
+            err = np.abs(got[i] - want[:, i])
+            assert np.all(err <= 1e-13 * np.maximum(1.0, want[:, i])), (name, err.max())
         # log rho = 0 and theta = pi/2: 1 - |z| is below double resolution
         w = HalfPlanePoint(np.zeros(2), np.array([0.0, HALF_PI]), np.array([1.0, 1e-300]))
-        assert cayley_inv(HalfPlanePoint(0.0, HALF_PI, 1e-300)).guarded
-        with pytest.raises(DomainError):
-            cayley_inv(w)
+        assert cayley_inv(w).halfplane is w
 
     @pytest.mark.parametrize("name", CHAIN_DOMAINS)
     def test_one_outside_point_fails_k_domain(self, name):

@@ -182,6 +182,14 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "pythagoras", "--samples", "20",
                         "--seed", "1", "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_malformed_tolerance_exit_2(self, tol, capsys):
+        # a NaN tolerance counted 73 comb margins as violations, -1 counted 65
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "comb", "--tol", tol])
+        assert exc.value.code == 2
+        assert "tolerance" in capsys.readouterr().err
+
 
 class TestFit:
     def test_koebe_quarter(self, tmp_path):

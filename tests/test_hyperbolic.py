@@ -12,7 +12,7 @@ from hypspeed import (ORIGIN, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                       k_half, kappa, omega, path_length, project_to_radius)
 from hypspeed.hyperbolic import DomainError, tangential_distance
 
-from oracles import mp_radial, project_by_golden
+from oracles import mp_kappa, mp_omega, mp_radial, project_by_golden
 
 LOG2 = math.log(2.0)
 
@@ -50,13 +50,6 @@ class TestOmega:
         exact = 0.5 * (math.log1p(r) - math.log(1.0 - r))
         assert omega(DiscPoint(0), DiscPoint(r)) == pytest.approx(exact, abs=1e-12)
 
-    @staticmethod
-    def mp_omega(z, w):
-        """atanh |z - w| / |1 - conj(z) w| at 60 digits."""
-        with mpmath.workdps(60):
-            z, w = mpmath.mpc(z), mpmath.mpc(w)
-            return mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w))
-
     def test_opposite_points_where_m_rounds_to_1(self):
         # m = |z - w| / |1 - conj(z) w| rounds to 1 for these interior pairs;
         # the exact complement 1 - m^2 still gives the distance, which was inf
@@ -65,13 +58,15 @@ class TestOmega:
                  (complex(0.6 * r, 0.8 * r), -complex(0.6 * r, 0.8 * r))]
         want = [35.35050620855721, 28.4190344029573]
         for (z, w), d in zip(pairs, want):
-            assert abs(d - float(self.mp_omega(z, w))) <= 1e-15 * d
+            assert abs(d - float(mp_omega(z, w))) <= 1e-15 * d
             assert abs(omega(DiscPoint(z), DiscPoint(w)) - d) <= 1e-15 * d
         z, w = (DiscPoint(np.array(x, dtype=complex)) for x in zip(*pairs))
         assert np.all(np.abs(omega(z, w) - want) <= 1e-15 * np.array(want))
 
     def test_no_infinite_distance_near_the_boundary(self):
-        # 3,000 seeded pairs with 1 - |z| log-uniform in [1e-15, 0.8]
+        # 3,000 seeded pairs with 1 - |z| log-uniform in [1e-15, 0.8], as a
+        # batch and one by one, against the definition at 60 digits; the
+        # three-branch formula was up to 1.3e-3 relative off here
         rng = np.random.default_rng(17)
 
         def draw(n):
@@ -82,9 +77,11 @@ class TestOmega:
         inside = (np.abs(z) < 1.0) & (np.abs(w) < 1.0)
         z, w = z[inside], w[inside]
         assert z.size > 2900
-        assert np.all(np.isfinite(omega(DiscPoint(z), DiscPoint(w))))
-        assert all(math.isfinite(omega(DiscPoint(a), DiscPoint(b)))
-                   for a, b in zip(z.tolist(), w.tolist()))
+        want = np.array([float(mp_omega(a, b)) for a, b in zip(z.tolist(), w.tolist())])
+        batch = omega(DiscPoint(z), DiscPoint(w))
+        points = np.array([omega(DiscPoint(a), DiscPoint(b)) for a, b in zip(z.tolist(), w.tolist())])
+        for got in (batch, points):
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 class TestKHalf:
@@ -133,6 +130,14 @@ class TestKappa:
             kappa("disc", 1.0, 1.0)
         with pytest.raises(DomainError):
             kappa("halfplane", 0.0, 1.0)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 1.0, 2.5, -2.0])
+    def test_near_the_boundary(self, phi):
+        # 1 - |z| = 1e-10, where 1 - |z|^2 from the rounded |z|^2 was 5e-11
+        # relative off
+        z = (1.0 - 1e-10) * cmath.exp(1j * phi)
+        want = float(mp_kappa(z, 0.7 - 0.2j))
+        assert abs(kappa("disc", z, 0.7 - 0.2j) - want) <= 1e-15 * want
 
     def test_vector_homogeneous(self):
         assert kappa("disc", 0.3j, 2.5) == pytest.approx(2.5 * kappa("disc", 0.3j, 1.0), abs=1e-15)

@@ -14,12 +14,12 @@ from hypspeed.mapchain import LogPolar
 from hypspeed.semigroups import model_point
 from hypspeed.verify import _rand_domain_points
 
-from oracles import (mp_halfplane, mp_log_abs_derivative, mp_lp, mp_preimage,
-                     mp_speeds)
+from oracles import (mp_halfplane, mp_log_abs_derivative, mp_lp, mp_orbit,
+                     mp_preimage, mp_speeds)
 from test_batch import TABLE_DOMAINS
 
-#: orbit times: 0, then 0.001 to 1e12, and two far beyond
-TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e12, 16), [1e15, 1e300]])
+#: orbit times: 0, then 0.001 to 1e12, and three far beyond
+TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e12, 16), [1e15, 1e300, 1e307]])
 #: the far offsets: a sector at 1e10 and 3e15, and sector-type maps with
 #: their apex at -4.5e15 + 4.5e15i, just inside |Re p|, |Im p| < 2**52, one
 #: with a vertical ray that its orbits run along
@@ -66,15 +66,6 @@ def assert_lp_matches(got, ws):
     assert np.all(np.abs(c_got - c_want) <= 1e-13 * c_want), "cos"
 
 
-def mp_orbit(dom, z, t):
-    """F(h(z) - p + it) at 50 digits and more, with h(z) - p the preimage
-    of the Cayley image of z itself."""
-    with mpmath.workdps(60):
-        zz = mpmath.mpc(z.value)
-        u = mp_preimage(dom, (1 + zz) / (1 - zz), dps=60)
-    return mp_halfplane(dom, u + 1j * mpmath.mpf(t))
-
-
 def assert_orbit_matches(dom, z, ts):
     """orbit_halfplane and sample_speeds at each time, one time and a whole
     array, against F(h(z) - p + it) and its speeds at 50 digits."""
@@ -110,14 +101,14 @@ def test_logpolar_keeps_cartesian_exact():
 def test_domain_chains_match_reference(name):
     # the ten tables domains, among them the chains suite's five built-in
     # domains and its three extras: F at orbit points from five start
-    # points to t = 1e300 and at the chains suite's draws, F^-1 at
+    # points to t = 1e307 and at the chains suite's draws, F^-1 at
     # half-plane points, and log |F'| at the draws, each one point at a time
     # and as one batch
     dom = TABLE_DOMAINS[name]
     chain = to_halfplane(dom)
     sg = koenigs_semigroup(dom)
     draws = _rand_domain_points(np.random.default_rng(5).random((24, 2)), dom)
-    ws = np.concatenate([model_point(sg, z) + 1j * TIMES[:-2] for z in starts(3)] + [draws])
+    ws = np.concatenate([model_point(sg, z) + 1j * TIMES[:-3] for z in starts(3)] + [draws])
     p = getattr(dom, "p", 0j)
     want = [mp_halfplane(dom, mpmath.mpc(w) - mpmath.mpc(p)) for w in ws]
     assert_lp_matches(chain.forward_lp(ws), want)

@@ -13,6 +13,8 @@ from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, RadialGeod
 from hypspeed.hyperbolic import DomainError
 from hypspeed.semigroups import model_point, orbit_halfplane
 
+from oracles import mp_orbit, mp_speeds
+
 LOG2 = math.log(2.0)
 
 #: the domains of the benchmark's `tables` workload
@@ -250,16 +252,20 @@ class TestStartingPoint:
 
 
 class TestRadialDefinitions:
-    """The tangential and orthogonal speeds are the distance from the orbit
-    point to the real diameter and the distance from the origin to its foot
-    there; the public disc API must give the table's values."""
+    """The total, tangential and orthogonal speeds are the distance from the
+    origin to the orbit point, from that point to the real diameter and from
+    the origin to its foot there; the public disc API must give the table's
+    values, and v the 50-digit one."""
 
     def test_orbit_points_on_the_real_diameter(self):
         guarded = 0
         for spec in TABLE_DOMAINS:
-            sg = koenigs_semigroup(domain_from_json(spec))
+            dom = domain_from_json(spec)
+            sg = koenigs_semigroup(dom)
             for t in (1.0, 1e4, 1e8, 1e12, 1e20):
                 z, (sample,) = orbit(sg, ORIGIN, t), sample_speeds(sg, [t])
+                v = float(mp_speeds(mp_orbit(dom, ORIGIN, t))[0])
+                assert abs(omega(ORIGIN, z) - v) <= 1e-13 * max(1.0, v), (spec, t)
                 dists = [dist_to_radius(z, RadialGeodesic(tau)) for tau in (1.0, -1.0)]
                 assert abs(dists[0] - dists[1]) <= 1e-14 * max(dists), (spec, t)
                 if z.guarded:
@@ -270,4 +276,4 @@ class TestRadialDefinitions:
                     foot = project_to_radius(z, RadialGeodesic(tau))
                     if foot.guarded:
                         assert abs(omega(ORIGIN, foot) - sample.v_o) <= 1e-14 * sample.v_o
-        assert guarded == 19
+        assert guarded == 50

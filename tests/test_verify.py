@@ -63,6 +63,13 @@ def test_negative_sample_count():
             run_suite("contraction", n=n)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        run_suite("contraction", n=10, tol=tol)
+    assert run_suite("contraction", n=10, tol=0.0).samples == 10
+
+
 def test_deterministic():
     a = run_suite("pythagoras", n=500, seed=7)
     b = run_suite("pythagoras", n=500, seed=7)
