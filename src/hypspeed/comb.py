@@ -128,13 +128,11 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     for j in range(1, steps + 1):
         aj, aj1, bj = a[j - 1], a[j], b[-1]
         xj = bj + math.sqrt(aj1 * aj1 - aj * aj)
-
-        def constraint(bb: float) -> float:
-            return (j * aj1 * g(bb) + xj) / bb
+        c = j * aj1  # the constraint at bb is (c * g(bb) + xj) / bb
 
         hi = 2.0 * xj
         for _ in range(512):
-            if constraint(hi) <= _MARGIN:
+            if (c * g(hi) + xj) / hi <= _MARGIN:
                 break
             hi *= 2.0
         else:
@@ -142,7 +140,7 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
         lo = xj
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if constraint(mid) <= _MARGIN:
+            if (c * g(mid) + xj) / mid <= _MARGIN:
                 if mid == hi:
                     break  # a fixed point: every later iteration repeats this one
                 hi = mid
@@ -151,7 +149,7 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
             else:
                 lo = mid
         xs.append(xj)
-        cons.append(constraint(hi))
+        cons.append((c * g(hi) + xj) / hi)
         b.append(hi)
     return CombConstruction(name, tuple(a), tuple(b), tuple(xs), tuple(cons), b[-1], g)
 

@@ -504,38 +504,69 @@ def _axis_distance(piece, r: float) -> float:
     return math.hypot(a, r - b) if C + D * r > 0 else abs(A + B * r)
 
 
-def _axis_breakpoints(domain: DomainSpec, pieces, t0: float, t1: float) -> list[float]:
-    """Every height in [t0, t1] where the nearest piece, or its regime, can
-    change along {ir}: the regime switches and the pairwise crossings, all
-    exact."""
-    cands = []
-    for _, _, _, _, C, D in pieces:
-        if D != 0.0:
-            cands.append(-C / D)
-    if isinstance(domain, Sector):
-        # the rays share their apex, so their distances cross only on the
-        # bisector of a convex sector, both in the perpendicular regime,
-        # where A1 + B1 r > 0 > A2 + B2 r: at A1 + B1 r = -(A2 + B2 r)
-        (_, _, A1, B1, _, _), (_, _, A2, B2, _, _) = pieces
-        if B1 + B2 != 0.0:
-            cands.append(-(A1 + A2) / (B1 + B2))
-    else:
-        squares = [(a, a * a, b) for a, b, _, _, _, _ in pieces]
-        for ai, ai2, bi in squares:
-            for aj, aj2, bj in squares:
-                # the hypot of slit i above its top meets the |x| of slit j ...
-                if aj > ai:
-                    cands.append(bi + math.sqrt(aj2 - ai2))
-                # ... or the hypot of slit j
-                if bj != bi:
-                    r = 0.5 * ((aj2 - ai2) / (bj - bi) + bi + bj)
-                    if r > bi and r > bj:
-                        cands.append(r)
+def _axis_breakpoints(pieces, t0: float, t1: float) -> list[float]:
+    """Every height in [t0, t1] where the nearest ray of a sector, or its
+    regime, can change along {ir}: the regime switches and the crossing of
+    the two rays, all exact."""
+    cands = [-C / D for _, _, _, _, C, D in pieces if D != 0.0]
+    # the rays share their apex, so their distances cross only on the
+    # bisector of a convex sector, both in the perpendicular regime,
+    # where A1 + B1 r > 0 > A2 + B2 r: at A1 + B1 r = -(A2 + B2 r)
+    (_, _, A1, B1, _, _), (_, _, A2, B2, _, _) = pieces
+    if B1 + B2 != 0.0:
+        cands.append(-(A1 + A2) / (B1 + B2))
     pts = {t0, t1}
     for r in cands:
         if t0 < r < t1:
             pts.add(r)
     return sorted(pts)
+
+
+def _crossing(lower, upper) -> float:
+    """Where the lines a^2 + b^2 - 2 b r of two slits, as (a*a, b, piece), meet."""
+    (ai2, bi, _), (aj2, bj, _) = lower, upper
+    return 0.5 * ((aj2 - ai2) / (bj - bi) + bi + bj)
+
+
+def _axis_runs(domain: DomainSpec, pieces, t0: float, t1: float):
+    """The envelope delta(ir) on [t0, t1] as increasing runs (lo, hi, piece)
+    of one piece in one regime; a sector's runs end at its breakpoints.
+
+    Slits come by increasing |x| and top.  The nearest of those above r is
+    the first, |x| away.  A slit below r is hypot(a, r - b) away, whose
+    square less r^2 is the line a^2 + b^2 - 2 b r, with slopes falling by
+    index: a monotone convex-hull sweep keeps the lower envelope of those
+    lines, `front` at the one lowest at r.  Between two tops the hull only
+    rises, so it hands over to the slit above once, where its distance
+    reaches that |x|.  Every top ends a run; every run ends above r."""
+    if isinstance(domain, Sector):
+        pts = _axis_breakpoints(pieces, t0, t1)
+        return [(lo, hi, min(pieces, key=lambda p, mid=0.5 * (lo + hi): _axis_distance(p, mid)))
+                for lo, hi in zip(pts[:-1], pts[1:])]
+    # a sentinel slit above every height ends the pushes
+    lines = [(p[0] * p[0], p[1], p) for p in pieces] + [(math.inf, math.inf, None)]
+    hull, front, above, r, runs = [], 0, 0, t0, []
+    while r < t1:
+        while lines[above][1] <= r:
+            while len(hull) - front > 1 and (_crossing(hull[-2], lines[above])
+                                             <= _crossing(hull[-2], hull[-1])):
+                hull.pop()  # nowhere strictly the lowest line
+            hull.append(lines[above])
+            above += 1
+        while len(hull) - front > 1 and _crossing(hull[front], hull[front + 1]) <= r:
+            front += 1
+        am2, hi, piece = lines[above]
+        hi = min(hi, t1)
+        if len(hull) - front > 1:
+            hi = min(hi, _crossing(hull[front], hull[front + 1]))
+        if hull:
+            ai2, bi, near = hull[front]
+            switch = bi + math.sqrt(am2 - ai2)
+            if r < switch:
+                piece, hi = near, min(hi, switch)
+        runs.append((r, hi, piece))
+        r = hi
+    return runs
 
 
 def _asinh_quotient(num: float, a: float) -> float:
@@ -578,12 +609,12 @@ def _piece_integral(piece, lo: float, hi: float, mid: float) -> float:
 
 def _axis_integrals(domain: DomainSpec, t0: float, heights) -> list[float]:
     """(1/4) * integral of dr/delta(ir) over [t0, h] for each h of the
-    increasing `heights`, from one left-to-right pass over the pieces of
+    increasing `heights`, from one left-to-right pass over the runs of
     the envelope delta(ir) = min over the boundary pieces.
 
-    Every height but the last must be a breakpoint (a comb's tooth tops
-    are): the pieces below it, and the order of their sum, are those of a
-    pass that ends there.
+    Every height but the last must end a run (a comb's tooth tops do): the
+    runs below it, and the order of their sum, are those of a pass that
+    ends there.
     """
     if not t0 <= heights[0]:
         raise ValueError("need t0 <= t1")
@@ -591,33 +622,9 @@ def _axis_integrals(domain: DomainSpec, t0: float, heights) -> list[float]:
         raise DomainError("segment exits the domain")  # upward-closed: t0 decides
     if isinstance(domain, Comb) and heights[-1] > domain.extent:
         raise DomainError("segment exceeds the materialised comb extent")
-    pieces = _axis_pieces(domain)
-    pts = _axis_breakpoints(domain, pieces, t0, heights[-1])
-    sector = isinstance(domain, Sector)
-    total, upto, above = 0.0, {t0: 0.0}, 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        if sector:
-            piece = min(pieces, key=lambda p: _axis_distance(p, mid))
-        else:
-            # the slits come by nondecreasing x and top, and mid only rises.
-            # Those from `above` on reach up to mid and are x away, so the
-            # first of them is the nearest; a slit below is hypot(x, mid -
-            # top) >= mid - top away, which only grows going down, so the
-            # scan stops once that exceeds the best.  `<=` gives a tie to
-            # the lowest index, as min does.
-            while above < len(pieces) and pieces[above][1] < mid:
-                above += 1
-            best, piece = ((pieces[above][0], pieces[above]) if above < len(pieces)
-                           else (math.inf, None))
-            for j in range(above - 1, -1, -1):
-                p = pieces[j]
-                if mid - p[1] > best:
-                    break
-                d = math.hypot(p[0], mid - p[1])
-                if d <= best:
-                    best, piece = d, p
-        total += _piece_integral(piece, lo, hi, mid)
+    total, upto = 0.0, {t0: 0.0}
+    for lo, hi, piece in _axis_runs(domain, _axis_pieces(domain), t0, heights[-1]):
+        total += _piece_integral(piece, lo, hi, 0.5 * (lo + hi))
         upto[hi] = total
     return [0.25 * upto[h] for h in heights]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,11 +136,20 @@ class DiscPoint:
 
     ``halfplane`` optionally stores the exact Cayley image, a batch of them
     for an array ``value``, as every orbit point does; distances route
-    through it and never touch the rounded ``value``.
+    through it and never touch the rounded ``value``.  So one point equals
+    another only with the same value and the same witness; a batch
+    compares by value alone.
     """
 
     value: complex
-    halfplane: LogPolar | None = field(default=None, compare=False)
+    halfplane: LogPolar | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if isinstance(self.value, np.ndarray) or isinstance(other.value, np.ndarray):
+            return (self.value,) == (other.value,)
+        return (self.value, self.halfplane) == (other.value, other.halfplane)
 
     def __post_init__(self):
         batch = isinstance(self.value, np.ndarray)

@@ -189,7 +189,8 @@ def _mp_rays(domain):
     """The boundary of a domain as closed rays (px, py, ex, ey): apex p, unit
     direction e, at the working precision.  A slit {x + iy : y <= top} is
     the ray down from x + i top, a whole line two opposite rays from one of
-    its points."""
+    its points.  A comb's slit at -a mirrors the one at a in the imaginary
+    axis, which sees both at one distance, so only the slit at a is kept."""
     mpf = mpmath.mpf
     if isinstance(domain, HalfPlaneRight):
         x = mpf(domain.p.real)
@@ -201,7 +202,7 @@ def _mp_rays(domain):
         return [(mpf(domain.p.real), mpf(domain.p.imag), mpmath.cos(a), mpmath.sin(a))
                 for a in angles]
     if isinstance(domain, Comb):
-        return [(mpf(x), mpf(b), mpf(0), mpf(-1)) for a, b in domain.teeth for x in (a, -a)]
+        return [(mpf(a), mpf(b), mpf(0), mpf(-1)) for a, b in domain.teeth]
     raise ValueError(f"no boundary rays for {domain!r}")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -8,9 +9,9 @@ from hypspeed import build_comb, delta, gauge, quasihyp_lower, verify_comb
 from hypspeed.comb import check_sublinear, resolve_abscissae
 from hypspeed.cli import main
 from hypspeed.domains import (Comb, DomainError, HalfPlaneRight, Koebe, Sector, _axis_distance,
-                              _axis_integrals, _axis_pieces, _piece_integral)
+                              _axis_integrals, _axis_pieces, _axis_runs, _piece_integral)
 
-from oracles import brute_force_distance, comb_boundary_points
+from oracles import brute_force_distance, comb_boundary_points, mp_quasihyp
 
 
 class TestGauge:
@@ -132,6 +133,21 @@ class TestVerify:
         assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
 
 
+#: The pass sums one exact integral per run of the nearest slit, the O(k^2)
+#: references below one per interval between pairwise crossings, so the two
+#: sums round apart: by up to 1.3e-15 relative on test_random_combs and
+#: 5.3e-16 on the constructions.  On the 20 widest gaps with t0 > 0,
+#: mp_quasihyp puts the runs within 4.2e-16 and the references within
+#: 1.05e-15, so the gap is the references' own rounding; 4e-15 leaves three
+#: times the widest.
+_RUNS_RTOL = 4e-15
+
+
+def _close(got, want):
+    return len(got) == len(want) and all(
+        abs(g - w) <= _RUNS_RTOL * abs(w) for g, w in zip(got, want))
+
+
 def _comb_bound_per_step(dom, t0, t1):
     """The comb integral from scratch over [t0, t1], written for teeth
     alone: the tooth tops and pairwise crossovers as breakpoints, and on
@@ -162,14 +178,14 @@ class TestOnePass:
             dom = cc.domain()
             bounds = [r["bound"] for r in verify_comb(cc)]
             assert bounds == [quasihyp_lower(dom, 1e-6, b) for b in cc.b[1:]]
-            assert bounds == [_comb_bound_per_step(dom, 1e-6, b) for b in cc.b[1:]]
+            assert _close(bounds, [_comb_bound_per_step(dom, 1e-6, b) for b in cc.b[1:]])
 
     def test_geometric_rows_equal_per_step_bounds(self):
         cc = build_comb("sqrt", ("geometric", 2.0), 8)
         dom = cc.domain()
         bounds = [r["bound"] for r in verify_comb(cc)]
         assert bounds == [quasihyp_lower(dom, 1e-6, b) for b in cc.b[1:]]
-        assert bounds == [_comb_bound_per_step(dom, 1e-6, b) for b in cc.b[1:]]
+        assert _close(bounds, [_comb_bound_per_step(dom, 1e-6, b) for b in cc.b[1:]])
 
     def test_start_above_first_height(self):
         cc = build_comb("log1p", "linear", 3)
@@ -242,7 +258,7 @@ def _assert_same_as_references(g_spec, a_spec, steps):
     cc = build_comb(g_spec, a_spec, steps)
     assert (cc.b, cc.x, cc.constraint) == _full_bisection(g_spec, a_spec, steps)
     bounds = _axis_integrals(cc.domain(), 1e-6, cc.b[1:])
-    assert bounds == _min_axis_integrals(cc.domain(), 1e-6, cc.b[1:])
+    assert _close(bounds, _min_axis_integrals(cc.domain(), 1e-6, cc.b[1:]))
     return cc, bounds
 
 
@@ -251,9 +267,9 @@ _ABSCISSAE = {"linear": "linear", "geom:1.3": ("geometric", 1.3), "geom:2": ("ge
 
 
 class TestSweepExact:
-    """The upward sweep for the nearest slit, and the bisection stopped at
-    its fixed point, give the same bits as min over all pieces and all 60
-    bisections."""
+    """The bisection stopped at its fixed point gives the same bits as all
+    60 bisections; the sweep over runs of the nearest slit gives the sums
+    of min over all pieces to rounding, and the same bits off the combs."""
 
     @pytest.mark.parametrize("abscissae", sorted(_ABSCISSAE))
     @pytest.mark.parametrize("spec", ["log1p", "sqrt", "pow:0.5", "pow:0.3"])
@@ -283,7 +299,7 @@ class TestSweepExact:
             t0 = float(rng.uniform(min(0.0, b[0]) - 5.0, dom.extent))
             t1 = float(rng.uniform(t0, dom.extent))
             heights = sorted({float(x) for x in b if t0 < x < t1} | {t1})
-            assert _axis_integrals(dom, t0, heights) == _min_axis_integrals(dom, t0, heights)
+            assert _close(_axis_integrals(dom, t0, heights), _min_axis_integrals(dom, t0, heights))
 
     @pytest.mark.parametrize("dom", [Koebe(0j), Koebe(2 + 1j), HalfPlaneRight(-1 + 0j),
                                      Sector(0j, math.pi / 4, math.pi / 4),
@@ -304,33 +320,92 @@ class TestSweepExact:
         assert cc.b[1] == cc.x[0]
 
 
+def _runs(dom, t0, t1):
+    return _axis_runs(dom, _axis_pieces(dom), t0, t1)
+
+
+def _dropped_lines(teeth, t1):
+    """Slits with tops up to t1 whose line a^2 + b^2 - 2br is nowhere
+    strictly below both of a lower and a higher slit's: a hull must drop
+    each of them, by a pop or by passing it with its front."""
+    lines = [(a * a, b) for a, b in teeth if b <= t1]
+
+    def cross(i, j):
+        return 0.5 * ((j[0] - i[0]) / (j[1] - i[1]) + i[1] + j[1])
+
+    return sum(any(cross(i, k) <= cross(i, j) for i in lines[:n] for k in lines[n + 1:])
+               for n, j in enumerate(lines))
+
+
+class TestRuns:
+    """Each run's piece is the nearest one on all of the run, with no
+    tolerance."""
+
+    def test_sqrt_comb_has_33_runs(self):
+        # one run below the first top, then per gap the slit below up to
+        # the onset x_j and the slit above from there
+        cc = build_comb("sqrt", "linear", 16)
+        assert len(_runs(cc.domain(), 1e-6, cc.b[-1])) == 33
+
+    def test_run_piece_is_nearest(self):
+        # constructed combs never pop a hull line; teeth whose tops come in
+        # close clusters do
+        rng = np.random.default_rng(19)
+        dropped = 0
+        for _ in range(600):
+            k = int(rng.integers(2, 14))
+            if rng.random() < 0.5:  # small integers make equal distances likely
+                a = np.sort(rng.choice(np.arange(1, 40), k, replace=False)).astype(float)
+                b = np.sort(rng.choice(np.arange(0, 3 * k), k, replace=False)) / 4.0
+            else:
+                a = np.sort(rng.uniform(0.05, 40.0, k))
+                gaps = np.where(rng.random(k) < 0.6, rng.uniform(0.0, 0.05, k),
+                                rng.uniform(1.0, 30.0, k))
+                b = np.cumsum(gaps) - 5.0
+            if len(set(a)) < k or len(set(b)) < k:
+                continue
+            dom = Comb(zip(a.tolist(), b.tolist()))
+            pieces = _axis_pieces(dom)
+            t0 = float(rng.uniform(min(0.0, b[0]) - 2.0, dom.extent))
+            t1 = float(rng.uniform(t0, dom.extent))
+            runs = _runs(dom, t0, t1)
+            assert [lo for lo, _, _ in runs] + [t1] == [t0] + [hi for _, hi, _ in runs]
+            assert all(lo < hi for lo, hi, _ in runs)
+            assert {x for x in b.tolist() if t0 < x < t1} <= {hi for _, hi, _ in runs}
+            for lo, hi, piece in runs:
+                for q in (lo + 0.25 * (hi - lo), 0.5 * (lo + hi), lo + 0.75 * (hi - lo)):
+                    assert _axis_distance(piece, q) == min(_axis_distance(p, q) for p in pieces)
+            dropped += _dropped_lines(dom.teeth, t1)
+        assert dropped >= 500
+
+
 #: sha256 of the construction JSON and of the ratio CSV of `hypspeed comb`:
 #: any change to a bound, a tooth height or the order of a sum shows here
 COMB_DIGESTS = {
     ("log1p", "linear", 10): (
         "1a4d8f021af40b5a8e95653f70fb5d4b4102076f4a9e4dc111ee0f06a0e04aec",
-        "adfaeb79fd8284e07671ac85ebc79d865964f1a366b3ec8a6ff4bb70e085eeea"),
+        "05b48173e693d698bcb3a83c934c8759dc1c15a3ef399d08ee0d52a0a3c17312"),
     ("log1p", "geom:2", 16): (
         "38a6d959aec51e54d7f6eecf046caec34264b5418546234748f94d9452890d5f",
-        "89b81f92b4734ace74a3f2609145242752fc2ea6aadb8d87aa16639f4d298b41"),
+        "e2ed8aedb2a3eaced4eb3f919d46c7c6fdf5300a50cd0b94e3392fa8f0d07a7a"),
     ("sqrt", "linear", 10): (
         "675c22fb66c96257485f8b6d965672adf8559a50c3e9a33928022fbe30761dd1",
-        "9b80325537e2a7dd4371be327c679fb10e7ec1a78fbaa4304307dc921eddbe21"),
+        "382733b8968834c8296de082d7be98941ecec7ed9614493519ecfde9466ef83b"),
     ("sqrt", "geom:2", 16): (
         "97c93df22d2a47f2751296a1139b85d19ee26700721c078e1a0d4e91c5a4ee45",
-        "d7eea4a8072bdaae53fca40cb7a36d359777c284007d8f33faa8e4446a87904a"),
+        "825bf1fe3e05821ea6031eaac1309fd614374162ffd1f7c1ae8198227f4b1dac"),
     ("pow:0.5", "linear", 10): (
         "a2fcf01443722141e862340e64a0b37f0eca1e70479606bc2bb564adf244de93",
-        "9b80325537e2a7dd4371be327c679fb10e7ec1a78fbaa4304307dc921eddbe21"),
+        "382733b8968834c8296de082d7be98941ecec7ed9614493519ecfde9466ef83b"),
     ("pow:0.5", "geom:2", 16): (
         "fa9f5176adef6a1148a82395eeb6986db6347da34ea5e1f6c44bd2904122f95f",
-        "d7eea4a8072bdaae53fca40cb7a36d359777c284007d8f33faa8e4446a87904a"),
+        "825bf1fe3e05821ea6031eaac1309fd614374162ffd1f7c1ae8198227f4b1dac"),
     ("pow:0.3", "linear", 10): (
         "a9e9fcfeaca16b5f2ded5773d8e63f10576b07080a9c24606d28a7326aedcbc4",
-        "5c0baa44154fd1535fc34a6e78a4eb464442d9ebe39bcef55764effcb0f3c27b"),
+        "5eebf029fa8a62999cbfc1898527839e1381d9f11d77d66d8ffd5ec21cc4f5d5"),
     ("pow:0.3", "geom:2", 16): (
         "1703de05b7b3ab7f7a016c35f786b430dbec81dbafc41996752770f475435bb0",
-        "6bbab6fd87a9af571b588355492c5119278639d5715e1c1605569fbfe85e069d"),
+        "564c283d6d4f9dd0d3978fdea9ffd654aef4b9e35e9643dcabaa3db268deb16f"),
 }
 
 
@@ -343,3 +418,18 @@ def test_comb_output_bytes_pinned(gauge_spec, abscissae, steps, tmp_path):
     assert exc.value.code == 0
     digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (cjson, ccsv))
     assert digests == COMB_DIGESTS[gauge_spec, abscissae, steps]
+
+
+@functools.cache
+def _pinned_bounds_vs_oracle(teeth, heights):
+    # 30 digits leave 16 to spare against 1e-14
+    return mp_quasihyp(Comb(teeth), [1e-6] * len(heights), list(heights), dps=30)
+
+
+@pytest.mark.parametrize("gauge_spec, abscissae, steps", sorted(COMB_DIGESTS))
+def test_pinned_comb_bounds_match_oracle(gauge_spec, abscissae, steps):
+    # sqrt and pow:0.5 build the same teeth, which the cache shares
+    cc = build_comb(gauge_spec, _ABSCISSAE[abscissae], steps)
+    want = _pinned_bounds_vs_oracle(cc.domain().teeth, cc.b[1:])
+    for row, w in zip(verify_comb(cc), want):
+        assert abs(row["bound"] - w) <= 1e-14 * w

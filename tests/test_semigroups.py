@@ -77,6 +77,20 @@ class TestOrbit:
         assert start.guarded
         assert orbit_halfplane(sg, start, 5.0) == orbit_halfplane(sg, ORIGIN, s + 5.0)
 
+    def test_points_past_double_resolution_stay_distinct(self):
+        # both values round to 1 + 0j: only the half-plane witnesses, which
+        # omega reads, tell the two points apart
+        sg = koenigs_semigroup(Strip(math.pi / 2))
+        a, b = orbit(sg, ORIGIN, 400.0), orbit(sg, ORIGIN, 401.0)
+        assert a.value == b.value and omega(a, b) == 1.0
+        assert a != b and hash(a) != hash(b)
+        again = orbit(sg, ORIGIN, 400.0)
+        assert a == again and hash(a) == hash(again)
+        # a batch compares by value alone, as before
+        batch = orbit(sg, ORIGIN, np.array([400.0, 401.0]))
+        other = orbit(sg, ORIGIN, np.array([402.0, 403.0])).halfplane
+        assert batch == DiscPoint(batch.value, other)
+
     def test_negative_time(self):
         sg = koenigs_semigroup(Koebe(0))
         with pytest.raises(ValueError):
