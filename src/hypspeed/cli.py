@@ -76,7 +76,7 @@ def _write(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
-def _speed_rows(cfg: CliConfig):
+def _speed_table(cfg: CliConfig):
     domain = _load_domain(cfg.domain_json)
     if isinstance(domain, Comb):
         raise UnsupportedDomainOperation("speeds are undefined for comb domains; use `comb`")
@@ -86,10 +86,10 @@ def _speed_rows(cfg: CliConfig):
 
 
 def _cmd_speeds(cfg: CliConfig) -> int:
-    rows = _speed_rows(cfg)
+    table = _speed_table(cfg)
     lines = [",".join(CSV_COLUMNS)]
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-              % (s.t, s.v, s.v_o, s.v_T, s.log_rho, s.theta) for s in rows]
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
+              for row in zip(*(getattr(table, c).tolist() for c in CSV_COLUMNS))]
     _write(cfg.output, "\n".join(lines) + "\n")
     return 0
 
@@ -101,8 +101,7 @@ def _cmd_verify(cfg: CliConfig) -> int:
 
 
 def _cmd_fit(cfg: CliConfig) -> int:
-    rows = _speed_rows(cfg)
-    fit = fit_asymptotic(rows, cfg.series, cfg.basis, cfg.window)
+    fit = fit_asymptotic(_speed_table(cfg), cfg.series, cfg.basis, cfg.window)
     payload = {
         "series": cfg.series,
         "basis": fit.basis,
@@ -193,13 +192,13 @@ def _svg_chart(xs, series: dict[str, list[float]], x_label: str) -> str:
 
 
 def _cmd_plot(cfg: CliConfig) -> int:
-    rows = _speed_rows(cfg)
-    xs = [math.log10(s.t) if s.t > 0 else math.log10(cfg.t_max) - 12 for s in rows]
+    table = _speed_table(cfg)
+    xs = [math.log10(t) if t > 0 else math.log10(cfg.t_max) - 12 for t in table.t.tolist()]
     series = {}
     for col in cfg.columns:
         if col not in CSV_COLUMNS[1:]:
             raise DomainError(f"unknown column {col!r}")
-        series[col] = [getattr(s, col) for s in rows]
+        series[col] = getattr(table, col).tolist()
     _write(cfg.output, _svg_chart(xs, series, "log10 t"))
     return 0
 

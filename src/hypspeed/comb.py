@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .domains import Comb, _axis_integrals
+from .domains import Comb, _abscissa_squares, _axis_integrals
 
 _PROBE_GRID = [10.0 ** k for k in range(3, 13)]
 _MARGIN = 0.999
@@ -122,12 +122,13 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     a = resolve_abscissae(a_spec, steps + 1)
     if any(y <= x for x, y in zip(a[:-1], a[1:])):
         raise ValueError("abscissae must strictly increase")
+    squares = _abscissa_squares(a)
 
     b = [1.0]
     xs, cons = [], []
     for j in range(1, steps + 1):
         aj, aj1, bj = a[j - 1], a[j], b[-1]
-        xj = bj + math.sqrt(aj1 * aj1 - aj * aj)
+        xj = bj + math.sqrt(squares[j] - squares[j - 1])
         c = j * aj1  # the constraint at bb is (c * g(bb) + xj) / bb
 
         hi = 2.0 * xj

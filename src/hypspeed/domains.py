@@ -522,6 +522,17 @@ def _axis_breakpoints(pieces, t0: float, t1: float) -> list[float]:
     return sorted(pts)
 
 
+def _abscissa_squares(xs) -> list[float]:
+    """x*x for each slit abscissa x, the form in which the axis sweep and
+    the comb construction use them; past |x| ~ 1.34e154 the square
+    overflows and both would go wrong, so such an abscissa is an error."""
+    squares = [x * x for x in xs]
+    for x, sq in zip(xs, squares):
+        if math.isinf(sq):
+            raise DomainError(f"slit abscissa {x!r} is too large: its square overflows a double")
+    return squares
+
+
 def _crossing(lower, upper) -> float:
     """Where the lines a^2 + b^2 - 2 b r of two slits, as (a*a, b, piece), meet."""
     (ai2, bi, _), (aj2, bj, _) = lower, upper
@@ -544,7 +555,8 @@ def _axis_runs(domain: DomainSpec, pieces, t0: float, t1: float):
         return [(lo, hi, min(pieces, key=lambda p, mid=0.5 * (lo + hi): _axis_distance(p, mid)))
                 for lo, hi in zip(pts[:-1], pts[1:])]
     # a sentinel slit above every height ends the pushes
-    lines = [(p[0] * p[0], p[1], p) for p in pieces] + [(math.inf, math.inf, None)]
+    squares = _abscissa_squares([p[0] for p in pieces])
+    lines = [(sq, p[1], p) for sq, p in zip(squares, pieces)] + [(math.inf, math.inf, None)]
     hull, front, above, r, runs = [], 0, 0, t0, []
     while r < t1:
         while lines[above][1] <= r:

@@ -30,7 +30,9 @@ _BASE = HalfPlanePoint(0.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class SpeedSample:
-    """One orbit time with its exact speeds and half-plane coordinates."""
+    """Exact speeds and half-plane coordinates at one orbit time, as floats,
+    or along a time grid, as read-only float64 columns: a table, whose rows
+    come by index or iteration and whose slices and masks are tables."""
 
     t: float
     v: float
@@ -40,11 +42,29 @@ class SpeedSample:
     theta: float
 
     def __post_init__(self):
+        for name, col in list(vars(self).items()):
+            col = np.array(col, dtype=float)  # a copy the caller cannot write
+            col.flags.writeable = False
+            object.__setattr__(self, name, col if col.ndim else float(col))
+        if np.ndim(self.t) > 1 or {np.shape(c) for c in vars(self).values()} != {np.shape(self.t)}:
+            raise ValueError("a speed table needs six columns of one length")
         slack = 1e-6  # loose construction sanity; suites assert at 1e-9
-        if min(self.v, self.v_o, self.v_T) < -slack:
+        v, v_o, v_T = self.v, self.v_o, self.v_T
+        if np.any(np.stack([v, v_o, v_T]) < -slack):
             raise ValueError("speeds must be nonnegative")
-        if not (self.v_o + self.v_T - 0.5 * LOG2 - slack <= self.v <= self.v_o + self.v_T + slack):
+        if not np.all((v_o + v_T - 0.5 * LOG2 - slack <= v) & (v <= v_o + v_T + slack)):
             raise ValueError("sample violates the orthogonal/tangential split")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> SpeedSample:
+        return SpeedSample(*(col[i] for col in vars(self).values()))
 
 
 def speeds_from_halfplane(hp: LogPolar) -> tuple[float, float, float]:
@@ -55,17 +75,16 @@ def speeds_from_halfplane(hp: LogPolar) -> tuple[float, float, float]:
     return v, v_o, v_t
 
 
-def sample_speeds(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> list[SpeedSample]:
-    """Exact speed samples along a nonnegative, sorted time grid."""
+def sample_speeds(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> SpeedSample:
+    """The exact speed table along a nonnegative, sorted time grid."""
     ts = [float(t) for t in grid]
     if any(t < 0 for t in ts) or any(b < a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("grid must be nonnegative and sorted")
-    out = []
-    for t in ts:
+    rows = []
+    for t in ts:  # one scalar orbit pass per time, the bits the CSV pins
         hp = orbit_halfplane(sg, z, t)
-        v, v_o, v_t = speeds_from_halfplane(hp)
-        out.append(SpeedSample(t, v, v_o, v_t, hp.log_rho, hp.theta))
-    return out
+        rows.append((t, *speeds_from_halfplane(hp), hp.log_rho, hp.theta))
+    return SpeedSample(*np.array(rows, dtype=float).reshape(len(ts), 6).T)
 
 
 def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> list[float]:
@@ -162,6 +181,9 @@ def surrogate_threshold(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> fl
 # asymptotic coefficient fits
 
 
+_FIT_MIN_SAMPLES = 20
+
+
 @dataclass(frozen=True)
 class AsymptoticFit:
     basis: str
@@ -170,7 +192,7 @@ class AsymptoticFit:
     window: tuple[float, float]
 
 
-def fit_asymptotic(samples, series: str, basis: str, window) -> AsymptoticFit:
+def fit_asymptotic(table: SpeedSample, series: str, basis: str, window) -> AsymptoticFit:
     """Least-squares slope of a speed series against log t or t on a window.
 
     sup_residual reports max |series - coefficient * basis| over the window,
@@ -183,15 +205,12 @@ def fit_asymptotic(samples, series: str, basis: str, window) -> AsymptoticFit:
     lo, hi = float(window[0]), float(window[1])
     if not 0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
-    ts, ys = [], []
-    for s in samples:
-        if lo <= s.t <= hi:
-            ts.append(s.t)
-            ys.append(getattr(s, series))
-    if len(ts) < 20:
-        raise ValueError(f"need at least 20 samples in the window, got {len(ts)}")
-    xs = np.log(ts) if basis == "log_t" else np.asarray(ts)
-    ys = np.asarray(ys)
+    inside = table[(lo <= table.t) & (table.t <= hi)]
+    if len(inside) < _FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples in the window, "
+                         f"got {len(inside)}")
+    xs = np.log(inside.t) if basis == "log_t" else inside.t
+    ys = getattr(inside, series)
     slope, _intercept = np.polyfit(xs, ys, 1)
     sup = float(np.max(np.abs(ys - slope * xs)))
     return AsymptoticFit(basis, float(slope), sup, (lo, hi))

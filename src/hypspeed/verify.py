@@ -10,6 +10,7 @@ zero violations is the pass condition.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -280,41 +281,30 @@ def _suite_chains(n, rng):
 
 
 @functools.lru_cache(maxsize=1)
-def _built_samples(n: int) -> tuple[tuple[str, SG.KoenigsSemigroup, tuple], ...]:
-    """(name, semigroup, samples) for each of BUILTIN_DOMAINS on the grid of
-    a suite of size n: the one table that split, julia_tangent, lower_bounds,
+def _built_samples(n: int) -> tuple[tuple[str, SG.KoenigsSemigroup, SP.SpeedSample], ...]:
+    """(name, semigroup, speed table) for each of BUILTIN_DOMAINS on the grid
+    of a suite of size n: the tables that split, julia_tangent, lower_bounds,
     betsakos, sector_asymptotics and nontangential read.
 
     Built on first use and kept for the most recent n.  It holds only
     tuples and frozen values, so no suite can change what another reads.
     """
     grid = _grid(n if n >= 2 else None)
-    table = []
-    for name, dom in BUILTIN_DOMAINS.items():
-        sg = SG.koenigs_semigroup(dom)
-        table.append((name, sg, tuple(SP.sample_speeds(sg, grid))))
-    return tuple(table)
+    sgs = {name: SG.koenigs_semigroup(dom) for name, dom in BUILTIN_DOMAINS.items()}
+    return tuple((name, sg, SP.sample_speeds(sg, grid)) for name, sg in sgs.items())
 
 
 def _suite_split(n, rng):
-    margins = []
-    total = 0
-    for _name, _sg, samples in _built_samples(n):
-        for s in samples:
-            margins.append(s.v_o + s.v_T - s.v)                 # v <= v_o + v_T
-            margins.append(s.v - (s.v_o + s.v_T - 0.5 * LOG2))  # lower half
-            total += 1
-    return total, margins
+    tables = [s for *_, s in _built_samples(n)]
+    margins = [np.column_stack([s.v_o + s.v_T - s.v,                  # v <= v_o + v_T
+                                s.v - (s.v_o + s.v_T - 0.5 * LOG2)])  # lower half
+               for s in tables]
+    return sum(map(len, tables)), _flat(margins)
 
 
 def _suite_julia_tangent(n, rng):
-    margins = []
-    total = 0
-    for _name, _sg, samples in _built_samples(n):
-        for s in samples:
-            margins.append(s.v_o + 4.0 * LOG2 - s.v_T)
-            total += 1
-    return total, margins
+    tables = [s for *_, s in _built_samples(n)]
+    return sum(map(len, tables)), _flat([s.v_o + 4.0 * LOG2 - s.v_T for s in tables])
 
 
 def _suite_surrogates(n, rng):
@@ -338,41 +328,36 @@ def _suite_surrogates(n, rng):
     return total, _flat(margins)
 
 
-def _class_expression(cls, t: float) -> float:
+def _class_expression(cls, t: np.ndarray) -> np.ndarray:
     if isinstance(cls, SG.Hyperbolic):
         return 0.5 * cls.spectral_value * t
     if isinstance(cls, SG.ParabolicPositiveStep):
-        return math.log(t)
-    return 0.25 * math.log(t)
+        return np.log(t)
+    return 0.25 * np.log(t)
 
 
 def _suite_lower_bounds(n, rng):
-    margins = []
-    total = 0
-    for _name, sg, samples in _built_samples(n):
-        cls = SG.classify(sg.image_domain)
-        worst = min(s.v - _class_expression(cls, s.t) for s in samples)
-        margins.append(worst + EMPIRICAL_SLACK)
-        total += len(samples)
-    return total, margins
+    built = _built_samples(n)
+    margins = [(s.v - _class_expression(SG.classify(sg.image_domain), s.t)).min()
+               + EMPIRICAL_SLACK for _name, sg, s in built]
+    return sum(len(s) for *_, s in built), margins
 
 
 def _suite_betsakos(n, rng):
     margins = []
     total = 0
-    for _name, sg, samples in _built_samples(n):
+    for _name, sg, s in _built_samples(n):
         cls = SG.classify(sg.image_domain)
         if isinstance(cls, SG.Hyperbolic):
             continue
-        margins.append(min(s.v_o - 0.25 * math.log(s.t) for s in samples) + EMPIRICAL_SLACK)
+        coefs = [0.25]
         if isinstance(cls, SG.ParabolicPositiveStep):
-            margins.append(min(s.v_o - 0.5 * math.log(s.t) for s in samples) + EMPIRICAL_SLACK)
+            coefs.append(0.5)
         dom = sg.image_domain
-        if isinstance(dom, D.Sector):
-            alpha_max = max(dom.alpha, dom.beta)  # iV(a,b) fits in the symmetric iV(m,m)
-            coef = math.pi / (4.0 * alpha_max)
-            margins.append(min(s.v_o - coef * math.log(s.t) for s in samples) + EMPIRICAL_SLACK)
-        total += len(samples)
+        if isinstance(dom, D.Sector):  # iV(a,b) fits in the symmetric iV(m,m)
+            coefs.append(math.pi / (4.0 * max(dom.alpha, dom.beta)))
+        margins += [(s.v_o - c * np.log(s.t)).min() + EMPIRICAL_SLACK for c in coefs]
+        total += len(s)
     return total, margins
 
 
@@ -387,17 +372,28 @@ FIT_TARGETS = [
 ]
 
 
+def _fit_window_times(n: int) -> int:
+    """How many times of the grid of a suite of size n lie in FIT_WINDOW."""
+    t = np.array(_grid(n if n >= 2 else None))
+    return np.count_nonzero((FIT_WINDOW[0] <= t) & (t <= FIT_WINDOW[1]))
+
+
 def _suite_sector_asymptotics(n, rng):
+    if _fit_window_times(n) < SP._FIT_MIN_SAMPLES:
+        least = next(m for m in itertools.count(n) if _fit_window_times(m) >= SP._FIT_MIN_SAMPLES)
+        raise ValueError(f"suite sector_asymptotics needs --samples {least} or more, got {n}: "
+                         "its fits take {} grid times in [{:g}, {:g}]".format(
+                             SP._FIT_MIN_SAMPLES, *FIT_WINDOW))
     margins = []
-    built = {name: samples for name, _sg, samples in _built_samples(n)}
+    built = {name: table for name, _sg, table in _built_samples(n)}
     for name, series, basis, target, allowed in FIT_TARGETS:
         fit = SP.fit_asymptotic(built[name], series, basis, FIT_WINDOW)
         margins.append(allowed - abs(fit.coefficient - target))
     lo, hi = FIT_WINDOW
-    koebe = [s for s in built["koebe"] if lo <= s.t <= hi]
-    margins.append(3.0 - max(s.v_T for s in koebe))
-    hp = [s for s in built["halfplane"] if lo <= s.t <= hi]
-    margins.append(2.0 - max(abs(s.v - math.log(s.t)) for s in hp))
+    koebe, hp = built["koebe"], built["halfplane"]
+    margins.append(3.0 - koebe.v_T[(lo <= koebe.t) & (koebe.t <= hi)].max())
+    inside = (lo <= hp.t) & (hp.t <= hi)
+    margins.append(2.0 - np.abs(hp.v - np.log(hp.t))[inside].max())
     return len(FIT_TARGETS) + 2, margins
 
 
@@ -490,22 +486,21 @@ def _suite_semigroup_model(n, rng):
 
 def _suite_nontangential(n, rng):
     margins = []
-    grid = np.array(_grid(n if n >= 2 else None))
-    built = {name: (sg, samples) for name, sg, samples in _built_samples(n)}
+    built = {name: (sg, table) for name, sg, table in _built_samples(n)}
     bounded = {"sector_sym", "koebe"}
     for name in ("sector_sym", "koebe", "sector_flat", "halfplane"):
-        sg, samples = built[name]
+        sg, table = built[name]
         p = SG.model_point(sg)
-        ratios = SP.nontangential_ratio(sg, p, grid)
+        ratios = SP.nontangential_ratio(sg, p, table.t)
         worst_ratio = np.maximum(ratios, 1.0 / ratios).max()
-        sup_vt = max(s.v_T for s in samples)
+        sup_vt = table.v_T.max()
         if name in bounded:
             margins.append(10.0 - worst_ratio)  # geometric side bounded
             margins.append(3.0 - sup_vt)        # dynamic side bounded
         else:
             margins.append(ratios[-1] / 1e6 - 1.0)  # ratio at t = 1e8 exceeds 1e6
             margins.append(sup_vt - 5.0)            # tangential speed escapes
-    return 4 * len(grid), margins
+    return 4 * len(table), margins  # four tables on one grid
 
 
 def _suite_comb(n, rng):

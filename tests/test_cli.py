@@ -161,6 +161,42 @@ def test_speed_table_bytes(i, t_max, tmp_path):
     assert digest == SPEEDS_DIGESTS[i][("1e8", "1e12").index(t_max)]
 
 
+#: sha256 of `hypspeed fit` JSON and `hypspeed plot` SVG on 512-point tables
+#: of some tables domains, recorded before the speed table became columns:
+#: (domain index, series, basis) and (domain index, columns)
+FIT_DIGESTS = {
+    (0, "v", "t"): "1aabf1ec2f95349aeb29c6498e1796f57d69a19edf01f9e3e05b643d837ec7f6",
+    (3, "v", "log_t"): "d4081abf1a601dd10c82fa97368caa19a47703016f4c879c4f65dab51d23ea0f",
+    (3, "v_T", "log_t"): "09f5cfea8fefe49466f6eba4af698147a6d2d9cd5a849d60d4485e2d34555101",
+    (4, "v", "log_t"): "3f07abfa6b65defe6a799e1373d6ebce093701f5d8d2202169abb4538da38156",
+    (5, "v_o", "log_t"): "9797941c928eb4a0a22dacfeaada42e8f7ec17870bef85519cb45a682595525b",
+    (8, "v_o", "t"): "1c7e3fe1c25be1160b14cd1c6ade7203b2c0551ba73070fd4b5ebe84bdc07740",
+}
+PLOT_DIGESTS = {
+    (0, "v,v_o,v_T"): "8b2a9a4d5e60bd5aa54d4b5e88ef45103f491eec541b04de130ba1a30e686d8f",
+    (3, "log_rho,theta"): "665861b5759028a8653654f1b8e0b0ee28efd00a0f989e36e11c9e0b5aec7cb3",
+    (4, "v,v_o,v_T"): "9105325a9b4b256da28ad9e31b7a3867f308eed3e4731a1c884cf4dd22a679dd",
+    (5, "log_rho,theta"): "9d8665bb1dd175fbf0be7d8940917a713647e918d3b8616584c66bb3de8393c6",
+    (5, "v,v_o,v_T"): "b0c6b82a927550e8221ab7302161fe6c70a4308ad15dbfcb40f1c622c2da1827",
+}
+
+
+@pytest.mark.parametrize("i,series,basis", sorted(FIT_DIGESTS))
+def test_fit_bytes(i, series, basis, tmp_path):
+    out = tmp_path / "fit.json"
+    assert run_cli(["fit", "--domain", json.dumps(TABLE_DOMAINS[i]), "--series", series,
+                    "--basis", basis, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIT_DIGESTS[i, series, basis]
+
+
+@pytest.mark.parametrize("i,columns", sorted(PLOT_DIGESTS))
+def test_plot_bytes(i, columns, tmp_path):
+    out = tmp_path / "chart.svg"
+    assert run_cli(["plot", "--domain", json.dumps(TABLE_DOMAINS[i]), "--columns", columns,
+                    "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_DIGESTS[i, columns]
+
+
 class TestVerify:
     def test_passing_suite_exit_0(self, tmp_path):
         out = tmp_path / "report.json"
@@ -181,6 +217,12 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert run_cli(["verify", "--suite", "pythagoras", "--samples", "20",
                         "--seed", "1", "-o", str(out)]) == 0
+
+    def test_too_few_fit_samples_exit_2(self, capsys):
+        assert run_cli(["verify", "--suite", "sector_asymptotics", "--samples", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "error: suite sector_asymptotics needs --samples 77 or more, got 64: "
+            "its fits take 20 grid times in [1e+06, 1e+08]\n")
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_malformed_tolerance_exit_2(self, tol, capsys):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -377,6 +378,30 @@ class TestRuns:
                     assert _axis_distance(piece, q) == min(_axis_distance(p, q) for p in pieces)
             dropped += _dropped_lines(dom.teeth, t1)
         assert dropped >= 500
+
+
+class TestHugeAbscissae:
+    """Slit abscissae whose square overflows a double are refused by name,
+    on the quadrature path and the construction path alike; just below,
+    the sweep still matches 50 digits."""
+
+    MESSAGE = "slit abscissa 1e+200 is too large: its square overflows a double"
+
+    def test_quadrature(self):
+        # the sweep on inf squares gave 0.375 against 0.48773 from mp_quasihyp
+        with pytest.raises(DomainError, match=re.escape(self.MESSAGE)):
+            quasihyp_lower(Comb([(1e200, 1.0), (2e200, 3e200)]), 0.5, 3e200)
+        dom = Comb([(1e153, 1.0), (1.2e154, 3e153)])
+        assert _close([quasihyp_lower(dom, 0.5, 3e153)], [mp_quasihyp(dom, 0.5, 3e153)])
+
+    def test_construction(self, capsys):
+        # the doubling search used to give up with "gauge grows too fast"
+        with pytest.raises(DomainError, match=re.escape(self.MESSAGE)):
+            build_comb("log1p", [1e200, 2e200, 3e200], steps=2)
+        with pytest.raises(SystemExit) as exc:
+            main(["comb", "--abscissae", "1e200,2e200,3e200", "--steps", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
 
 
 #: sha256 of the construction JSON and of the ratio CSV of `hypspeed comb`:

@@ -135,8 +135,41 @@ class TestSampleSpeeds:
         assert sample_speeds(sg, [8e307])[0].v_o == pytest.approx(8e307, rel=1e-15)
 
     def test_sample_invariant_enforced(self):
+        # v = 10 > v_o + v_T = 2 breaks the split, in a table of three rows
+        # and on its own; so does a negative speed
+        cols = np.array([[1.0, 2.0, 3.0], [0.5, 10.0, 0.5], [0.5, 1.0, 0.5],
+                         [0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="split"):
+            SpeedSample(*cols)
+        with pytest.raises(ValueError, match="split"):
+            SpeedSample(*cols[:, 1])
+        cols[3, 2] = -1.0
+        cols[1, 1] = 2.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpeedSample(*cols)
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpeedSample(*cols[:, 2])
+        with pytest.raises(ValueError, match="one length"):
+            SpeedSample(*cols[:5], cols[5, :2])
+
+    def test_table_is_rows(self, koebe_sg):
+        # a table of read-only columns; indexing, iteration and length give
+        # the rows of one-time tables, and tables compare by their columns
+        grid = default_grid(1.0, 1e4, 16)
+        table = sample_speeds(koebe_sg, grid)
+        assert len(table) == 16 and table.v.dtype == np.float64
         with pytest.raises(ValueError):
-            SpeedSample(1.0, 10.0, 1.0, 1.0, 0.0, 0.0)
+            table.v[0] = 1.0
+        rows = list(table)
+        assert rows[3] == table[3] == table[-13]
+        assert isinstance(table[3].v, float)
+        for t, row in zip(grid, rows):
+            (one,) = sample_speeds(koebe_sg, [t])
+            assert row == one
+        assert table == sample_speeds(koebe_sg, grid)
+        assert table != sample_speeds(koebe_sg, default_grid(1.0, 1e5, 16))
+        assert table != rows[0]
+        assert len(sample_speeds(koebe_sg, [])) == 0
 
 
 class TestSurrogates:
@@ -167,9 +200,10 @@ class TestSurrogates:
 
 class TestFit:
     def _synthetic(self, coef, basis):
-        ts = default_grid(1e2, 1e8, 200)
-        xs = [coef * (math.log(t) if basis == "log_t" else t) for t in ts]
-        return [SpeedSample(t, x, x, 0.0, 2 * x, 0.0) for t, x in zip(ts, xs)]
+        ts = np.array(default_grid(1e2, 1e8, 200))
+        xs = coef * (np.log(ts) if basis == "log_t" else ts)
+        zeros = np.zeros_like(ts)
+        return SpeedSample(ts, xs, xs, zeros, 2 * xs, zeros)
 
     def test_exact_recovery(self):
         fit = fit_asymptotic(self._synthetic(0.25, "log_t"), "v", "log_t", (1e3, 1e8))

@@ -35,6 +35,18 @@ PINNED_STREAM = {
     ("nontangential", 42): (2000, 3.0, 19823.531050958845),
     ("semigroup_model", 7): (310, -1.1554868173391242e-11, 166.54886632099902),
     ("semigroup_model", 42): (310, -1.1246559239452836e-11, 116.55204623930078),
+    # the suites on the shared speed table, recorded while it was a list of
+    # rows; they draw nothing, so both seeds give the same margins
+    ("split", 7): (2500, 0.0, 296.07688709622323),
+    ("split", 42): (2500, 0.0, 296.07688709622323),
+    ("julia_tangent", 7): (2500, 2.426015131959808, 1.4050712657505965e+17),
+    ("julia_tangent", 42): (2500, 2.426015131959808, 1.4050712657505965e+17),
+    ("lower_bounds", 7): (2500, 10.0, 514.3433966751171),
+    ("lower_bounds", 42): (2500, 10.0, 514.3433966751171),
+    ("betsakos", 7): (2000, 10.0, 824.8306895236259),
+    ("betsakos", 42): (2000, 10.0, 824.8306895236259),
+    ("sector_asymptotics", 7): (8, 0.009999999999999778, 13.00359999188926),
+    ("sector_asymptotics", 42): (8, 0.009999999999999778, 13.00359999188926),
 }
 #: margins that are +inf by construction: chains compares delta_pm with
 #: delta, and Omega^+- is the whole plane on the unbounded side of a domain
@@ -115,6 +127,15 @@ def test_pythagoras_attainability_needs_enough_samples():
     _, margins = fn(default_n, np.random.default_rng(42))
     gap = margins[:default_n]
     assert margins[-1] == 0.05 - gap.min()
+
+
+def test_sector_asymptotics_names_the_least_sample_count():
+    # a grid of 64 times puts 16 in FIT_WINDOW, one of 77 the 20 a fit takes
+    with pytest.raises(ValueError, match="suite sector_asymptotics needs --samples 77 "
+                                         "or more, got 64: its fits take 20 grid times"):
+        run_suite("sector_asymptotics", n=64)
+    for n in (77, 1):  # n = 1 runs on the default grid
+        assert run_suite("sector_asymptotics", n=n).violations == 0
 
 
 def test_margin_arrays_count_nan_as_violation(monkeypatch):
