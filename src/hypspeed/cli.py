@@ -10,11 +10,14 @@ All emitted CSV/JSON/SVG is byte-deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .comb import build_comb, verify_comb
 from .domains import (Comb, DomainError, UnsupportedDomainOperation,
@@ -24,6 +27,9 @@ from .speeds import default_grid, fit_asymptotic, sample_speeds
 from .verify import SUITES, run_suite
 
 CSV_COLUMNS = ("t", "v", "v_o", "v_T", "log_rho", "theta")
+#: rows per `%` call, which bounds the format string, the cell tuple and the
+#: stacked block that a table of any length holds at once
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -76,6 +82,18 @@ def _write(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
+def _csv(header: tuple[str, ...], columns) -> str:
+    """A header line, then one line of `%.17g` cells per index of the
+    equal-length numeric columns."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    chunks = [",".join(header) + "\n"]
+    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        block = np.column_stack([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns])
+        chunks.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(chunks)
+
+
 def _speed_table(cfg: CliConfig):
     domain = _load_domain(cfg.domain_json)
     if isinstance(domain, Comb):
@@ -87,10 +105,7 @@ def _speed_table(cfg: CliConfig):
 
 def _cmd_speeds(cfg: CliConfig) -> int:
     table = _speed_table(cfg)
-    lines = [",".join(CSV_COLUMNS)]
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
-              for row in zip(*(getattr(table, c).tolist() for c in CSV_COLUMNS))]
-    _write(cfg.output, "\n".join(lines) + "\n")
+    _write(cfg.output, _csv(CSV_COLUMNS, [getattr(table, c) for c in CSV_COLUMNS]))
     return 0
 
 
@@ -131,10 +146,8 @@ def _cmd_comb(cfg: CliConfig) -> int:
         "extent": cc.extent,
     }
     _write(cfg.output, json.dumps(construction, sort_keys=True, indent=2) + "\n")
-    lines = ["j,b,x,bound,gauge,ratio"]
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-              % (r["j"], r["b"], r["x"], r["bound"], r["gauge"], r["ratio"]) for r in rows]
-    _write(cfg.ratio_output, "\n".join(lines) + "\n")
+    header = ("j", "b", "x", "bound", "gauge", "ratio")
+    _write(cfg.ratio_output, _csv(header, [[r[c] for r in rows] for c in header]))
     return 0
 
 
@@ -221,8 +234,8 @@ def _parse_columns(text: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("HYPSPEED_SEED", CliConfig.seed))
     parser = argparse.ArgumentParser(
         prog="hypspeed",
         description="speeds of non-elliptic semigroup orbits and their verification suites",
@@ -243,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--seed", type=int, default=default_seed)
+    p_verify.add_argument("--seed", type=int)  # None: parse_args reads HYPSPEED_SEED
     p_verify.add_argument("--tol", type=float, default=CliConfig.tol)
     p_verify.add_argument("-o", "--output")
 
@@ -273,8 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> CliConfig:
+    # read at every call, since the parser is built once per process, and
+    # before the arguments, so a malformed value fails every subcommand
+    env_seed = int(os.environ.get("HYPSPEED_SEED", CliConfig.seed))
+    args = vars(_build_parser().parse_args(argv))
+    if "seed" in args and args["seed"] is None:
+        args["seed"] = env_seed
     # every option's dest is a CliConfig field
-    return CliConfig(**vars(_build_parser().parse_args(argv)))
+    return CliConfig(**args)
 
 
 def main(argv=None) -> None:

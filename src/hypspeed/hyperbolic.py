@@ -148,7 +148,7 @@ class DiscPoint:
         if other.__class__ is not self.__class__:
             return NotImplemented
         if isinstance(self.value, np.ndarray) or isinstance(other.value, np.ndarray):
-            return (self.value,) == (other.value,)
+            return np.array_equal(self.value, other.value)
         return (self.value, self.halfplane) == (other.value, other.halfplane)
 
     def __post_init__(self):

@@ -37,7 +37,7 @@ BUILTIN_DOMAINS = {
 PYTHAGORAS_ATTAIN_MIN_N = 88
 
 FIT_WINDOW = (1e6, 1e8)
-GRID = (1.0, 1e8, 512)
+GRID = (1.0, 1e8)  # the time range of the speed-table suites
 EMPIRICAL_SLACK = 10.0  # natural-log head room for "bounded below" claims
 
 
@@ -53,9 +53,19 @@ class SuiteReport:
         return asdict(self)
 
 
-def _grid(points: int | None = None) -> list[float]:
-    lo, hi, n = GRID
-    return SP.default_grid(lo, hi, points or n)
+class _TooFewSamples(ValueError):
+    """A sample count below the least that a suite runs with; `run_suite`
+    adds the suite's name."""
+
+    def __init__(self, least: int, n: int, why: str):
+        super().__init__(f"needs --samples {least} or more, got {n}: {why}")
+
+
+def _grid(n: int) -> list[float]:
+    """The time grid of a speed-table suite of size n."""
+    if n < 2:
+        raise _TooFewSamples(2, n, "its speed tables take a grid of that many times")
+    return SP.default_grid(*GRID, n)
 
 
 def _rand_disc(rng, max_dist: float = 12.0) -> H.DiscPoint:
@@ -289,7 +299,7 @@ def _built_samples(n: int) -> tuple[tuple[str, SG.KoenigsSemigroup, SP.SpeedSamp
     Built on first use and kept for the most recent n.  It holds only
     tuples and frozen values, so no suite can change what another reads.
     """
-    grid = _grid(n if n >= 2 else None)
+    grid = _grid(n)
     sgs = {name: SG.koenigs_semigroup(dom) for name, dom in BUILTIN_DOMAINS.items()}
     return tuple((name, sg, SP.sample_speeds(sg, grid)) for name, sg in sgs.items())
 
@@ -310,7 +320,7 @@ def _suite_julia_tangent(n, rng):
 def _suite_surrogates(n, rng):
     margins = []
     total = 0
-    grid = np.array(_grid(n if n >= 2 else None))
+    grid = np.array(_grid(n))
     for _name, dom in BUILTIN_DOMAINS.items():
         sur = SP.surrogate_speeds(SG.koenigs_semigroup(dom), grid)
         if sur.pre_threshold[-1]:
@@ -374,16 +384,16 @@ FIT_TARGETS = [
 
 def _fit_window_times(n: int) -> int:
     """How many times of the grid of a suite of size n lie in FIT_WINDOW."""
-    t = np.array(_grid(n if n >= 2 else None))
+    t = np.array(_grid(n))
     return np.count_nonzero((FIT_WINDOW[0] <= t) & (t <= FIT_WINDOW[1]))
 
 
 def _suite_sector_asymptotics(n, rng):
-    if _fit_window_times(n) < SP._FIT_MIN_SAMPLES:
-        least = next(m for m in itertools.count(n) if _fit_window_times(m) >= SP._FIT_MIN_SAMPLES)
-        raise ValueError(f"suite sector_asymptotics needs --samples {least} or more, got {n}: "
-                         "its fits take {} grid times in [{:g}, {:g}]".format(
-                             SP._FIT_MIN_SAMPLES, *FIT_WINDOW))
+    if n < 2 or _fit_window_times(n) < SP._FIT_MIN_SAMPLES:
+        least = next(m for m in itertools.count(max(n, 2))
+                     if _fit_window_times(m) >= SP._FIT_MIN_SAMPLES)
+        raise _TooFewSamples(least, n, "its fits take {} grid times in [{:g}, {:g}]".format(
+            SP._FIT_MIN_SAMPLES, *FIT_WINDOW))
     margins = []
     built = {name: table for name, _sg, table in _built_samples(n)}
     for name, series, basis, target, allowed in FIT_TARGETS:
@@ -567,7 +577,10 @@ def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9
         raise ValueError(f"the sample count must be positive, got {n}")
     fn, default_n = SUITES[name]
     rng = np.random.default_rng(seed)
-    samples, margins = fn(default_n if n is None else n, rng)
+    try:
+        samples, margins = fn(default_n if n is None else n, rng)
+    except _TooFewSamples as exc:
+        raise ValueError(f"suite {name} {exc}") from None
     margins = np.asarray(margins, dtype=float)  # a list of numbers or one array
     violations = int(np.count_nonzero(~(margins >= -tol)))  # NaN counts
     worst = float(margins.min()) if margins.size else math.inf

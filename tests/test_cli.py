@@ -4,11 +4,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hypspeed.cli import CliConfig, main, parse_args, run
+from hypspeed.cli import CSV_COLUMNS, CliConfig, _csv, main, parse_args, run
 
 from test_speeds import TABLE_DOMAINS
 
@@ -197,6 +199,21 @@ def test_plot_bytes(i, columns, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_DIGESTS[i, columns]
 
 
+# columns of every length around the writer's 1024-row chunks, with the
+# cells whose `%.17g` text is least regular
+_CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072e-310, 1e308, -1e308, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 1023, 1024, 1025, 5000]).flatmap(
+    lambda n: arrays(np.float64, (len(CSV_COLUMNS), n), elements=_CELLS)))
+def test_chunked_csv_matches_rows(columns):
+    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
+            for row in zip(*(c.tolist() for c in columns))]
+    assert _csv(CSV_COLUMNS, columns) == "\n".join([",".join(CSV_COLUMNS)] + rows) + "\n"
+
+
 class TestVerify:
     def test_passing_suite_exit_0(self, tmp_path):
         out = tmp_path / "report.json"
@@ -211,6 +228,34 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "contraction", "--samples", "50",
                         "-o", str(out)]) == 0
         assert json.loads(out.read_text())["seed"] == 99
+
+    def test_env_seed_read_at_each_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process; the seed is not part of it
+        out = tmp_path / "report.json"
+        for seed in ("7", "99", "7"):
+            monkeypatch.setenv("HYPSPEED_SEED", seed)
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "contraction", "--samples", "50", "-o", str(out)])
+            assert exc.value.code == 0
+            assert json.loads(out.read_text())["seed"] == int(seed)
+        assert parse_args(["verify", "--suite", "split", "--seed", "3"]).seed == 3
+
+    @pytest.mark.parametrize("argv", [["speeds", "--domain", KOEBE, "--points", "4"],
+                                      ["verify", "--suite", "split"], ["comb"], ["--help"]])
+    def test_malformed_env_seed_exit_2(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("HYPSPEED_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", "error: invalid literal for int() with base 10: 'abc'\n")
+
+    def test_one_sample_grid_suite_exit_2(self, capsys):
+        # `--samples 1` ran the default 512-point grid
+        assert run_cli(["verify", "--suite", "split", "--samples", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: suite split needs --samples 2 or more, got 1: "
+            "its speed tables take a grid of that many times\n")
 
     def test_small_pythagoras_run_exit_0(self, tmp_path):
         # too few samples to attain the 0.05 gap is not a violation

@@ -448,3 +448,19 @@ class TestValidation:
     def test_nan_geodesic_direction(self):
         with pytest.raises(DomainError, match="geodesic direction"):
             RadialGeodesic(complex(math.nan, 0.0))
+
+
+class TestDiscPointEquality:
+    @pytest.mark.parametrize("a, b, equal", [
+        ([0.1, 0.2], [0.1, 0.2], True),
+        ([0.1, 0.2], [0.1, 0.3], False),  # raised "truth value ... is ambiguous"
+        ([0.1, 0.2], [0.1, 0.2, 0.3], False),
+        ([[0.1, 0.2]], [0.1, 0.2], False),
+    ], ids=["equal", "differing", "longer", "other_shape"])
+    def test_batches_compare_by_value(self, a, b, equal):
+        p, q = DiscPoint(np.array(a)), DiscPoint(np.array(b))
+        assert (p == q) is equal and (p != q) is not equal
+
+    def test_batch_against_one_point(self):
+        assert DiscPoint(np.array([0.1, 0.2])) != DiscPoint(0.1)
+        assert DiscPoint(0.1) != DiscPoint(np.array([0.1, 0.2]))

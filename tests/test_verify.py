@@ -134,8 +134,20 @@ def test_sector_asymptotics_names_the_least_sample_count():
     with pytest.raises(ValueError, match="suite sector_asymptotics needs --samples 77 "
                                          "or more, got 64: its fits take 20 grid times"):
         run_suite("sector_asymptotics", n=64)
-    for n in (77, 1):  # n = 1 runs on the default grid
-        assert run_suite("sector_asymptotics", n=n).violations == 0
+    with pytest.raises(ValueError, match="suite sector_asymptotics needs --samples 77 "
+                                         "or more, got 1: its fits take 20 grid times"):
+        run_suite("sector_asymptotics", n=1)
+    assert run_suite("sector_asymptotics", n=77).violations == 0
+
+
+@pytest.mark.parametrize("name", ["split", "julia_tangent", "surrogates", "lower_bounds",
+                                  "betsakos", "nontangential"])
+def test_grid_suites_need_two_samples(name):
+    # n = 1 ran the default 512-point grid and reported 5 x 512 samples
+    with pytest.raises(ValueError, match=f"suite {name} needs --samples 2 or more, got 1: "
+                                         "its speed tables take a grid"):
+        run_suite(name, n=1)
+    assert run_suite(name, n=2).violations == 0
 
 
 def test_margin_arrays_count_nan_as_violation(monkeypatch):
