@@ -286,12 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> CliConfig:
-    # read at every call, since the parser is built once per process, and
-    # before the arguments, so a malformed value fails every subcommand
-    env_seed = int(os.environ.get("HYPSPEED_SEED", CliConfig.seed))
     args = vars(_build_parser().parse_args(argv))
     if "seed" in args and args["seed"] is None:
-        args["seed"] = env_seed
+        # read at every call, since the parser is built once per process,
+        # and only here, so a malformed value fails only `verify` without --seed
+        args["seed"] = int(os.environ.get("HYPSPEED_SEED", CliConfig.seed))
     # every option's dest is a CliConfig field
     return CliConfig(**args)
 

@@ -3,7 +3,7 @@
 Every domain below is closed under upward translation (w + it stays inside
 for t >= 0).  The maps are normalised so that the upward end -- the
 prime end every orbit drifts into -- goes to infinity of the right half
-plane and the domain's canonical base point goes exactly to 1.
+plane and the model's base point h(0) = p + base goes exactly to 1.
 """
 
 from __future__ import annotations
@@ -266,18 +266,6 @@ def _snap(w: complex) -> complex:
     return complex(re, im)
 
 
-def canonical_base_point(domain: DomainSpec) -> complex:
-    """h(0), the point each map sends exactly to 1.  From |Re p| or |Im p| =
-    2**52 on, p + 1 no longer resolves unit steps: such an offset is a
-    DomainError."""
-    p = getattr(domain, "p", 0j)
-    if max(abs(p.real), abs(p.imag)) >= 2.0 ** 52:
-        raise DomainError(f"domain point p={p} is too far out: "
-                          "|Re p| and |Im p| must be below 2**52")
-    fmap = to_halfplane(domain)  # a comb has none
-    return fmap.p + fmap.base
-
-
 def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
     """Biholomorphism domain -> H sending the upward end to infinity and
     h(0) = p + base to 1, in closed form at u = w - p.
@@ -327,7 +315,8 @@ def map_to_halfplane(domain: DomainSpec, w) -> LogPolar:
         if not contains(domain, w):
             raise DomainError(f"{w} is not in the domain")
         w = complex(w)
-    return in_halfplane(to_halfplane(domain).forward_lp(w))
+    fmap = to_halfplane(domain)
+    return in_halfplane(fmap.forward_lp(w - fmap.p))
 
 
 def k_domain(domain: DomainSpec, w1, w2) -> float:

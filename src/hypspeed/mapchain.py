@@ -8,8 +8,8 @@ as the same values once they pass its validity check.
 
 ``RiemannMapChain`` is the map F of one model domain onto the right half
 plane, written in closed form at the point u = w - p relative to the
-domain's apex p.  That is what makes orbits tractable at huge times and far
-offsets: a strip's exponential turns a bounded coordinate into a possibly
+domain's apex p.  That is what makes orbits tractable at huge times and any
+offset: a strip's exponential turns a bounded coordinate into a possibly
 enormous ``log rho`` without materialising the overflowing complex number,
 and an orbit point h(z) + it is handed over as h(z) - p + it, so the digits
 of p never enter it.
@@ -166,9 +166,9 @@ class RiemannMapChain:
     precision where an orbit runs along a ray.  At gamma = 1 the image
     keeps rot u as its exact cartesian value.
 
-    One point (a number) runs through plain ``math``, a complex array
-    through numpy.  The inverse and ``log_abs_derivative`` have one numpy
-    body each, which takes one point as a 0-d array.
+    Every method takes u (``inverse`` returns it); one point runs through
+    ``math``, an array through numpy.  The inverse and ``log_abs_derivative``
+    have one numpy body each, which takes one point as a 0-d array.
     """
 
     p: complex               # the apex; 0 for a strip
@@ -180,7 +180,7 @@ class RiemannMapChain:
     width: float = 0.0       # a strip's r; 0 for a sector
     k: float = 0.0           # a strip's pi/r
 
-    def relative_lp(self, u) -> LogPolar:
+    def forward_lp(self, u) -> LogPolar:
         """F(p + u) for a number or a complex array u."""
         if isinstance(u, np.ndarray):
             return self._strip_array(u) if self.width else self._sector_array(u)
@@ -214,16 +214,12 @@ class RiemannMapChain:
             log_rho = g * np.log(_cabs(u))
         return LogPolar(log_rho, theta, np.where(np.abs(theta) <= gap, np.cos(theta), np.sin(gap)))
 
-    def forward_lp(self, w) -> LogPolar:
-        """F(w) for a number or a complex array."""
-        return self.relative_lp(w - self.p)
+    def forward(self, u):
+        """F(p + u) as a complex value; beyond e^700 a value without an
+        exact cartesian form raises OverflowError."""
+        return _to_complex(self.forward_lp(u))
 
-    def forward(self, w):
-        """F(w) as a complex value; beyond e^700 a value without an exact
-        cartesian form raises OverflowError."""
-        return _to_complex(self.forward_lp(w))
-
-    def relative_inverse(self, w):
+    def inverse(self, w):
         """F^-1(w) - p for a half-plane point or batch (a LogPolar), or a
         complex value or array; a value beyond e^700 raises OverflowError."""
         if not isinstance(w, LogPolar):
@@ -238,14 +234,10 @@ class RiemannMapChain:
             u = _cmul(self.rot.conjugate(), v)
         return complex(u) if u.ndim == 0 else u
 
-    def inverse(self, w):
-        """F^-1(w), as ``relative_inverse`` takes w."""
-        return self.p + self.relative_inverse(w)
-
-    def log_abs_derivative(self, w):
-        """log |F'(w)| (never over/underflows), a float for one point and an
-        array for a complex array."""
-        u = np.asarray(w, dtype=complex) - self.p
+    def log_abs_derivative(self, u):
+        """log |F'(p + u)| (never over/underflows), a float for one point and
+        an array for a complex array."""
+        u = np.asarray(u, dtype=complex)
         if self.width:
             d = math.log(self.k) + self.k * u.imag
         elif self.gamma == 1.0:  # the identity, also at the apex

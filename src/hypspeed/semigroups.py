@@ -3,10 +3,10 @@
 A semigroup here is the family phi_t = h^{-1}(h(.) + it) where h maps the
 unit disc onto a chosen starlike-at-infinity domain.  The model map is
 h = F^{-1} o C, with C the Cayley transform of ``hyperbolic`` and F the
-domain's map onto the half plane, so h(0) is always the domain's
-canonical base point.  Every map sends the upward end to infinity of H,
-so the Denjoy-Wolff point is C^{-1}(inf) = 1.  Orbits are evaluated at
-h(z) - p + it, relative to the domain's apex p.
+domain's map onto the half plane, so h(0) = p + base is the point F sends
+to 1.  Every map sends the upward end to infinity of H, so the
+Denjoy-Wolff point is C^{-1}(inf) = 1.  Orbits are evaluated at
+h(z) - p + it relative to the domain's apex p, so no offset changes them.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (Comb, DomainSpec, HalfPlaneRight, Koebe, Sector, Strip,
-                      UnsupportedDomainOperation, canonical_base_point,
-                      to_halfplane)
+                      UnsupportedDomainOperation, to_halfplane)
 from .hyperbolic import (ORIGIN, DiscPoint, DomainError, cayley, cayley_inv,
                          in_halfplane, k_half)
 from .mapchain import LogPolar, RiemannMapChain
@@ -70,15 +69,14 @@ class KoenigsSemigroup:
     """A non-elliptic semigroup presented through its holomorphic model."""
 
     image_domain: DomainSpec
-    base_model_point: complex | None  # h(0); None for combs
 
 
 def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
     """Build the semigroup with Koenigs image the given domain."""
     classify(domain)  # rejects objects that are not domains
-    if isinstance(domain, Comb):
-        return KoenigsSemigroup(domain, None)
-    return KoenigsSemigroup(domain, canonical_base_point(domain))
+    if not isinstance(domain, Comb):
+        to_halfplane(domain)  # built once here and kept on the domain
+    return KoenigsSemigroup(domain)
 
 
 def _model_offset(fmap: RiemannMapChain, z: DiscPoint):
@@ -86,13 +84,13 @@ def _model_offset(fmap: RiemannMapChain, z: DiscPoint):
     # for a batch the comparison is an array, never True: the map inverts it
     if (z.value == 0) is True and not z.guarded:
         return fmap.base
-    return fmap.relative_inverse(cayley(z))
+    return fmap.inverse(cayley(z))
 
 
 def model_point(sg: KoenigsSemigroup, z: DiscPoint = ORIGIN) -> complex:
-    """h(z) = F^{-1}(C(z)): the model image of a disc point, or an array of
-    them for a batch z.  A guarded z enters through its exact half-plane
-    witness."""
+    """h(z) = F^{-1}(C(z)): the absolute model image of a disc point (which
+    rounds at a far apex p), or an array of them for a batch z.  A guarded
+    z enters through its exact half-plane witness."""
     fmap = to_halfplane(sg.image_domain)  # a comb has none
     return fmap.p + _model_offset(fmap, z)
 
@@ -108,7 +106,7 @@ def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     if negative is True or (negative is not False and negative.any()):
         raise ValueError("orbit times must be nonnegative")
     fmap = to_halfplane(sg.image_domain)  # a comb has none
-    p = fmap.relative_lp(_model_offset(fmap, z) + 1j * t)
+    p = fmap.forward_lp(_model_offset(fmap, z) + 1j * t)
     try:
         return in_halfplane(p)
     except DomainError as exc:
@@ -133,7 +131,7 @@ def denjoy_wolff(sg: KoenigsSemigroup) -> complex:
     image domain to infinity of H, and the inverse Cayley transform sends
     infinity to 1.
     """
-    if sg.base_model_point is None:
+    if isinstance(sg.image_domain, Comb):
         raise UnsupportedDomainOperation("comb image domains are not orbit-evaluable")
     return 1 + 0j
 

@@ -236,8 +236,9 @@ def _suite_chains(n, rng):
         rebuilt = D.build_domain(D.domain_to_json(dom))
         margins.append(0.0 if rebuilt == dom else -1.0)
         chain = D.to_halfplane(dom)
-        base = D.canonical_base_point(dom)
-        margins.append(_eq(abs(chain.forward(base) - 1.0), 0.0))
+        p = chain.p  # the chain takes points relative to its apex
+        base = p + chain.base
+        margins.append(_eq(abs(chain.forward(base - p) - 1.0), 0.0))
         # per sample: 2 draws for the point, the upward shift, 2 x 2 for
         # the preimages, as the scalar calls of one sample drew them
         u = rng.random((per, 7))
@@ -247,24 +248,24 @@ def _suite_chains(n, rng):
         up = ws + 1j * _uniform(u[:, 2], 0.0, 100.0)
         margins.append(np.where(D.contains(dom, up), 0.0, -1.0))
         # round trip through the chain
-        back = chain.inverse(chain.forward(ws))
+        back = p + chain.inverse(chain.forward(ws - p))
         margins.append(1e-10 - np.abs(back - ws) / (1.0 + np.abs(ws)))
         # |F'| against a central difference, where both probes are inside
         h = 1e-6 * (1.0 + np.abs(ws))
         inside = D.contains(dom, ws + h) & D.contains(dom, ws - h)
         w, h = ws[inside], h[inside]
-        fd = np.abs(chain.forward(w + h) - chain.forward(w - h)) / (2.0 * h)
-        ld = np.exp(chain.log_abs_derivative(w))
+        fd = np.abs(chain.forward(w + h - p) - chain.forward(w - h - p)) / (2.0 * h)
+        ld = np.exp(chain.log_abs_derivative(w - p))
         pos = fd > 0
         margins.append(1e-4 - np.abs(fd - ld)[pos] / np.maximum(fd, ld)[pos])
         # conformal invariance: the domain distance equals the disc
         # distance of the model preimages; moderate points, where the
         # disc-side formula resolves well past 1e-9
-        u1, u2 = (chain.inverse(np.e ** _uniform(u[:, c], -3, 3)
-                                * _unit(_uniform(u[:, c + 1], -1.2, 1.2))) for c in (3, 5))
+        u1, u2 = (p + chain.inverse(np.e ** _uniform(u[:, c], -3, 3)
+                                    * _unit(_uniform(u[:, c + 1], -1.2, 1.2))) for c in (3, 5))
         kd = D.k_domain(dom, u1, u2)
-        z1 = H.DiscPoint(H.cayley_inv(chain.forward_lp(u1)).value)
-        z2 = H.DiscPoint(H.cayley_inv(chain.forward_lp(u2)).value)
+        z1 = H.DiscPoint(H.cayley_inv(chain.forward_lp(u1 - p)).value)
+        z2 = H.DiscPoint(H.cayley_inv(chain.forward_lp(u2 - p)).value)
         margins.append(1e-9 - np.abs(kd - H.omega(z1, z2)))
         # deltas at the drawn points: monotone under enlarging the domain
         dv = D.delta(dom, ws)

@@ -19,6 +19,17 @@ COMB = '{"type":"comb","teeth":[[1,1],[2,3]]}'
 STRIP = '{"type":"strip","r":1.5707963267948966}'
 HALFPLANE = '{"type":"halfplane","p":[0,0]}'
 SECTOR_FLAT = '{"type":"sector","p":[0,0],"alpha":3.141592653589793,"beta":0}'
+#: domains with their apex where p + 1 no longer resolves unit steps
+FAR_DOMAINS = [
+    '{"type":"halfplane","p":[1e308,1e308]}',
+    '{"type":"koebe","p":[1e300,-1e300]}',
+    '{"type":"halfplane","p":[9007199254740992.0,0]}',
+    '{"type":"halfplane","p":[1e17,0]}',
+    *(f'{{"type":"{kind}","p":{p}{extra}}}'
+      for p in ("[1e16,0]", "[-1e300,1e300]", "[9007199254740992,-3e20]")
+      for kind, extra in (("sector", ',"alpha":0.7,"beta":1.9'), ("koebe", ""),
+                          ("halfplane", ""))),
+]
 
 
 def run_cli(argv):
@@ -67,23 +78,17 @@ class TestSpeeds:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("p", ["9007199254740992.0", "1e16", "1e17"])
-    def test_offset_rounds_orbit_onto_axis_exit_2(self, p, capsys):
-        # the absolute base point h(0) = p + 1 no longer resolves unit steps
-        # from 2**52 on; orbits run relative to p, but such an offset is
-        # still rejected
-        with pytest.raises(SystemExit) as exc:
-            main(["speeds", "--domain", f'{{"type":"halfplane","p":[{p},0]}}', "--points", "4"])
-        assert exc.value.code == 2
-        assert "domain point p=" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("domain", ['{"type":"halfplane","p":[1e308,1e308]}',
-                                        '{"type":"koebe","p":[1e300,-1e300]}',
-                                        '{"type":"halfplane","p":[1e16,0]}'])
-    def test_far_offset_message_names_p(self, domain, capsys):
-        assert run_cli(["speeds", "--domain", domain, "--points", "4"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: domain point p=") and "2**52" in err
+    @pytest.mark.parametrize("domain", FAR_DOMAINS)
+    def test_far_offset_table_matches_the_origin(self, domain, capsys):
+        # translating the domain leaves the semigroup and its speeds alone:
+        # h(0) = p + 1 on a half plane rounds onto its boundary from 2**52
+        # on, but the orbit runs at h(0) - p + it = 1 + it
+        argv = ["speeds", "--t-max", "1e12", "--points", "64", "--domain"]
+        assert run_cli(argv + [domain]) == 0
+        far = capsys.readouterr().out
+        near = json.dumps({**json.loads(domain), "p": [0, 0]})
+        assert run_cli(argv + [near]) == 0
+        assert far == capsys.readouterr().out
 
     def test_domain_path_is_a_directory_exit_2(self, tmp_path, capsys):
         assert run_cli(["speeds", "--domain", str(tmp_path), "--points", "4"]) == 2
@@ -240,15 +245,28 @@ class TestVerify:
             assert json.loads(out.read_text())["seed"] == int(seed)
         assert parse_args(["verify", "--suite", "split", "--seed", "3"]).seed == 3
 
-    @pytest.mark.parametrize("argv", [["speeds", "--domain", KOEBE, "--points", "4"],
-                                      ["verify", "--suite", "split"], ["comb"], ["--help"]])
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "split"], ["verify", "--suite", "comb"]])
     def test_malformed_env_seed_exit_2(self, argv, monkeypatch, capsys):
+        # verify without --seed is the one command that reads the variable
         monkeypatch.setenv("HYPSPEED_SEED", "abc")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr() == (
             "", "error: invalid literal for int() with base 10: 'abc'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["speeds", "--domain", KOEBE, "--points", "4"],
+        ["comb", "--abscissae", "1,2,3,4", "--steps", "3"],
+        ["--help"],
+        ["verify", "--suite", "contraction", "--samples", "50", "--seed", "3"],
+    ])
+    def test_malformed_env_seed_unread_exit_0(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("HYPSPEED_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
 
     def test_one_sample_grid_suite_exit_2(self, capsys):
         # `--samples 1` ran the default 512-point grid

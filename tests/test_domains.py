@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 import random
@@ -6,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from hypspeed import (Comb, HalfPlaneRight, Koebe, OmegaSign, Sector, Strip,
-                      UnsupportedDomainOperation, build_domain, contains,
+from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, OmegaSign, Sector,
+                      Strip, UnsupportedDomainOperation, build_domain, contains,
                       default_grid, delta, delta_pm, domain_from_json,
                       domain_to_json, domains, k_domain, koenigs_semigroup,
                       quasihyp_lower, sample_speeds, to_halfplane)
-from hypspeed.domains import DomainError, canonical_base_point
+from hypspeed.domains import DomainError
+from hypspeed.semigroups import model_point
 
 from oracles import (brute_force_distance, comb_boundary_points, mp_quasihyp,
                      sector_boundary_points)
@@ -66,13 +68,13 @@ class TestBuild:
         (HalfPlaneRight(-2.0 ** 52), 1j),
         (Sector(2.0 ** 52 * 1j, 1.0, 1.0), 2.0 ** 53 * 1j),
     ])
-    def test_far_offset_has_no_base_point(self, dom, w):
-        # from |Re p| or |Im p| = 2**52 on, p + 1 no longer resolves unit steps
-        with pytest.raises(DomainError, match=r"domain point p=.* must be below 2\*\*52"):
-            canonical_base_point(dom)
-        with pytest.raises(DomainError, match=r"domain point p="):
-            koenigs_semigroup(dom)
-        # the domain itself stays usable
+    def test_far_offset_speeds_match_the_origin(self, dom, w):
+        # orbits run at h(z) - p + it, so from any apex, 2**52 and beyond
+        # included, they give the speeds of the same domain at p = 0 bit for bit
+        grid = default_grid(1.0, 1e12, 16)
+        far, near = koenigs_semigroup(dom), koenigs_semigroup(dataclasses.replace(dom, p=0j))
+        for z in (DiscPoint(0j), DiscPoint(0.3 - 0.4j)):
+            assert sample_speeds(far, grid, z) == sample_speeds(near, grid, z)
         assert contains(dom, w) and delta(dom, w) > 0.0
 
     def test_far_offset_domain_keeps_its_quadrature(self):
@@ -80,8 +82,8 @@ class TestBuild:
 
     def test_offset_below_2_52_keeps_its_base_point(self):
         p = complex(2.0 ** 52 - 1.0, -(2.0 ** 52 - 1.0))
-        assert canonical_base_point(HalfPlaneRight(p)) == p + 1.0
-        assert canonical_base_point(Koebe(p)) == p + 1j
+        assert model_point(koenigs_semigroup(HalfPlaneRight(p))) == p + 1.0
+        assert model_point(koenigs_semigroup(Koebe(p))) == p + 1j
 
     def test_malformed(self):
         with pytest.raises(DomainError):
@@ -122,12 +124,12 @@ class TestMembership:
 class TestChains:
     def test_koebe_forward_sqrt(self):
         ch = to_halfplane(Koebe(0))
-        assert abs(ch.forward(4j) - 2.0) < 1e-12
+        assert abs(ch.forward(4j) - 2.0) < 1e-12  # the apex is 0, so u = w
 
     def test_sector_base_to_one(self):
         for dom in (Sector(0j, 0.4, 0.4), Sector(1 - 1j, 0.2, 1.9), Sector(0j, math.pi, 0.0)):
             ch = to_halfplane(dom)
-            assert abs(ch.forward(canonical_base_point(dom)) - 1.0) < 1e-12
+            assert abs(ch.forward(model_point(koenigs_semigroup(dom)) - ch.p) - 1.0) < 1e-12
 
     def test_strip_base_to_one(self):
         assert abs(to_halfplane(Strip(2.0)).forward(1.0) - 1.0) < 1e-12
@@ -152,7 +154,8 @@ class TestChains:
             ch = to_halfplane(dom)
             for _ in range(1000):
                 w = draw()
-                assert abs(ch.inverse(ch.forward(w)) - w) <= 1e-10 * (1 + abs(w))
+                back = ch.p + ch.inverse(ch.forward(w - ch.p))
+                assert abs(back - w) <= 1e-10 * (1 + abs(w))
 
 
 CHAIN_ONCE_DOMAINS = [HalfPlaneRight(-1 + 2j), Strip(3.0), Sector(1 - 2j, 0.7, 1.9), Koebe(2 + 1j)]
@@ -257,7 +260,7 @@ class TestDeltaPm:
             if ref is None:
                 ref = {HalfPlaneRight: 1.0 + 0j, Strip: 1.0 + 0j}.get(type(dom), 1j)
             if not contains(dom, ref):
-                ref = canonical_base_point(dom) if not isinstance(dom, Comb) else 0j
+                ref = model_point(koenigs_semigroup(dom)) if not isinstance(dom, Comb) else 0j
             for _ in range(40):
                 w = complex(rng.uniform(-4, 4), rng.uniform(-3, 5))
                 if not contains(dom, w):

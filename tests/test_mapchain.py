@@ -20,9 +20,10 @@ from test_batch import TABLE_DOMAINS
 
 #: orbit times: 0, then 0.001 to 1e12, and three far beyond
 TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 1e12, 16), [1e15, 1e300, 1e307]])
-#: the far offsets: a sector at 1e10 and 3e15, and sector-type maps with
-#: their apex at -4.5e15 + 4.5e15i, just inside |Re p|, |Im p| < 2**52, one
-#: with a vertical ray that its orbits run along
+#: the far offsets: a sector at 1e10 and 3e15, sector-type maps with their
+#: apex at -4.5e15 + 4.5e15i, one with a vertical ray that its orbits run
+#: along, and apexes at 1e16 and +-1e300, where p + 1 no longer resolves
+#: unit steps
 FAR = {
     "sector_1e10": Sector(1e10 + 0j, 0.3, 1.0),
     "sector_3e15": Sector(3e15 + 0j, 0.3, 1.0),
@@ -31,6 +32,9 @@ FAR = {
     "sector_flat_far": Sector(-4.5e15 + 4.5e15j, 0.0, math.pi),
     "koebe_far": Koebe(-4.5e15 + 4.5e15j),
     "halfplane_far": HalfPlaneRight(-4.5e15 + 4.5e15j),
+    "halfplane_1e16": HalfPlaneRight(1e16 + 0j),
+    "sector_1e300": Sector(1e300 - 1e300j, 0.7, 1.9),
+    "koebe_1e300": Koebe(-1e300 + 1e300j),
 }
 
 
@@ -103,17 +107,17 @@ def test_domain_chains_match_reference(name):
     # domains and its three extras: F at orbit points from five start
     # points to t = 1e307 and at the chains suite's draws, F^-1 at
     # half-plane points, and log |F'| at the draws, each one point at a time
-    # and as one batch
+    # and as one batch, all at points u = w - p relative to the apex p
     dom = TABLE_DOMAINS[name]
     chain = to_halfplane(dom)
     sg = koenigs_semigroup(dom)
-    draws = _rand_domain_points(np.random.default_rng(5).random((24, 2)), dom)
-    ws = np.concatenate([model_point(sg, z) + 1j * TIMES[:-3] for z in starts(3)] + [draws])
-    p = getattr(dom, "p", 0j)
-    want = [mp_halfplane(dom, mpmath.mpc(w) - mpmath.mpc(p)) for w in ws]
-    assert_lp_matches(chain.forward_lp(ws), want)
-    for w, x in zip(ws, want):
-        assert_lp_matches(chain.forward_lp(complex(w)), [x])
+    draws = _rand_domain_points(np.random.default_rng(5).random((24, 2)), dom) - chain.p
+    us = np.concatenate([model_point(sg, z) - chain.p + 1j * TIMES[:-3] for z in starts(3)]
+                        + [draws])
+    want = [mp_halfplane(dom, mpmath.mpc(u)) for u in us]
+    assert_lp_matches(chain.forward_lp(us), want)
+    for u, x in zip(us, want):
+        assert_lp_matches(chain.forward_lp(complex(u)), [x])
     for z in starts(4):
         assert_orbit_matches(dom, z, TIMES)
     # F^-1 at half-plane points up to log rho = 40
@@ -123,14 +127,14 @@ def test_domain_chains_match_reference(name):
     back = chain.inverse(hp)
     got = [chain.inverse(HalfPlanePoint(float(l), float(t))) for l, t in zip(hp.log_rho, hp.theta)]
     for u, b, g in zip(pre, back, got):
-        want = complex(mpmath.mpc(p) + u)
+        want = complex(u)
         tol = 1e-13 * max(1.0, abs(want))
         assert abs(b - want) <= tol and abs(g - want) <= tol
     # log |F'| at the draws
-    deriv = [mp_log_abs_derivative(dom, mpmath.mpc(w) - mpmath.mpc(p)) for w in draws]
+    deriv = [mp_log_abs_derivative(dom, mpmath.mpc(u)) for u in draws]
     ok, err = close(chain.log_abs_derivative(draws), deriv)
     assert ok, err
-    ok, err = close([chain.log_abs_derivative(complex(w)) for w in draws], deriv)
+    ok, err = close([chain.log_abs_derivative(complex(u)) for u in draws], deriv)
     assert ok, err
 
 
@@ -161,10 +165,10 @@ def test_axial_ray_keeps_the_cosine():
 
 def test_chain_derivative_matches_finite_difference():
     chain = to_halfplane(Koebe(2.0 + 0j))
-    w = 5.0 + 3.0j
+    u = 3.0 + 3.0j  # w = 5 + 3i, relative to the apex 2
     h = 1e-7
-    fd = abs(chain.forward(w + h) - chain.forward(w - h)) / (2 * h)
-    assert math.exp(chain.log_abs_derivative(w)) == pytest.approx(fd, rel=1e-6)
+    fd = abs(chain.forward(u + h) - chain.forward(u - h)) / (2 * h)
+    assert math.exp(chain.log_abs_derivative(u)) == pytest.approx(fd, rel=1e-6)
 
 
 def test_chain_derivative_huge_values_stay_in_log():

@@ -98,9 +98,9 @@ class TestOrbit:
 
     def test_comb_unsupported(self):
         sg = koenigs_semigroup(Comb([(1, 1)]))
-        assert sg.base_model_point is None
-        with pytest.raises(UnsupportedDomainOperation):
-            orbit(sg, ORIGIN, 1.0)
+        for call in (denjoy_wolff, model_point, lambda sg: orbit(sg, ORIGIN, 1.0)):
+            with pytest.raises(UnsupportedDomainOperation):
+                call(sg)
 
     def test_koebe_orbit_converges_to_denjoy_wolff(self):
         sg = koenigs_semigroup(Koebe(0))
