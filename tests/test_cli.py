@@ -90,6 +90,18 @@ class TestSpeeds:
         assert run_cli(argv + [near]) == 0
         assert far == capsys.readouterr().out
 
+    @pytest.mark.parametrize("p", ["9007199254740992.0", "1e16", "1e17"])
+    def test_axis_offset_orbit_stays_off_the_axis(self, p, capsys):
+        # h(0) = p + 1 rounds to p from 2**52 on; the orbit runs relative to
+        # the apex at 1 + it, so its argument theta is atan2(t, 1), not the
+        # pi/2 of a point on the boundary axis
+        argv = ["speeds", "--domain", f'{{"type":"halfplane","p":[{p},0]}}', "--points", "4"]
+        assert run_cli(argv) == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4 and rows[0][0] == 1.0
+        assert [row[5] for row in rows] == [math.atan2(row[0], 1.0) for row in rows]
+
     def test_domain_path_is_a_directory_exit_2(self, tmp_path, capsys):
         assert run_cli(["speeds", "--domain", str(tmp_path), "--points", "4"]) == 2
         assert capsys.readouterr().err.startswith("error:")
