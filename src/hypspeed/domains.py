@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import DomainError, in_halfplane, k_half
-from .mapchain import HALF_PI, LOG2, TWO_PI, LogPolar, RiemannMapChain
+from .mapchain import HALF_PI, LOG2, TWO_PI, RiemannMapChain
 
 
 class UnsupportedDomainOperation(ValueError):
@@ -201,51 +201,29 @@ def domain_to_json(domain: DomainSpec) -> dict:
 
 
 def contains(domain: DomainSpec, w) -> bool:
-    """Open-set membership test (a boolean array for a complex array)."""
-    if isinstance(w, np.ndarray):
-        return _contains_array(domain, w.astype(complex, copy=False))
-    w = complex(w)
-    if isinstance(domain, HalfPlaneRight):
-        return w.real > domain.p.real
-    if isinstance(domain, Strip):
-        return 0.0 < w.real < domain.r
-    if isinstance(domain, Sector):
-        u = w - domain.p
-        if u == 0:
-            return False
-        rel = math.fmod(cmath.phase(u) - domain.ray_lo, TWO_PI)
-        if rel < 0:
-            rel += TWO_PI
-        return 0.0 < rel < domain.alpha + domain.beta
-    if isinstance(domain, Koebe):
-        return not (w.real == domain.p.real and w.imag <= domain.p.imag)
-    if isinstance(domain, Comb):
-        for a, b in domain.teeth:
-            if abs(w.real) == a and w.imag <= b:
-                return False
-        return True
-    raise DomainError(f"unknown domain {domain!r}")
-
-
-def _contains_array(domain: DomainSpec, w: np.ndarray) -> np.ndarray:
+    """Open-set membership test (a boolean array for a complex array).  The
+    body runs a point as a Python complex, never as a 0-d array."""
+    batch = isinstance(w, np.ndarray)
+    w = w.astype(complex, copy=False) if batch else complex(w)
     re, im = w.real, w.imag
     if isinstance(domain, HalfPlaneRight):
-        return re > domain.p.real
-    if isinstance(domain, Strip):
-        return (0.0 < re) & (re < domain.r)
-    if isinstance(domain, Sector):
+        inside = re > domain.p.real
+    elif isinstance(domain, Strip):
+        inside = (0.0 < re) & (re < domain.r)
+    elif isinstance(domain, Sector):
         u = w - domain.p
-        rel = np.fmod(np.arctan2(u.imag, u.real) - domain.ray_lo, TWO_PI)
-        rel = np.where(rel < 0, rel + TWO_PI, rel)
-        return (u != 0) & (0.0 < rel) & (rel < domain.alpha + domain.beta)
-    if isinstance(domain, Koebe):
-        return ~((re == domain.p.real) & (im <= domain.p.imag))
-    if isinstance(domain, Comb):
-        out = np.ones(w.shape, dtype=bool)
+        rel = (np.arctan2(u.imag, u.real) - domain.ray_lo) % TWO_PI
+        inside = (u != 0) & (0.0 < rel) & (rel < domain.alpha + domain.beta)
+    elif isinstance(domain, Koebe):
+        inside = np.logical_not((re == domain.p.real) & (im <= domain.p.imag))
+    elif isinstance(domain, Comb):
+        on_slit = False
         for a, b in domain.teeth:
-            out &= ~((np.abs(re) == a) & (im <= b))
-        return out
-    raise DomainError(f"unknown domain {domain!r}")
+            on_slit = on_slit | ((abs(re) == a) & (im <= b))
+        inside = np.logical_not(on_slit)
+    else:
+        raise DomainError(f"unknown domain {domain!r}")
+    return inside if batch else bool(inside)
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +283,19 @@ def _build_map(domain: DomainSpec) -> RiemannMapChain:
     raise UnsupportedDomainOperation("no closed-form map; use quasihyp_lower")
 
 
-def map_to_halfplane(domain: DomainSpec, w) -> LogPolar:
-    """Evaluate the map at an interior point, staying in log-polar form.
-    A complex array gives a batch; one point outside the domain fails it."""
-    if isinstance(w, np.ndarray):
-        w = w.astype(complex, copy=False)
-        _require(contains(domain, w), w, "the domain")
-    else:
-        if not contains(domain, w):
-            raise DomainError(f"{w} is not in the domain")
-        w = complex(w)
-    fmap = to_halfplane(domain)
-    return in_halfplane(fmap.forward_lp(w - fmap.p))
-
-
 def k_domain(domain: DomainSpec, w1, w2) -> float:
     """Hyperbolic distance of the domain via its half-plane map (an array
-    when either point is a complex array)."""
+    when either point is a complex array); a point outside the domain, or
+    one in a batch, is a DomainError."""
     if isinstance(domain, Comb):
         raise UnsupportedDomainOperation("comb distances are available as bounds only")
-    return k_half(map_to_halfplane(domain, w1), map_to_halfplane(domain, w2))
+    fmap = to_halfplane(domain)
+    ends = []
+    for w in (w1, w2):
+        w = w.astype(complex, copy=False) if isinstance(w, np.ndarray) else complex(w)
+        _require(contains(domain, w), w, "the domain")
+        ends.append(in_halfplane(fmap.forward_lp(w - fmap.p)))
+    return k_half(*ends)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +338,10 @@ def _dist_to_slits(q: np.ndarray, slits) -> np.ndarray:
     return d
 
 
-def _require(inside: np.ndarray, q: np.ndarray, where: str) -> None:
-    if not inside.all():
-        raise DomainError(f"{q[~inside][0]} is not in {where}")
+def _require(inside, q, where: str) -> None:
+    """Fail unless every point of q, one point or an array, is inside."""
+    if not np.all(inside):
+        raise DomainError(f"{np.asarray(q)[np.logical_not(inside)][0]} is not in {where}")
 
 
 def delta(domain: DomainSpec, p):

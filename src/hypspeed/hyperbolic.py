@@ -9,12 +9,15 @@ modulus ratios, angles within 1e-12 of +-pi/2).  Every point ``cayley_inv``
 returns carries its Cayley image as a half-plane witness, which the
 distances and projections read in place of the rounded disc value.
 
-The metric operations, ``cayley_inv`` and ``DiscAutomorphism.apply`` also
+The metric operations, the Cayley pair and ``DiscAutomorphism.apply`` also
 take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
 (with or without a batch witness) or ``RadialGeodesic`` whose value is an
-array, or a polyline given as an array.  ``omega`` and the radial pair have
-one numpy body for a point and a batch; ``k_half`` and ``cayley_inv`` run
-one point in plain ``math``, which their array code matches to a few ulp.
+array, or a polyline given as an array.  Each operation has one body for a
+point and a batch, and gives a point as Python floats and complex numbers.
+Plain ``math`` runs only in the point kernels of the per-time loop of
+``sample_speeds``: ``_k_lp`` (one point of ``k_half``) and the point
+branches of ``in_halfplane`` and ``tangential_distance``, which their array
+code matches to a few ulp.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mapchain import (HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex,
-                       _from_complex_array, _to_complex)
+                       _from_complex_array)
 
 # Above this log rho, 1 - |z| ~ 2 e^{-log rho} cos theta of the disc point is
 # below ~2e-13, and cayley_inv's disc value is 1 - 2 e^{-log rho - i theta}.
@@ -59,6 +62,7 @@ def in_halfplane(p: LogPolar) -> LogPolar:
             raise DomainError("cos_theta must be positive: a batch point lies on the "
                               "imaginary axis to double precision")
         return p
+    # one point in plain math: sample_speeds' per-time loop runs it
     if not math.isfinite(p.log_rho):
         raise DomainError("log_rho must be finite")
     if not abs(p.theta) <= HALF_PI:
@@ -94,16 +98,14 @@ def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None)
 
 
 def _halfplane_from_complex(w: complex) -> LogPolar:
-    """The half-plane point w, keeping w itself as its cartesian value."""
-    if isinstance(w, np.ndarray):
-        w = w.astype(complex, copy=False)
-        if not np.all(w.real > 0):
-            raise DomainError("a batch point is not in the right half plane")
-        return in_halfplane(_from_complex_array(w))
-    w = complex(w)
-    if w.real <= 0:
-        raise DomainError(f"{w} is not in the right half plane")
-    return in_halfplane(LogPolar.from_complex(w))
+    """The half-plane point w, or a batch for a complex array, keeping w
+    itself as its cartesian value."""
+    batch = np.ndim(w) > 0
+    w = w.astype(complex, copy=False) if batch else complex(w)
+    if not np.all(w.real > 0):
+        raise DomainError("a batch point is not in the right half plane" if batch
+                          else f"{w} is not in the right half plane")
+    return in_halfplane(_from_complex_array(w) if batch else LogPolar.from_complex(w))
 
 
 HalfPlanePoint.from_complex = _halfplane_from_complex
@@ -182,17 +184,13 @@ class RadialGeodesic:
     tau: complex
 
     def __post_init__(self):
-        if isinstance(self.tau, np.ndarray):
-            t = self.tau.astype(complex, copy=False)
-            r = _cabs(t)
-            if not np.all(np.abs(r - 1.0) <= 1e-9):
-                raise DomainError("geodesic direction must be unimodular")
-            object.__setattr__(self, "tau", _complex(t.real / r, t.imag / r))
-            return
-        t = complex(self.tau)
-        if not abs(abs(t) - 1.0) <= 1e-9:  # NaN fails too
+        batch = isinstance(self.tau, np.ndarray)
+        t = self.tau.astype(complex, copy=False) if batch else complex(self.tau)
+        r = _cabs(t)
+        if not np.all(np.abs(r - 1.0) <= 1e-9):  # NaN fails too
             raise DomainError("geodesic direction must be unimodular")
-        object.__setattr__(self, "tau", t / abs(t))
+        tau = _complex(t.real / r, t.imag / r)
+        object.__setattr__(self, "tau", tau if batch else complex(tau))
 
 
 def _as_disc(z) -> DiscPoint:
@@ -203,6 +201,7 @@ def _as_disc(z) -> DiscPoint:
 # distances
 
 
+# one point in plain math: sample_speeds' per-time loop runs it
 def _k_lp(l1: float, t1: float, c1: float | None, l2: float, t2: float, c2: float | None) -> float:
     """k_H between rho_i e^{i theta_i} given (log rho_i, theta_i) and the cached
     cos theta_i or None, from sinh k = |w1 - w2| / (2 sqrt(Re w1 Re w2)), i.e.
@@ -303,35 +302,22 @@ def cayley(z) -> LogPolar:
     z = _as_disc(z)
     if z.halfplane is not None:
         return z.halfplane
-    if isinstance(z.value, np.ndarray):
-        return HalfPlanePoint.from_complex(_cdiv(1.0 + z.value, 1.0 - z.value))
-    w = (1.0 + z.value) / (1.0 - z.value)
-    return HalfPlanePoint.from_complex(w)
+    return HalfPlanePoint.from_complex(_cdiv(1.0 + z.value, 1.0 - z.value))
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:
     """Inverse Cayley transform, a point or a batch, carrying w as its
     half-plane witness.  The disc value is (u - 1)/(u + 1), pulled just
     inside the circle where it rounds onto it, up to log rho = 30."""
-    if isinstance(w.log_rho, np.ndarray):
-        u = _to_complex(replace(w, log_rho=np.minimum(w.log_rho, _RADIAL_CROSSOVER)))
-        with np.errstate(all="ignore"):  # each point keeps one form; the other may overflow
-            near = _cdiv(u - 1.0, u + 1.0)
-            r = _cabs(near)
-            eps = 2.0 * np.exp(-w.log_rho)
-            z = np.where(w.log_rho <= _RADIAL_CROSSOVER,
-                         np.where(r < 1.0, near, near / r * (1.0 - 1e-16)),
-                         _complex(1.0 - eps * w.cos, eps * np.sin(w.theta)))
-        return DiscPoint(z, halfplane=w)
-    if w.log_rho <= _RADIAL_CROSSOVER:
-        u = w.to_complex()
-        z = (u - 1.0) / (u + 1.0)
-        if abs(z) >= 1.0:
-            z = z / abs(z) * (1.0 - 1e-16)
-    else:
-        eps = 2.0 * math.exp(-w.log_rho)
-        z = complex(1.0 - eps * w.cos, eps * math.sin(w.theta))
-    return DiscPoint(z, halfplane=w)
+    u = replace(w, log_rho=np.minimum(w.log_rho, _RADIAL_CROSSOVER)).to_complex()
+    with np.errstate(all="ignore"):  # each point keeps one form; the other may overflow
+        near = _cdiv(u - 1.0, u + 1.0)
+        r = _cabs(near)
+        eps = 2.0 * np.exp(-w.log_rho)
+        z = np.where(w.log_rho <= _RADIAL_CROSSOVER,
+                     np.where(r < 1.0, near, near / r * (1.0 - 1e-16)),
+                     _complex(1.0 - eps * w.cos, eps * np.sin(w.theta)))
+    return DiscPoint(z if isinstance(w.log_rho, np.ndarray) else complex(z), halfplane=w)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +330,7 @@ def tangential_distance(theta: float, cos_theta: float | None = None) -> float:
     if isinstance(theta, np.ndarray):
         c = np.cos(theta) if cos_theta is None else cos_theta
         return np.arcsinh(np.abs(np.sin(0.5 * theta)) / np.sqrt(c))
+    # one point in plain math: sample_speeds' per-time loop runs it
     c = math.cos(theta) if cos_theta is None else cos_theta
     return math.asinh(abs(math.sin(0.5 * theta)) / math.sqrt(c))
 
@@ -463,17 +450,12 @@ class DiscAutomorphism:
         if z.guarded:
             raise DomainError("automorphisms act on plain disc points only: pass "
                               "DiscPoint(z.value) where that value is faithful")
-        if isinstance(z.value, np.ndarray):
-            v = _cdiv(self.a - z.value, 1.0 - _cmul(self.a.conjugate(), z.value))
-            w = _cmul(cmath.exp(1j * self.phase), v)
-            r = _cabs(w)
-            with np.errstate(divide="ignore", invalid="ignore"):  # r = 0, not kept
-                return DiscPoint(np.where(r >= 1.0, w * ((1.0 - 1e-16) / r), w))
-        v = (self.a - z.value) / (1.0 - self.a.conjugate() * z.value)
-        w = cmath.exp(1j * self.phase) * v
-        if abs(w) >= 1.0:
-            w *= (1.0 - 1e-16) / abs(w)
-        return DiscPoint(w)
+        v = _cdiv(self.a - z.value, 1.0 - _cmul(self.a.conjugate(), z.value))
+        w = _cmul(cmath.exp(1j * self.phase), v)
+        r = _cabs(w)
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0, not kept
+            w = np.where(r >= 1.0, w * ((1.0 - 1e-16) / r), w)
+        return DiscPoint(w if isinstance(z.value, np.ndarray) else complex(w))
 
     def apply_boundary(self, sigma: complex) -> complex:
         """Continuous boundary extension; |sigma| = 1 maps to modulus 1."""

@@ -13,6 +13,11 @@ offset: a strip's exponential turns a bounded coordinate into a possibly
 enormous ``log rho`` without materialising the overflowing complex number,
 and an orbit point h(z) + it is handed over as h(z) - p + it, so the digits
 of p never enter it.
+
+Each operation here has one body for a point and a batch.  Plain ``math``
+runs only in the point kernels of the per-time loop of ``sample_speeds``:
+the point branch of ``forward_lp``, ``LogPolar.from_complex`` and
+``LogPolar.cos``.
 """
 
 from __future__ import annotations
@@ -85,24 +90,26 @@ class LogPolar:
 
     @staticmethod
     def from_complex(w: complex) -> "LogPolar":
+        # one point in plain math: sample_speeds' per-time loop runs it
         w = complex(w)
         if w == 0:
             return LogPolar(float("-inf"), 0.0, 1.0, 0j)
         r = abs(w)
         return LogPolar(math.log(r), cmath.phase(w), w.real / r, w)
 
-    def to_complex(self) -> complex:
-        """The complex value of one point; ``_to_complex`` also converts a
-        batch."""
+    def to_complex(self):
+        """The complex value of the point, or of each point of a batch; a
+        batch fails as a whole when one of its points would overflow."""
         if self.cart is not None:
             return self.cart
-        if self.log_rho == float("-inf"):
-            return 0j
-        if self.log_rho > _LOG_WIDE:
+        if np.any(self.log_rho > _LOG_WIDE):
             raise OverflowError(
-                f"log-polar value with log_rho={self.log_rho:g} does not fit in a complex double"
+                f"log-polar value with log_rho={np.max(self.log_rho):g} "
+                "does not fit in a complex double"
             )
-        return cmath.rect(math.exp(self.log_rho), self.theta)
+        r = np.exp(self.log_rho)
+        w = _complex(r * np.cos(self.theta), r * np.sin(self.theta))
+        return w if isinstance(self.log_rho, np.ndarray) else complex(w)
 
     @property
     def cos(self) -> float:
@@ -110,7 +117,7 @@ class LogPolar:
             return self.cos_theta
         if isinstance(self.theta, np.ndarray):
             return np.cos(self.theta)
-        return math.cos(self.theta)
+        return math.cos(self.theta)  # plain math for sample_speeds' per-time loop
 
     @property
     def is_zero(self) -> bool:
@@ -127,23 +134,6 @@ def _from_complex_array(w: np.ndarray) -> LogPolar:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r, cos = np.log(r), w.real / r
     return LogPolar(log_r, np.where(zero, 0.0, theta), np.where(zero, 1.0, cos), w)
-
-
-def _to_complex(p: LogPolar):
-    """p.to_complex() for a point or a batch; a batch fails as a whole when
-    one of its points would overflow."""
-    if not isinstance(p.log_rho, np.ndarray):
-        return p.to_complex()
-    if p.cart is not None:
-        return p.cart
-    lost = p.log_rho > _LOG_WIDE
-    if lost.any():
-        raise OverflowError(
-            f"log-polar value with log_rho={p.log_rho[lost].max():g} "
-            "does not fit in a complex double"
-        )
-    r = np.exp(p.log_rho)
-    return _complex(r * np.cos(p.theta), r * np.sin(p.theta))
 
 
 @dataclass(frozen=True)
@@ -166,9 +156,10 @@ class RiemannMapChain:
     precision where an orbit runs along a ray.  At gamma = 1 the image
     keeps rot u as its exact cartesian value.
 
-    Every method takes u (``inverse`` returns it); one point runs through
-    ``math``, an array through numpy.  The inverse and ``log_abs_derivative``
-    have one numpy body each, which takes one point as a 0-d array.
+    Every method takes u (``inverse`` returns it) and a point or an array.
+    ``forward_lp`` runs one point through ``math`` and an array through
+    numpy; the inverse and ``log_abs_derivative`` have one numpy body each,
+    which takes one point as a 0-d array.
     """
 
     p: complex               # the apex; 0 for a strip
@@ -184,6 +175,7 @@ class RiemannMapChain:
         """F(p + u) for a number or a complex array u."""
         if isinstance(u, np.ndarray):
             return self._strip_array(u) if self.width else self._sector_array(u)
+        # one point in plain math: sample_speeds' per-time loop runs it
         if self.width:
             a = self.k * (self.width - u.real)
             return LogPolar(self.k * u.imag, a - HALF_PI, math.sin(a))
@@ -217,7 +209,7 @@ class RiemannMapChain:
     def forward(self, u):
         """F(p + u) as a complex value; beyond e^700 a value without an
         exact cartesian form raises OverflowError."""
-        return _to_complex(self.forward_lp(u))
+        return self.forward_lp(u).to_complex()
 
     def inverse(self, w):
         """F^-1(w) - p for a half-plane point or batch (a LogPolar), or a
@@ -230,7 +222,7 @@ class RiemannMapChain:
         elif self.gamma == 1.0 and w.cart is not None:  # the exact value an image keeps
             u = _cmul(self.rot.conjugate(), w.cart)
         else:
-            v = _to_complex(LogPolar(log_rho / self.gamma, theta / self.gamma))
+            v = LogPolar(log_rho / self.gamma, theta / self.gamma).to_complex()
             u = _cmul(self.rot.conjugate(), v)
         return complex(u) if u.ndim == 0 else u
 

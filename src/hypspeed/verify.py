@@ -21,7 +21,7 @@ from . import domains as D
 from . import hyperbolic as H
 from . import semigroups as SG
 from . import speeds as SP
-from .mapchain import HALF_PI, LOG2, _cmul
+from .mapchain import HALF_PI, LOG2, LogPolar, _cmul
 
 #: the five worked image domains: hyperbolic, positive step (x2), zero step (x2)
 BUILTIN_DOMAINS = {
@@ -68,12 +68,6 @@ def _grid(n: int) -> list[float]:
     return SP.default_grid(*GRID, n)
 
 
-def _rand_disc(rng, max_dist: float = 12.0) -> H.DiscPoint:
-    d = rng.uniform(0.0, max_dist)
-    phi = rng.uniform(-math.pi, math.pi)
-    return H.DiscPoint(math.tanh(0.5 * d) * complex(math.cos(phi), math.sin(phi)))
-
-
 # The batched suites draw each iteration's randoms as one row of a block
 # u = rng.random((n, k)).  The generator computes rng.uniform(low, high) as
 # low + (high - low) * rng.random(), so _uniform maps a block column to the
@@ -88,8 +82,9 @@ def _unit(phi):
     return np.cos(phi) + 1j * np.sin(phi)
 
 
-def _rand_disc_batch(u, max_dist: float) -> H.DiscPoint:
-    """_rand_disc from two draws per sample (columns of u)."""
+def _rand_disc(u, max_dist: float) -> H.DiscPoint:
+    """Disc points from two draws per sample (columns of u): a hyperbolic
+    distance from the origin, uniform in [0, max_dist), then an angle."""
     d = _uniform(u[:, 0], 0.0, max_dist)
     return H.DiscPoint(np.tanh(0.5 * d) * _unit(_uniform(u[:, 1], -math.pi, math.pi)))
 
@@ -102,6 +97,12 @@ def _rand_theta(u) -> np.ndarray:
     bulk = _uniform(u[:, 1], -1.0, 1.0) * (HALF_PI - 1e-6)
     theta = np.where(u[:, 0] < 0.5, hug, bulk)
     return np.where(u[:, 2] < 0.5, theta, -theta)
+
+
+def _rows(p: LogPolar) -> list[LogPolar]:
+    """The rows of a batch of points stacked along its first axis."""
+    fields = (p.log_rho, p.theta, p.cos_theta, p.cart)
+    return [LogPolar(*(f if f is None else f[i] for f in fields)) for i in range(len(p.log_rho))]
 
 
 def _eq(a: float, b: float) -> float:
@@ -169,7 +170,7 @@ def _suite_lemma_halfplane(n, rng):
     # pairwise distances up to ~7: the depth at which the disc-side formula
     # still resolves 1e-10 in double precision
     u = rng.random((max(64, n // 64), 8))
-    z1, z2 = _rand_disc_batch(u[:, 0:2], 3.5), _rand_disc_batch(u[:, 2:4], 3.5)
+    z1, z2 = _rand_disc(u[:, 0:2], 3.5), _rand_disc(u[:, 2:4], 3.5)
     margins.append(_eq(k(H.cayley(z1), H.cayley(z2)), H.omega(z1, z2)))
     w = hp(_uniform(u[:, 4], -8.0, 8.0), _rand_theta(u[:, 5:8]))
     back = H.cayley(H.DiscPoint(H.cayley_inv(w).value))  # the disc value, not the witness
@@ -187,7 +188,7 @@ def _suite_pythagoras(n, rng):
     geo = H.RadialGeodesic(tau)
     x0 = H.DiscPoint(np.tanh(_uniform(u[:, 1], -1.5, 1.5)) * tau)
     # depth 8 keeps the disc representation itself accurate past 1e-9
-    z = _rand_disc_batch(u[:, 2:4], 8.0)
+    z = _rand_disc(u[:, 2:4], 8.0)
     total = H.omega(x0, z)
     via = H.omega(x0, H.project_to_radius(z, geo)) + H.dist_to_radius(z, geo)
     gap = via - total
@@ -203,7 +204,7 @@ def _suite_pythagoras(n, rng):
 def _suite_contraction(n, rng):
     u = rng.random((n, 5))
     geo = H.RadialGeodesic(_unit(_uniform(u[:, 0], -math.pi, math.pi)))
-    z, w = _rand_disc_batch(u[:, 1:3], 8.0), _rand_disc_batch(u[:, 3:5], 8.0)
+    z, w = _rand_disc(u[:, 1:3], 8.0), _rand_disc(u[:, 3:5], 8.0)
     lhs = H.omega(H.project_to_radius(z, geo), H.project_to_radius(w, geo))
     return n, H.omega(z, w) - lhs
 
@@ -416,18 +417,18 @@ def _suite_basepoint(n, rng):
         sg = SG.koenigs_semigroup(dom)
         tau = SG.denjoy_wolff(sg)
         margins.append(_eq(abs(tau), 1.0))
-        starts = [_rand_disc(rng, 3.0) for _ in range(max(2, n // 16))]
-        dist = H.omega(H.ORIGIN, H.DiscPoint(np.array([z2.value for z2 in starts])))[:, None]
+        starts = _rand_disc(rng.random((max(2, n // 16), 2)), 3.0).value
+        dist = H.omega(H.ORIGIN, H.DiscPoint(starts))[:, None]
         # one orbit pass: row 0 from the origin, one row per drawn start
-        z = H.DiscPoint(np.array([[0j]] + [[z2.value] for z2 in starts]))
+        z = H.DiscPoint(np.concatenate([[0j], starts])[:, None])
         _v, v_o, v_t = SP.speeds_from_halfplane(SG.orbit_halfplane(sg, z, grid))
         margins.append(dist - np.abs(v_o[0] - v_o[1:]))
         margins.append(2.0 * dist - np.abs(v_t[0] - v_t[1:]))
-        total += len(starts) * grid.size
+        total += starts.size * grid.size
     return total, _flat(margins)
 
 
-def _curve_speeds(eta: H.DiscPoint, tau: complex):
+def _curve_speeds(eta: H.DiscPoint, tau):
     zeta = H.DiscPoint(_cmul(tau.conjugate(), eta.value))
     return SP.speeds_from_halfplane(H.cayley(zeta))
 
@@ -442,19 +443,21 @@ def _suite_conjugation(n, rng):
         t_max = 22.0 / cls.spectral_value if isinstance(cls, SG.Hyperbolic) else 1e4
         grid = np.array(SP.default_grid(0.5, t_max, 24))
         v, v_o, v_t = SP.speeds_from_halfplane(SG.orbit_halfplane(sg, H.ORIGIN, grid))
-        for _ in range(max(2, n // 16)):
-            a = _rand_disc(rng, 1.5).value
-            m = H.DiscAutomorphism(a, rng.uniform(-math.pi, math.pi))
-            m_inv = m.inverse()
-            z_start = m.apply(H.ORIGIN)
-            tau_conj = m_inv.apply_boundary(1.0 + 0j)
-            bound = 4.0 * H.omega(H.ORIGIN, z_start) + 4.0
-            # the grid keeps 1 - |z| above about 1e-10, where the value is faithful
-            eta = m_inv.apply(H.DiscPoint(SG.orbit(sg, z_start, grid).value))
-            cv, cvo, cvt = _curve_speeds(eta, tau_conj)
-            margins += [bound - np.abs(v - cv), bound - np.abs(v_o - cvo),
-                        bound - np.abs(v_t - cvt)]
-            total += grid.size
+        # per automorphism M: its parameter a (two draws), then its phase
+        u = rng.random((max(2, n // 16), 3))
+        ms = [H.DiscAutomorphism(a, float(phase)) for a, phase in
+              zip(_rand_disc(u[:, 0:2], 1.5).value, _uniform(u[:, 2], -math.pi, math.pi))]
+        starts = np.array([m.apply(H.ORIGIN).value for m in ms])
+        # one orbit pass from every start point; the grid keeps 1 - |z|
+        # above about 1e-10, where the value is faithful
+        orbits = SG.orbit(sg, H.DiscPoint(starts[:, None]), grid).value
+        m_invs = [m.inverse() for m in ms]
+        eta = np.array([m_inv.apply(H.DiscPoint(row)).value for m_inv, row in zip(m_invs, orbits)])
+        tau_conj = np.array([[m_inv.apply_boundary(1.0 + 0j)] for m_inv in m_invs])
+        cv, cvo, cvt = _curve_speeds(H.DiscPoint(eta), tau_conj)
+        bound = 4.0 * H.omega(H.ORIGIN, H.DiscPoint(starts))[:, None] + 4.0
+        margins += [bound - np.abs(v - cv), bound - np.abs(v_o - cvo), bound - np.abs(v_t - cvt)]
+        total += orbits.size
     return total, _flat(margins)
 
 
@@ -467,23 +470,25 @@ def _suite_semigroup_model(n, rng):
         cls = SG.classify(dom)
         if isinstance(dom, D.Strip):
             margins.append(_eq(cls.spectral_value, math.pi / dom.r))
+        # per sample: a start z (two draws), times s and t, a holding time,
+        # a second start z2 (two draws) and a contraction time
         per = max(4, n // 8)
-        for _ in range(per):
-            z = _rand_disc(rng, 2.5)
-            s, t = rng.uniform(0.0, 3.0, size=2)
-            two_step = SG.orbit(sg, SG.orbit(sg, z, s), t)
-            one_step = SG.orbit(sg, z, s + t)
-            margins.append(1e-9 - abs(two_step.value - one_step.value))
-            hold = SG.orbit(sg, z, rng.uniform(0.0, 1e3))
-            margins.append(1.0 - abs(hold.value))
-            # Schwarz-Pick: the semigroup contracts omega
-            z2 = _rand_disc(rng, 2.5)
-            tt = rng.uniform(0.0, 1e4)
-            moved = H.k_half(SG.orbit_halfplane(sg, z, tt), SG.orbit_halfplane(sg, z2, tt))
-            margins.append(H.omega(z, z2) - moved)
-            total += 1
+        u = rng.random((per, 8))
+        z, z2 = _rand_disc(u[:, 0:2], 2.5), _rand_disc(u[:, 5:7], 2.5)
+        s, t = _uniform(u[:, 2], 0.0, 3.0), _uniform(u[:, 3], 0.0, 3.0)
+        hold, tt = _uniform(u[:, 4], 0.0, 1e3), _uniform(u[:, 7], 0.0, 1e4)
+        # one orbit pass for every start and time the samples ask for
+        starts = H.DiscPoint(np.stack([z.value] * 4 + [z2.value]))
+        after_s, after_st, held, moved, moved2 = _rows(
+            SG.orbit_halfplane(sg, starts, np.stack([s, s + t, hold, tt, tt])))
+        two_step = SG.orbit(sg, H.cayley_inv(after_s), t)
+        margins.append(1e-9 - np.abs(two_step.value - H.cayley_inv(after_st).value))
+        margins.append(1.0 - np.abs(H.cayley_inv(held).value))
+        # Schwarz-Pick: the semigroup contracts omega
+        margins.append(H.omega(z, z2) - H.k_half(moved, moved2))
+        total += per
         # orbits converge to the Denjoy-Wolff point
-        gaps = [abs(SG.orbit(sg, H.ORIGIN, t).value - tau) for t in (1e4, 1e6)]
+        gaps = np.abs(SG.orbit(sg, H.ORIGIN, np.array([1e4, 1e6])).value - tau)
         margins.append(5e-3 - gaps[-1])
         margins.append(gaps[0] - gaps[-1])
         # hyperbolic-step dichotomy on a dyadic grid reaching 1e8
@@ -492,7 +497,7 @@ def _suite_semigroup_model(n, rng):
             margins.append(gaps[8:].min() - 0.01)
         elif isinstance(cls, SG.ParabolicZeroStep):
             margins.append(0.01 - gaps[-1])
-    return total, margins
+    return total, _flat(margins)
 
 
 def _suite_nontangential(n, rng):

@@ -9,8 +9,10 @@ from their definitions at 60 digits, the distance to a radial geodesic
 and the foot on it from the stored disc point turned onto the real
 diameter (at as many digits as the point's distance to the circle needs),
 a 50-digit quadrature of the quasi-hyperbolic density along the
-imaginary axis, and the domain maps and orbit speeds from their plain
-complex formulas in coordinates relative to the domain's apex.
+imaginary axis, the domain maps and orbit speeds from their plain
+complex formulas in coordinates relative to the domain's apex, the inverse
+Cayley transform and the disc automorphisms from theirs, and domain
+membership from the set definitions with 50-digit arguments.
 """
 
 import math
@@ -143,6 +145,58 @@ def mp_kappa(z, v, dps=60):
     """The disc density |v| / (1 - |z|^2) at dps digits."""
     with mpmath.workdps(dps):
         return abs(mpmath.mpc(v)) / (1 - abs(mpmath.mpc(z)) ** 2)
+
+
+def mp_moebius(a, phase, z, dps=50):
+    """The disc automorphism e^{i phase} (a - z) / (1 - conj(a) z) at z, at
+    dps digits."""
+    with mpmath.workdps(dps):
+        a, z = mpmath.mpc(a), mpmath.mpc(z)
+        return mpmath.expj(phase) * (a - z) / (1 - mpmath.conj(a) * z)
+
+
+def mp_disc(w, dps=50):
+    """The inverse Cayley transform (w - 1) / (w + 1) of the half-plane
+    point w, at dps digits."""
+    with mpmath.workdps(dps):
+        w = mpmath.mpc(w)
+        return (w - 1) / (w + 1)
+
+
+def mp_contains(domain, w, dps=50):
+    """(inside, gap) for each point of the complex array w: membership in
+    the open domain from its set definition, and the angle by which a
+    sector point clears the nearer boundary ray (+inf where the decision
+    is an exact comparison).  Strips, half planes, Koebe domains and combs
+    are bounded by lines and slits, decided by exact comparisons of the
+    coordinates; a sector point by the argument of u = w - p at dps digits,
+    which must lie strictly between pi/2 - alpha and pi/2 + beta modulo
+    2 pi.  A gap near 1e-16 is a point within rounding of a ray, where
+    double precision may decide either way."""
+    w = np.asarray(w, dtype=complex)
+    inside, gap = np.zeros(w.shape, dtype=bool), np.full(w.shape, math.inf)
+    for i, x in np.ndenumerate(w):
+        x = complex(x)
+        if isinstance(domain, HalfPlaneRight):
+            inside[i] = x.real > domain.p.real
+        elif isinstance(domain, Strip):
+            inside[i] = 0.0 < x.real < domain.r
+        elif isinstance(domain, Koebe):
+            inside[i] = not (x.real == domain.p.real and x.imag <= domain.p.imag)
+        elif isinstance(domain, Comb):
+            inside[i] = not any(abs(x.real) == a and x.imag <= b for a, b in domain.teeth)
+        elif isinstance(domain, Sector):
+            with mpmath.workdps(dps):
+                u = mpmath.mpc(x) - mpmath.mpc(domain.p)
+                if u == 0:
+                    continue
+                opening = mpmath.mpf(domain.alpha) + mpmath.mpf(domain.beta)
+                rel = (mpmath.arg(u) - (mpmath.pi / 2 - mpmath.mpf(domain.alpha))) % (2 * mpmath.pi)
+                inside[i] = 0 < rel < opening
+                gap[i] = float(min(rel, abs(opening - rel), 2 * mpmath.pi - rel))
+        else:
+            raise ValueError(f"no membership test for {domain!r}")
+    return inside, gap
 
 
 def mp_surrogates(log_rho, theta, cos_theta):
@@ -341,12 +395,15 @@ def mp_orbit(domain, z, t):
     return mp_halfplane(domain, u + 1j * mpmath.mpf(t))
 
 
+def mp_k(w1, w2):
+    """k_H between the half-plane points w1 and w2 at the working precision,
+    from sinh k = |w1 - w2| / (2 sqrt(Re w1 Re w2)), which never cancels."""
+    return mpmath.asinh(abs(w1 - w2) / (2 * mpmath.sqrt(w1.real * w2.real)))
+
+
 def mp_speeds(w, dps=50):
     """(v, v_o, v_T) of the half-plane point w relative to the base point 1:
-    k_H(1, w), k_H(1, |w|) and k_H(w, |w|), from sinh k = |w1 - w2| /
-    (2 sqrt(Re w1 Re w2)), which never cancels."""
-    def k(w1, w2):
-        return mpmath.asinh(abs(w1 - w2) / (2 * mpmath.sqrt(w1.real * w2.real)))
+    k_H(1, w), k_H(1, |w|) and k_H(w, |w|), by mp_k."""
     with mpmath.workdps(dps):
         rho = abs(w)
-        return k(mpmath.mpc(1), w), abs(mpmath.log(rho)) / 2, k(w, mpmath.mpc(rho))
+        return mp_k(mpmath.mpc(1), w), abs(mpmath.log(rho)) / 2, mp_k(w, mpmath.mpc(rho))

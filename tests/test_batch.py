@@ -1,11 +1,13 @@
 """Batches through the public metric, chain, orbit and speed operations.
 
-Each array kernel is checked against the scalar code it mirrors, branch by
-branch, k_half and the surrogates against independent 50-digit oracles,
-and delta_pm and the non-tangential ratio against a brute-force sample of
-the boundary.  numpy's exp, sinh, arcsinh, hypot, log1p, tanh, log and atan2
-may differ from the math module in the last bit, so scalar and batch agree
-to a few ulp, not bit for bit.
+Each array kernel that keeps a scalar twin for the per-time table loop (the
+map, k_half, the tangential distance) is checked against that twin, branch
+by branch.  An operation with one body for a point and a batch is checked,
+on both, against an independent 50-digit oracle, as are k_half and the
+surrogates; delta_pm and the non-tangential ratio against a brute-force
+sample of the boundary.  numpy's exp, sinh, arcsinh, hypot, log1p, tanh, log
+and atan2 may differ from the math module in the last bit, so scalar and
+batch agree to a few ulp, not bit for bit.
 """
 
 import math
@@ -21,7 +23,7 @@ from hypspeed import (Comb, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                       nontangential_ratio, omega, orbit, orbit_halfplane,
                       path_length, project_to_radius, surrogate_speeds,
                       surrogate_threshold, to_halfplane)
-from hypspeed.domains import UnsupportedDomainOperation, map_to_halfplane
+from hypspeed.domains import UnsupportedDomainOperation
 from hypspeed.hyperbolic import (GL_NODES, GL_WEIGHTS, ORIGIN, DomainError,
                                  tangential_distance)
 from hypspeed.mapchain import HALF_PI, LogPolar
@@ -29,7 +31,8 @@ from hypspeed.semigroups import hyperbolic_step_gap, model_point
 from hypspeed.speeds import speeds_from_halfplane
 from hypspeed.verify import _rand_domain_points
 
-from oracles import (brute_delta_pm, mp_k_half, mp_omega, mp_orbit, mp_preimage,
+from oracles import (brute_delta_pm, mp_contains, mp_disc, mp_halfplane, mp_k, mp_k_half,
+                     mp_moebius, mp_omega, mp_orbit, mp_point, mp_preimage, mp_radial,
                      mp_speeds, mp_surrogates)
 
 N = 300
@@ -268,12 +271,16 @@ class TestDiscBatches:
         # quotient discards overflows, silently (warnings are errors here)
         z, m = 2e-310j, DiscAutomorphism(0.5, 0.0)
         if op == "cayley":
-            got, want = cayley(DiscPoint(np.array([z]))).theta, cayley(z).theta
+            got = [cayley(DiscPoint(np.array([z]))).theta, cayley(z).theta]
+            want = float(mpmath.arg((1 + mpmath.mpc(z)) / (1 - mpmath.mpc(z))))
         elif op == "omega":
-            got, want = omega(DiscPoint(np.array([0.5])), DiscPoint(np.array([z]))), omega(0.5, z)
+            got = [omega(DiscPoint(np.array([0.5])), DiscPoint(np.array([z]))), omega(0.5, z)]
+            want = float(mp_omega(0.5, z))
         else:
-            got, want = m.apply(DiscPoint(np.array([z]))).value, m.apply(z).value
-        assert np.allclose(got, want, rtol=1e-15, atol=1e-320)
+            got = [m.apply(DiscPoint(np.array([z]))).value, m.apply(z).value]
+            want = complex(mp_moebius(m.a, m.phase, z))
+        for value in got:
+            assert np.allclose(value, want, rtol=1e-15, atol=1e-320)
 
     def test_cayley(self):
         z = disc_batch(np.random.default_rng(13), 8.0)
@@ -308,14 +315,20 @@ class TestDiscBatches:
             project_to_radius(guarded, RadialGeodesic(np.array([1.0, 1j])))
 
     def test_guarded_point_on_a_batch_of_geodesics(self):
+        # a batch of geodesics and each one alone against mp_radial
         z = cayley_inv(HalfPlanePoint(80.0, 1.2))
         tau = np.exp(1j * np.random.default_rng(16).uniform(-math.pi, math.pi, N))
         proj = project_to_radius(z, RadialGeodesic(tau)).value
         dist = dist_to_radius(z, RadialGeodesic(tau))
         for i in range(N):
             g = RadialGeodesic(complex(tau[i]))
-            assert proj[i] == project_to_radius(z, g).value
-            assert dist[i] == dist_to_radius(z, g)
+            assert type(g.tau) is complex
+            want_d, want_lp = mp_radial(z, tau[i])
+            want = complex(mpmath.tanh(want_lp / 2) * mpmath.mpc(g.tau))
+            for foot, d in ((proj[i], dist[i]), (project_to_radius(z, g).value,
+                                                  dist_to_radius(z, g))):
+                assert abs(foot - want) <= ULPS * np.spacing(abs(want))
+                assert ulps_apart(d, float(want_d)) <= ULPS
 
 
 class TestTangentialBatch:
@@ -644,10 +657,19 @@ def probe_points(dom, rng, n=400):
 
 @pytest.mark.parametrize("name", list(EVERY_TYPE))
 def test_contains(name):
+    # a batch and each point alone against the set definition; a sector's
+    # edge probes lie within rounding of a ray, where only the point and
+    # the batch must agree
     dom = EVERY_TYPE[name]
     w = probe_points(dom, np.random.default_rng(23))
-    want = np.array([contains(dom, complex(x)) for x in w])
-    assert np.array_equal(contains(dom, w), want)
+    want, gap = mp_contains(dom, w)
+    batch, points = contains(dom, w), [contains(dom, complex(x)) for x in w]
+    assert all(type(x) is bool for x in points)
+    decided = gap > 1e-14
+    assert np.count_nonzero(~decided) == (2 if isinstance(dom, Sector) else 0)
+    for got in (batch, np.array(points)):
+        assert np.array_equal(got[decided], want[decided])
+    assert np.array_equal(batch, points)
     assert want.any() and not want.all()
 
 
@@ -725,33 +747,48 @@ class TestChainSuiteBatches:
     @pytest.mark.parametrize("name", CHAIN_DOMAINS)
     def test_map_to_halfplane_and_k_domain(self, name):
         dom = TABLE_DOMAINS[name]
+        chain = to_halfplane(dom)
         ws, pre = chain_draws(dom, 42)
-        batch, scalars = map_to_halfplane(dom, ws), [map_to_halfplane(dom, complex(w)) for w in ws]
-        # every map carries its cosine, so the cosine compares in its own
-        # ulps, also near pi/2 where cos(theta) of a rounded angle would not
+        # the map keeps a point kernel for the per-time table loop: every
+        # map carries its cosine, so the cosine compares in its own ulps,
+        # also near pi/2 where cos(theta) of a rounded angle would not
+        batch = chain.forward_lp(ws - chain.p)
+        scalars = [chain.forward_lp(complex(w - chain.p)) for w in ws]
         for field in ("log_rho", "theta", "cos"):
             want = [getattr(p, field) for p in scalars]
             assert ulps_apart(getattr(batch, field), want) <= ULPS, field
-        want = [k_domain(dom, complex(a), complex(b)) for a, b in zip(ws, pre)]
-        assert ulps_apart(k_domain(dom, ws, pre), want) <= ULPS
+        # k_domain, a batch and each pair alone, against the 50-digit map
+        with mpmath.workdps(50):
+            want = [float(mp_k(mp_halfplane(dom, mpmath.mpc(a) - mpmath.mpc(chain.p)),
+                               mp_halfplane(dom, mpmath.mpc(b) - mpmath.mpc(chain.p))))
+                    for a, b in zip(ws, pre)]
+        points = [k_domain(dom, complex(a), complex(b)) for a, b in zip(ws, pre)]
+        assert all(type(k) is float for k in points)
+        for got in (k_domain(dom, ws, pre), points):
+            assert ulps_apart(got, want) <= ULPS
 
     @pytest.mark.parametrize("name", CHAIN_DOMAINS)
     def test_cayley_inv(self, name):
-        # chain images, which keep their exact cartesian values, and points
-        # given by (log rho, theta) alone, on both sides of the switch to
-        # the far-field value at log rho = 30; each carries its witness
+        # chain images, which keep their exact cartesian values where the
+        # map has one, and points given by (log rho, theta) alone, on both
+        # sides of the switch to the far-field value at log rho = 30, against
+        # (w - 1)/(w + 1) at 50 digits; each carries its witness
         dom = TABLE_DOMAINS[name]
+        chain = to_halfplane(dom)
         _ws, pre = chain_draws(dom, 43)
         rng = np.random.default_rng(44)
         polar = HalfPlanePoint(rng.uniform(-20.0, 60.0, N), rng.uniform(-1.5, 1.5, N))
-        for hp, scalars in [
-            (map_to_halfplane(dom, pre), [map_to_halfplane(dom, complex(w)) for w in pre]),
-            (polar, [HalfPlanePoint(float(l), float(t))
-                     for l, t in zip(polar.log_rho, polar.theta)]),
-        ]:
+        for hp in (chain.forward_lp(pre - chain.p), polar):
+            cart = [None] * N if hp.cart is None else [complex(w) for w in hp.cart]
+            scalars = [LogPolar(float(l), float(t), float(c), w)
+                       for l, t, c, w in zip(hp.log_rho, hp.theta, hp.cos, cart)]
+            want = [complex(mp_disc(mp_point(p.log_rho, p.theta) if p.cart is None else p.cart))
+                    for p in scalars]
             batch = cayley_inv(hp)
             points = [cayley_inv(p) for p in scalars]
-            assert_complex_match(batch.value, [z.value for z in points])
+            assert all(type(z.value) is complex for z in points)
+            assert_complex_match(batch.value, want)
+            assert_complex_match(np.array([z.value for z in points]), want)
             assert batch.halfplane is hp and all(z.halfplane is p for z, p in zip(points, scalars))
 
     @pytest.mark.parametrize("name", CHAIN_DOMAINS)
@@ -764,12 +801,16 @@ class TestChainSuiteBatches:
         for _ in range(4):
             a = math.tanh(rng.uniform(0.0, 0.75)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
             m = DiscAutomorphism(complex(a), rng.uniform(-math.pi, math.pi))
-            for z in (cayley_inv(map_to_halfplane(dom, pre)),
+            chain = to_halfplane(dom)
+            for z in (cayley_inv(chain.forward_lp(pre - chain.p)),
                       orbit(sg, m.apply(ORIGIN), np.geomspace(0.5, 10.0, 24))):
                 with pytest.raises(DomainError, match=r"DiscPoint\(z\.value\)"):
                     m.apply(z)
-                want = [m.apply(complex(x)).value for x in z.value]
+                want = [complex(mp_moebius(m.a, m.phase, x)) for x in z.value]
+                points = [m.apply(complex(x)).value for x in z.value]
+                assert all(type(w) is complex for w in points)
                 assert_complex_match(m.apply(DiscPoint(z.value)).value, want)
+                assert_complex_match(np.array(points), want)
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_a_batch_orbit_to_1e20_matches_the_oracle(self, name):
@@ -798,4 +839,4 @@ class TestChainSuiteBatches:
         with pytest.raises(DomainError):
             k_domain(dom, np.concatenate([ws[:3], outside]), pre[:4])
         with pytest.raises(DomainError):
-            map_to_halfplane(dom, np.concatenate([outside, ws[:3]]))
+            k_domain(dom, pre[:4], np.concatenate([outside, ws[:3]]))
