@@ -298,11 +298,17 @@ def kappa(space: str, point: complex, vector: complex) -> float:
 
 
 def cayley(z) -> LogPolar:
-    """z -> (1+z)/(1-z), an isometry from (D, omega) onto (H, k_half)."""
+    """z -> (1+z)/(1-z), an isometry from (D, omega) onto (H, k_half).  A
+    plain point's image is built from exact parts, Re w = (1 - |z|^2) / m
+    and Im w = 2 Im z / m with m = |1 - z|^2, so that cos theta keeps its
+    relative precision however close z lies to the circle."""
     z = _as_disc(z)
     if z.halfplane is not None:
         return z.halfplane
-    return HalfPlanePoint.from_complex(_cdiv(1.0 + z.value, 1.0 - z.value))
+    v = z.value
+    d = 1.0 - v
+    m = d.real * d.real + d.imag * d.imag
+    return HalfPlanePoint.from_complex(_one_minus_abs2(v) / m + 2.0 * v.imag / m * 1j)
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:

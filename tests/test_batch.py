@@ -32,8 +32,8 @@ from hypspeed.speeds import speeds_from_halfplane
 from hypspeed.verify import _rand_domain_points
 
 from oracles import (brute_delta_pm, mp_contains, mp_disc, mp_halfplane, mp_k, mp_k_half,
-                     mp_moebius, mp_omega, mp_orbit, mp_point, mp_preimage, mp_radial,
-                     mp_speeds, mp_surrogates)
+                     mp_lp, mp_moebius, mp_omega, mp_orbit, mp_point, mp_preimage,
+                     mp_radial, mp_speeds, mp_surrogates)
 
 N = 300
 ULPS = 8
@@ -283,26 +283,40 @@ class TestDiscBatches:
             assert np.allclose(value, want, rtol=1e-15, atol=1e-320)
 
     def test_cayley(self):
+        # a batch and each point alone against (1 + z)/(1 - z) at 50
+        # digits; log rho in ulps of max(|log rho|, 1), where it crosses 0
         z = disc_batch(np.random.default_rng(13), 8.0)
         batch = cayley(DiscPoint(z))
         for i, a in enumerate(z):
             w = cayley(complex(a))
-            assert ulps_apart(batch.log_rho[i], w.log_rho) <= ULPS
-            assert ulps_apart(batch.theta[i], w.theta) <= ULPS
-            assert ulps_apart(batch.cos[i], w.cos) <= ULPS
+            assert type(w.log_rho) is float and type(w.cos) is float
+            with mpmath.workdps(50):
+                log_rho, theta, cos = (float(x) for x in mp_lp((1 + mpmath.mpc(a))
+                                                               / (1 - mpmath.mpc(a))))
+            for p in (w, LogPolar(batch.log_rho[i], batch.theta[i], batch.cos[i])):
+                assert scaled_ulps(p.log_rho, log_rho, max(abs(log_rho), 1.0)) <= ULPS
+                assert ulps_apart(p.theta, theta) <= ULPS
+                assert ulps_apart(p.cos, cos) <= ULPS
 
     def test_projection_per_sample_geodesic(self):
+        # a batch of geodesics and each one alone against mp_radial: the
+        # foot in ulps of 1, the distance in ulps of 1/cos theta of the
+        # point's Cayley image, the hyperbolic length of one ulp there
         rng = np.random.default_rng(14)
         z = disc_batch(rng, 8.0)
         tau = np.exp(1j * rng.uniform(-math.pi, math.pi, N))
         geo = RadialGeodesic(tau)
         proj = project_to_radius(z, geo).value
         dist = dist_to_radius(z, geo)
+        cos = cayley(DiscPoint(z)).cos
         for i in range(N):
             g = RadialGeodesic(complex(tau[i]))
-            want = project_to_radius(complex(z[i]), g).value
-            assert abs(proj[i] - want) <= ULPS * np.spacing(abs(want))
-            assert ulps_apart(dist[i], dist_to_radius(complex(z[i]), g)) <= ULPS
+            want_d, want_lp = mp_radial(DiscPoint(complex(z[i])), tau[i])
+            want = complex(mpmath.tanh(want_lp / 2) * mpmath.mpc(g.tau))
+            for foot, d in ((proj[i], dist[i]), (project_to_radius(complex(z[i]), g).value,
+                                                  dist_to_radius(complex(z[i]), g))):
+                assert abs(foot - want) <= ULPS * np.spacing(1.0)
+                assert scaled_ulps(d, float(want_d), 1.0 / cos[i]) <= ULPS
 
     def test_batch_is_validated(self):
         with pytest.raises(DomainError):

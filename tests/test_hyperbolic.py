@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypspeed import (ORIGIN, DiscAutomorphism, DiscPoint, HalfPlanePoint,
-                      RadialGeodesic, cayley, cayley_inv, dist_to_radius,
-                      k_half, kappa, omega, path_length, project_to_radius)
+                      HalfPlaneRight, RadialGeodesic, cayley, cayley_inv,
+                      default_grid, dist_to_radius, k_half, kappa, koenigs_semigroup,
+                      omega, path_length, project_to_radius, sample_speeds)
 from hypspeed.hyperbolic import DomainError, tangential_distance
 
-from oracles import mp_kappa, mp_omega, mp_radial, project_by_golden
+from oracles import (mp_kappa, mp_lp, mp_omega, mp_orbit, mp_radial, mp_speeds,
+                     project_by_golden)
 
 LOG2 = math.log(2.0)
 
@@ -176,6 +178,26 @@ class TestCayley:
         assert z.guarded
         back = cayley(z)
         assert back.log_rho == w.log_rho and back.theta == w.theta
+
+    def test_point_near_the_circle_keeps_its_cosine(self):
+        # 1 - |z| = 2.6e-11: (1 + z)/(1 - z) cancels five digits of cos
+        # theta (1.1e-6 off), and the speeds of the orbit from z follow it
+        # (4.5e-8 off); the exact parts of w keep both to the last digits
+        z = DiscPoint(-0.3209750621806556 - 0.9470876461053706j)
+        w = cayley(z)
+        with mpmath.workdps(60):
+            zz = mpmath.mpc(z.value)
+            want = [float(x) for x in mp_lp((1 + zz) / (1 - zz), dps=60)]
+        assert type(w.log_rho) is float and type(w.cos) is float
+        assert abs(w.cos - want[2]) <= 1e-15 * want[2]
+        assert abs(w.theta - want[1]) <= 1e-15 * abs(want[1])
+        assert abs(w.log_rho - want[0]) <= 1e-15 * max(1.0, abs(want[0]))
+        dom = HalfPlaneRight(0j)
+        grid = default_grid(0.0, 1e12, 64)
+        table = sample_speeds(koenigs_semigroup(dom), grid, z)
+        for t, *got in zip(grid, table.v, table.v_o, table.v_T):
+            for value, exact in zip(got, mp_speeds(mp_orbit(dom, z, t))):
+                assert abs(value - float(exact)) <= 1e-15 * float(exact), t
 
 
 class TestProjection:
