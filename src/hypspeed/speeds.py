@@ -28,6 +28,15 @@ from .semigroups import KoenigsSemigroup, orbit_halfplane
 _BASE = HalfPlanePoint(0.0, 0.0, 1.0)
 
 
+def _fields_equal(self, other):
+    """Field-wise equality by np.array_equal, for a record whose fields may
+    be arrays: the dataclass default compares tuples of arrays, which raises
+    for arrays of more than one element."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+
 @dataclass(frozen=True)
 class SpeedSample:
     """Exact speeds and half-plane coordinates at one orbit time, as floats,
@@ -55,10 +64,7 @@ class SpeedSample:
         if not np.all((v_o + v_T - 0.5 * LOG2 - slack <= v) & (v <= v_o + v_T + slack)):
             raise ValueError("sample violates the orthogonal/tangential split")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+    __eq__ = _fields_equal
 
     def __len__(self) -> int:
         return len(self.t)
@@ -121,6 +127,8 @@ class SurrogateSpeeds:
     dev_orth: float
     dev_tang: float
     pre_threshold: bool
+
+    __eq__ = _fields_equal
 
 
 def _log1p_abs_eta(L, c):

@@ -193,6 +193,17 @@ class TestSurrogates:
         assert vals[-1][1] > vals[0][1] + 5
         assert max(abs(s - 0.5 * math.log(t)) for t, s in vals) < 2.0
 
+    def test_equality_compares_fields(self, koebe_sg):
+        # array fields along a grid, float64 fields and a bool at one time
+        ts = np.array(default_grid(1.0, 1e4, 16))
+        table = surrogate_speeds(koebe_sg, ts)
+        assert table == surrogate_speeds(koebe_sg, ts)
+        assert table != surrogate_speeds(koebe_sg, 2.0 * ts)
+        one = surrogate_speeds(koebe_sg, 3.0)
+        assert one == surrogate_speeds(koebe_sg, 3.0)
+        assert one != surrogate_speeds(koebe_sg, 4.0)
+        assert one != table and table != sample_speeds(koebe_sg, ts)
+
     def test_threshold_scan(self, koebe_sg):
         grid = default_grid(1.0, 1e4, 32)
         assert surrogate_threshold(koebe_sg, grid) == grid[0]
