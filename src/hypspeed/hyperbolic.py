@@ -13,11 +13,11 @@ The metric operations, the Cayley pair and ``DiscAutomorphism.apply`` also
 take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
 (with or without a batch witness) or ``RadialGeodesic`` whose value is an
 array, or a polyline given as an array.  Each operation has one body for a
-point and a batch, and gives a point as Python floats and complex numbers.
-Plain ``math`` runs only in the point kernels of the per-time loop of
-``sample_speeds``: ``_k_lp`` (one point of ``k_half``) and the point
-branches of ``in_halfplane`` and ``tangential_distance``, which their array
-code matches to a few ulp.
+point and a batch, and gives a point as Python floats and complex numbers,
+except the point kernels of the per-time loop of ``sample_speeds``, which
+run plain ``math``: ``_k_lp`` (one point of ``k_half``) and the point
+branches of ``in_halfplane`` and ``tangential_distance``.  Their array code
+matches them to a few ulp.
 """
 
 from __future__ import annotations
@@ -299,16 +299,17 @@ def kappa(space: str, point: complex, vector: complex) -> float:
 
 def cayley(z) -> LogPolar:
     """z -> (1+z)/(1-z), an isometry from (D, omega) onto (H, k_half).  A
-    plain point's image is built from exact parts, Re w = (1 - |z|^2) / m
-    and Im w = 2 Im z / m with m = |1 - z|^2, so that cos theta keeps its
-    relative precision however close z lies to the circle."""
+    plain point's image is built from parts that do not cancel,
+    Re w = (1 - |z|^2) / m with 1 - |z|^2 rounded once and Im w = 2 Im z / m,
+    m = |1 - z|^2, so that cos theta keeps its relative precision however
+    close z lies to the circle."""
     z = _as_disc(z)
     if z.halfplane is not None:
         return z.halfplane
     v = z.value
     d = 1.0 - v
     m = d.real * d.real + d.imag * d.imag
-    return HalfPlanePoint.from_complex(_one_minus_abs2(v) / m + 2.0 * v.imag / m * 1j)
+    return HalfPlanePoint.from_complex(_complex(_one_minus_abs2(v) / m, 2.0 * v.imag / m))
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:

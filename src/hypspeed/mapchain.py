@@ -14,9 +14,9 @@ enormous ``log rho`` without materialising the overflowing complex number,
 and an orbit point h(z) + it is handed over as h(z) - p + it, so the digits
 of p never enter it.
 
-Each operation here has one body for a point and a batch.  Plain ``math``
-runs only in the point kernels of the per-time loop of ``sample_speeds``:
-the point branch of ``forward_lp``, ``LogPolar.from_complex`` and
+Each operation here has one body for a point and a batch, except the
+point kernels of the per-time loop of ``sample_speeds``, which run plain
+``math``: the point branch of ``forward_lp``, ``LogPolar.from_complex`` and
 ``LogPolar.cos``.
 """
 
@@ -117,7 +117,8 @@ class LogPolar:
             return self.cos_theta
         if isinstance(self.theta, np.ndarray):
             return np.cos(self.theta)
-        return math.cos(self.theta)  # plain math for sample_speeds' per-time loop
+        # one point in plain math: sample_speeds' per-time loop runs it
+        return math.cos(self.theta)
 
     @property
     def is_zero(self) -> bool:

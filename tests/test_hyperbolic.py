@@ -180,9 +180,9 @@ class TestCayley:
         assert back.log_rho == w.log_rho and back.theta == w.theta
 
     def test_point_near_the_circle_keeps_its_cosine(self):
-        # 1 - |z| = 2.6e-11: (1 + z)/(1 - z) cancels five digits of cos
+        # 1 - |z| = 2.6e-11: (1 + z)/(1 - z) cancels ten digits of cos
         # theta (1.1e-6 off), and the speeds of the orbit from z follow it
-        # (4.5e-8 off); the exact parts of w keep both to the last digits
+        # (4.5e-8 off); the parts of w that do not cancel keep both
         z = DiscPoint(-0.3209750621806556 - 0.9470876461053706j)
         w = cayley(z)
         with mpmath.workdps(60):
