@@ -202,7 +202,9 @@ def domain_to_json(domain: DomainSpec) -> dict:
 
 def contains(domain: DomainSpec, w) -> bool:
     """Open-set membership test (a boolean array for a complex array).  The
-    body runs a point as a Python complex, never as a 0-d array."""
+    body runs a point as a Python complex, never as a 0-d array: atan2 is
+    its one operation without a form that takes both, and x ^ True negates
+    a bool or a boolean array."""
     batch = isinstance(w, np.ndarray)
     w = w.astype(complex, copy=False) if batch else complex(w)
     re, im = w.real, w.imag
@@ -212,15 +214,16 @@ def contains(domain: DomainSpec, w) -> bool:
         inside = (0.0 < re) & (re < domain.r)
     elif isinstance(domain, Sector):
         u = w - domain.p
-        rel = (np.arctan2(u.imag, u.real) - domain.ray_lo) % TWO_PI
+        arg = np.arctan2(u.imag, u.real) if batch else math.atan2(u.imag, u.real)
+        rel = (arg - domain.ray_lo) % TWO_PI
         inside = (u != 0) & (0.0 < rel) & (rel < domain.alpha + domain.beta)
     elif isinstance(domain, Koebe):
-        inside = np.logical_not((re == domain.p.real) & (im <= domain.p.imag))
+        inside = ((re == domain.p.real) & (im <= domain.p.imag)) ^ True
     elif isinstance(domain, Comb):
         on_slit = False
         for a, b in domain.teeth:
             on_slit = on_slit | ((abs(re) == a) & (im <= b))
-        inside = np.logical_not(on_slit)
+        inside = on_slit ^ True
     else:
         raise DomainError(f"unknown domain {domain!r}")
     return inside if batch else bool(inside)
