@@ -810,12 +810,11 @@ class TestChainSuiteBatches:
         # model preimages in the disc, and the orbit points conjugation moves
         dom = TABLE_DOMAINS[name]
         _ws, pre = chain_draws(dom, 45)
-        sg = koenigs_semigroup(dom)
+        sg, chain = koenigs_semigroup(dom), to_halfplane(dom)
         rng = np.random.default_rng(46)
         for _ in range(4):
             a = math.tanh(rng.uniform(0.0, 0.75)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
             m = DiscAutomorphism(complex(a), rng.uniform(-math.pi, math.pi))
-            chain = to_halfplane(dom)
             for z in (cayley_inv(chain.forward_lp(pre - chain.p)),
                       orbit(sg, m.apply(ORIGIN), np.geomspace(0.5, 10.0, 24))):
                 with pytest.raises(DomainError, match=r"DiscPoint\(z\.value\)"):
