@@ -100,7 +100,7 @@ def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None)
 def _halfplane_from_complex(w: complex) -> LogPolar:
     """The half-plane point w, or a batch for a complex array, keeping w
     itself as its cartesian value."""
-    batch = np.ndim(w) > 0
+    batch = isinstance(w, np.ndarray)
     w = w.astype(complex, copy=False) if batch else complex(w)
     if not np.all(w.real > 0):
         raise DomainError("a batch point is not in the right half plane" if batch
@@ -309,7 +309,8 @@ def cayley(z) -> LogPolar:
     v = z.value
     d = 1.0 - v
     m = d.real * d.real + d.imag * d.imag
-    return HalfPlanePoint.from_complex(_complex(_one_minus_abs2(v) / m, 2.0 * v.imag / m))
+    w = _complex(_one_minus_abs2(v) / m, 2.0 * v.imag / m)
+    return HalfPlanePoint.from_complex(w if isinstance(v, np.ndarray) else complex(w))
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:
