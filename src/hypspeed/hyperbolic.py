@@ -12,7 +12,9 @@ distances and projections read in place of the rounded disc value.
 The metric operations, the Cayley pair and ``DiscAutomorphism.apply`` also
 take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
 (with or without a batch witness) or ``RadialGeodesic`` whose value is an
-array, or a polyline given as an array.  Each operation has one body for a
+array, or a polyline given as an array.  A plain disc point keeps the exact
+1 - |z|^2 its validity check computes, which ``omega`` and ``cayley`` read,
+and a batch's value is a read-only copy.  Each operation has one body for a
 point and a batch, and gives a point as Python floats and complex numbers,
 except the point kernels of the per-time loop of ``sample_speeds``, which
 run plain ``math``: ``_k_lp`` (one point of ``k_half``) and the point
@@ -141,6 +143,11 @@ class DiscPoint:
     through it and never touch the rounded ``value``.  So one point equals
     another only with the same value and the same witness; a batch
     compares by value alone.
+
+    A plain point, one without a witness, keeps the exact 1 - |z|^2 (rounded
+    once) that its validity check computes, outside ==, hash and repr, and
+    ``omega`` and ``cayley`` read it.  A batch's ``value`` is a read-only
+    copy of the array given, so that kept value cannot go stale.
     """
 
     value: complex
@@ -155,10 +162,15 @@ class DiscPoint:
 
     def __post_init__(self):
         batch = isinstance(self.value, np.ndarray)
-        value = self.value.astype(complex, copy=False) if batch else complex(self.value)
+        if batch:
+            value = np.array(self.value, dtype=complex)  # a copy the caller cannot write
+            value.flags.writeable = False
+        else:
+            value = complex(self.value)
         object.__setattr__(self, "value", value)
         if self.halfplane is None:  # a NaN or infinite part fails either test
-            inside = _one_minus_abs2(value) > 0.0
+            object.__setattr__(self, "_rest", _one_minus_abs2(value))  # omega and cayley read it
+            inside = self._rest > 0.0
         elif batch and np.shape(self.halfplane.log_rho) != value.shape:
             raise DomainError("a batch witness must have the shape of its disc points")
         else:
@@ -270,7 +282,7 @@ def omega(z, w) -> float:
     z, w = _as_disc(z), _as_disc(w)
     if z.guarded or w.guarded:
         return k_half(cayley(z), cayley(w))
-    rest = _one_minus_abs2(z.value) * _one_minus_abs2(w.value)
+    rest = z._rest * w._rest
     d = np.arcsinh(abs(z.value - w.value) / np.sqrt(rest))
     return float(d) if np.ndim(d) == 0 else d
 
@@ -309,7 +321,7 @@ def cayley(z) -> LogPolar:
     v = z.value
     d = 1.0 - v
     m = d.real * d.real + d.imag * d.imag
-    w = _complex(_one_minus_abs2(v) / m, 2.0 * v.imag / m)
+    w = _complex(z._rest / m, 2.0 * v.imag / m)
     return HalfPlanePoint.from_complex(w if isinstance(v, np.ndarray) else complex(w))
 
 
@@ -422,13 +434,16 @@ def path_length(space: str, polyline, subdivisions: int = 64) -> float:
     a = pts[:-1, None, None]
     step = (pts[1:, None, None] - a) / subdivisions
     ks = np.arange(subdivisions)[None, :, None]
-    mids = a + ks * step + (0.5 + 0.5 * GL_NODES) * step  # segment x piece x node
+    nodes = 0.5 + 0.5 * GL_NODES
     if space == "disc":
+        mids = a + ks * step + nodes * step  # segment x piece x node
         dens = 1.0 / (1.0 - np.abs(mids) ** 2)
     else:
-        if np.any(mids.real <= 0):
+        # the real parts alone, the same doubles as those of the complex nodes
+        x = a.real + ks * step.real + nodes * step.real
+        if np.any(x <= 0):
             raise DomainError("path leaves the half plane")
-        dens = 1.0 / (2.0 * mids.real)
+        dens = 1.0 / (2.0 * x)
     return float(np.sum(np.abs(step[:, :, 0]) * 0.5 * (dens @ GL_WEIGHTS)))
 
 

@@ -155,7 +155,9 @@ class RiemannMapChain:
     are equally sensitive (tan|theta| = cot gap), and the smaller angle
     carries the smaller rounding error, so the cosine keeps its relative
     precision where an orbit runs along a ray.  At gamma = 1 the image
-    keeps rot u as its exact cartesian value.
+    keeps rot u as its exact cartesian value.  A strip's cosine is the sine
+    of the angle k Re u or k (r - Re u) to its nearer edge, for the same
+    reason.
 
     Every method takes u (``inverse`` returns it) and a point or an array.
     ``forward_lp`` runs one point through ``math`` and an array through
@@ -179,7 +181,8 @@ class RiemannMapChain:
         # one point in plain math: sample_speeds' per-time loop runs it
         if self.width:
             a = self.k * (self.width - u.real)
-            return LogPolar(self.k * u.imag, a - HALF_PI, math.sin(a))
+            gap = self.k * u.real if 2.0 * u.real <= self.width else a
+            return LogPolar(self.k * u.imag, a - HALF_PI, math.sin(gap))
         g, v = self.gamma, self.rot * u
         if g == 1.0:
             return LogPolar.from_complex(v)
@@ -191,8 +194,9 @@ class RiemannMapChain:
 
     def _strip_array(self, u: np.ndarray) -> LogPolar:
         a = self.k * (self.width - u.real)
+        gap = np.where(2.0 * u.real <= self.width, self.k * u.real, a)
         with np.errstate(over="ignore"):  # an infinite log rho, as for one point
-            return LogPolar(self.k * u.imag, a - HALF_PI, np.sin(a))
+            return LogPolar(self.k * u.imag, a - HALF_PI, np.sin(gap))
 
     def _sector_array(self, u: np.ndarray) -> LogPolar:
         g, v = self.gamma, _cmul(self.rot, u)

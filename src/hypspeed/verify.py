@@ -105,6 +105,11 @@ def _rows(p: LogPolar) -> list[LogPolar]:
     return [LogPolar(*(f if f is None else f[i] for f in fields)) for i in range(len(p.log_rho))]
 
 
+def _ordered(a, b):
+    """The smaller and the larger of each pair, elementwise."""
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def _eq(a: float, b: float) -> float:
     return -abs(a - b)
 
@@ -121,7 +126,7 @@ def _flat(margins) -> np.ndarray:
 def _suite_lemma_halfplane(n, rng):
     hp, k = H.HalfPlanePoint, H.k_half
     u = rng.random((n, 8))
-    l0, l1 = np.sort(_uniform(u[:, 0:2], -20.0, 20.0), axis=1).T
+    l0, l1 = _ordered(*_uniform(u[:, 0:2], -20.0, 20.0).T)
     beta, b0 = _rand_theta(u[:, 2:5]), _rand_theta(u[:, 5:8])
     w_lo, w_hi = hp(l0, 0.0, 1.0), hp(l1, 0.0, 1.0)
     radial = k(w_lo, w_hi)
@@ -141,7 +146,7 @@ def _suite_lemma_halfplane(n, rng):
     u = rng.random((n, 16))
     l0 = _uniform(u[:, 0], -8.0, 8.0)
     a, b = _rand_theta(u[:, 1:4]), _rand_theta(u[:, 4:7])
-    step_lo, step_hi = np.sort(_uniform(u[:, 7:9], 0.1, 6.0), axis=1).T
+    step_lo, step_hi = _ordered(*_uniform(u[:, 7:9], 0.1, 6.0).T)
     t0, t1 = _rand_theta(u[:, 9:12]), _rand_theta(u[:, 12:15])
     shift = _uniform(u[:, 15], -15.0, 15.0)
     anchor = hp(l0, b)
@@ -156,7 +161,7 @@ def _suite_lemma_halfplane(n, rng):
     one = hp(0.0, 0.0, 1.0)
     th = np.abs(t1)
     margins.append(_eq(k(one, hp(0.0, th)), k(one, hp(0.0, -th))))
-    ta, tb = np.sort(np.abs([t0, t1]), axis=0)
+    ta, tb = _ordered(np.abs(t0), np.abs(t1))
     margins.append(k(one, hp(0.0, tb)) - k(one, hp(0.0, ta)))
 
     # (1) again, against the quadrature oracle, and the Cayley isometry

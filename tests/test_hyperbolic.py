@@ -472,6 +472,64 @@ class TestValidation:
             RadialGeodesic(complex(math.nan, 0.0))
 
 
+class TestKeptOneMinusAbs2:
+    """A plain disc point keeps the exact 1 - |z|^2 of its validity check,
+    which omega and cayley read."""
+
+    @staticmethod
+    def near_circle(n, seed):
+        # 1 - |z| log-uniform in [1e-12, 1), at a uniform angle
+        rng = np.random.default_rng(seed)
+        gap = 10.0 ** rng.uniform(-12.0, 0.0, n)
+        return (1.0 - gap) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+    @staticmethod
+    def exact(z):
+        with mpmath.workdps(60):
+            return 1 - abs(mpmath.mpc(complex(z))) ** 2
+
+    def test_kept_value_is_exact_for_a_batch(self):
+        zs = self.near_circle(400, 7)
+        kept = DiscPoint(zs)._rest
+        for z, got in zip(zs, kept):
+            want = self.exact(z)
+            assert abs(got - want) <= 2.0 ** -52 * want, z
+
+    def test_kept_value_is_exact_for_a_point(self):
+        for z in self.near_circle(100, 8):
+            got, want = DiscPoint(complex(z))._rest, self.exact(z)
+            assert type(got) is float
+            assert abs(got - want) <= 2.0 ** -52 * want, z
+
+    def test_kept_value_is_outside_eq_hash_and_repr(self):
+        a, b = DiscPoint(0.5 + 0.25j), DiscPoint(0.5 + 0.25j)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "DiscPoint(value=(0.5+0.25j), halfplane=None)"
+
+    def test_batch_value_is_read_only(self):
+        z = DiscPoint(np.array([0.1 + 0.2j, -0.3j]))
+        with pytest.raises(ValueError, match="read-only"):
+            z.value[0] = 0.5
+
+    def test_writes_to_the_callers_array_do_not_reach_the_point(self):
+        zs = np.array([0.1 + 0.2j, -0.3j, 0.9 - 0.4j])
+        z = DiscPoint(zs)
+        value, dist, w = z.value.copy(), omega(ORIGIN, z), cayley(z)
+        zs[:] = 0.999
+        assert np.array_equal(z.value, value)
+        assert np.array_equal(omega(ORIGIN, z), dist)
+        again = cayley(z)
+        for name in ("log_rho", "theta", "cos_theta"):
+            assert np.array_equal(getattr(again, name), getattr(w, name)), name
+
+    def test_single_point_types(self):
+        z, w = DiscPoint(0.3 - 0.4j), DiscPoint(0.1j)
+        assert type(omega(z, w)) is float and type(omega(ORIGIN, 0.5)) is float
+        image = cayley(z)
+        assert all(type(x) is float for x in (image.log_rho, image.theta, image.cos_theta))
+        assert type(image.cart) is complex
+
+
 class TestDiscPointEquality:
     @pytest.mark.parametrize("a, b, equal", [
         ([0.1, 0.2], [0.1, 0.2], True),

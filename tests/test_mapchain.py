@@ -163,6 +163,23 @@ def test_axial_ray_keeps_the_cosine():
     assert abs(s.v_T - 13.966661253008606) <= 1e-13
 
 
+@pytest.mark.parametrize("edge", ["left", "right"])
+def test_strip_cosine_near_an_edge(edge):
+    # cos theta is the sine of the angle to the nearer edge; from
+    # sin(k (r - Re u)) alone it was 6.9e-15, 5.0e-13 and 4.6e-11 relative
+    # off at Re u = 1e-2, 1e-4 and 1e-8 from the left edge
+    dom = Strip(math.pi / 2)
+    chain = to_halfplane(dom)
+    xs = np.array([1e-2, 1e-4, 1e-8])
+    us = (xs if edge == "left" else dom.r - xs) + 1j
+    want = [mp_halfplane(dom, complex(u), dps=60) for u in us]
+    cos = [float(mpmath.re(w) / abs(w)) for w in want]
+    batch = chain.forward_lp(us).cos
+    for u, c, b in zip(us, cos, batch):
+        assert abs(chain.forward_lp(complex(u)).cos - c) <= 2.0 ** -52 * c, u
+        assert abs(b - c) <= 2.0 ** -52 * c, u
+
+
 def test_chain_derivative_matches_finite_difference():
     chain = to_halfplane(Koebe(2.0 + 0j))
     u = 3.0 + 3.0j  # w = 5 + 3i, relative to the apex 2
