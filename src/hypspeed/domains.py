@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import DomainError, in_halfplane, k_half
-from .mapchain import HALF_PI, LOG2, TWO_PI, RiemannMapChain
+from .mapchain import HALF_PI, LOG2, RiemannMapChain
 
 
 class UnsupportedDomainOperation(ValueError):
@@ -29,15 +29,38 @@ def _finite_point(p) -> complex:
     return p
 
 
+def _snap(w: complex) -> complex:
+    """Zero out components below double resolution of the other one; keeps
+    exactly-axial map constants exactly axial."""
+    re, im = w.real, w.imag
+    scale = max(abs(re), abs(im))
+    if scale == 0.0:
+        return w
+    if abs(re) < 1e-15 * scale:
+        re = 0.0
+    if abs(im) < 1e-15 * scale:
+        im = 0.0
+    return complex(re, im)
+
+
+def _unit_rays(alpha: float, beta: float) -> tuple[complex, complex]:
+    """The unit directions of the rays at pi/2 - alpha and pi/2 + beta, with
+    a ray within 1e-15 of an axis taken as that axis."""
+    return tuple(_snap(cmath.exp(1j * ang)) for ang in (HALF_PI - alpha, HALF_PI + beta))
+
+
 # ---------------------------------------------------------------------------
 # domain variants
 
 
 @dataclass(frozen=True)
 class HalfPlaneRight:
-    """{Re w > Re p}."""
+    """{Re w > Re p}: the sector p + iV(pi, 0), whose angles and rays it
+    declares for its map."""
 
     p: complex = 0j
+    alpha, beta = math.pi, 0.0
+    rays = _unit_rays(alpha, beta)
 
     def __post_init__(self):
         object.__setattr__(self, "p", _finite_point(self.p))
@@ -61,7 +84,10 @@ class Sector:
     """p + i*V(alpha, beta) with V = {r e^{i theta}: r > 0, -alpha < theta < beta}.
 
     alpha, beta in [0, pi] with alpha + beta > 0; the two boundary rays leave
-    the apex p at angles pi/2 - alpha and pi/2 + beta.
+    the apex p at angles pi/2 - alpha and pi/2 + beta.  Their unit
+    directions, `rays`, are kept on the object outside its fields (so
+    outside ==, hash and repr); the map, membership, distances and
+    quadrature all read them.
     """
 
     p: complex
@@ -74,21 +100,17 @@ class Sector:
             raise DomainError("sector half-angles must lie in [0, pi]")
         if not self.alpha + self.beta > 0.0:
             raise DomainError("sector requires alpha + beta > 0")
-
-    @property
-    def ray_lo(self) -> float:
-        return HALF_PI - self.alpha
-
-    @property
-    def ray_hi(self) -> float:
-        return HALF_PI + self.beta
+        object.__setattr__(self, "rays", _unit_rays(self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
 class Koebe:
-    """The plane minus the downward slit {Re z = Re p, Im z <= Im p}."""
+    """The plane minus the downward slit {Re z = Re p, Im z <= Im p}: the
+    sector p + iV(pi, pi), whose angles and rays it declares for its map."""
 
     p: complex = 0j
+    alpha, beta = math.pi, math.pi
+    rays = _unit_rays(alpha, beta)
 
     def __post_init__(self):
         object.__setattr__(self, "p", _finite_point(self.p))
@@ -201,10 +223,16 @@ def domain_to_json(domain: DomainSpec) -> dict:
 
 
 def contains(domain: DomainSpec, w) -> bool:
-    """Open-set membership test (a boolean array for a complex array).  The
-    body runs a point as a Python complex, never as a 0-d array: atan2 is
-    its one operation without a form that takes both, and x ^ True negates
-    a bool or a boolean array."""
+    """Open-set membership test (a boolean array for a complex array), in
+    one body that runs a point as a Python complex, with no numpy call, and
+    a batch as arrays; x ^ True negates a bool or a boolean array.
+
+    A sector point u = w - p is decided by the signs of its cross products
+    with the two rays, which are exact for an axial ray: u lies left of the
+    lower ray and right of the upper one.  Past an opening of pi the sector
+    is the plane less a closed convex wedge, which lo + hi points into, so
+    either sign suffices; so does u.(lo + hi) < 0, which the slit plane
+    (pi, pi) needs on the ray opposite its slit."""
     batch = isinstance(w, np.ndarray)
     w = w.astype(complex, copy=False) if batch else complex(w)
     re, im = w.real, w.imag
@@ -213,10 +241,14 @@ def contains(domain: DomainSpec, w) -> bool:
     elif isinstance(domain, Strip):
         inside = (0.0 < re) & (re < domain.r)
     elif isinstance(domain, Sector):
-        u = w - domain.p
-        arg = np.arctan2(u.imag, u.real) if batch else math.atan2(u.imag, u.real)
-        rel = (arg - domain.ray_lo) % TWO_PI
-        inside = (u != 0) & (0.0 < rel) & (rel < domain.alpha + domain.beta)
+        (lo, hi), u = domain.rays, w - domain.p
+        left = lo.real * u.imag - lo.imag * u.real > 0.0
+        right = u.real * hi.imag - u.imag * hi.real > 0.0
+        if domain.alpha + domain.beta <= math.pi:
+            inside = left & right
+        else:
+            mid = lo + hi
+            inside = left | right | (u.real * mid.real + u.imag * mid.imag < 0.0)
     elif isinstance(domain, Koebe):
         inside = ((re == domain.p.real) & (im <= domain.p.imag)) ^ True
     elif isinstance(domain, Comb):
@@ -233,29 +265,16 @@ def contains(domain: DomainSpec, w) -> bool:
 # maps onto the right half plane
 
 
-def _snap(w: complex) -> complex:
-    """Zero out components below double resolution of the other one; keeps
-    exactly-axial map constants exactly axial."""
-    re, im = w.real, w.imag
-    scale = max(abs(re), abs(im))
-    if scale == 0.0:
-        return w
-    if abs(re) < 1e-15 * scale:
-        re = 0.0
-    if abs(im) < 1e-15 * scale:
-        im = 0.0
-    return complex(re, im)
-
-
 def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
     """Biholomorphism domain -> H sending the upward end to infinity and
     h(0) = p + base to 1, in closed form at u = w - p.
 
-    HalfPlaneRight: u, base 1.
-    Strip:          -i exp(-i pi (u - r)/r) with p = 0, base r/2.
-    Sector:         (rot u)^(pi/(alpha+beta)), rot = -i exp(-i(beta-alpha)/2)
-                    turning the bisector onto (0, inf), base i exp(i(beta-alpha)/2).
-    Koebe:          sqrt(-i u) with the branch fixed by sqrt(1) = 1, base i.
+    Strip:  -i exp(-i pi (u - r)/r) with p = 0, base r/2.
+    Sector: (rot u)^(pi/(alpha+beta)), rot = -i exp(-i(beta-alpha)/2)
+            turning the bisector onto (0, inf), base i exp(i(beta-alpha)/2).
+            A half plane is the sector (pi, 0), where this is u with base 1;
+            a Koebe domain is the sector (pi, pi), where it is sqrt(-i u),
+            the branch fixed by sqrt(1) = 1, with base i.
 
     The first call for a domain object builds the map and keeps it on the
     object, outside its fields (so outside ==, hash and repr); later calls
@@ -269,20 +288,14 @@ def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
 
 
 def _build_map(domain: DomainSpec) -> RiemannMapChain:
-    if isinstance(domain, HalfPlaneRight):
-        return RiemannMapChain(domain.p, 1 + 0j)
     if isinstance(domain, Strip):
         return RiemannMapChain(0j, complex(0.5 * domain.r, 0.0), width=domain.r,
                                k=math.pi / domain.r)
-    if isinstance(domain, Sector):
+    if isinstance(domain, (HalfPlaneRight, Sector, Koebe)):
         turn = 0.5 * (domain.beta - domain.alpha)
         return RiemannMapChain(domain.p, _snap(1j * cmath.exp(1j * turn)),
                                math.pi / (domain.alpha + domain.beta),
-                               _snap(-1j * cmath.exp(-1j * turn)),
-                               _snap(cmath.exp(1j * domain.ray_lo)),
-                               _snap(cmath.exp(1j * domain.ray_hi)))
-    if isinstance(domain, Koebe):
-        return RiemannMapChain(domain.p, 1j, 0.5, -1j, -1j, -1j)
+                               _snap(-1j * cmath.exp(-1j * turn)), *domain.rays)
     raise UnsupportedDomainOperation("no closed-form map; use quasihyp_lower")
 
 
@@ -358,8 +371,7 @@ def delta(domain: DomainSpec, p):
             "query outside the materialised comb extent; omitted teeth could be nearer"
         )
     if isinstance(domain, Sector):
-        d = np.minimum(_dist_to_ray(q, domain.p, cmath.exp(1j * domain.ray_lo)),
-                       _dist_to_ray(q, domain.p, cmath.exp(1j * domain.ray_hi)))
+        d = np.minimum(*(_dist_to_ray(q, domain.p, e) for e in domain.rays))
     else:
         d = _dist_to_slits(q, _slits(domain))
     return float(d) if q.ndim == 0 else d
@@ -368,7 +380,7 @@ def delta(domain: DomainSpec, p):
 def _clip_ray_to_halfplane(apex_re: float, d_re: float, c: float, keep_le: bool):
     """Parameter range of {apex + s*d : s >= 0} inside {Re <= c} (or >= c).
     Returns (s_lo, s_hi); empty when s_hi < s_lo."""
-    if abs(d_re) < 1e-15:
+    if d_re == 0.0:
         ok = apex_re <= c if keep_le else apex_re >= c
         return (0.0, math.inf) if ok else (1.0, 0.0)
     s_cross = (c - apex_re) / d_re
@@ -388,16 +400,15 @@ def _wedge_halfplane_distance(sector: Sector, q: np.ndarray, c: float,
     apex = sector.p
     best = np.full(q.shape, math.inf)
     crossings: list[float] = []  # where the rays meet the line {Re = c}
-    for ang in (sector.ray_lo, sector.ray_hi):
-        d = cmath.exp(1j * ang)
+    for d in sector.rays:
         s_lo, s_hi = _clip_ray_to_halfplane(apex.real, d.real, c, keep_le)
         if s_hi >= s_lo:
             best = np.minimum(best, _dist_to_ray(q, apex, d, s_lo, s_hi))
-        if abs(d.real) >= 1e-15:
+        if d.real != 0.0:
             s_cross = (c - apex.real) / d.real
             if s_cross >= 0.0:
                 crossings.append(apex.imag + s_cross * d.imag)
-        elif abs(apex.real - c) <= 1e-12 * max(1.0, abs(c)):
+        elif apex.real == c:
             # a vertical ray sitting on the line bounds the in-wedge interval
             # at the apex height
             crossings.append(apex.imag)
@@ -450,15 +461,13 @@ def _axis_pieces(domain: DomainSpec) -> list[tuple[float, ...]]:
     A slit {x + iy : y <= top} is (|x|, top, |x|, 0, -top, 1), with the
     mirror slits of a comb merged; slits come by nondecreasing |x| and top
     (a comb's teeth strictly increase in both).  A sector ray from p along
-    e is seen at its apex p while the projection (ir - p).e is negative,
-    and along its line after."""
+    its unit direction e, one of the sector's `rays`, is seen at its apex p
+    while the projection (ir - p).e is negative, and along its line after;
+    an axial e makes both regimes exact."""
     if isinstance(domain, Sector):
-        p, pieces = domain.p, []
-        for ang in (domain.ray_lo, domain.ray_hi):
-            e = cmath.exp(1j * ang)
-            pieces.append((abs(p.real), p.imag, p.real * e.imag - p.imag * e.real, e.real,
-                           p.real * e.real + p.imag * e.imag, -e.imag))
-        return pieces
+        p = domain.p
+        return [(abs(p.real), p.imag, p.real * e.imag - p.imag * e.real, e.real,
+                 p.real * e.real + p.imag * e.imag, -e.imag) for e in domain.rays]
     slits = dict.fromkeys((abs(x), top) for x, top in _slits(domain))
     return [(x, top, x, 0.0, -top, 1.0) for x, top in slits]
 

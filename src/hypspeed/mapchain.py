@@ -16,8 +16,7 @@ of p never enter it.
 
 Each operation here has one body for a point and a batch, except the
 point kernels of the per-time loop of ``sample_speeds``, which run plain
-``math``: the point branch of ``forward_lp``, ``LogPolar.from_complex`` and
-``LogPolar.cos``.
+``math``: the point branch of ``forward_lp`` and ``LogPolar.from_complex``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HALF_PI = 0.5 * math.pi
-TWO_PI = 2.0 * math.pi
 LOG2 = math.log(2.0)
 
 # Complex doubles stay finite below exp(709); to_complex refuses more than this.
@@ -113,12 +111,9 @@ class LogPolar:
 
     @property
     def cos(self) -> float:
-        if self.cos_theta is not None:
-            return self.cos_theta
-        if isinstance(self.theta, np.ndarray):
-            return np.cos(self.theta)
-        # one point in plain math: sample_speeds' per-time loop runs it
-        return math.cos(self.theta)
+        """cos theta: the kept cosine, which every orbit point carries, else
+        numpy's of the angle."""
+        return np.cos(self.theta) if self.cos_theta is None else self.cos_theta
 
     @property
     def is_zero(self) -> bool:

@@ -50,14 +50,13 @@ def classify(domain: DomainSpec) -> Classification:
     """
     if isinstance(domain, Strip):
         return Hyperbolic(math.pi / domain.r)
-    if isinstance(domain, HalfPlaneRight):
-        return ParabolicPositiveStep()
-    if isinstance(domain, (Koebe, Comb)):
+    if isinstance(domain, Comb):
         return ParabolicZeroStep()
-    if isinstance(domain, Sector):
+    if isinstance(domain, (HalfPlaneRight, Sector, Koebe)):
         # sweeping p + iV(alpha, beta) downward fills the plane iff the open
-        # sector contains the vertical direction, i.e. alpha and beta both > 0;
-        # with exactly one of them zero the sweep fills a half plane.
+        # sector contains the vertical direction, i.e. alpha and beta both > 0,
+        # as for a Koebe domain (pi, pi); with one of them zero, as for a half
+        # plane (pi, 0), the sweep fills a half plane.
         if domain.alpha > 0.0 and domain.beta > 0.0:
             return ParabolicZeroStep()
         return ParabolicPositiveStep()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -225,7 +226,7 @@ def _rand_domain_points(u, dom) -> np.ndarray:
     if isinstance(dom, D.Strip):
         return _uniform(u[:, 0], 0.02, 0.98) * dom.r + 1j * _uniform(u[:, 1], -50, 50)
     if isinstance(dom, D.Sector):
-        ang = _uniform(u[:, 0], 0.02, 0.98) * (dom.alpha + dom.beta) + dom.ray_lo
+        ang = _uniform(u[:, 0], 0.02, 0.98) * (dom.alpha + dom.beta) + (HALF_PI - dom.alpha)
     elif isinstance(dom, D.Koebe):
         ang = _uniform(u[:, 0], 0.02, 1.98) * math.pi - HALF_PI
     else:
@@ -615,31 +616,21 @@ PUBLIC_OPS = {
 
 
 def coverage_check(seed: int = 42) -> set[str]:
-    """Replay small versions of every suite with counting wrappers around the
-    public operations; returns the set of operations never invoked."""
-    counters: dict[str, int] = {}
-    originals = []
-    _built_samples.cache_clear()  # a memoised table would skip the wrappers
+    """Replay small versions of every suite under a profile hook that records
+    the code of every Python call, so a public operation counts however its
+    caller imported it; returns the set of operations never invoked."""
+    ops = {getattr(mod, nm).__code__: f"{mod.__name__.rsplit('.', 1)[-1]}.{nm}"
+           for mod, names in PUBLIC_OPS.items() for nm in names}
+    called = set()
+    _built_samples.cache_clear()  # a memoised table would skip the calls
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, _arg: event == "call" and called.add(frame.f_code))
     try:
-        for mod, names in PUBLIC_OPS.items():
-            for nm in names:
-                fn = getattr(mod, nm)
-                key = f"{mod.__name__.rsplit('.', 1)[-1]}.{nm}"
-                counters[key] = 0
-
-                def wrapped(*args, __fn=fn, __key=key, **kwargs):
-                    counters[__key] += 1
-                    return __fn(*args, **kwargs)
-
-                functools.update_wrapper(wrapped, fn)
-                originals.append((mod, nm, fn))
-                setattr(mod, nm, wrapped)
         small = {"lemma_halfplane": 128, "pythagoras": 128, "contraction": 128,
                  "chains": 32, "basepoint": 16, "conjugation": 16,
                  "semigroup_model": 16, "comb": 3, "sector_asymptotics": 160}
         for name in SUITES:
             run_suite(name, n=small.get(name, 64), seed=seed)
     finally:
-        for mod, nm, fn in originals:
-            setattr(mod, nm, fn)
-    return {key for key, count in counters.items() if count == 0}
+        sys.setprofile(previous)
+    return {key for code, key in ops.items() if code not in called}

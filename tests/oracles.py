@@ -66,13 +66,14 @@ def comb_boundary_points(teeth, depth: float = 50.0, density: int = 4000):
     return pts
 
 
-def sector_boundary_points(apex: complex, ang_lo: float, ang_hi: float,
-                           reach: float = 400.0, density: int = 8000):
-    pts = [apex]
-    for ang in (ang_lo, ang_hi):
+def sector_boundary_points(sector, reach: float = 400.0, density: int = 8000):
+    """Dense discretisation of the sector's rays at pi/2 - alpha and
+    pi/2 + beta from its apex, out to reach^1.5."""
+    pts = [sector.p]
+    for ang in (math.pi / 2 - sector.alpha, math.pi / 2 + sector.beta):
         d = complex(math.cos(ang), math.sin(ang))
         for k in range(1, density + 1):
-            pts.append(apex + d * (reach * k / density) ** 1.5)
+            pts.append(sector.p + d * (reach * k / density) ** 1.5)
     return pts
 
 
@@ -93,7 +94,7 @@ def brute_delta_pm(domain, sign, qs, window: float = 40.0, step: float = 2.5e-3)
                + slit_points(domain.r, window, 2 * window, line))
     elif isinstance(domain, Sector):
         reach = 2.0 * window ** (2.0 / 3.0)  # rays out to 2^1.5 * window
-        pts = sector_boundary_points(domain.p, domain.ray_lo, domain.ray_hi, reach,
+        pts = sector_boundary_points(domain, reach,
                                      int(1.5 * reach * window ** (1.0 / 3.0) / step))
     elif isinstance(domain, Koebe):
         pts = slit_points(domain.p.real, domain.p.imag, 2 * window, line)
@@ -260,14 +261,23 @@ def _mp_rays(domain):
     raise ValueError(f"no boundary rays for {domain!r}")
 
 
-def _mp_ray_distance(ray, r):
-    """Distance from ir to the ray: to the apex while the projection of
-    ir - p on e is negative, to the ray's line (a cross product) after."""
+def _mp_ray_distance(ray, r, x=0):
+    """Distance from x + ir to the ray: to the apex while the projection of
+    x + ir - p on e is negative, to the ray's line (a cross product) after."""
     px, py, ex, ey = ray
-    vx, vy = -px, r - py
+    vx, vy = x - px, r - py
     if vx * ex + vy * ey <= 0:
         return mpmath.hypot(vx, vy)
     return abs(vx * ey - vy * ex)
+
+
+def mp_delta(domain, w, dps=50):
+    """The distance from the point w to the nearest ray of _mp_rays at dps
+    digits, which is delta(w) except left of a comb's axis, where the
+    mirror slits that _mp_rays drops are nearer."""
+    with mpmath.workdps(dps):
+        w = mpmath.mpc(w)
+        return min(_mp_ray_distance(ray, w.imag, w.real) for ray in _mp_rays(domain))
 
 
 def mp_quasihyp(domain, t0, t1, dps=50, scan=64):

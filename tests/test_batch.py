@@ -666,8 +666,8 @@ def probe_points(dom, rng, n=400):
     w = centre + rng.normal(0.0, 4.0, n) + 1j * rng.normal(0.0, 6.0, n)
     edges = {HalfPlaneRight: lambda: dom.p + 1j * rng.normal(0, 3, 8),
              Strip: lambda: np.array([0.0, dom.r]) + 1j * rng.normal(0, 3, 2),
-             Sector: lambda: dom.p + np.array([0.0, 2.0 * np.exp(1j * dom.ray_lo),
-                                               3.0 * np.exp(1j * dom.ray_hi)]),
+             Sector: lambda: dom.p + np.array([0.0, 2.0 * np.exp(1j * (math.pi / 2 - dom.alpha)),
+                                               3.0 * np.exp(1j * (math.pi / 2 + dom.beta))]),
              Koebe: lambda: dom.p - 1j * np.array([0.0, 1.0, 5.0]),
              Comb: lambda: np.array([1.0, -1.0 + 0.5j, 2.0 + 6.86j, -3.5 - 2j])}
     return np.concatenate([w, np.ravel(edges[type(dom)]())])

@@ -15,8 +15,8 @@ from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, OmegaSign, Sector,
 from hypspeed.domains import DomainError
 from hypspeed.semigroups import model_point
 
-from oracles import (brute_force_distance, comb_boundary_points, mp_quasihyp,
-                     sector_boundary_points)
+from oracles import (brute_force_distance, comb_boundary_points, mp_contains, mp_delta,
+                     mp_quasihyp, sector_boundary_points)
 
 
 class TestBuild:
@@ -111,6 +111,39 @@ class TestMembership:
         assert contains(c, 1.0 + 5j)
         assert contains(c, 0.5 - 5j)
 
+    # each sector's ray at alpha = 0 or beta = 0 is the upward one, which
+    # the oracle holds exactly
+    @pytest.mark.parametrize("dom", [Sector(0j, math.pi, 0.0), Sector(-1 + 0j, math.pi / 2, 0.0),
+                                     Sector(0j, 0.0, 1.2), Sector(2 + 1j, 0.0, math.pi)], ids=repr)
+    def test_points_hugging_an_axial_ray(self, dom):
+        # a point and a batch decide alike, and as the set definition does
+        # at 400 digits, at angles down to 1e-320 from the ray, and on it
+        rng = np.random.default_rng(25)
+        y = 10.0 ** rng.uniform(-3.0, 12.0, 300)
+        x = rng.choice([-1.0, 1.0], 300) * y * 10.0 ** rng.uniform(-330.0, -1.0, 300)
+        w = dom.p + np.concatenate([x + 1j * y, 1j * y[:20]])
+        want, _ = mp_contains(dom, w, dps=400)
+        batch = contains(dom, w)
+        assert np.array_equal(batch, [contains(dom, complex(v)) for v in w])
+        assert np.array_equal(batch, want)
+        assert want.any() and not want.all()
+
+    @pytest.mark.parametrize("dom", [Sector(0j, 0.3, 1.1), Sector(0j, math.pi, 0.0),
+                                     Sector(1 + 1j, 2.5, 2.0), HalfPlaneRight(0), Strip(1.0),
+                                     Koebe(0), Comb([(1, 1), (2, 3)])], ids=repr)
+    def test_point_path_calls_no_numpy(self, dom, monkeypatch):
+        # numpy's scalar calls cost one point more than the decision itself
+        class NoNumpy:
+            ndarray = np.ndarray
+
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} called for one point")
+
+        want = [contains(dom, w) for w in (1 + 1j, -1 + 0.5j, 3j, 0.5 - 2j)]
+        monkeypatch.setattr(domains, "np", NoNumpy())
+        assert [contains(dom, w) for w in (1 + 1j, -1 + 0.5j, 3j, 0.5 - 2j)] == want
+        assert all(type(x) is bool for x in want)
+
     def test_starlike(self):
         rng = np.random.default_rng(5)
         for dom in (HalfPlaneRight(0), Strip(2.0), Sector(0j, 0.3, 1.1), Koebe(1j),
@@ -130,6 +163,13 @@ class TestChains:
         for dom in (Sector(0j, 0.4, 0.4), Sector(1 - 1j, 0.2, 1.9), Sector(0j, math.pi, 0.0)):
             ch = to_halfplane(dom)
             assert abs(ch.forward(model_point(koenigs_semigroup(dom)) - ch.p) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p", [0j, -1 + 0j, 2 + 1j, -1 + 2j])
+    def test_halfplane_and_koebe_are_sectors(self, p):
+        # one map for the sectors (pi, 0) and (pi, pi) and the domains that
+        # declare those angles
+        assert to_halfplane(HalfPlaneRight(p)) == to_halfplane(Sector(p, math.pi, 0.0))
+        assert to_halfplane(Koebe(p)) == to_halfplane(Sector(p, math.pi, math.pi))
 
     def test_strip_base_to_one(self):
         assert abs(to_halfplane(Strip(2.0)).forward(1.0) - 1.0) < 1e-12
@@ -204,13 +244,28 @@ class TestDelta:
 
     def test_sector_against_brute_force(self):
         dom = Sector(0.5 - 0.5j, 0.7, 1.9)
-        pts = sector_boundary_points(dom.p, dom.ray_lo, dom.ray_hi)
+        pts = sector_boundary_points(dom)
         rng = np.random.default_rng(8)
         for _ in range(60):
             w = complex(rng.uniform(-4, 4), rng.uniform(-4, 6))
             if contains(dom, w):
                 assert delta(dom, w) == pytest.approx(
                     brute_force_distance(w, pts), abs=2e-3)
+
+    @pytest.mark.parametrize("dom, sign, w", [
+        (Sector(0j, math.pi, 0.0), None, 1e-3 + 1e6j),
+        (Sector(0j, 0.0, 1.2), None, -1 + 1e8j),
+        (Sector(-1 + 0j, math.pi / 2, 0.0), None, 0.5 + 1e7j),
+        # the complement of this sector lies left of Re = 1, so Omega^+ has
+        # the sector's own distance
+        (Sector(0j, math.pi, 0.0), OmegaSign("plus", 1), 1 + 1e8j),
+    ], ids=["flat", "alpha0", "quarter", "flat_plus"])
+    def test_axial_ray_matches_oracle(self, dom, sign, w):
+        # the nearest ray is the one at alpha = 0 or beta = 0; taken as
+        # exp(i pi/2), with its cosine 6.1e-17, it was Im w * 6.1e-17 off
+        got = delta(dom, w) if sign is None else delta_pm(dom, sign, w)
+        want = mp_delta(dom, w)
+        assert abs(got - want) <= 1e-15 * want
 
     def test_comb_plateau(self):
         c = Comb([(1.0, 1.0), (2.0, 6.0)])
@@ -396,6 +451,18 @@ class TestQuasihyp:
         # to the axis (r - b)/a overflows, and asinh is log 2|r - b| - log a
         got = quasihyp_lower(dom, t0, t1)
         assert abs(got - mp_quasihyp(dom, t0, t1)) <= 1e-14 * got
+
+    @pytest.mark.parametrize("dom", [Sector(-1 + 0j, math.pi, 0.0),
+                                     Sector(-1 + 0j, math.pi / 2, 0.0)], ids=repr)
+    def test_axial_ray_matches_oracle(self, dom):
+        # the upward ray at beta = 0 is nearest from r = 1 on, where a ray
+        # tilted by cos(pi/2) = 6.1e-17 moved the bound by up to 1e-9
+        rng = random.Random(25)
+        t0s = [rng.uniform(0.6, 2.0) for _ in range(30)]
+        t1s = [t0 * math.exp(rng.uniform(1.0, 18.0)) for t0 in t0s]
+        for t0, t1, want in zip(t0s, t1s, mp_quasihyp(dom, t0s, t1s)):
+            got = quasihyp_lower(dom, t0, t1)
+            assert abs(got - want) <= 2.2e-16 * want, (t0, t1)
 
     def test_ratio_1e15_converges(self):
         assert quasihyp_lower(Koebe(0), 1.0, 1e15) == pytest.approx(

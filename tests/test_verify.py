@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from hypspeed import coverage_check, run_suite
-from hypspeed.verify import PYTHAGORAS_ATTAIN_MIN_N, SUITES
+from hypspeed import speeds as SP
+from hypspeed.verify import PUBLIC_OPS, PYTHAGORAS_ATTAIN_MIN_N, SUITES
 
 #: (samples, worst margin, sum of squared finite margins) of the batched
 #: suites at n = 500, recorded from the suites that drew one scalar at a
@@ -15,7 +17,9 @@ from hypspeed.verify import PYTHAGORAS_ATTAIN_MIN_N, SUITES
 #: entries, when s_orth lost a spurious corr/2 term, and the semigroup_model
 #: worst margin at seed 42, when k_half took the angle difference of two
 #: boundary-hugging points from their cosines (a 1.6e-12 error of the worst
-#: sample's distance).
+#: sample's distance), and the nontangential entries, when sector_flat's
+#: upward ray became exactly vertical: its ratio margin at t = 1e8 went from
+#: 99.0000006123234 to the exact 99, as delta_pm at 1 + 1e8 i became 1.
 PINNED_STREAM = {
     ("chains", 7): (496, -1.887379141862766e-15, 2220594.986885732),
     ("chains", 42): (496, -1.887379141862766e-15, 2838401.0544877),
@@ -31,8 +35,8 @@ PINNED_STREAM = {
     ("surrogates", 42): (2500, -2.7200464103316335e-15, 2119.872885337459),
     ("basepoint", 7): (9920, -0.0, 25655.88384867626),
     ("basepoint", 42): (9920, -0.0, 23594.710531514535),
-    ("nontangential", 7): (2000, 3.0, 19823.531050958845),
-    ("nontangential", 42): (2000, 3.0, 19823.531050958845),
+    ("nontangential", 7): (2000, 3.0, 19823.53092971881),
+    ("nontangential", 42): (2000, 3.0, 19823.53092971881),
     ("semigroup_model", 7): (310, -1.1554868173391242e-11, 166.54886632099902),
     ("semigroup_model", 42): (310, -1.1246559239452836e-11, 116.55204623930078),
     # the suites on the shared speed table, recorded while it was a list of
@@ -99,6 +103,21 @@ def test_report_serialises():
 
 def test_every_public_operation_is_exercised():
     assert coverage_check() == set()
+
+
+def test_coverage_reports_an_operation_no_suite_calls(monkeypatch):
+    # the tests call surrogate_threshold, the suites never do
+    monkeypatch.setitem(PUBLIC_OPS, SP, [*PUBLIC_OPS[SP], "surrogate_threshold"])
+
+    def outer(frame, event, arg):  # a profiler already running comes back
+        pass
+
+    sys.setprofile(outer)
+    try:
+        assert coverage_check() == {"speeds.surrogate_threshold"}
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(None)
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_STREAM))
