@@ -9,7 +9,8 @@ from their definitions at 60 digits, the distance to a radial geodesic
 and the foot on it from the stored disc point turned onto the real
 diameter (at as many digits as the point's distance to the circle needs),
 a 50-digit quadrature of the quasi-hyperbolic density along the
-imaginary axis, the domain maps and orbit speeds from their plain
+imaginary axis and the 50-digit distance from a point to the boundary rays
+it reads, the domain maps and orbit speeds from their plain
 complex formulas in coordinates relative to the domain's apex, the inverse
 Cayley transform and the disc automorphisms from theirs, and domain
 membership from the set definitions with 50-digit arguments.
