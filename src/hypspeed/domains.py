@@ -29,24 +29,15 @@ def _finite_point(p) -> complex:
     return p
 
 
-def _snap(w: complex) -> complex:
-    """Zero out components below double resolution of the other one; keeps
-    exactly-axial map constants exactly axial."""
-    re, im = w.real, w.imag
-    scale = max(abs(re), abs(im))
-    if scale == 0.0:
-        return w
-    if abs(re) < 1e-15 * scale:
-        re = 0.0
-    if abs(im) < 1e-15 * scale:
-        im = 0.0
-    return complex(re, im)
-
-
 def _unit_rays(alpha: float, beta: float) -> tuple[complex, complex]:
-    """The unit directions of the rays at pi/2 - alpha and pi/2 + beta, with
-    a ray within 1e-15 of an axis taken as that axis."""
-    return tuple(_snap(cmath.exp(1j * ang)) for ang in (HALF_PI - alpha, HALF_PI + beta))
+    """The unit directions i e^{-i alpha} and i e^{i beta} of the rays at
+    pi/2 - alpha and pi/2 + beta, from sin and cos of the half-angles (no
+    rounded pi/2 - alpha): exact axes at a half-angle 0, pi/2 or pi, any
+    other double's tilt kept however small, and a point on the diagonal of
+    alpha = pi/4 on the side where the double alpha puts it."""
+    axial = {HALF_PI: (1.0, 0.0), math.pi: (0.0, -1.0)}
+    (sa, ca), (sb, cb) = (axial.get(a) or (math.sin(a), math.cos(a)) for a in (alpha, beta))
+    return complex(sa, ca), complex(0.0 - sb, cb)  # 0.0 - 0.0 keeps a zero positive
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +254,20 @@ def contains(domain: DomainSpec, w) -> bool:
 
 # ---------------------------------------------------------------------------
 # maps onto the right half plane
+
+
+def _snap(w: complex) -> complex:
+    """Zero out components below double resolution of the other one; keeps
+    exactly-axial map constants exactly axial."""
+    re, im = w.real, w.imag
+    scale = max(abs(re), abs(im))
+    if scale == 0.0:
+        return w
+    if abs(re) < 1e-15 * scale:
+        re = 0.0
+    if abs(im) < 1e-15 * scale:
+        im = 0.0
+    return complex(re, im)
 
 
 def to_halfplane(domain: DomainSpec) -> RiemannMapChain:

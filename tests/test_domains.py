@@ -128,6 +128,33 @@ class TestMembership:
         assert np.array_equal(batch, want)
         assert want.any() and not want.all()
 
+    @pytest.mark.parametrize("dom, e", [(Sector(0j, math.pi / 4, math.pi / 4), 1 + 1j),
+                                        (Sector(0j, math.pi / 4, math.pi / 4), -1 + 1j),
+                                        (Sector(0j, 3 * math.pi / 4, 0.5), 1 - 1j)], ids=str)
+    def test_point_on_a_diagonal_ray_is_outside(self, dom, e):
+        # the double alpha or beta puts these points on or just past the
+        # ray; one rounded a last bit inwards took them as inside
+        w = e * 10.0 ** np.linspace(-6.0, 12.0, 50)
+        assert not mp_contains(dom, w)[0].any()
+        assert not contains(dom, e) and not contains(dom, w).any()
+        with pytest.raises(DomainError):
+            delta(dom, e)
+        with pytest.raises(DomainError):
+            k_domain(dom, e, dom.p + 1j)
+
+    @pytest.mark.parametrize("dom, inside, outside", [
+        (Sector(0j, 5e-16, 1.0), 2 + 1e16j, 6 + 1e16j),
+        (Sector(0j, 1.0, 5e-16), -2 + 1e16j, -6 + 1e16j),
+        (Sector(0j, math.nextafter(math.pi, 0.0), 0.0), 8 - 1e16j, 2 - 1e16j),
+    ], ids=["alpha", "beta", "below_pi"])
+    def test_tiny_tilt_is_kept(self, dom, inside, outside):
+        # the ray is 5e-16 (5.7e-16) off its axis, so 5 (5.7) away from it
+        # at height 1e16, with the inside point between the two
+        assert list(mp_contains(dom, [inside, outside])[0]) == [True, False]
+        assert contains(dom, inside) and not contains(dom, outside)
+        want = mp_delta(dom, inside)
+        assert abs(delta(dom, inside) - want) <= 1e-15 * want
+
     @pytest.mark.parametrize("dom", [Sector(0j, 0.3, 1.1), Sector(0j, math.pi, 0.0),
                                      Sector(1 + 1j, 2.5, 2.0), HalfPlaneRight(0), Strip(1.0),
                                      Koebe(0), Comb([(1, 1), (2, 3)])], ids=repr)
