@@ -17,6 +17,12 @@ from .domains import Comb, _abscissa_squares, _axis_integrals
 
 _PROBE_GRID = [10.0 ** k for k in range(3, 13)]
 _MARGIN = 0.999
+#: the tooth search's certified bracket: half-width r 2^-46 around the
+#: crossing r, where the constraint must clear the margin by 2^-48
+_BRACKET = 2.0 ** -46
+_CLEARANCE = 2.0 ** -48
+_SECANT_STEPS = 8
+_SECANT_TOL = 2.0 ** -40
 
 
 def gauge(spec) -> tuple[str, Callable[[float], float]]:
@@ -107,6 +113,88 @@ class CombConstruction:
         return Comb(tuple(zip(self.a, self.b)))
 
 
+def _bracket(g, c: float, xj: float, hi: float, q_hi: float) -> tuple[float, float] | None:
+    """(below, above) such that the constraint q(t) = (c g(t) + x_j) / t,
+    evaluated in floating point, exceeds the margin at every double t <
+    below and stays under it at every double t > above; None when that
+    cannot be shown.
+
+    For a concave g with g(0) = 0, c t g'(t) <= c g(t), so q'(t) <= -x_j /
+    t^2: q strictly decreases.  Secant steps on the convex f(t) = margin t -
+    c g(t) - x_j find its root r, starting from the doubling's end hi and
+    from hi q(hi) / margin, which lies in (r, hi] at no cost.  q is then
+    evaluated at r (1 -+ 2^-46) and must clear the margin by a relative
+    2^-48 at both.  That is far more than the about 2.5 ulp by which the
+    float q can differ from the exact one when g is within 1 ulp (libm's
+    log1p and pow) or exact (sqrt), so by monotonicity every double beyond
+    those two points is decided the same way."""
+    t0, f0 = hi, (_MARGIN - q_hi) * hi
+    t1 = hi * q_hi / _MARGIN
+    f1 = _MARGIN * t1 - c * g(t1) - xj
+    for _ in range(_SECANT_STEPS):
+        if f1 == f0:
+            break
+        step = f1 * (t1 - t0) / (f1 - f0)
+        t0, t1, f0 = t1, t1 - step, f1
+        if not 0.0 < t1 < math.inf:
+            return None
+        if abs(step) <= _SECANT_TOL * t1:
+            break  # the next error is about this step times the last: far inside the bracket
+        f1 = _MARGIN * t1 - c * g(t1) - xj
+    below, above = t1 * (1.0 - _BRACKET), t1 * (1.0 + _BRACKET)
+    if ((c * g(below) + xj) / below > _MARGIN * (1.0 + _CLEARANCE)
+            and (c * g(above) + xj) / above < _MARGIN * (1.0 - _CLEARANCE)):
+        return below, above
+    return None
+
+
+def _tooth_height(g, c: float, xj: float, concave: bool) -> tuple[float, float]:
+    """The height b_{j+1} and its constraint q(b_{j+1}), q(t) = (c g(t) +
+    x_j) / t: doubling from 2 x_j to a height with q <= margin, then up to
+    60 bisections of [x_j, hi] that stop at a fixed point.  For a concave
+    gauge the bisections whose midpoint lies outside a `_bracket` are
+    decided by comparison alone, and only the later ones evaluate g; every
+    midpoint and every test, and so every bit of the result, is that of
+    the plain loop."""
+    hi = 2.0 * xj
+    for _ in range(512):
+        q_hi = (c * g(hi) + xj) / hi
+        if q_hi <= _MARGIN:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError("gauge grows too fast for the doubling search")
+    lo, budget = xj, 60
+    bracket = concave and _bracket(g, c, xj, hi, q_hi)
+    if bracket:
+        below, above = bracket
+        top = hi
+        for budget in range(60, 0, -1):
+            mid = 0.5 * (lo + hi)
+            if mid > above:
+                hi = mid
+            elif mid < below:
+                lo = mid
+            else:
+                break
+        else:
+            budget = 0
+        if hi != top:
+            q_hi = None  # hi passed by comparison, without a value
+    for _ in range(budget):
+        mid = 0.5 * (lo + hi)
+        q = (c * g(mid) + xj) / mid
+        if q <= _MARGIN:
+            if mid == hi:
+                break  # a fixed point: every later iteration repeats this one
+            hi, q_hi = mid, q
+        elif mid == lo:
+            break
+        else:
+            lo = mid
+    return hi, (c * g(hi) + xj) / hi if q_hi is None else q_hi
+
+
 def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     """Construct a comb certifying `steps` ratio milestones.
 
@@ -114,6 +202,16 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     height (doubling search, then up to 60 bisections that stop at a fixed
     point; margin 0.999) satisfying the strict growth constraint, which
     forces b_{j+1} - x_j >= j a_{j+1} g(b_{j+1}).
+
+    For the built-in gauges log1p, sqrt and pow:p, chosen by the spec and
+    never by a callable's name, g is concave with g(0) = 0, so the
+    constraint strictly decreases in the height.  A bracket of relative
+    width 2^-45 around its crossing is then certified with a margin of
+    2^-48 (`_bracket`; it assumes libm's log1p and pow within 1 ulp, sqrt
+    being exact), the bisection decides the midpoints outside it by
+    comparison, and it calls g only inside, for the same bits.  Table and
+    callable gauges, and any step whose bracket fails its check, bisect on
+    g alone.
     """
     if steps < 1:
         raise ValueError("need at least one construction step")
@@ -124,33 +222,16 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
         raise ValueError("abscissae must strictly increase")
     squares = _abscissa_squares(a)
 
+    # the spec, not a callable's name, marks the built-in gauges log1p,
+    # sqrt and pow:p, each concave with g(0) = 0
+    concave = not callable(g_spec) and name != "table"
     b = [1.0]
     xs, cons = [], []
     for j in range(1, steps + 1):
-        aj, aj1, bj = a[j - 1], a[j], b[-1]
-        xj = bj + math.sqrt(squares[j] - squares[j - 1])
-        c = j * aj1  # the constraint at bb is (c * g(bb) + xj) / bb
-
-        hi = 2.0 * xj
-        for _ in range(512):
-            if (c * g(hi) + xj) / hi <= _MARGIN:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("gauge grows too fast for the doubling search")
-        lo = xj
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if (c * g(mid) + xj) / mid <= _MARGIN:
-                if mid == hi:
-                    break  # a fixed point: every later iteration repeats this one
-                hi = mid
-            elif mid == lo:
-                break
-            else:
-                lo = mid
+        xj = b[-1] + math.sqrt(squares[j] - squares[j - 1])
+        hi, q_hi = _tooth_height(g, j * a[j], xj, concave)
         xs.append(xj)
-        cons.append((c * g(hi) + xj) / hi)
+        cons.append(q_hi)
         b.append(hi)
     return CombConstruction(name, tuple(a), tuple(b), tuple(xs), tuple(cons), b[-1], g)
 
@@ -166,7 +247,8 @@ def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
     bounds = _axis_integrals(cc.domain(), t_start, cc.b[1:])
     rows = []
     for j, (bj1, bound) in enumerate(zip(cc.b[1:], bounds), start=1):
-        ratio = bound / g(bj1)
+        gj = g(bj1)
+        ratio = bound / gj
         if ratio < j / 4.0 - 1e-9:
             raise AssertionError(f"comb ratio {ratio:g} fell below {j}/4 at step {j}")
         rows.append({
@@ -174,7 +256,7 @@ def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
             "b": bj1,
             "x": cc.x[j - 1],
             "bound": bound,
-            "gauge": g(bj1),
+            "gauge": gj,
             "ratio": ratio,
             "plateau_piece": (bj1 - cc.x[j - 1]) / (4.0 * cc.a[j]),
         })

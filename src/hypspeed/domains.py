@@ -473,7 +473,9 @@ def _axis_pieces(domain: DomainSpec) -> list[tuple[float, ...]]:
         p = domain.p
         return [(abs(p.real), p.imag, p.real * e.imag - p.imag * e.real, e.real,
                  p.real * e.real + p.imag * e.imag, -e.imag) for e in domain.rays]
-    slits = dict.fromkeys((abs(x), top) for x, top in _slits(domain))
+    # a comb's teeth already are its slits seen from the axis, mirrors merged
+    slits = (domain.teeth if isinstance(domain, Comb)
+             else dict.fromkeys((abs(x), top) for x, top in _slits(domain)))
     return [(x, top, x, 0.0, -top, 1.0) for x, top in slits]
 
 

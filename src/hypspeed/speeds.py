@@ -57,8 +57,10 @@ class SpeedSample:
             object.__setattr__(self, name, col if col.ndim else float(col))
         if np.ndim(self.t) > 1 or {np.shape(c) for c in vars(self).values()} != {np.shape(self.t)}:
             raise ValueError("a speed table needs six columns of one length")
-        slack = 1e-6  # loose construction sanity; suites assert at 1e-9
         v, v_o, v_T = self.v, self.v_o, self.v_T
+        # 2 to 4 ulp of the speed: cosh 2v = cosh 2v_o cosh 2v_T, so once
+        # v_o and v_T are both large the lower split is attained to rounding
+        slack = np.maximum(1.0, v) * 2.0 ** -51
         if np.any(np.stack([v, v_o, v_T]) < -slack):
             raise ValueError("speeds must be nonnegative")
         if not np.all((v_o + v_T - 0.5 * LOG2 - slack <= v) & (v <= v_o + v_T + slack)):

@@ -195,8 +195,9 @@ def _suite_pythagoras(n, rng):
     x0 = H.DiscPoint(np.tanh(_uniform(u[:, 1], -1.5, 1.5)) * tau)
     # depth 8 keeps the disc representation itself accurate past 1e-9
     z = _rand_disc(u[:, 2:4], 8.0)
-    total = H.omega(x0, z)
-    via = H.omega(x0, H.project_to_radius(z, geo)) + H.dist_to_radius(z, geo)
+    total = H.omega(x0, z)  # the plain z: a guarded one would route through k_half
+    zw = H.DiscPoint(z.value, halfplane=H.cayley(z))  # one Cayley image for both
+    via = H.omega(x0, H.project_to_radius(zw, geo)) + H.dist_to_radius(zw, geo)
     gap = via - total
     margins = [
         gap,                         # upper: omega <= sum

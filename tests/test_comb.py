@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hypspeed import build_comb, delta, gauge, quasihyp_lower, verify_comb
+from hypspeed import build_comb, comb, delta, gauge, quasihyp_lower, verify_comb
 from hypspeed.comb import check_sublinear, resolve_abscissae
 from hypspeed.cli import main
 from hypspeed.domains import (Comb, DomainError, HalfPlaneRight, Koebe, Sector, _axis_distance,
@@ -236,21 +236,18 @@ def _full_bisection(g_spec, a_spec, steps):
     b, xs, cons = [1.0], [], []
     for j in range(1, steps + 1):
         xj = b[-1] + math.sqrt(a[j] * a[j] - a[j - 1] * a[j - 1])
-
-        def constraint(bb):
-            return (j * a[j] * g(bb) + xj) / bb
-
+        c = j * a[j]  # the constraint at bb is (c * g(bb) + xj) / bb
         lo, hi = xj, 2.0 * xj
-        while not constraint(hi) <= 0.999:
+        while not (c * g(hi) + xj) / hi <= 0.999:
             hi *= 2.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if constraint(mid) <= 0.999:
+            if (c * g(mid) + xj) / mid <= 0.999:
                 hi = mid
             else:
                 lo = mid
         xs.append(xj)
-        cons.append(constraint(hi))
+        cons.append((c * g(hi) + xj) / hi)
         b.append(hi)
     return tuple(b), tuple(xs), tuple(cons)
 
@@ -319,6 +316,67 @@ class TestSweepExact:
             (10.0 ** k, math.log1p(10.0 ** k)) for k in range(2, 14)]
         cc, _ = _assert_same_as_references(table, [1.0, 1.5, 3.0, 4.5], 3)
         assert cc.b[1] == cc.x[0]
+
+
+class TestToothSearch:
+    """The concave built-in gauges bisect inside a certified bracket and
+    give the bits of all 60 bisections; other gauges run the plain loop."""
+
+    @staticmethod
+    def _spy_brackets(monkeypatch):
+        results, bracket = [], comb._bracket
+
+        def spy(*args):
+            results.append(bracket(*args))
+            return results[-1]
+
+        monkeypatch.setattr(comb, "_bracket", spy)
+        return results
+
+    def test_random_abscissae_match_full_bisection(self):
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            a = np.cumsum(np.exp(rng.uniform(-4.0, 2.0, 17))).tolist()
+            p = float(rng.uniform(0.01, 0.69))
+            for spec in ("log1p", "sqrt", "pow:0.5", "pow:0.3", ("pow", p)):
+                cc = build_comb(spec, a, 16)
+                assert (cc.b, cc.x, cc.constraint) == _full_bisection(spec, a, 16), (spec, a)
+
+    def test_every_linear_step_is_decided(self, monkeypatch):
+        # 4 gauges x 16 step counts: every step certifies its bracket, and
+        # g is called about 20 times a step where the plain loop takes 55+
+        brackets = self._spy_brackets(monkeypatch)
+        calls = [0]
+
+        def counted(spec):
+            name, g = gauge(spec)
+
+            def g_counted(t):
+                calls[0] += 1
+                return g(t)
+
+            return name, g_counted
+
+        monkeypatch.setattr(comb, "gauge", counted)
+        steps = 0
+        for spec in ("log1p", "sqrt", "pow:0.5", "pow:0.3"):
+            for n in range(1, 17):
+                calls[0] -= len(comb._PROBE_GRID) * 2  # check_sublinear's calls
+                build_comb(spec, "linear", n)
+                steps += n
+        assert len(brackets) == steps == 544
+        assert None not in brackets
+        assert calls[0] < 25 * steps
+
+    @pytest.mark.parametrize("spec", [math.sqrt, [(0.0, 0.0)] + [
+        (10.0 ** k, math.sqrt(10.0 ** k)) for k in range(0, 14)]], ids=["sqrt_callable", "table"])
+    def test_other_gauges_take_the_plain_loop(self, spec, monkeypatch):
+        # a callable named sqrt is not the built-in sqrt: the spec decides
+        assert gauge(spec)[0] in ("sqrt", "table")
+        brackets = self._spy_brackets(monkeypatch)
+        cc = build_comb(spec, "linear", 8)
+        assert brackets == []
+        assert (cc.b, cc.x, cc.constraint) == _full_bisection(spec, "linear", 8)
 
 
 def _runs(dom, t0, t1):

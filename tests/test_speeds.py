@@ -152,6 +152,18 @@ class TestSampleSpeeds:
         with pytest.raises(ValueError, match="one length"):
             SpeedSample(*cols[:5], cols[5, :2])
 
+    def test_split_slack_scales_with_the_speed(self):
+        # off the axis of a strip v_T stays at 8.76 while v grows like t, so
+        # the lower split is attained to rounding: an 80-digit oracle gives
+        # a margin of 3e-16, and the doubles fall one ulp of v short at
+        # v ~ 2e10, 3.8e-6, which a fixed slack of 1e-6 refused
+        z = DiscPoint(-0.5744160903910795 - 0.8185634211670368j)
+        table = sample_speeds(koenigs_semigroup(Strip(1.5)), default_grid(1, 1e12, 64), z)
+        assert table.v[-1] > 1e12
+        # near v = 1 the slack is a few ulp of 1, so 1e-9 too much breaks it
+        with pytest.raises(ValueError, match="split"):
+            SpeedSample(1.0, 1.0 + 1e-9, 0.5, 0.5, 1.0, 0.0)
+
     def test_table_is_rows(self, koebe_sg):
         # a table of read-only columns; indexing, iteration and length give
         # the rows of one-time tables, and tables compare by their columns
