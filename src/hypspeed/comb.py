@@ -148,14 +148,16 @@ def _bracket(g, c: float, xj: float, hi: float, q_hi: float) -> tuple[float, flo
     return None
 
 
-def _tooth_height(g, c: float, xj: float, concave: bool) -> tuple[float, float]:
+def _tooth_height(g, c: float, xj: float, builtin: bool) -> tuple[float, float]:
     """The height b_{j+1} and its constraint q(b_{j+1}), q(t) = (c g(t) +
     x_j) / t: doubling from 2 x_j to a height with q <= margin, then up to
-    60 bisections of [x_j, hi] that stop at a fixed point.  For a concave
-    gauge the bisections whose midpoint lies outside a `_bracket` are
-    decided by comparison alone, and only the later ones evaluate g; every
-    midpoint and every test, and so every bit of the result, is that of
-    the plain loop."""
+    60 bisections of [x_j, hi] that stop at a fixed point.  A built-in
+    gauge's midpoint above its `_bracket` passes and one below it fails by
+    comparison alone; only the midpoints inside, or every one when there
+    is no bracket, evaluate g, and every test, so every bit of the result,
+    is that of the plain loop.  A midpoint decided by comparison is never
+    lo or hi, since `below` fails and `above` passes, so only a tested one
+    can reach the fixed point."""
     hi = 2.0 * xj
     for _ in range(512):
         q_hi = (c * g(hi) + xj) / hi
@@ -164,34 +166,24 @@ def _tooth_height(g, c: float, xj: float, concave: bool) -> tuple[float, float]:
         hi *= 2.0
     else:
         raise ValueError("gauge grows too fast for the doubling search")
-    lo, budget = xj, 60
-    bracket = concave and _bracket(g, c, xj, hi, q_hi)
-    if bracket:
-        below, above = bracket
-        top = hi
-        for budget in range(60, 0, -1):
-            mid = 0.5 * (lo + hi)
-            if mid > above:
-                hi = mid
-            elif mid < below:
-                lo = mid
-            else:
-                break
-        else:
-            budget = 0
-        if hi != top:
-            q_hi = None  # hi passed by comparison, without a value
-    for _ in range(budget):
+    below, above = builtin and _bracket(g, c, xj, hi, q_hi) or (-math.inf, math.inf)
+    lo = xj
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        q = (c * g(mid) + xj) / mid
-        if q <= _MARGIN:
-            if mid == hi:
-                break  # a fixed point: every later iteration repeats this one
-            hi, q_hi = mid, q
-        elif mid == lo:
-            break
-        else:
+        if mid > above:
+            hi, q_hi = mid, None  # passed without a value
+        elif mid < below:
             lo = mid
+        else:
+            q = (c * g(mid) + xj) / mid
+            if q <= _MARGIN:
+                if mid == hi:
+                    break  # a fixed point: every later iteration repeats this one
+                hi, q_hi = mid, q
+            elif mid == lo:
+                break
+            else:
+                lo = mid
     return hi, (c * g(hi) + xj) / hi if q_hi is None else q_hi
 
 
@@ -204,32 +196,33 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     forces b_{j+1} - x_j >= j a_{j+1} g(b_{j+1}).
 
     For the built-in gauges log1p, sqrt and pow:p, chosen by the spec and
-    never by a callable's name, g is concave with g(0) = 0, so the
-    constraint strictly decreases in the height.  A bracket of relative
-    width 2^-45 around its crossing is then certified with a margin of
-    2^-48 (`_bracket`; it assumes libm's log1p and pow within 1 ulp, sqrt
-    being exact), the bisection decides the midpoints outside it by
-    comparison, and it calls g only inside, for the same bits.  Table and
-    callable gauges, and any step whose bracket fails its check, bisect on
-    g alone.
+    never by a callable's name, g is sublinear by definition, so only
+    table and callable gauges take `check_sublinear`'s probe.  Each
+    built-in g is also concave with g(0) = 0, so the constraint strictly
+    decreases in the height.  A bracket of relative width 2^-45 around its
+    crossing is then certified with a margin of 2^-48 (`_bracket`; it
+    assumes libm's log1p and pow within 1 ulp, sqrt being exact), and the
+    bisection calls g only for the midpoints inside it, for the same bits.
+    Table and callable gauges, and any step whose bracket fails its check,
+    bisect on g alone.
     """
     if steps < 1:
         raise ValueError("need at least one construction step")
     name, g = gauge(g_spec)
-    check_sublinear(g)
+    # the spec, not a callable's name, marks the built-in gauges log1p,
+    # sqrt and pow:p, each sublinear, concave and with g(0) = 0
+    builtin = not callable(g_spec) and name != "table"
+    if not builtin:
+        check_sublinear(g)
     a = resolve_abscissae(a_spec, steps + 1)
     if any(y <= x for x, y in zip(a[:-1], a[1:])):
         raise ValueError("abscissae must strictly increase")
     squares = _abscissa_squares(a)
-
-    # the spec, not a callable's name, marks the built-in gauges log1p,
-    # sqrt and pow:p, each concave with g(0) = 0
-    concave = not callable(g_spec) and name != "table"
     b = [1.0]
     xs, cons = [], []
     for j in range(1, steps + 1):
         xj = b[-1] + math.sqrt(squares[j] - squares[j - 1])
-        hi, q_hi = _tooth_height(g, j * a[j], xj, concave)
+        hi, q_hi = _tooth_height(g, j * a[j], xj, builtin)
         xs.append(xj)
         cons.append(q_hi)
         b.append(hi)

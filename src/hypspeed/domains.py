@@ -29,14 +29,23 @@ def _finite_point(p) -> complex:
     return p
 
 
+#: sin and cos at the doubles +-pi/2 and pi, which stand for the axes
+_AXES = {HALF_PI: (1.0, 0.0), -HALF_PI: (-1.0, 0.0), math.pi: (0.0, -1.0)}
+
+
+def _sin_cos(angle: float) -> tuple[float, float]:
+    """(sin, cos) of an angle: exact at the doubles +-pi/2 and pi, libm's
+    elsewhere, so that a tilt of any other double is kept however small."""
+    return _AXES.get(angle) or (math.sin(angle), math.cos(angle))
+
+
 def _unit_rays(alpha: float, beta: float) -> tuple[complex, complex]:
     """The unit directions i e^{-i alpha} and i e^{i beta} of the rays at
     pi/2 - alpha and pi/2 + beta, from sin and cos of the half-angles (no
-    rounded pi/2 - alpha): exact axes at a half-angle 0, pi/2 or pi, any
-    other double's tilt kept however small, and a point on the diagonal of
-    alpha = pi/4 on the side where the double alpha puts it."""
-    axial = {HALF_PI: (1.0, 0.0), math.pi: (0.0, -1.0)}
-    (sa, ca), (sb, cb) = (axial.get(a) or (math.sin(a), math.cos(a)) for a in (alpha, beta))
+    rounded pi/2 - alpha): exact axes at a half-angle 0, pi/2 or pi, and a
+    point on the diagonal of alpha = pi/4 on the side where the double
+    alpha puts it."""
+    (sa, ca), (sb, cb) = _sin_cos(alpha), _sin_cos(beta)
     return complex(sa, ca), complex(0.0 - sb, cb)  # 0.0 - 0.0 keeps a zero positive
 
 
@@ -223,9 +232,11 @@ def contains(domain: DomainSpec, w) -> bool:
     lower ray and right of the upper one.  Past an opening of pi the sector
     is the plane less a closed convex wedge, which lo + hi points into, so
     either sign suffices; so does u.(lo + hi) < 0, which the slit plane
-    (pi, pi) needs on the ray opposite its slit."""
+    (pi, pi) needs on the ray opposite its slit.  A point that is not
+    finite lies in no domain."""
     batch = isinstance(w, np.ndarray)
     w = w.astype(complex, copy=False) if batch else complex(w)
+    finite = np.isfinite(w) if batch else cmath.isfinite(w)
     re, im = w.real, w.imag
     if isinstance(domain, HalfPlaneRight):
         inside = re > domain.p.real
@@ -249,25 +260,12 @@ def contains(domain: DomainSpec, w) -> bool:
         inside = on_slit ^ True
     else:
         raise DomainError(f"unknown domain {domain!r}")
+    inside = inside & finite
     return inside if batch else bool(inside)
 
 
 # ---------------------------------------------------------------------------
 # maps onto the right half plane
-
-
-def _snap(w: complex) -> complex:
-    """Zero out components below double resolution of the other one; keeps
-    exactly-axial map constants exactly axial."""
-    re, im = w.real, w.imag
-    scale = max(abs(re), abs(im))
-    if scale == 0.0:
-        return w
-    if abs(re) < 1e-15 * scale:
-        re = 0.0
-    if abs(im) < 1e-15 * scale:
-        im = 0.0
-    return complex(re, im)
 
 
 def to_halfplane(domain: DomainSpec) -> RiemannMapChain:
@@ -297,10 +295,11 @@ def _build_map(domain: DomainSpec) -> RiemannMapChain:
         return RiemannMapChain(0j, complex(0.5 * domain.r, 0.0), width=domain.r,
                                k=math.pi / domain.r)
     if isinstance(domain, (HalfPlaneRight, Sector, Koebe)):
-        turn = 0.5 * (domain.beta - domain.alpha)
-        return RiemannMapChain(domain.p, _snap(1j * cmath.exp(1j * turn)),
+        # base i e^{i turn} and rot -i e^{-i turn}, with no negative zero
+        s, c = _sin_cos(0.5 * (domain.beta - domain.alpha))
+        return RiemannMapChain(domain.p, complex(0.0 - s, c),
                                math.pi / (domain.alpha + domain.beta),
-                               _snap(-1j * cmath.exp(-1j * turn)), *domain.rays)
+                               complex(0.0 - s, 0.0 - c), *domain.rays)
     raise UnsupportedDomainOperation("no closed-form map; use quasihyp_lower")
 
 
@@ -442,8 +441,8 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
         raise DomainError("the Omega^+- reference point must lie in the domain")
     c = sign.ref.real
     plus = sign.side == "plus"
-    _require(contains(domain, q) | ((q.real > c) if plus else (q.real < c)), q,
-             f"Omega^{'+' if plus else '-'}")
+    side = (q.real > c) if plus else (q.real < c)
+    _require(contains(domain, q) | (side & np.isfinite(q)), q, f"Omega^{'+' if plus else '-'}")
     # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}; outside a
     # sector that is the slits on the kept side, since the line {Re = ref}
     # meets the complement only on a slit

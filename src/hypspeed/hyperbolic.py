@@ -490,14 +490,3 @@ class DiscAutomorphism:
 
     def inverse(self) -> "DiscAutomorphism":
         return DiscAutomorphism(cmath.exp(1j * self.phase) * self.a, -self.phase)
-
-    def compose(self, other: "DiscAutomorphism") -> "DiscAutomorphism":
-        """self after other, again in canonical (a, phase) form."""
-        b = other.inverse().apply(DiscPoint(self.a)).value
-        n0 = self.apply(other.apply(ORIGIN)).value
-        if abs(b) > 1e-9:
-            phase = cmath.phase(n0 / b)
-        else:
-            probe = self.apply(other.apply(DiscPoint(0.5))).value
-            phase = cmath.phase(-probe / 0.5)
-        return DiscAutomorphism(b, phase)

@@ -115,10 +115,6 @@ class LogPolar:
         numpy's of the angle."""
         return np.cos(self.theta) if self.cos_theta is None else self.cos_theta
 
-    @property
-    def is_zero(self) -> bool:
-        return self.log_rho == float("-inf")
-
 
 def _from_complex_array(w: np.ndarray) -> LogPolar:
     """LogPolar.from_complex on each element of a complex array."""

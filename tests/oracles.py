@@ -165,6 +165,15 @@ def mp_disc(w, dps=50):
         return (w - 1) / (w + 1)
 
 
+def _mp_half_angle(a):
+    """A sector half-angle at the working precision, with the doubles pi/2
+    and pi taken as the exact axes they stand for, as the program takes
+    them; any other double is exact as it is."""
+    if a == math.pi / 2:
+        return mpmath.pi / 2
+    return +mpmath.pi if a == math.pi else mpmath.mpf(a)
+
+
 def mp_contains(domain, w, dps=50):
     """(inside, gap) for each point of the complex array w: membership in
     the open domain from its set definition, and the angle by which a
@@ -172,13 +181,16 @@ def mp_contains(domain, w, dps=50):
     is an exact comparison).  Strips, half planes, Koebe domains and combs
     are bounded by lines and slits, decided by exact comparisons of the
     coordinates; a sector point by the argument of u = w - p at dps digits,
-    which must lie strictly between pi/2 - alpha and pi/2 + beta modulo
-    2 pi.  A gap near 1e-16 is a point within rounding of a ray, where
-    double precision may decide either way."""
+    which must lie strictly between pi/2 - alpha and pi/2 + beta (each
+    half-angle by _mp_half_angle) modulo 2 pi.  A gap near 1e-16 is a
+    point within rounding of a ray, where double precision may decide
+    either way.  A point with an infinite or NaN part is in no domain."""
     w = np.asarray(w, dtype=complex)
     inside, gap = np.zeros(w.shape, dtype=bool), np.full(w.shape, math.inf)
     for i, x in np.ndenumerate(w):
         x = complex(x)
+        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+            continue
         if isinstance(domain, HalfPlaneRight):
             inside[i] = x.real > domain.p.real
         elif isinstance(domain, Strip):
@@ -192,8 +204,9 @@ def mp_contains(domain, w, dps=50):
                 u = mpmath.mpc(x) - mpmath.mpc(domain.p)
                 if u == 0:
                     continue
-                opening = mpmath.mpf(domain.alpha) + mpmath.mpf(domain.beta)
-                rel = (mpmath.arg(u) - (mpmath.pi / 2 - mpmath.mpf(domain.alpha))) % (2 * mpmath.pi)
+                alpha = _mp_half_angle(domain.alpha)
+                opening = alpha + _mp_half_angle(domain.beta)
+                rel = (mpmath.arg(u) - (mpmath.pi / 2 - alpha)) % (2 * mpmath.pi)
                 inside[i] = 0 < rel < opening
                 gap[i] = float(min(rel, abs(opening - rel), 2 * mpmath.pi - rel))
         else:
@@ -254,7 +267,8 @@ def _mp_rays(domain):
     if isinstance(domain, Koebe):
         return [(mpf(domain.p.real), mpf(domain.p.imag), mpf(0), mpf(-1))]
     if isinstance(domain, Sector):
-        angles = (mpmath.pi / 2 - mpf(domain.alpha), mpmath.pi / 2 + mpf(domain.beta))
+        angles = (mpmath.pi / 2 - _mp_half_angle(domain.alpha),
+                  mpmath.pi / 2 + _mp_half_angle(domain.beta))
         return [(mpf(domain.p.real), mpf(domain.p.imag), mpmath.cos(a), mpmath.sin(a))
                 for a in angles]
     if isinstance(domain, Comb):
@@ -350,7 +364,7 @@ def _mp_map_constants(domain):
         return mpmath.mpf(1), mpmath.mpf(1)
     if isinstance(domain, Koebe):
         return mpmath.mpf(1) / 2, -1j
-    alpha, beta = mpmath.mpf(domain.alpha), mpmath.mpf(domain.beta)
+    alpha, beta = _mp_half_angle(domain.alpha), _mp_half_angle(domain.beta)
     return mpmath.pi / (alpha + beta), -1j * mpmath.expj(-(beta - alpha) / 2)
 
 

@@ -38,6 +38,26 @@ class TestGauge:
         _, g = gauge(math.log1p)
         assert g(1.0) == math.log(2.0)
 
+    def test_builtin_gauges_skip_the_probe(self, monkeypatch):
+        # log1p, sqrt and pow:p are sublinear by definition; the probe
+        # refused pow:p from p = 0.7 on, which gauge() and the CLI accept
+        probed = []
+        monkeypatch.setattr(comb, "check_sublinear", probed.append)
+        for spec in ("log1p", "sqrt", "pow:0.5", ("pow", 0.95)):
+            build_comb(spec, "linear", 2)
+        assert probed == []
+        build_comb(math.sqrt, "linear", 2)
+        build_comb([(0.0, 0.0)] + [(10.0 ** k, math.sqrt(10.0 ** k)) for k in range(14)],
+                   "linear", 2)
+        assert len(probed) == 2
+
+    @pytest.mark.parametrize("spec, steps", [("pow:0.7", 10), ("pow:0.8", 16),
+                                             ("pow:0.95", 8)])
+    def test_steep_pow_gauges_certify(self, spec, steps):
+        rows = verify_comb(build_comb(spec, "linear", steps))
+        assert len(rows) == steps
+        assert min(r["ratio"] - r["j"] / 4.0 for r in rows) >= 2e-4
+
     def test_linear_rejected_by_probe(self):
         with pytest.raises(ValueError):
             check_sublinear(lambda t: t)
@@ -344,7 +364,9 @@ class TestToothSearch:
 
     def test_every_linear_step_is_decided(self, monkeypatch):
         # 4 gauges x 16 step counts: every step certifies its bracket, and
-        # g is called about 20 times a step where the plain loop takes 55+
+        # g is called about 18 times a step where the plain loop takes 56;
+        # the one loop decides by comparison every midpoint outside the
+        # bracket, also after the first one inside, and no probe runs
         brackets = self._spy_brackets(monkeypatch)
         calls = [0]
 
@@ -361,12 +383,11 @@ class TestToothSearch:
         steps = 0
         for spec in ("log1p", "sqrt", "pow:0.5", "pow:0.3"):
             for n in range(1, 17):
-                calls[0] -= len(comb._PROBE_GRID) * 2  # check_sublinear's calls
                 build_comb(spec, "linear", n)
                 steps += n
         assert len(brackets) == steps == 544
         assert None not in brackets
-        assert calls[0] < 25 * steps
+        assert calls[0] <= 18.2 * steps
 
     @pytest.mark.parametrize("spec", [math.sqrt, [(0.0, 0.0)] + [
         (10.0 ** k, math.sqrt(10.0 ** k)) for k in range(0, 14)]], ids=["sqrt_callable", "table"])

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,22 @@ class TestBuild:
             domain_from_json({"type": "nope"})
 
 
+def _assert_hugging_points_decided(dom, up):
+    """Points at angles down to 1e-320 from the axial ray of the sector dom
+    that runs upwards (up = 1) or downwards (up = -1), and on it: a point
+    and a batch decide alike, and as the set definition does at 400
+    digits."""
+    rng = np.random.default_rng(25)
+    y = up * 10.0 ** rng.uniform(-3.0, 12.0, 300)
+    x = rng.choice([-1.0, 1.0], 300) * y * 10.0 ** rng.uniform(-330.0, -1.0, 300)
+    w = dom.p + np.concatenate([x + 1j * y, 1j * y[:20]])
+    want, _ = mp_contains(dom, w, dps=400)
+    batch = contains(dom, w)
+    assert np.array_equal(batch, [contains(dom, complex(v)) for v in w])
+    assert np.array_equal(batch, want)
+    assert want.any() and not want.all()
+
+
 class TestMembership:
     def test_halfplane(self):
         assert contains(HalfPlaneRight(0), 1.0) and not contains(HalfPlaneRight(0), -1.0)
@@ -116,17 +133,14 @@ class TestMembership:
     @pytest.mark.parametrize("dom", [Sector(0j, math.pi, 0.0), Sector(-1 + 0j, math.pi / 2, 0.0),
                                      Sector(0j, 0.0, 1.2), Sector(2 + 1j, 0.0, math.pi)], ids=repr)
     def test_points_hugging_an_axial_ray(self, dom):
-        # a point and a batch decide alike, and as the set definition does
-        # at 400 digits, at angles down to 1e-320 from the ray, and on it
-        rng = np.random.default_rng(25)
-        y = 10.0 ** rng.uniform(-3.0, 12.0, 300)
-        x = rng.choice([-1.0, 1.0], 300) * y * 10.0 ** rng.uniform(-330.0, -1.0, 300)
-        w = dom.p + np.concatenate([x + 1j * y, 1j * y[:20]])
-        want, _ = mp_contains(dom, w, dps=400)
-        batch = contains(dom, w)
-        assert np.array_equal(batch, [contains(dom, complex(v)) for v in w])
-        assert np.array_equal(batch, want)
-        assert want.any() and not want.all()
+        _assert_hugging_points_decided(dom, 1.0)
+
+    # the ray at the double alpha = pi or beta = pi is the downward one,
+    # which the oracle also holds exactly
+    @pytest.mark.parametrize("dom", [Sector(0j, math.pi, 0.0), Sector(2 + 1j, 0.0, math.pi),
+                                     Sector(0.5j, math.pi, math.pi)], ids=repr)
+    def test_points_hugging_a_downward_axial_ray(self, dom):
+        _assert_hugging_points_decided(dom, -1.0)
 
     @pytest.mark.parametrize("dom, e", [(Sector(0j, math.pi / 4, math.pi / 4), 1 + 1j),
                                         (Sector(0j, math.pi / 4, math.pi / 4), -1 + 1j),
@@ -154,6 +168,24 @@ class TestMembership:
         assert contains(dom, inside) and not contains(dom, outside)
         want = mp_delta(dom, inside)
         assert abs(delta(dom, inside) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("dom, w", [
+        (HalfPlaneRight(0), complex(1, math.nan)), (HalfPlaneRight(0), complex(math.inf, 0)),
+        (Strip(1), complex(0.5, math.nan)), (Strip(1), complex(0.5, math.inf)),
+        (Koebe(0), complex(math.nan, 1)), (Comb([(1, 1), (2, 5)]), complex(math.nan, 0.5)),
+        (Sector(0j, math.pi / 4, math.pi / 4), complex(0, math.inf))], ids=str)
+    def test_non_finite_points_are_outside(self, dom, w):
+        # each was inside, and delta gave NaN, inf or 0.5 with a warning
+        batch = np.array([w, 0.5 + 2j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not contains(dom, w) and not mp_contains(dom, [w])[0].any()
+            assert list(contains(dom, batch)) == [False, True]
+            for q in (w, batch):
+                with pytest.raises(DomainError, match="is not in the domain"):
+                    delta(dom, q)
+            with pytest.raises(DomainError, match="is not in Omega"):
+                delta_pm(dom, OmegaSign("plus", 0.5 + 2j), w)
 
     @pytest.mark.parametrize("dom", [Sector(0j, 0.3, 1.1), Sector(0j, math.pi, 0.0),
                                      Sector(1 + 1j, 2.5, 2.0), HalfPlaneRight(0), Strip(1.0),
@@ -197,6 +229,35 @@ class TestChains:
         # declare those angles
         assert to_halfplane(HalfPlaneRight(p)) == to_halfplane(Sector(p, math.pi, 0.0))
         assert to_halfplane(Koebe(p)) == to_halfplane(Sector(p, math.pi, math.pi))
+
+    def test_map_constants_keep_their_bits(self):
+        # base = i e^{i turn} and rot = -i e^{-i turn} as cmath rounds
+        # them, bit for bit and signed zeros included, except at the axial
+        # turns 0 and +-pi/2, where they are exact with positive zeros; a
+        # 1e-15 snap used to zero the near-axial ones too
+        def bits(w):
+            return w.real.hex(), w.imag.hex()
+
+        def axial(w):
+            return complex(w.real if abs(w.real) > 0.5 else 0.0,
+                           w.imag if abs(w.imag) > 0.5 else 0.0)
+
+        rng = random.Random(27)
+        halves = [0.0, math.pi / 2, math.pi, math.pi / 4]
+        doms = [HalfPlaneRight(), Koebe()]
+        while len(doms) < 3000:
+            alpha = rng.choice(halves + [rng.uniform(0.0, math.pi)] * 3)
+            beta = rng.choice([rng.choice(halves), rng.uniform(0.0, math.pi),
+                               alpha + rng.uniform(-4e-15, 4e-15)])
+            if 0.0 <= beta <= math.pi and alpha + beta > 0.0:
+                doms.append(Sector(0j, alpha, beta))
+        for dom in doms:
+            turn = 0.5 * (dom.beta - dom.alpha)
+            want = 1j * cmath.exp(1j * turn), -1j * cmath.exp(-1j * turn)
+            if turn in (0.0, math.pi / 2, -math.pi / 2):
+                want = tuple(axial(w) for w in want)
+            fmap = to_halfplane(dom)
+            assert (bits(fmap.base), bits(fmap.rot)) == tuple(map(bits, want)), dom
 
     def test_strip_base_to_one(self):
         assert abs(to_halfplane(Strip(2.0)).forward(1.0) - 1.0) < 1e-12
@@ -286,10 +347,17 @@ class TestDelta:
         # the complement of this sector lies left of Re = 1, so Omega^+ has
         # the sector's own distance
         (Sector(0j, math.pi, 0.0), OmegaSign("plus", 1), 1 + 1e8j),
-    ], ids=["flat", "alpha0", "quarter", "flat_plus"])
+        # the downward ray at the double alpha = pi, which the oracle took
+        # 1.2e-16 off its axis, 1.2e-8 from these points
+        (Sector(0j, math.pi, 0.0), None, 1e-3 - 1e8j),
+        (Sector(0j, math.pi, 0.0), OmegaSign("plus", 1), 1e-3 - 1e8j),
+        (Sector(0j, math.pi, math.pi), None, -1e-3 - 1e8j),
+        (Sector(2 + 1j, 0.0, math.pi), None, 1.5 - 1e12j),
+    ], ids=["flat", "alpha0", "quarter", "flat_plus", "flat_down", "flat_down_plus",
+            "slit", "beta_pi"])
     def test_axial_ray_matches_oracle(self, dom, sign, w):
-        # the nearest ray is the one at alpha = 0 or beta = 0; taken as
-        # exp(i pi/2), with its cosine 6.1e-17, it was Im w * 6.1e-17 off
+        # the nearest ray is an axial one; the upward ray taken as
+        # exp(i pi/2), with its cosine 6.1e-17, was Im w * 6.1e-17 off
         got = delta(dom, w) if sign is None else delta_pm(dom, sign, w)
         want = mp_delta(dom, w)
         assert abs(got - want) <= 1e-15 * want

@@ -393,21 +393,6 @@ class TestAutomorphism:
         z = DiscPoint(0.1 - 0.4j)
         assert abs(m.inverse().apply(m.apply(z)).value - z.value) < 1e-12
 
-    def test_compose_matches_sequential(self):
-        m1 = DiscAutomorphism(0.3 + 0.2j, 0.8)
-        m2 = DiscAutomorphism(-0.5j, -1.3)
-        m = m1.compose(m2)
-        for z in (DiscPoint(0), DiscPoint(0.4 - 0.1j), DiscPoint(-0.7j)):
-            assert abs(m.apply(z).value - m1.apply(m2.apply(z)).value) < 1e-12
-
-    def test_compose_with_inverse_is_identity(self):
-        # the composite's parameter is ~0, so its phase comes from a probe point
-        m = DiscAutomorphism(0.3 + 0.2j, 0.8)
-        ident = m.compose(m.inverse())
-        assert abs(ident.a) < 1e-15
-        for z in (0j, 0.5, 0.4 - 0.1j, -0.7j):
-            assert abs(ident.apply(DiscPoint(z)).value - z) < 1e-15
-
     @given(disc_points(0.9), disc_points(0.9))
     @settings(max_examples=200, deadline=None)
     def test_preserves_omega(self, z, w):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypspeed import (DiscPoint, HalfPlanePoint, HalfPlaneRight, Koebe, Sector,
+from hypspeed import (ORIGIN, DiscPoint, HalfPlanePoint, HalfPlaneRight, Koebe, Sector,
                       Strip, koenigs_semigroup, orbit_halfplane,
                       sample_speeds, to_halfplane)
 from hypspeed.mapchain import LogPolar
@@ -91,7 +91,7 @@ def assert_orbit_matches(dom, z, ts):
 def test_logpolar_round_trip():
     w = 3.2 - 1.7j
     assert abs(lp(w).to_complex() - w) < 1e-15
-    assert lp(0j).is_zero
+    assert lp(0j).log_rho == -math.inf
 
 
 def test_logpolar_keeps_cartesian_exact():
@@ -161,6 +161,19 @@ def test_axial_ray_keeps_the_cosine():
     # cosine gave v_T = 13.966667467 at t = 1e12
     s = sample_speeds(koenigs_semigroup(Sector(0j, 0.0, 1.2)), [1e12])[0]
     assert abs(s.v_T - 13.966661253008606) <= 1e-13
+
+
+@pytest.mark.parametrize("dom", [
+    Sector(0j, 1.0, 1.0 + 1.5e-15), Sector(0j, math.pi - 1e-15, 1e-16),
+    Sector(0j, 1e-16, math.pi - 1e-15), Sector(2 - 1j, 2.0, 2.0 - 1.2e-15),
+    Sector(0j, 0.3, 0.3 + 1e-15), Sector(0j, 1.5, 1.5 - 1.9e-15)], ids=repr)
+def test_near_axial_map_keeps_its_tilt(dom):
+    # the bisector turns by less than 1e-15, which a snap of the map
+    # constants to the axis dropped: theta was up to 2.6e-15 off
+    ts = np.geomspace(1e-3, 1e8, 32)
+    want = np.array([float(mp_lp(mp_orbit(dom, ORIGIN, t))[1]) for t in ts])
+    got = orbit_halfplane(koenigs_semigroup(dom), ORIGIN, ts).theta
+    assert np.abs(got - want).max() <= 5e-16
 
 
 @pytest.mark.parametrize("edge", ["left", "right"])
