@@ -64,12 +64,14 @@ def gauge(spec) -> tuple[str, Callable[[float], float]]:
 
 
 def check_sublinear(g: Callable[[float], float]) -> None:
-    """Reject gauges that fail the decade-halving probe for g(t)/t -> 0."""
+    """Reject gauges that are not positive and increasing, with g(t)/t
+    strictly decreasing, over each decade of the probe grid; a gauge that
+    passes but grows too fast still fails the tooth search's doubling."""
     for T in _PROBE_GRID:
         lo, hi = g(T / 10.0), g(T)
         if not (hi > lo > 0.0):
             raise ValueError("gauge must be positive and increasing on the probe grid")
-        if not hi / T < 0.5 * lo / (T / 10.0):
+        if not hi / T < lo / (T / 10.0):
             raise ValueError(f"gauge is not sublinear on the probe grid (t = {T:g})")
 
 

@@ -64,7 +64,7 @@ def _cdiv(a, b) -> np.ndarray:
                     np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LogPolar:
     """A nonzero complex number rho*exp(i*theta) stored as (log rho, theta).
 
@@ -85,6 +85,11 @@ class LogPolar:
     theta: float
     cos_theta: float | None = field(default=None, compare=False)
     cart: complex | None = field(default=None, compare=False)
+
+    def __init__(self, log_rho, theta, cos_theta=None, cart=None):
+        # one dict update, not the frozen init's four object.__setattr__
+        # calls: forward_lp builds one point per time of a speed table
+        self.__dict__.update(log_rho=log_rho, theta=theta, cos_theta=cos_theta, cart=cart)
 
     @staticmethod
     def from_complex(w: complex) -> "LogPolar":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -84,15 +85,17 @@ def speeds_from_halfplane(hp: LogPolar) -> tuple[float, float, float]:
 
 
 def sample_speeds(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> SpeedSample:
-    """The exact speed table along a nonnegative, sorted time grid."""
-    ts = [float(t) for t in grid]
-    if any(t < 0 for t in ts) or any(b < a for a, b in zip(ts[:-1], ts[1:])):
+    """The exact speed table along a nonnegative, sorted time grid (any
+    iterable of reals); a NaN time is neither, so it is rejected."""
+    ts = np.fromiter(grid, dtype=float)
+    if not ((ts >= 0.0).all() and (ts[1:] >= ts[:-1]).all()):
         raise ValueError("grid must be nonnegative and sorted")
     rows = []
-    for t in ts:  # one scalar orbit pass per time, the bits the CSV pins
+    for t in ts.tolist():  # one scalar orbit pass per Python float time, the bits the CSV pins
         hp = orbit_halfplane(sg, z, t)
         rows.append((t, *speeds_from_halfplane(hp), hp.log_rho, hp.theta))
-    return SpeedSample(*np.array(rows, dtype=float).reshape(len(ts), 6).T)
+    cells = np.fromiter(chain.from_iterable(rows), dtype=float, count=6 * ts.size)
+    return SpeedSample(*cells.reshape(ts.size, 6).T)
 
 
 def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> list[float]:
@@ -100,9 +103,8 @@ def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> l
     if not (points >= 2 and 0 <= t_min < t_max < math.inf):
         raise ValueError("need points >= 2 and 0 <= t_min < t_max < inf")
     if t_min == 0.0:
-        inner = np.geomspace(t_max * 1e-9, t_max, points - 1)
-        return [0.0] + [float(t) for t in inner]
-    return [float(t) for t in np.geomspace(t_min, t_max, points)]
+        return [0.0] + np.geomspace(t_max * 1e-9, t_max, points - 1).tolist()
+    return np.geomspace(t_min, t_max, points).tolist()
 
 
 # ---------------------------------------------------------------------------

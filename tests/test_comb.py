@@ -58,6 +58,24 @@ class TestGauge:
         assert len(rows) == steps
         assert min(r["ratio"] - r["j"] / 4.0 for r in rows) >= 2e-4
 
+    @pytest.mark.parametrize("g, steps", [
+        (lambda t: t ** 0.8, 16), (lambda t: t ** 0.95, 8),
+        ([(10.0 ** k, 10.0 ** (0.8 * k)) for k in range(15)], 16)],
+        ids=["t^0.8", "t^0.95", "table t^0.8"])
+    def test_steep_callable_and_table_gauges_certify(self, g, steps):
+        # the probe asks only that g(t)/t fall over each decade; the old
+        # decade-halving test refused every growth exponent from 0.7 on
+        rows = verify_comb(build_comb(g, "linear", steps))
+        assert len(rows) == steps
+        assert min(r["ratio"] - r["j"] / 4.0 for r in rows) >= 2e-4
+
+    @pytest.mark.parametrize("g", [lambda t: t + 1.0, lambda t: 0.3 * t + math.log1p(t)],
+                             ids=["t+1", "0.3t+log1p"])
+    def test_probe_passes_but_doubling_refuses_near_linear(self, g):
+        check_sublinear(g)
+        with pytest.raises(ValueError, match="too fast"):
+            build_comb(g, "linear", 3)
+
     def test_linear_rejected_by_probe(self):
         with pytest.raises(ValueError):
             check_sublinear(lambda t: t)

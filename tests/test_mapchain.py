@@ -1,6 +1,7 @@
 """The closed-form domain maps and the orbits through them against the
 50-digit formulas of `oracles`, in coordinates relative to the apex."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -99,6 +100,21 @@ def test_logpolar_keeps_cartesian_exact():
     p = lp(1e8j)
     assert p.to_complex() == 1e8j
     assert p.cos_theta == 0.0
+
+
+def test_logpolar_value_semantics():
+    # its own __init__ keeps the frozen dataclass's behaviour
+    p = LogPolar(1.5, -0.25, 0.75, 2 + 1j)
+    assert (p.log_rho, p.theta, p.cos_theta, p.cart) == (1.5, -0.25, 0.75, 2 + 1j)
+    assert LogPolar(1.5, -0.25) == p and hash(LogPolar(1.5, -0.25)) == hash(p)
+    assert LogPolar(1.5, 0.25, 0.75, 2 + 1j) != p
+    assert repr(p) == "LogPolar(log_rho=1.5, theta=-0.25, cos_theta=0.75, cart=(2+1j))"
+    assert LogPolar(theta=-0.25, log_rho=1.5) == p
+    q = dataclasses.replace(p, theta=0.5)
+    assert (q.log_rho, q.theta, q.cos_theta, q.cart) == (1.5, 0.5, 0.75, 2 + 1j)
+    for name in ("log_rho", "cos_theta", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0.0)
 
 
 @pytest.mark.parametrize("name", list(TABLE_DOMAINS))

@@ -84,6 +84,9 @@ class TestSampleSpeeds:
             sample_speeds(sg, [2.0, 1.0])
         with pytest.raises(ValueError):
             sample_speeds(sg, [-1.0])
+        for grid in ([1.0, math.nan, 2.0], [math.nan]):  # neither nonnegative nor sorted
+            with pytest.raises(ValueError, match="grid"):
+                sample_speeds(sg, grid)
 
     def test_comb_unsupported(self):
         sg = koenigs_semigroup(Comb([(1, 1)]))
@@ -283,6 +286,20 @@ class TestGrid:
     def test_zero_start(self):
         g = default_grid(0.0, 100.0, 5)
         assert g[0] == 0.0 and len(g) == 5
+
+    @pytest.mark.parametrize("t_min, t_max, points", [(1.0, 1e8, 512), (1e-3, 7.5, 33),
+                                                      (2.0, 1e12, 2)])
+    def test_python_floats_of_geomspace(self, t_min, t_max, points):
+        g = default_grid(t_min, t_max, points)
+        assert all(type(t) is float for t in g)
+        assert np.array(g).tobytes() == np.geomspace(t_min, t_max, points).tobytes()
+
+    @pytest.mark.parametrize("t_max, points", [(1e8, 512), (100.0, 5), (3.0, 2)])
+    def test_zero_start_python_floats_of_geomspace(self, t_max, points):
+        g = default_grid(0.0, t_max, points)
+        assert all(type(t) is float for t in g)
+        inner = np.geomspace(t_max * 1e-9, t_max, points - 1)
+        assert np.array(g).tobytes() == np.concatenate([[0.0], inner]).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
