@@ -65,8 +65,7 @@ def gauge(spec) -> tuple[str, Callable[[float], float]]:
 
 def check_sublinear(g: Callable[[float], float]) -> None:
     """Reject gauges that are not positive and increasing, with g(t)/t
-    strictly decreasing, over each decade of the probe grid; a gauge that
-    passes but grows too fast still fails the tooth search's doubling."""
+    strictly decreasing, over each decade of the probe grid."""
     for T in _PROBE_GRID:
         lo, hi = g(T / 10.0), g(T)
         if not (hi > lo > 0.0):

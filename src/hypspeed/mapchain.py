@@ -87,8 +87,7 @@ class LogPolar:
     cart: complex | None = field(default=None, compare=False)
 
     def __init__(self, log_rho, theta, cos_theta=None, cart=None):
-        # one dict update, not the frozen init's four object.__setattr__
-        # calls: forward_lp builds one point per time of a speed table
+        # one dict update, not four object.__setattr__: one point per table time
         self.__dict__.update(log_rho=log_rho, theta=theta, cos_theta=cos_theta, cart=cart)
 
     @staticmethod
