@@ -205,6 +205,8 @@ def _svg_chart(xs, series: dict[str, list[float]], x_label: str) -> str:
 
 
 def _cmd_plot(cfg: CliConfig) -> int:
+    if not cfg.columns:
+        raise ValueError("--columns names no column to plot")
     table = _speed_table(cfg)
     xs = [math.log10(t) if t > 0 else math.log10(cfg.t_max) - 12 for t in table.t.tolist()]
     series = {}

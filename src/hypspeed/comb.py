@@ -76,20 +76,28 @@ def check_sublinear(g: Callable[[float], float]) -> None:
 
 def resolve_abscissae(a_spec, count: int) -> list[float]:
     """First `count` tooth abscissae from 'linear', ('geometric', ratio) or an
-    explicit strictly increasing list."""
+    explicit strictly increasing list; each must be finite, so a ratio
+    whose powers overflow is refused."""
     if a_spec == "linear":
         return [float(j) for j in range(1, count + 1)]
     if isinstance(a_spec, tuple) and len(a_spec) == 2 and a_spec[0] == "geometric":
         ratio = float(a_spec[1])
         if ratio <= 1.0:
             raise ValueError("geometric abscissae need ratio > 1")
-        return [ratio ** j for j in range(count)]
-    if isinstance(a_spec, Sequence) and not isinstance(a_spec, (str, bytes)):
+        try:
+            a = [ratio ** j for j in range(count)]
+        except OverflowError:
+            a = [math.inf]
+    elif isinstance(a_spec, Sequence) and not isinstance(a_spec, (str, bytes)):
         a = [float(x) for x in a_spec]
         if len(a) < count:
             raise ValueError(f"need {count} abscissae, got {len(a)}")
-        return a[:count]
-    raise ValueError(f"unknown abscissa spec {a_spec!r}")
+        a = a[:count]
+    else:
+        raise ValueError(f"unknown abscissa spec {a_spec!r}")
+    if not all(map(math.isfinite, a)):
+        raise ValueError("abscissae must be finite")
+    return a
 
 
 @dataclass(frozen=True)

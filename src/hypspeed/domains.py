@@ -9,6 +9,7 @@ plane and the model's base point h(0) = p + base goes exactly to 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ def _unit_rays(alpha: float, beta: float) -> tuple[complex, complex]:
 @dataclass(frozen=True)
 class HalfPlaneRight:
     """{Re w > Re p}: the sector p + iV(pi, 0), whose angles and rays it
-    declares for its map."""
+    declares for the sector routines."""
 
     p: complex = 0j
     alpha, beta = math.pi, 0.0
@@ -100,13 +101,17 @@ class Sector:
             raise DomainError("sector half-angles must lie in [0, pi]")
         if not self.alpha + self.beta > 0.0:
             raise DomainError("sector requires alpha + beta > 0")
+        if not math.isfinite(math.pi / (self.alpha + self.beta)):
+            raise DomainError(f"sector opening {self.alpha + self.beta!r} is too small: "
+                              "pi/(alpha+beta) overflows")
         object.__setattr__(self, "rays", _unit_rays(self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
 class Koebe:
     """The plane minus the downward slit {Re z = Re p, Im z <= Im p}: the
-    sector p + iV(pi, pi), whose angles and rays it declares for its map."""
+    sector p + iV(pi, pi), whose angles and rays it declares for the sector
+    routines."""
 
     p: complex = 0j
     alpha, beta = math.pi, math.pi
@@ -152,6 +157,9 @@ class Comb:
 
 
 DomainSpec = HalfPlaneRight | Strip | Sector | Koebe | Comb
+
+#: the domains with a sector's angles and rays
+_SECTORS = (HalfPlaneRight, Sector, Koebe)
 
 
 @dataclass(frozen=True)
@@ -233,16 +241,14 @@ def contains(domain: DomainSpec, w) -> bool:
     is the plane less a closed convex wedge, which lo + hi points into, so
     either sign suffices; so does u.(lo + hi) < 0, which the slit plane
     (pi, pi) needs on the ray opposite its slit.  A point that is not
-    finite lies in no domain."""
+    finite lies in no domain (a batch decides it as 0: no 0 * inf warns)."""
     batch = isinstance(w, np.ndarray)
     w = w.astype(complex, copy=False) if batch else complex(w)
     finite = np.isfinite(w) if batch else cmath.isfinite(w)
+    if batch:
+        w = np.where(finite, w, 0j)
     re, im = w.real, w.imag
-    if isinstance(domain, HalfPlaneRight):
-        inside = re > domain.p.real
-    elif isinstance(domain, Strip):
-        inside = (0.0 < re) & (re < domain.r)
-    elif isinstance(domain, Sector):
+    if isinstance(domain, _SECTORS):
         (lo, hi), u = domain.rays, w - domain.p
         left = lo.real * u.imag - lo.imag * u.real > 0.0
         right = u.real * hi.imag - u.imag * hi.real > 0.0
@@ -251,8 +257,8 @@ def contains(domain: DomainSpec, w) -> bool:
         else:
             mid = lo + hi
             inside = left | right | (u.real * mid.real + u.imag * mid.imag < 0.0)
-    elif isinstance(domain, Koebe):
-        inside = ((re == domain.p.real) & (im <= domain.p.imag)) ^ True
+    elif isinstance(domain, Strip):
+        inside = (0.0 < re) & (re < domain.r)
     elif isinstance(domain, Comb):
         on_slit = False
         for a, b in domain.teeth:
@@ -294,7 +300,7 @@ def _build_map(domain: DomainSpec) -> RiemannMapChain:
     if isinstance(domain, Strip):
         return RiemannMapChain(0j, complex(0.5 * domain.r, 0.0), width=domain.r,
                                k=math.pi / domain.r)
-    if isinstance(domain, (HalfPlaneRight, Sector, Koebe)):
+    if isinstance(domain, _SECTORS):
         # base i e^{i turn} and rot -i e^{-i turn}, with no negative zero
         s, c = _sin_cos(0.5 * (domain.beta - domain.alpha))
         return RiemannMapChain(domain.p, complex(0.0 - s, c),
@@ -331,31 +337,18 @@ def _dist_to_ray(q: np.ndarray, apex: complex, direction: complex,
     return np.hypot(vr - s * direction.real, vi - s * direction.imag)
 
 
-def _dist_to_vertical_slit(q: np.ndarray, x: float, top: float) -> np.ndarray:
-    """Distance from each point of q to {x + iy : y <= top}."""
-    dx = q.real - x
-    return np.where(q.imag <= top, np.abs(dx), np.hypot(dx, q.imag - top))
-
-
-def _slits(domain: DomainSpec) -> list[tuple[float, float]]:
-    """The boundary of a domain other than a sector as vertical slits
-    {x + iy : y <= top}, as (x, top); top = +inf for a whole line."""
-    if isinstance(domain, HalfPlaneRight):
-        return [(domain.p.real, math.inf)]
-    if isinstance(domain, Strip):
-        return [(0.0, math.inf), (domain.r, math.inf)]
-    if isinstance(domain, Koebe):
-        return [(domain.p.real, domain.p.imag)]
+def _rays(domain: DomainSpec) -> list[tuple[complex, complex]]:
+    """The boundary of a domain as closed rays (apex, unit direction): a
+    sector's two from its apex p (one, when they coincide, as a Koebe
+    domain's do), a strip's walls as the rays up and down from 0 and from
+    r, and a comb's slits as one ray down from each tip +-a_j + i b_j."""
+    if isinstance(domain, _SECTORS):
+        return [(domain.p, e) for e in dict.fromkeys(domain.rays)]
+    if isinstance(domain, Strip):  # each wall is a half plane's boundary
+        return [(complex(x, 0.0), e) for x in (0.0, domain.r) for e in HalfPlaneRight.rays]
     if isinstance(domain, Comb):
-        return [(x, b) for a, b in domain.teeth for x in (a, -a)]
+        return [(complex(x, b), complex(0.0, -1.0)) for a, b in domain.teeth for x in (a, -a)]
     raise DomainError(f"unknown domain {domain!r}")
-
-
-def _dist_to_slits(q: np.ndarray, slits) -> np.ndarray:
-    d = np.full(q.shape, math.inf)
-    for x, top in slits:
-        d = np.minimum(d, _dist_to_vertical_slit(q, x, top))
-    return d
 
 
 def _require(inside, q, where: str) -> None:
@@ -374,48 +367,39 @@ def delta(domain: DomainSpec, p):
         raise DomainError(
             "query outside the materialised comb extent; omitted teeth could be nearer"
         )
-    if isinstance(domain, Sector):
-        d = np.minimum(*(_dist_to_ray(q, domain.p, e) for e in domain.rays))
-    else:
-        d = _dist_to_slits(q, _slits(domain))
+    d = functools.reduce(np.minimum, [_dist_to_ray(q, apex, e) for apex, e in _rays(domain)])
     return float(d) if q.ndim == 0 else d
 
 
-def _clip_ray_to_halfplane(apex_re: float, d_re: float, c: float, keep_le: bool):
-    """Parameter range of {apex + s*d : s >= 0} inside {Re <= c} (or >= c).
-    Returns (s_lo, s_hi); empty when s_hi < s_lo."""
-    if d_re == 0.0:
-        ok = apex_re <= c if keep_le else apex_re >= c
-        return (0.0, math.inf) if ok else (1.0, 0.0)
-    s_cross = (c - apex_re) / d_re
-    if keep_le == (d_re > 0):
-        return (0.0, s_cross)
-    return (max(0.0, s_cross), math.inf)
-
-
-def _wedge_halfplane_distance(sector: Sector, q: np.ndarray, c: float,
-                              keep_le: bool) -> np.ndarray:
-    """Distance from each point of q to (complement wedge of the sector)
+def _complement_halfplane_distance(domain: DomainSpec, q: np.ndarray, c: float,
+                                   keep_le: bool) -> np.ndarray:
+    """Distance from each point of q to the complement of the domain
     intersected with {Re <= c} (keep_le) or {Re >= c}; +inf for an empty set.
 
-    That set is bounded by the wedge's two rays clipped to the half plane
-    and by the intervals of heights y at which c + iy lies in the closed
-    wedge."""
-    apex = sector.p
+    That set is bounded by the domain's boundary rays, each from its own
+    apex, clipped to the half plane, and by the intervals of heights y at
+    which c + iy lies outside the domain.  The rays' crossings with the
+    line {Re = c} end those intervals, and `contains` at one probe height
+    inside each decides it."""
     best = np.full(q.shape, math.inf)
     crossings: list[float] = []  # where the rays meet the line {Re = c}
-    for d in sector.rays:
-        s_lo, s_hi = _clip_ray_to_halfplane(apex.real, d.real, c, keep_le)
-        if s_hi >= s_lo:
-            best = np.minimum(best, _dist_to_ray(q, apex, d, s_lo, s_hi))
-        if d.real != 0.0:
+    for apex, d in _rays(domain):
+        # the range [s_lo, s_hi] of apex + s d in the kept half plane (empty
+        # when s_hi < s_lo): a vertical ray is all in or all out, and one on
+        # the line ends an interval there at its apex height
+        if d.real == 0.0:
+            kept = apex.real <= c if keep_le else apex.real >= c
+            s_lo, s_hi = (0.0, math.inf) if kept else (1.0, 0.0)
+            if apex.real == c:
+                crossings.append(apex.imag)
+        else:
             s_cross = (c - apex.real) / d.real
+            s_lo, s_hi = ((0.0, s_cross) if keep_le == (d.real > 0)
+                          else (max(0.0, s_cross), math.inf))
             if s_cross >= 0.0:
                 crossings.append(apex.imag + s_cross * d.imag)
-        elif apex.real == c:
-            # a vertical ray sitting on the line bounds the in-wedge interval
-            # at the apex height
-            crossings.append(apex.imag)
+        if s_hi >= s_lo:
+            best = np.minimum(best, _dist_to_ray(q, apex, d, s_lo, s_hi))
     crossings.sort()
     edges = [-math.inf, *crossings, math.inf]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -427,7 +411,7 @@ def _wedge_halfplane_distance(sector: Sector, q: np.ndarray, c: float,
             probe = lo + max(1.0, abs(lo))
         else:
             probe = 0.5 * (lo + hi)
-        if not contains(sector, complex(c, probe)):
+        if not contains(domain, complex(c, probe)):
             best = np.minimum(best, np.hypot(q.real - c, q.imag - np.clip(q.imag, lo, hi)))
     return best
 
@@ -435,7 +419,9 @@ def _wedge_halfplane_distance(sector: Sector, q: np.ndarray, c: float,
 def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     """Distance to the complement of Omega^+ = Omega u {Re > Re ref} (or
     Omega^- with Re < Re ref); +inf when the enlarged domain is the plane.
-    An array of points gives an array, one point a float."""
+    An array of points gives an array, one point a float.  Every domain
+    takes one path: its boundary rays cut at the line {Re = Re ref}, and
+    the stretches of that line outside the domain."""
     q = np.asarray(q, dtype=complex)
     if not contains(domain, sign.ref):
         raise DomainError("the Omega^+- reference point must lie in the domain")
@@ -443,14 +429,8 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     plus = sign.side == "plus"
     side = (q.real > c) if plus else (q.real < c)
     _require(contains(domain, q) | (side & np.isfinite(q)), q, f"Omega^{'+' if plus else '-'}")
-    # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}; outside a
-    # sector that is the slits on the kept side, since the line {Re = ref}
-    # meets the complement only on a slit
-    if isinstance(domain, Sector):
-        d = _wedge_halfplane_distance(domain, q, c, keep_le=plus)
-    else:
-        d = _dist_to_slits(q, [(x, top) for x, top in _slits(domain)
-                               if ((x <= c) if plus else (x >= c))])
+    # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}
+    d = _complement_halfplane_distance(domain, q, c, keep_le=plus)
     return float(d) if q.ndim == 0 else d
 
 
@@ -462,20 +442,18 @@ def _axis_pieces(domain: DomainSpec) -> list[tuple[float, ...]]:
     the distance from ir to a piece is hypot(a, r - b), its apex regime,
     where C + D*r > 0, and |A + B*r|, its perpendicular regime, elsewhere.
 
-    A slit {x + iy : y <= top} is (|x|, top, |x|, 0, -top, 1), with the
-    mirror slits of a comb merged; slits come by nondecreasing |x| and top
-    (a comb's teeth strictly increase in both).  A sector ray from p along
-    its unit direction e, one of the sector's `rays`, is seen at its apex p
-    while the projection (ir - p).e is negative, and along its line after;
-    an axial e makes both regimes exact."""
-    if isinstance(domain, Sector):
+    A sector ray from p along its unit direction e, one of the sector's
+    `rays`, is seen at its apex p while the projection (ir - p).e is
+    negative, and along its line after; an axial e makes both regimes
+    exact.  A comb's tooth (a, b) is (a, b, a, 0, -b, 1), its two mirror
+    slits {+-a + iy : y <= b} being one distance from the axis; the teeth
+    come by increasing a and b.  A strip's axis is its wall, which
+    _axis_integrals refuses before it gets here."""
+    if isinstance(domain, _SECTORS):
         p = domain.p
         return [(abs(p.real), p.imag, p.real * e.imag - p.imag * e.real, e.real,
                  p.real * e.real + p.imag * e.imag, -e.imag) for e in domain.rays]
-    # a comb's teeth already are its slits seen from the axis, mirrors merged
-    slits = (domain.teeth if isinstance(domain, Comb)
-             else dict.fromkeys((abs(x), top) for x, top in _slits(domain)))
-    return [(x, top, x, 0.0, -top, 1.0) for x, top in slits]
+    return [(a, b, a, 0.0, -b, 1.0) for a, b in domain.teeth]
 
 
 def _axis_distance(piece, r: float) -> float:
@@ -522,14 +500,14 @@ def _axis_runs(domain: DomainSpec, pieces, t0: float, t1: float):
     """The envelope delta(ir) on [t0, t1] as increasing runs (lo, hi, piece)
     of one piece in one regime; a sector's runs end at its breakpoints.
 
-    Slits come by increasing |x| and top.  The nearest of those above r is
+    A comb's slits come by increasing |x| and top.  The nearest above r is
     the first, |x| away.  A slit below r is hypot(a, r - b) away, whose
     square less r^2 is the line a^2 + b^2 - 2 b r, with slopes falling by
     index: a monotone convex-hull sweep keeps the lower envelope of those
     lines, `front` at the one lowest at r.  Between two tops the hull only
     rises, so it hands over to the slit above once, where its distance
     reaches that |x|.  Every top ends a run; every run ends above r."""
-    if isinstance(domain, Sector):
+    if isinstance(domain, _SECTORS):
         pts = _axis_breakpoints(pieces, t0, t1)
         return [(lo, hi, min(pieces, key=lambda p, mid=0.5 * (lo + hi): _axis_distance(p, mid)))
                 for lo, hi in zip(pts[:-1], pts[1:])]

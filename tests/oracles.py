@@ -257,15 +257,18 @@ def mp_radial(z, tau):
 def _mp_rays(domain):
     """The boundary of a domain as closed rays (px, py, ex, ey): apex p, unit
     direction e, at the working precision.  A slit {x + iy : y <= top} is
-    the ray down from x + i top, a whole line two opposite rays from one of
-    its points.  A comb's slit at -a mirrors the one at a in the imaginary
-    axis, which sees both at one distance, so only the slit at a is kept."""
+    the ray down from x + i top, a whole line (a half plane's edge, either
+    wall of a strip) two opposite rays from one of its points.  A comb's
+    slit at -a mirrors the one at a in the imaginary axis, which sees both
+    at one distance, so only the slit at a is kept."""
     mpf = mpmath.mpf
     if isinstance(domain, HalfPlaneRight):
         x = mpf(domain.p.real)
         return [(x, mpf(0), mpf(0), mpf(-1)), (x, mpf(0), mpf(0), mpf(1))]
     if isinstance(domain, Koebe):
         return [(mpf(domain.p.real), mpf(domain.p.imag), mpf(0), mpf(-1))]
+    if isinstance(domain, Strip):
+        return [(mpf(x), mpf(0), mpf(0), mpf(e)) for x in (0, domain.r) for e in (-1, 1)]
     if isinstance(domain, Sector):
         angles = (mpmath.pi / 2 - _mp_half_angle(domain.alpha),
                   mpmath.pi / 2 + _mp_half_angle(domain.beta))

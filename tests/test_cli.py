@@ -343,6 +343,13 @@ class TestComb:
         assert run_cli(["comb", "--abscissae", "1,2", "--steps", "3"]) == 2
         assert "need 4 abscissae, got 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["geom:nan", "--steps", "2"], ["1,nan,3", "--steps", "2"], ["geom:1e300", "--steps", "2"],
+        ["geom:2", "--steps", "1100"], ["geom:inf"]], ids=str)
+    def test_non_finite_abscissae_exit_2(self, argv, capsys):
+        assert run_cli(["comb", "--abscissae", *argv]) == 2
+        assert capsys.readouterr().err == "error: abscissae must be finite\n"
+
     def test_pow_gauge(self, tmp_path):
         code = run_cli(["comb", "--gauge", "pow:0.5", "--steps", "2",
                         "-o", str(tmp_path / "c.json"), "--ratios", str(tmp_path / "r.csv")])
@@ -369,6 +376,12 @@ class TestPlot:
     def test_bad_column(self):
         assert run_cli(["plot", "--domain", KOEBE, "--points", "8",
                         "--columns", "bogus"]) == 2
+
+    @pytest.mark.parametrize("columns", [",", "", " , ,"])
+    def test_no_column(self, columns, capsys):
+        # "min() arg is an empty sequence" before
+        assert run_cli(["plot", "--domain", KOEBE, "--points", "8", "--columns", columns]) == 2
+        assert capsys.readouterr().err == "error: --columns names no column to plot\n"
 
 
 class TestConfig:

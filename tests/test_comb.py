@@ -91,6 +91,19 @@ class TestAbscissae:
         with pytest.raises(ValueError):
             resolve_abscissae([1.0, 2.0], 3)
 
+    @pytest.mark.parametrize("spec, count", [
+        (("geometric", math.nan), 3), ([1.0, math.nan, 3.0], 3), ([1.0, math.inf], 2),
+        (("geometric", math.inf), 3), (("geometric", 1e300), 3), (("geometric", 2.0), 1101),
+    ], ids=["geom_nan", "list_nan", "list_inf", "geom_inf", "geom_1e300", "geom_2_past_1023"])
+    def test_non_finite(self, spec, count):
+        # each went on to a wrong diagnosis: the doubling search, an
+        # OverflowError from the power, or "must strictly increase"
+        with pytest.raises(ValueError, match="finite"):
+            resolve_abscissae(spec, count)
+
+    def test_last_finite_power(self):
+        assert resolve_abscissae(("geometric", 2.0), 1024)[-1] == 2.0 ** 1023
+
 
 class TestBuild:
     def test_first_crossover_closed_form(self):

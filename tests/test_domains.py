@@ -13,11 +13,17 @@ from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, OmegaSign, Sector,
                       default_grid, delta, delta_pm, domain_from_json,
                       domain_to_json, domains, k_domain, koenigs_semigroup,
                       quasihyp_lower, sample_speeds, to_halfplane)
+from hypspeed.comb import build_comb
 from hypspeed.domains import DomainError
 from hypspeed.semigroups import model_point
 
-from oracles import (brute_force_distance, comb_boundary_points, mp_contains, mp_delta,
-                     mp_quasihyp, sector_boundary_points)
+from oracles import (brute_delta_pm, brute_force_distance, comb_boundary_points, mp_contains,
+                     mp_delta, mp_quasihyp, sector_boundary_points)
+
+#: the teeth (1, 1), (2, 8.61) and (3, 55.7), and a point on the line of
+#: the second slit, above its tip
+BUILT_COMB = build_comb("sqrt", steps=2).domain()
+ON_SLIT_LINE = complex(BUILT_COMB.teeth[1][0], BUILT_COMB.teeth[1][1] + 1.0)
 
 
 class TestBuild:
@@ -28,6 +34,14 @@ class TestBuild:
     def test_sector_zero_opening(self):
         with pytest.raises(DomainError):
             Sector(0j, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(5e-324, 0.0), (1e-310, 1e-310), (0.0, 1.7e-308)])
+    def test_sector_too_narrow(self, alpha, beta):
+        # pi/(alpha+beta) overflows, so the map's power has no finite exponent
+        with pytest.raises(DomainError, match=r"pi/\(alpha\+beta\) overflows"):
+            Sector(0j, alpha, beta)
+        with pytest.raises(DomainError, match="overflows"):
+            domain_from_json({"type": "sector", "p": [0, 0], "alpha": alpha, "beta": beta})
 
     def test_comb_monotonicity(self):
         with pytest.raises(DomainError):
@@ -173,9 +187,12 @@ class TestMembership:
         (HalfPlaneRight(0), complex(1, math.nan)), (HalfPlaneRight(0), complex(math.inf, 0)),
         (Strip(1), complex(0.5, math.nan)), (Strip(1), complex(0.5, math.inf)),
         (Koebe(0), complex(math.nan, 1)), (Comb([(1, 1), (2, 5)]), complex(math.nan, 0.5)),
-        (Sector(0j, math.pi / 4, math.pi / 4), complex(0, math.inf))], ids=str)
+        (Sector(0j, math.pi / 4, math.pi / 4), complex(0, math.inf)),
+        (HalfPlaneRight(0), complex(1, math.inf)), (Koebe(0), complex(math.inf, 1)),
+        (Sector(0j, math.pi, 0.0), complex(1, -math.inf))], ids=str)
     def test_non_finite_points_are_outside(self, dom, w):
-        # each was inside, and delta gave NaN, inf or 0.5 with a warning
+        # each was inside, and delta gave NaN, inf or 0.5 with a warning; an
+        # axial ray's zero part times an infinite part warned in a batch
         batch = np.array([w, 0.5 + 2j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -353,11 +370,27 @@ class TestDelta:
         (Sector(0j, math.pi, 0.0), OmegaSign("plus", 1), 1e-3 - 1e8j),
         (Sector(0j, math.pi, math.pi), None, -1e-3 - 1e8j),
         (Sector(2 + 1j, 0.0, math.pi), None, 1.5 - 1e12j),
+        (HalfPlaneRight(-1 + 2j), None, 1e-3 + 1e8j),
+        (HalfPlaneRight(-1 + 2j), OmegaSign("plus", 1), 1e-3 - 1e8j),
+        (Koebe(2 + 1j), None, 2.001 - 1e8j),
+        (Koebe(2 + 1j), None, 2.5 + 3j),
+        # references on the slit's line, above its tip
+        (Koebe(2 + 1j), OmegaSign("plus", 2 + 2j), 1.999 - 1e8j),
+        (Koebe(2 + 1j), OmegaSign("minus", 2 + 2j), 2.5 + 3j),
+        (Strip(3.0), None, 2.999 + 1e8j),
+        (Strip(3.0), OmegaSign("minus", 1.5), 2.999 - 1e8j),
+        (BUILT_COMB, None, 2.001 - 1e3j),
+        (BUILT_COMB, None, 2.25 + 9.1j),
+        (BUILT_COMB, OmegaSign("minus", ON_SLIT_LINE), 2.25 + 9.1j),
+        (BUILT_COMB, OmegaSign("minus", ON_SLIT_LINE), 2.001 - 1e3j),
     ], ids=["flat", "alpha0", "quarter", "flat_plus", "flat_down", "flat_down_plus",
-            "slit", "beta_pi"])
+            "slit", "beta_pi", "halfplane", "halfplane_plus", "koebe", "koebe_tip",
+            "koebe_plus_on_line", "koebe_minus_on_line", "strip", "strip_minus", "comb",
+            "comb_tip", "comb_minus_on_line", "comb_minus_on_line_below"])
     def test_axial_ray_matches_oracle(self, dom, sign, w):
         # the nearest ray is an axial one; the upward ray taken as
-        # exp(i pi/2), with its cosine 6.1e-17, was Im w * 6.1e-17 off
+        # exp(i pi/2), with its cosine 6.1e-17, was Im w * 6.1e-17 off.  A
+        # reference on a vertical ray's line takes the crossing at its apex
         got = delta(dom, w) if sign is None else delta_pm(dom, sign, w)
         want = mp_delta(dom, w)
         assert abs(got - want) <= 1e-15 * want
@@ -431,6 +464,28 @@ class TestDeltaPm:
     def test_outside_enlarged_domain(self):
         with pytest.raises(DomainError):
             delta_pm(HalfPlaneRight(0), OmegaSign("plus", 1.0), -5.0 + 0j)
+
+    @pytest.mark.parametrize("dom, ref", [
+        (HalfPlaneRight(-1 + 2j), 1 + 0j), (Koebe(2 + 1j), 0.5 + 0j),
+        (Koebe(2 + 1j), 2 + 2j), (Strip(3.0), 1.5 + 0j), (BUILT_COMB, 1j),
+        (BUILT_COMB, ON_SLIT_LINE), (BUILT_COMB, -1 + 2j),
+    ], ids=["halfplane", "koebe", "koebe_on_line", "strip", "comb", "comb_on_line",
+            "comb_on_mirror_line"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_matches_brute_force(self, dom, ref, side):
+        # every domain takes the one path over its boundary rays; a
+        # reference on a slit's line, above its tip, takes the crossing at
+        # the tip
+        rng = np.random.default_rng(29)
+        w = ref + rng.normal(0.0, 3.0, 150) + 1j * rng.normal(0.0, 4.0, 150)
+        kept = (w.real > ref.real) if side == "plus" else (w.real < ref.real)
+        q, sign = w[contains(dom, w) | kept], OmegaSign(side, ref)
+        got, want = delta_pm(dom, sign, q), brute_delta_pm(dom, sign, q)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        # the brute-force sample lies in the set, so it never undershoots
+        assert np.all(got[finite] <= want[finite] + 1e-12)
+        assert np.allclose(got[finite], want[finite], rtol=0.0, atol=2e-3)
 
 
 class TestKDomain:
@@ -558,6 +613,16 @@ class TestQuasihyp:
         for t0, t1, want in zip(t0s, t1s, mp_quasihyp(dom, t0s, t1s)):
             got = quasihyp_lower(dom, t0, t1)
             assert abs(got - want) <= 2.2e-16 * want, (t0, t1)
+
+    def test_halfplane_apex_inside_range_matches_oracle(self):
+        # delta(ir) = 1 throughout, but the sector path ends a run at the
+        # apex height 2, so the sum has one rounding more than (t1 - t0)/4
+        dom, rng = HalfPlaneRight(-1 + 2j), random.Random(29)
+        t0s = [0.15491352999859107] + [rng.uniform(0.05, 1.95) for _ in range(29)]
+        t1s = [2.2153531059461278] + [rng.uniform(2.05, 60.0) for _ in range(29)]
+        for t0, t1, want in zip(t0s, t1s, mp_quasihyp(dom, t0s, t1s)):
+            got = quasihyp_lower(dom, t0, t1)
+            assert abs(got - want) <= 4.4e-16 * want, (t0, t1)
 
     def test_ratio_1e15_converges(self):
         assert quasihyp_lower(Koebe(0), 1.0, 1e15) == pytest.approx(
