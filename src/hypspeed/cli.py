@@ -22,13 +22,14 @@ import numpy as np
 from .comb import build_comb, verify_comb
 from .domains import (Comb, DomainError, UnsupportedDomainOperation,
                       domain_from_json)
+from .hyperbolic import _split
 from .semigroups import koenigs_semigroup
 from .speeds import default_grid, fit_asymptotic, sample_speeds
 from .verify import SUITES, run_suite
 
 CSV_COLUMNS = ("t", "v", "v_o", "v_T", "log_rho", "theta")
-#: rows per `%` call, which bounds the format string, the cell tuple and the
-#: stacked block that a table of any length holds at once
+#: rows per chunk, which bounds the format string, the cell tuple, the
+#: stacked block and the byte frames that a table of any length holds at once
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -82,15 +83,144 @@ def _write(path: str | None, payload: str) -> None:
             fh.write(payload)
 
 
+#: 10^s for the scale exponents s = 16 - k, every one a double, and its halves
+_POW10 = np.array([float(10 ** s) for s in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The four digit characters of each group value 0..9999, and how many
+    of them are trailing zeros."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000)
+    trailing = np.zeros(10000, dtype=np.int8)
+    zeros_so_far = np.ones(10000, dtype=bool)
+    for place in digits[::-1]:  # the units first
+        zeros_so_far &= place == 0
+        trailing += zeros_so_far
+    return (digits.T + ord("0")).copy().view("S4").ravel(), trailing
+
+
+_DIGITS4, _TRAILING4 = _digit_groups()
+
+#: the bytes a covered cell's text is taken from, in order: the sign, "0.000"
+#: for the exponents -4..-1, the 17 digits with a '.' slot after each of the
+#: first 16, and the separator
+_FRAME = np.frombuffer(b"-0.000" + b"0." * 16 + b"0,", dtype=np.uint8)
+#: the leftmost digit's column; digit j sits at 6 + 2j
+_DIGIT0 = 6
+
+
+def _keep_table() -> np.ndarray:
+    """Which frame bytes a covered cell keeps, by its code (sign, exponent
+    class, index of its last nonzero digit): the exponent class is k + 4 for
+    the exponents k = -4..16 and 21 for a zero."""
+    k = np.arange(-4, 17)[:, None, None]
+    t = np.arange(17)[None, :, None]
+    col = np.arange(len(_FRAME))
+    digit = col - _DIGIT0
+    keep = np.zeros((2, 22, 17, len(_FRAME)), dtype=bool)
+    keep[:, :21] = (
+        # the digits through the last nonzero one, and the units digit
+        ((digit >= 0) & (digit % 2 == 0) & (digit // 2 <= np.maximum(k, t)))
+        # "0." and -k-1 zeros for a negative exponent
+        | ((k < 0) & ((col == 1) | (col == 2) | ((col >= _DIGIT0 + 1 + k) & (col < _DIGIT0))))
+        # '.' after the units digit when a fraction follows
+        | ((k >= 0) & (t > k) & (col == _DIGIT0 + 1 + 2 * k)))
+    keep[:, 21, :, 1] = True   # a zero prints one '0'
+    keep[1, ..., 0] = True     # '-' from the sign bit, so -0.0 prints -0
+    keep[..., -1] = True       # the separator
+    return keep.reshape(2 * 22 * 17, len(_FRAME))
+
+
+_KEEP = _keep_table()
+
+
+def _divmod(n, d: int):
+    """np.divmod(n, d) for int64 n >= 0; numpy's own remainder is slower."""
+    q = n // d
+    return q, n - q * d
+
+
+def _scaled(a, a_hi, a_lo, k):
+    """a * 10^(16 - k) as the unevaluated sum p + e, exactly (Dekker's
+    two-product): 10^s is a double for s <= 22, and for a in [1e-4, 1e17)
+    nothing over- or underflows."""
+    s = 16 - k
+    p = a * _POW10.take(s)
+    hi, lo = _POW10_HI.take(s), _POW10_LO.take(s)
+    return p, ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+
+
+def _fixed_cells(block: np.ndarray) -> str | None:
+    """The `%.17g` text of a (rows, columns) block, each cell followed by
+    ',' or, at a row's end, a newline; None unless every cell is +-0.0 or
+    finite with 1e-4 <= |x| < 1e17, the cells `%.17g` prints in fixed
+    notation with exponent -4..16.
+
+    A cell's 17 significant digits are the integer n = round-half-even of
+    |x| 10^(16-k), for the exponent k with 10^16 <= n < 10^17, taken from
+    the exact two-product, and its text is a subsequence of `_FRAME`."""
+    x = block.ravel()
+    a = np.abs(x)
+    zero = x == 0.0
+    if not (zero | ((a >= 1e-4) & (a < 1e17))).all():
+        return None
+    a[zero] = 1.0  # printed by its own code; never take log10(0)
+    a_hi, a_lo = _split(a)
+    # floor(log10 a) is an estimate, off by at most one next to a power of
+    # ten; an exact comparison of the split product with 10^16 and 10^17,
+    # lo's sign included, corrects it
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p, e = _scaled(a, a_hi, a_lo, k)
+    k += (p > 1e17) | ((p == 1e17) & (e >= 0.0))
+    k -= (p < 1e16) | ((p == 1e16) & (e < 0.0))
+    p, e = _scaled(a, a_hi, a_lo, k)
+    # p in [1e16, 1e17] is an even integer above 2^53, so round-half-even of
+    # p + e is p + rint(e); a carry to 10^17 moves the exponent up
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    k += carry
+    # the leading digit, then four groups of four, in exact int64 arithmetic
+    lead, rest = _divmod(n, 10 ** 16)
+    halves = np.empty((len(x), 2), dtype=np.int64)
+    halves[:, 0], halves[:, 1] = _divmod(rest, 10 ** 8)
+    groups = np.empty((len(x), 2, 2), dtype=np.int64)
+    groups[..., 0], groups[..., 1] = _divmod(halves, 10 ** 4)
+    groups = groups.reshape(len(x), 4)
+    frame = np.empty((len(x), len(_FRAME)), dtype=np.uint8)
+    frame[:] = _FRAME
+    frame[:, _DIGIT0] = lead + ord("0")
+    frame[:, _DIGIT0 + 2::2] = _DIGITS4.take(groups).view(np.uint8)
+    separators = frame.reshape(*block.shape, len(_FRAME))[..., -1]
+    separators[:, :-1] = ord(",")
+    separators[:, -1] = ord("\n")
+    # the index of the last nonzero digit, 16 less the trailing zeros of
+    # rest (all 16 of them when it is 0; the leading digit never is 0)
+    zeros = _TRAILING4.take(groups)
+    whole = zeros == 4
+    last = 16 - (zeros[:, 3] + whole[:, 3] * (
+        zeros[:, 2] + whole[:, 2] * (zeros[:, 1] + whole[:, 1] * zeros[:, 0])))
+    code = (np.signbit(x) * 22 + np.where(zero, 21, k + 4)) * 17 + last
+    return np.compress(_KEEP.take(code, axis=0).ravel(), frame.ravel()).tobytes().decode("ascii")
+
+
 def _csv(header: tuple[str, ...], columns) -> str:
-    """A header line, then one line of `%.17g` cells per index of the
-    equal-length numeric columns."""
+    """A header line, then one line per index of the equal-length numeric
+    columns, each cell `'%.17g' % x` of its double: 17 significant digits,
+    rounded half to even from the exact binary value.
+
+    A chunk of rows whose every cell is +-0.0 or finite with
+    1e-4 <= |x| < 1e17 takes its text from numpy array passes
+    (`_fixed_cells`); any other chunk takes the `%` operator.  The bytes are
+    the same either way."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     chunks = [",".join(header) + "\n"]
     for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         block = np.column_stack([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns])
-        chunks.append(line * len(block) % tuple(block.ravel().tolist()))
+        text = _fixed_cells(block)
+        chunks.append(line * len(block) % tuple(block.ravel().tolist()) if text is None else text)
     return "".join(chunks)
 
 

@@ -357,16 +357,23 @@ def _require(inside, q, where: str) -> None:
         raise DomainError(f"{np.asarray(q)[np.logical_not(inside)][0]} is not in {where}")
 
 
-def delta(domain: DomainSpec, p):
-    """Euclidean distance from an interior point to the complement; an array
-    of points gives an array, one point a float."""
-    q = np.asarray(p, dtype=complex)
-    _require(contains(domain, q), q, "the domain")
+def _require_comb_extent(domain: DomainSpec, q: np.ndarray) -> None:
+    """Fail unless every point of q lies within a comb's materialised extent
+    (|Re| <= a_last, Im <= b_last); the omitted teeth lie farther out and
+    higher up, so past it they could be nearer than the materialised ones."""
     if isinstance(domain, Comb) and ((q.imag > domain.extent)
                                      | (np.abs(q.real) > domain.max_abscissa)).any():
         raise DomainError(
             "query outside the materialised comb extent; omitted teeth could be nearer"
         )
+
+
+def delta(domain: DomainSpec, p):
+    """Euclidean distance from an interior point to the complement; an array
+    of points gives an array, one point a float."""
+    q = np.asarray(p, dtype=complex)
+    _require(contains(domain, q), q, "the domain")
+    _require_comb_extent(domain, q)
     d = functools.reduce(np.minimum, [_dist_to_ray(q, apex, e) for apex, e in _rays(domain)])
     return float(d) if q.ndim == 0 else d
 
@@ -421,7 +428,8 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     Omega^- with Re < Re ref); +inf when the enlarged domain is the plane.
     An array of points gives an array, one point a float.  Every domain
     takes one path: its boundary rays cut at the line {Re = Re ref}, and
-    the stretches of that line outside the domain."""
+    the stretches of that line outside the domain.  A comb takes the extent
+    guard of `delta`."""
     q = np.asarray(q, dtype=complex)
     if not contains(domain, sign.ref):
         raise DomainError("the Omega^+- reference point must lie in the domain")
@@ -429,6 +437,7 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     plus = sign.side == "plus"
     side = (q.real > c) if plus else (q.real < c)
     _require(contains(domain, q) | (side & np.isfinite(q)), q, f"Omega^{'+' if plus else '-'}")
+    _require_comb_extent(domain, q)
     # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}
     d = _complement_halfplane_distance(domain, q, c, keep_le=plus)
     return float(d) if q.ndim == 0 else d

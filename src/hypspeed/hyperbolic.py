@@ -113,11 +113,17 @@ def _halfplane_from_complex(w: complex) -> LogPolar:
 HalfPlanePoint.from_complex = _halfplane_from_complex
 
 
+def _split(x):
+    """x as hi + lo, exactly, each half of at most 26 significant bits, so
+    that a product of two halves is exact (Veltkamp)."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 def _square(x):
     """x*x as the unevaluated sum p + e, exactly (Dekker's two-product)."""
-    c = 134217729.0 * x  # 2**27 + 1 splits x into halves with exact products
-    hi = c - (c - x)
-    lo = x - hi
+    hi, lo = _split(x)
     p = x * x
     return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 

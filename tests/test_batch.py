@@ -701,6 +701,12 @@ def test_delta_pm(name, side):
     inside = np.array([contains(dom, complex(x)) or (x.real > ref.real if side == "plus"
                                                      else x.real < ref.real) for x in w])
     q = w[inside]
+    if isinstance(dom, Comb):  # the points past the extent are refused
+        past = (q.imag > dom.extent) | (np.abs(q.real) > dom.max_abscissa)
+        assert past.any() and np.count_nonzero(~past) > 100
+        with pytest.raises(DomainError):
+            delta_pm(dom, sign, q)
+        q = q[~past]
     got = delta_pm(dom, sign, q)
     want = brute_delta_pm(dom, sign, q)
     finite = np.isfinite(want)
@@ -719,6 +725,8 @@ def test_nontangential_ratio(name):
     sg = koenigs_semigroup(dom)
     p = 1j if isinstance(dom, Comb) else model_point(koenigs_semigroup(dom)) + 0.1
     ts = np.geomspace(1e-3, 1e8, 150)
+    if isinstance(dom, Comb):  # p + it within the extent, Im <= 9
+        ts = ts[ts <= 8.0]
     ratios = nontangential_ratio(sg, p, ts)
     want = np.array([nontangential_ratio(sg, p, float(t)) for t in ts])
     assert ulps_apart(ratios, want) <= ULPS
@@ -729,6 +737,16 @@ def test_nontangential_ratio(name):
                        for side in ("minus", "plus"))
     by_hand = np.minimum(ts[near], d_minus) / np.minimum(ts[near], d_plus)
     assert np.allclose(ratios[near], by_hand, rtol=0.0, atol=2e-3)
+
+
+def test_nontangential_ratio_past_the_comb_extent():
+    # p + it above the highest materialised tooth, where omitted teeth could
+    # be nearer: refused, one time or an array, and not a ratio of distances
+    # to the materialised teeth only
+    sg = koenigs_semigroup(COMB)
+    for t in (8.5, 1e8, np.array([1.0, 8.0, 9.0])):
+        with pytest.raises(DomainError, match="materialised comb extent"):
+            nontangential_ratio(sg, 1j, t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hypspeed.cli import CSV_COLUMNS, CliConfig, _csv, main, parse_args, run
+from hypspeed.cli import (_CSV_CHUNK_ROWS, CSV_COLUMNS, CliConfig, _csv, _fixed_cells, main,
+                          parse_args, run)
 
 from test_speeds import TABLE_DOMAINS
 
@@ -217,18 +218,65 @@ def test_plot_bytes(i, columns, tmp_path):
 
 
 # columns of every length around the writer's 1024-row chunks, with the
-# cells whose `%.17g` text is least regular
+# cells whose `%.17g` text is least regular, which take the `%` path
 _CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [-0.0, 5e-324, -2.2250738585072e-310, 1e308, -1e308, math.nan, math.inf, -math.inf])
+#: the doubles nearest the powers of ten 1e-4..1e16 and of two 2^-13..2^56,
+#: with their +-1-ulp neighbours, inside the array path's window
+_EDGES = sorted({y for x in [*(float(f"1e{e}") for e in range(-4, 17)),
+                             *(2.0 ** e for e in range(-13, 57))]
+                 for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+                 if 1e-4 <= y < 1e17})
+#: cells that take the array path: +-0.0 and finite 1e-4 <= |x| < 1e17
+_FIXED = (st.floats(1e-4, 1e17, exclude_max=True) | st.floats(-1e17, -1e-4, exclude_min=True)
+          | st.sampled_from([0.0, -0.0, *_EDGES, *(-x for x in _EDGES)]))
+#: cells just outside that window, one of which sends its chunk to `%`
+_UNCOVERED = [math.nextafter(1e-4, 0.0), -1e17, 1e17, 1e300, 5e-324, math.nan, -math.inf]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([0, 1, 1023, 1024, 1025, 5000]).flatmap(
-    lambda n: arrays(np.float64, (len(CSV_COLUMNS), n), elements=_CELLS)))
-def test_chunked_csv_matches_rows(columns):
+def _tables(cells):
+    return st.sampled_from([0, 1, 1023, 1024, 1025, 5000]).flatmap(
+        lambda n: arrays(np.float64, (len(CSV_COLUMNS), n), elements=cells))
+
+
+@st.composite
+def _one_uncovered(draw):
+    columns = draw(_tables(_FIXED))
+    if columns.size:
+        columns.flat[draw(st.integers(0, columns.size - 1))] = draw(st.sampled_from(_UNCOVERED))
+    return columns
+
+
+def _rows_by_percent(columns):
     rows = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
             for row in zip(*(c.tolist() for c in columns))]
-    assert _csv(CSV_COLUMNS, columns) == "\n".join([",".join(CSV_COLUMNS)] + rows) + "\n"
+    return "\n".join([",".join(CSV_COLUMNS)] + rows) + "\n"
+
+
+@settings(max_examples=90, deadline=None)
+@given(_tables(_CELLS) | _tables(_FIXED) | _one_uncovered())
+def test_chunked_csv_matches_rows(columns):
+    assert _csv(CSV_COLUMNS, columns) == _rows_by_percent(columns)
+
+
+def test_fixed_cells_match_percent_g():
+    # exact round-half-even ties at the 17th digit, (2^52 + odd)/4 and
+    # (2^52 + odd)/8, the quarters (2^53 - odd)/8, and the powers of ten and
+    # of two with their neighbours, of both signs, all on the array path
+    odd = np.arange(1.0, 2.0 ** 15, 2.0)
+    cells = np.concatenate([(2.0 ** 52 + odd) / 4, (2.0 ** 52 + odd) / 8,
+                            (2.0 ** 53 - odd) / 8, _EDGES, [0.0]])
+    cells = np.concatenate([cells, -cells])
+    columns = cells[:cells.size // 6 * 6].reshape(len(CSV_COLUMNS), -1)
+    for lo in range(0, columns.shape[1], _CSV_CHUNK_ROWS):
+        assert _fixed_cells(columns[:, lo:lo + _CSV_CHUNK_ROWS].T.copy()) is not None
+    assert _csv(CSV_COLUMNS, columns) == _rows_by_percent(columns)
+    # one cell outside the window sends its chunk to `%`, with the same bytes
+    for x in _UNCOVERED:
+        block = columns[:, :_CSV_CHUNK_ROWS].T.copy()
+        block[7, 3] = x
+        assert _fixed_cells(block) is None
+        assert _csv(CSV_COLUMNS, block.T) == _rows_by_percent(block.T)
 
 
 class TestVerify:

@@ -416,6 +416,12 @@ class TestDelta:
         c = Comb([(1.0, 1.0), (2.0, 6.0)])
         with pytest.raises(DomainError):
             delta(c, 1j * 100.0)
+        # Omega^+- takes the same guard: omitted teeth lie farther out and
+        # higher up, so past the extent they could be nearer
+        for side in ("plus", "minus"):
+            for w in (1j * 100.0, 2.5 + 1j, np.array([1j, 1j * 6.5])):
+                with pytest.raises(DomainError, match="materialised comb extent"):
+                    delta_pm(c, OmegaSign(side, 1j), w)
 
 
 class TestDeltaPm:
@@ -480,6 +486,13 @@ class TestDeltaPm:
         w = ref + rng.normal(0.0, 3.0, 150) + 1j * rng.normal(0.0, 4.0, 150)
         kept = (w.real > ref.real) if side == "plus" else (w.real < ref.real)
         q, sign = w[contains(dom, w) | kept], OmegaSign(side, ref)
+        if isinstance(dom, Comb):  # the points past the extent are refused
+            past = (q.imag > dom.extent) | (np.abs(q.real) > dom.max_abscissa)
+            assert past.any() and np.count_nonzero(~past) > 50
+            for w_past in q[past][:5]:
+                with pytest.raises(DomainError):
+                    delta_pm(dom, sign, w_past)
+            q = q[~past]
         got, want = delta_pm(dom, sign, q), brute_delta_pm(dom, sign, q)
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)
