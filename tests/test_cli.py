@@ -266,8 +266,8 @@ def test_fixed_cells_match_percent_g():
     odd = np.arange(1.0, 2.0 ** 15, 2.0)
     cells = np.concatenate([(2.0 ** 52 + odd) / 4, (2.0 ** 52 + odd) / 8,
                             (2.0 ** 53 - odd) / 8, _EDGES, [0.0]])
-    cells = np.concatenate([cells, -cells])
-    columns = cells[:cells.size // 6 * 6].reshape(len(CSV_COLUMNS), -1)
+    cells = np.concatenate([cells, -cells, np.ones(-2 * cells.size % len(CSV_COLUMNS))])
+    columns = cells.reshape(len(CSV_COLUMNS), -1)
     for lo in range(0, columns.shape[1], _CSV_CHUNK_ROWS):
         assert _fixed_cells(columns[:, lo:lo + _CSV_CHUNK_ROWS].T.copy()) is not None
     assert _csv(CSV_COLUMNS, columns) == _rows_by_percent(columns)
