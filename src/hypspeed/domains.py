@@ -179,15 +179,6 @@ class OmegaSign:
 # construction and JSON schema
 
 
-def build_domain(spec) -> DomainSpec:
-    """Validate raw parameters (a DomainSpec or its JSON dict form)."""
-    if isinstance(spec, (HalfPlaneRight, Strip, Sector, Koebe, Comb)):
-        return spec
-    if not isinstance(spec, dict):
-        raise DomainError(f"cannot build a domain from {type(spec).__name__}")
-    return domain_from_json(spec)
-
-
 def domain_from_json(obj: dict) -> DomainSpec:
     try:
         kind = obj["type"]

@@ -5,9 +5,12 @@ right half plane H carries the isometric distance k_half.  Half-plane points
 are stored as (log rho, theta) so that orbits with rho far beyond double
 range remain exact; all distance formulas below are written against that
 representation and stay accurate in every regime (nearly radial pairs, huge
-modulus ratios, angles within 1e-12 of +-pi/2).  Every point ``cayley_inv``
-returns carries its Cayley image as a half-plane witness, which the
-distances and projections read in place of the rounded disc value.
+modulus ratios, angles within 1e-12 of +-pi/2).  One rule, ``in_halfplane``,
+decides whether such a point is valid, whether ``HalfPlanePoint`` builds it
+from its fields or ``cayley`` or a chain maps it there.  Every point
+``cayley_inv`` returns carries its Cayley image as a half-plane witness,
+which the distances and projections read in place of the rounded disc
+value.
 
 The metric operations, the Cayley pair and ``DiscAutomorphism.apply`` also
 take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
@@ -48,69 +51,51 @@ class DomainError(ValueError):
     """A point lies outside the space an operation requires."""
 
 
+_COS_RULE = ("cos_theta must be positive and at most 1 up to rounding: a cosine of 0 "
+             "puts the point on the imaginary axis to double precision")
+
+
 def in_halfplane(p: LogPolar) -> LogPolar:
     """Return p once it is checked to be a right half-plane point: a finite
-    log-modulus, |theta| <= pi/2 and a cached cosine, if any, above 0, for
-    every point of a batch.  Map results pass through here when they
-    enter the half-plane layer.  A cosine of 0 is a point on the imaginary
-    axis, or one whose Re w / |w| underflows; no distance to it is finite
-    in double precision."""
+    log-modulus, |theta| <= pi/2 and a cached cosine, if any, in
+    (0, 1 + 1e-12], for every point of a batch.  This is the one rule for a
+    half-plane point, whether ``HalfPlanePoint`` builds it or a map
+    (``cayley``, a chain) produces it.  A cosine of 0 is a point on the
+    imaginary axis, or one whose Re w / |w| underflows; no distance to it is
+    finite in double precision.  NaN fails every test."""
     if isinstance(p.log_rho, np.ndarray):
         if not np.all(np.isfinite(p.log_rho)):
             raise DomainError("log_rho must be finite")
         if not np.all(np.abs(p.theta) <= HALF_PI):
             raise DomainError("theta must lie in (-pi/2, pi/2)")
-        if p.cos_theta is not None and not np.all(p.cos_theta > 0.0):
-            raise DomainError("cos_theta must be positive: a batch point lies on the "
-                              "imaginary axis to double precision")
+        c = p.cos_theta  # min and max cost less than one mask; an empty batch passes
+        if c is not None and c.size and not (c.min() > 0.0 and c.max() <= 1.0 + 1e-12):
+            raise DomainError(_COS_RULE)
         return p
     # one point in plain math: sample_speeds' per-time loop runs it
     if not math.isfinite(p.log_rho):
         raise DomainError("log_rho must be finite")
     if not abs(p.theta) <= HALF_PI:
         raise DomainError("theta must lie in (-pi/2, pi/2)")
-    if p.cos_theta is not None and not p.cos_theta > 0.0:
-        raise DomainError("cos_theta must be positive: the point lies on the imaginary "
-                          "axis to double precision")
+    if p.cos_theta is not None and not 0.0 < p.cos_theta <= 1.0 + 1e-12:
+        raise DomainError(_COS_RULE)
     return p
 
 
-def _batch_in_halfplane(log_rho, theta, cos_theta) -> LogPolar:
-    """in_halfplane for a batch, with its fields broadcast to one shape."""
-    fields = [log_rho, theta] if cos_theta is None else [log_rho, theta, cos_theta]
-    log_rho, theta, *cos = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fields))
-    return in_halfplane(LogPolar(log_rho, theta, cos[0] if cos else None))
-
-
 def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None) -> LogPolar:
-    """The right half-plane point rho * exp(i*theta), rho = exp(log_rho).
+    """The right half-plane point rho * exp(i*theta), rho = exp(log_rho),
+    checked by ``in_halfplane``.
 
     cos_theta optionally carries cos(theta) at full relative accuracy; it is
-    what keeps tangential quantities exact when theta hugs +-pi/2.  Arrays
-    in place of the floats make a batch of points.  A cosine that is not
-    finite and in (0, 1 + 1e-12] is a DomainError.
+    what keeps tangential quantities exact when theta hugs +-pi/2.  An array
+    in place of any field makes a batch of points, with the fields broadcast
+    to one shape.
     """
-    if cos_theta is not None:
-        c = np.asarray(cos_theta)
-        if not np.all((c > 0.0) & (c <= 1.0 + 1e-12)):  # NaN fails too
-            raise DomainError("cos_theta must be a finite cosine in (0, 1]")
-    if isinstance(log_rho, np.ndarray) or isinstance(theta, np.ndarray):
-        return _batch_in_halfplane(log_rho, theta, cos_theta)
+    fields = (log_rho, theta) if cos_theta is None else (log_rho, theta, cos_theta)
+    if any(isinstance(f, np.ndarray) for f in fields):
+        log_rho, theta, *cos = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fields))
+        cos_theta = cos[0] if cos else None
     return in_halfplane(LogPolar(log_rho, theta, cos_theta))
-
-
-def _halfplane_from_complex(w: complex) -> LogPolar:
-    """The half-plane point w, or a batch for a complex array, keeping w
-    itself as its cartesian value."""
-    batch = isinstance(w, np.ndarray)
-    w = w.astype(complex, copy=False) if batch else complex(w)
-    if not np.all(w.real > 0):
-        raise DomainError("a batch point is not in the right half plane" if batch
-                          else f"{w} is not in the right half plane")
-    return in_halfplane(_from_complex_array(w) if batch else LogPolar.from_complex(w))
-
-
-HalfPlanePoint.from_complex = _halfplane_from_complex
 
 
 def _split(x):
@@ -328,7 +313,9 @@ def cayley(z) -> LogPolar:
     d = 1.0 - v
     m = d.real * d.real + d.imag * d.imag
     w = _complex(z._rest / m, 2.0 * v.imag / m)
-    return HalfPlanePoint.from_complex(w if isinstance(v, np.ndarray) else complex(w))
+    if isinstance(v, np.ndarray):
+        return in_halfplane(_from_complex_array(w))
+    return in_halfplane(LogPolar.from_complex(complex(w)))
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:

@@ -180,15 +180,6 @@ def surrogate_speeds(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> S
     )
 
 
-def surrogate_threshold(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> float | None:
-    """Smallest grid time from which log rho stays >= 0 onward, from one
-    orbit pass over the sorted grid."""
-    ts = np.sort(np.asarray(grid, dtype=float))
-    below = np.flatnonzero(orbit_halfplane(sg, z, ts).log_rho < 0.0)
-    start = below[-1] + 1 if below.size else 0
-    return float(ts[start]) if start < ts.size else None
-
-
 # ---------------------------------------------------------------------------
 # asymptotic coefficient fits
 

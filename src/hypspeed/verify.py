@@ -241,7 +241,7 @@ def _suite_chains(n, rng):
     domains = list(BUILTIN_DOMAINS.values()) + extra
     per = max(8, n // len(domains))
     for dom in domains:
-        rebuilt = D.build_domain(D.domain_to_json(dom))
+        rebuilt = D.domain_from_json(D.domain_to_json(dom))
         margins.append(0.0 if rebuilt == dom else -1.0)
         chain = D.to_halfplane(dom)
         p = chain.p  # the chain takes points relative to its apex
@@ -608,7 +608,7 @@ def run_all(seed: int = 42, tol: float = 1e-9, n: int | None = None) -> dict[str
 PUBLIC_OPS = {
     H: ["omega", "k_half", "kappa", "cayley", "cayley_inv",
         "project_to_radius", "dist_to_radius", "path_length"],
-    D: ["build_domain", "contains", "to_halfplane", "delta", "delta_pm",
+    D: ["domain_from_json", "contains", "to_halfplane", "delta", "delta_pm",
         "k_domain", "quasihyp_lower"],
     SG: ["classify", "koenigs_semigroup", "orbit", "denjoy_wolff"],
     SP: ["sample_speeds", "surrogate_speeds", "fit_asymptotic", "nontangential_ratio"],

@@ -22,7 +22,7 @@ from hypspeed import (Comb, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                       dist_to_radius, k_domain, k_half, koenigs_semigroup,
                       nontangential_ratio, omega, orbit, orbit_halfplane,
                       path_length, project_to_radius, surrogate_speeds,
-                      surrogate_threshold, to_halfplane)
+                      to_halfplane)
 from hypspeed.domains import UnsupportedDomainOperation
 from hypspeed.hyperbolic import (GL_NODES, GL_WEIGHTS, ORIGIN, DomainError,
                                  tangential_distance)
@@ -117,6 +117,15 @@ class TestKHalfBranches:
             HalfPlanePoint(np.zeros(3), np.array([0.0, 2.0, 0.0]))
         with pytest.raises(DomainError):
             HalfPlanePoint(np.array([0.0, np.inf]), 0.0)
+
+    @pytest.mark.parametrize("cos", [[0.5, 0.6], [0.5]])
+    def test_an_array_cosine_alone_makes_a_batch(self, cos):
+        # float log rho and theta with an array cosine broadcast to its shape
+        one = HalfPlanePoint(0.0, 0.0, 1.0)
+        batch = HalfPlanePoint(0.0, 0.5, np.array(cos))
+        assert batch.log_rho.shape == batch.theta.shape == batch.cos_theta.shape == (len(cos),)
+        scalar = [k_half(one, HalfPlanePoint(0.0, 0.5, c)) for c in cos]
+        assert ulps_apart(k_half(one, batch), scalar) <= ULPS
 
     @pytest.mark.parametrize("cos", [math.nan, math.inf, 2.0, 1.0 + 1e-11, -0.3, 0.0, -0.0])
     def test_cached_cosine_is_validated(self, cos):
@@ -590,21 +599,6 @@ class TestSurrogateBatches:
                 assert scaled_ulps(getattr(batch, field), want, scale) <= ULPS, field
             assert np.array_equal(batch.pre_threshold, [s.pre_threshold for s in scalars])
             assert batch.t is ts
-
-    @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
-    def test_surrogate_threshold_matches_the_backward_scan(self, name):
-        sg = koenigs_semigroup(TABLE_DOMAINS[name])
-        # from -0.8j, log rho dips below 0 and back up on most of these
-        # domains: the threshold is where the last run of log rho >= 0 starts
-        for z in (ORIGIN, DiscPoint(-0.6 - 0.3j), DiscPoint(-0.8j)):
-            grid = [0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, 50.0]
-            t0 = None
-            for t in reversed(grid):
-                if orbit_halfplane(sg, z, t).log_rho < 0.0:
-                    break
-                t0 = t
-            assert surrogate_threshold(sg, grid[::-1], z) == t0
-        assert surrogate_threshold(sg, []) is None
 
 
 def assert_surrogates_match_oracle(sur, hp):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, OmegaSign, Sector,
-                      Strip, UnsupportedDomainOperation, build_domain, contains,
+                      Strip, UnsupportedDomainOperation, contains,
                       default_grid, delta, delta_pm, domain_from_json,
                       domain_to_json, domains, k_domain, koenigs_semigroup,
                       quasihyp_lower, sample_speeds, to_halfplane)
@@ -28,8 +28,8 @@ ON_SLIT_LINE = complex(BUILT_COMB.teeth[1][0], BUILT_COMB.teeth[1][1] + 1.0)
 
 class TestBuild:
     def test_valid_sector(self):
-        assert build_domain({"type": "sector", "p": [0, 0], "alpha": math.pi / 4,
-                             "beta": math.pi / 4}) == Sector(0j, math.pi / 4, math.pi / 4)
+        assert domain_from_json({"type": "sector", "p": [0, 0], "alpha": math.pi / 4,
+                                 "beta": math.pi / 4}) == Sector(0j, math.pi / 4, math.pi / 4)
 
     def test_sector_zero_opening(self):
         with pytest.raises(DomainError):
@@ -62,7 +62,7 @@ class TestBuild:
     def test_json_round_trip(self):
         for dom in (HalfPlaneRight(1 - 2j), Strip(0.7), Sector(1j, 0.3, 2.0),
                     Koebe(2 + 0.5j), Comb([(1, 1), (2, 5)])):
-            assert build_domain(domain_to_json(dom)) == dom
+            assert domain_from_json(domain_to_json(dom)) == dom
 
     @pytest.mark.parametrize("spec", [
         {"type": "halfplane", "p": [math.nan, 0]},
@@ -105,6 +105,9 @@ class TestBuild:
             domain_from_json({"type": "sector", "p": [0, 0]})
         with pytest.raises(DomainError):
             domain_from_json({"type": "nope"})
+        for spec in (None, [], "halfplane", 3, Strip(1.0)):  # not a JSON object
+            with pytest.raises(DomainError, match="malformed domain spec"):
+                domain_from_json(spec)
 
 
 def _assert_hugging_points_decided(dom, up):

@@ -8,8 +8,7 @@ from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, RadialGeod
                       Sector, SpeedSample, Strip, UnsupportedDomainOperation,
                       default_grid, dist_to_radius, domain_from_json, fit_asymptotic,
                       koenigs_semigroup, nontangential_ratio, omega, orbit,
-                      project_to_radius, sample_speeds, surrogate_speeds,
-                      surrogate_threshold)
+                      project_to_radius, sample_speeds, surrogate_speeds)
 from hypspeed.hyperbolic import DomainError
 from hypspeed.semigroups import model_point, orbit_halfplane
 
@@ -218,10 +217,6 @@ class TestSurrogates:
         assert one == surrogate_speeds(koebe_sg, 3.0)
         assert one != surrogate_speeds(koebe_sg, 4.0)
         assert one != table and table != sample_speeds(koebe_sg, ts)
-
-    def test_threshold_scan(self, koebe_sg):
-        grid = default_grid(1.0, 1e4, 32)
-        assert surrogate_threshold(koebe_sg, grid) == grid[0]
 
 
 class TestFit:

@@ -5,8 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypspeed import coverage_check, run_suite
-from hypspeed import speeds as SP
+from hypspeed import cli, coverage_check, run_suite
 from hypspeed.verify import PUBLIC_OPS, PYTHAGORAS_ATTAIN_MIN_N, SUITES
 
 #: (samples, worst margin, sum of squared finite margins) of the batched
@@ -106,15 +105,15 @@ def test_every_public_operation_is_exercised():
 
 
 def test_coverage_reports_an_operation_no_suite_calls(monkeypatch):
-    # the tests call surrogate_threshold, the suites never do
-    monkeypatch.setitem(PUBLIC_OPS, SP, [*PUBLIC_OPS[SP], "surrogate_threshold"])
+    # the console script parses its arguments, the suites never do
+    monkeypatch.setitem(PUBLIC_OPS, cli, ["parse_args"])
 
     def outer(frame, event, arg):  # a profiler already running comes back
         pass
 
     sys.setprofile(outer)
     try:
-        assert coverage_check() == {"speeds.surrogate_threshold"}
+        assert coverage_check() == {"cli.parse_args"}
         assert sys.getprofile() is outer
     finally:
         sys.setprofile(None)
