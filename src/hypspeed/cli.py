@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,39 +30,6 @@ CSV_COLUMNS = ("t", "v", "v_o", "v_T", "log_rho", "theta")
 #: rows per chunk, which bounds the format string, the cell tuple, the
 #: stacked block and the byte frames that a table of any length holds at once
 _CSV_CHUNK_ROWS = 1024
-
-
-@dataclass
-class CliConfig:
-    """A parsed invocation; its field defaults are the CLI's defaults."""
-
-    subcommand: str
-    domain_json: str | None = None
-    t_min: float = 1.0
-    t_max: float = 1e8
-    points: int = 512
-    suite: str | None = None
-    samples: int | None = None
-    seed: int = 42
-    tol: float = 1e-9
-    series: str = "v"
-    basis: str = "log_t"
-    window: tuple[float, float] = (1e6, 1e8)
-    gauge: str = "log1p"
-    abscissae: str = "linear"
-    steps: int = 10
-    columns: tuple[str, ...] = ("v", "v_o", "v_T")
-    output: str | None = None
-    ratio_output: str | None = None
-
-    def __post_init__(self):
-        self.window = tuple(self.window)
-        try:
-            ok = self.t_min >= 0 and self.t_max > self.t_min and self.points >= 2
-        except TypeError:  # Python 3.11's argparse reads `--points=--` as []
-            ok = False
-        if not ok:
-            raise ValueError("need t_min >= 0, t_max > t_min, points >= 2")
 
 
 def _load_domain(text: str):
@@ -224,28 +190,28 @@ def _csv(header: tuple[str, ...], columns) -> str:
     return "".join(chunks)
 
 
-def _speed_table(cfg: CliConfig):
+def _speed_table(cfg: argparse.Namespace):
+    # a malformed grid exits 2 before a comb domain can exit 3
+    grid = default_grid(cfg.t_min, cfg.t_max, cfg.points)
     domain = _load_domain(cfg.domain_json)
     if isinstance(domain, Comb):
         raise UnsupportedDomainOperation("speeds are undefined for comb domains; use `comb`")
-    sg = koenigs_semigroup(domain)
-    grid = default_grid(cfg.t_min, cfg.t_max, cfg.points)
-    return sample_speeds(sg, grid)
+    return sample_speeds(koenigs_semigroup(domain), grid)
 
 
-def _cmd_speeds(cfg: CliConfig) -> int:
+def _cmd_speeds(cfg: argparse.Namespace) -> int:
     table = _speed_table(cfg)
     _write(cfg.output, _csv(CSV_COLUMNS, [getattr(table, c) for c in CSV_COLUMNS]))
     return 0
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     report = run_suite(cfg.suite, n=cfg.samples, seed=cfg.seed, tol=cfg.tol)
     _write(cfg.output, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     return 0 if report.violations == 0 else 1
 
 
-def _cmd_fit(cfg: CliConfig) -> int:
+def _cmd_fit(cfg: argparse.Namespace) -> int:
     fit = fit_asymptotic(_speed_table(cfg), cfg.series, cfg.basis, cfg.window)
     payload = {
         "series": cfg.series,
@@ -266,7 +232,7 @@ def _parse_abscissae(text: str):
     return [float(x) for x in text.split(",")]
 
 
-def _cmd_comb(cfg: CliConfig) -> int:
+def _cmd_comb(cfg: argparse.Namespace) -> int:
     cc = build_comb(cfg.gauge, _parse_abscissae(cfg.abscissae), cfg.steps)
     rows = verify_comb(cc)
     construction = {
@@ -334,7 +300,7 @@ def _svg_chart(xs, series: dict[str, list[float]], x_label: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_plot(cfg: CliConfig) -> int:
+def _cmd_plot(cfg: argparse.Namespace) -> int:
     if not cfg.columns:
         raise ValueError("--columns names no column to plot")
     table = _speed_table(cfg)
@@ -348,8 +314,8 @@ def _cmd_plot(cfg: CliConfig) -> int:
     return 0
 
 
-def run(cfg: CliConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
+def run(cfg: argparse.Namespace) -> int:
+    """Dispatch the namespace `parse_args` returns; returns the process exit status."""
     handlers = {"speeds": _cmd_speeds, "verify": _cmd_verify, "fit": _cmd_fit,
                 "comb": _cmd_comb, "plot": _cmd_plot}
     try:
@@ -375,9 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_grid(p):
-        p.add_argument("--t-min", type=float, default=CliConfig.t_min)
-        p.add_argument("--t-max", type=float, default=CliConfig.t_max)
-        p.add_argument("--points", type=int, default=CliConfig.points)
+        p.add_argument("--t-min", type=float, default=1.0)
+        p.add_argument("--t-max", type=float, default=1e8)
+        p.add_argument("--points", type=int, default=512)
 
     p_speeds = sub.add_parser("speeds", help="emit a CSV speed table")
     p_speeds.add_argument("--domain", dest="domain_json", required=True,
@@ -389,42 +355,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_verify.add_argument("--samples", type=int)
     p_verify.add_argument("--seed", type=int)  # None: parse_args reads HYPSPEED_SEED
-    p_verify.add_argument("--tol", type=float, default=CliConfig.tol)
+    p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("-o", "--output")
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic coefficient")
     p_fit.add_argument("--domain", dest="domain_json", required=True)
-    p_fit.add_argument("--series", default=CliConfig.series, choices=("v", "v_o", "v_T"))
-    p_fit.add_argument("--basis", default=CliConfig.basis, choices=("log_t", "t"))
-    p_fit.add_argument("--window", type=float, nargs=2, default=CliConfig.window)
+    p_fit.add_argument("--series", default="v", choices=("v", "v_o", "v_T"))
+    p_fit.add_argument("--basis", default="log_t", choices=("log_t", "t"))
+    p_fit.add_argument("--window", type=float, nargs=2, default=(1e6, 1e8))
     add_grid(p_fit)
     p_fit.add_argument("-o", "--output")
 
     p_comb = sub.add_parser("comb", help="build and certify a comb construction")
-    p_comb.add_argument("--gauge", default=CliConfig.gauge,
+    p_comb.add_argument("--gauge", default="log1p",
                         help="log1p | sqrt | pow:<p> (sublinear gauge)")
-    p_comb.add_argument("--abscissae", default=CliConfig.abscissae,
+    p_comb.add_argument("--abscissae", default="linear",
                         help="linear | geom:<ratio> | comma-separated list")
-    p_comb.add_argument("--steps", type=int, default=CliConfig.steps)
+    p_comb.add_argument("--steps", type=int, default=10)
     p_comb.add_argument("-o", "--output", help="construction JSON destination")
     p_comb.add_argument("--ratios", dest="ratio_output", help="ratio CSV destination")
 
     p_plot = sub.add_parser("plot", help="emit a static SVG chart of speed columns")
     p_plot.add_argument("--domain", dest="domain_json", required=True)
-    p_plot.add_argument("--columns", type=_parse_columns, default=CliConfig.columns)
+    p_plot.add_argument("--columns", type=_parse_columns, default=("v", "v_o", "v_T"))
     add_grid(p_plot)
     p_plot.add_argument("-o", "--output")
     return parser
 
 
-def parse_args(argv=None) -> CliConfig:
-    args = vars(_build_parser().parse_args(argv))
-    if "seed" in args and args["seed"] is None:
+def parse_args(argv=None) -> argparse.Namespace:
+    args = _build_parser().parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:  # Python 3.11's argparse reads `--opt=--` as [] and skips `type`
+            raise ValueError(f"option {dest!r} was given an empty value")
+    if "seed" in args and args.seed is None:
         # read at every call, since the parser is built once per process,
         # and only here, so a malformed value fails only `verify` without --seed
-        args["seed"] = int(os.environ.get("HYPSPEED_SEED", CliConfig.seed))
-    # every option's dest is a CliConfig field
-    return CliConfig(**args)
+        args.seed = int(os.environ.get("HYPSPEED_SEED", 42))
+    return args
 
 
 def main(argv=None) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,6 +93,8 @@ def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None)
     to one shape.
     """
     fields = (log_rho, theta) if cos_theta is None else (log_rho, theta, cos_theta)
+    if not all(isinstance(f, (float, np.ndarray, numbers.Real)) for f in fields):
+        raise DomainError(f"each field must be a real number or an ndarray, got {fields!r}")
     if any(isinstance(f, np.ndarray) for f in fields):
         log_rho, theta, *cos = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fields))
         cos_theta = cos[0] if cos else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 
@@ -586,6 +587,10 @@ def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9
         raise ValueError(f"the tolerance must be finite and >= 0, got {tol}")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    try:  # Python ints: a report echoes its seed, and numpy would take a list or None
+        seed, n = operator.index(seed), n if n is None else operator.index(n)
+    except TypeError:
+        raise ValueError(f"the seed and the sample count must be integers, got {seed!r} and {n!r}") from None
     if n is not None and n < 1:
         raise ValueError(f"the sample count must be positive, got {n}")
     fn, default_n = SUITES[name]

@@ -118,6 +118,12 @@ class TestKHalfBranches:
         with pytest.raises(DomainError):
             HalfPlanePoint(np.array([0.0, np.inf]), 0.0)
 
+    @pytest.mark.parametrize("fields", [(0.0, 0.5, [0.5, 0.6]), ([0.0, 1.0], 0.5),
+                                        ("0", 0.5), (0.0, 0.5j), (0.0, None)])
+    def test_a_field_that_is_no_real_number_or_array_is_refused(self, fields):
+        with pytest.raises(DomainError, match="real number or an ndarray"):
+            HalfPlanePoint(*fields)
+
     @pytest.mark.parametrize("cos", [[0.5, 0.6], [0.5]])
     def test_an_array_cosine_alone_makes_a_batch(self, cos):
         # float log rho and theta with an array cosine broadcast to its shape

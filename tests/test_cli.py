@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hypspeed.cli import (_CSV_CHUNK_ROWS, CSV_COLUMNS, CliConfig, _csv, _fixed_cells, main,
-                          parse_args, run)
+from hypspeed.cli import (_CSV_CHUNK_ROWS, CSV_COLUMNS, _csv, _fixed_cells, main, parse_args,
+                          run)
 
 from test_speeds import TABLE_DOMAINS
 
@@ -432,23 +432,43 @@ class TestPlot:
         assert capsys.readouterr().err == "error: --columns names no column to plot\n"
 
 
+#: each subcommand's single-valued options, and the arguments it runs with
+#: besides one of them given as `--opt=--`
+_SINGLE_VALUED = {
+    "speeds": (("--domain", "--t-min", "--t-max", "--points", "-o"),
+               ["--domain", KOEBE, "--points", "4"]),
+    "fit": (("--series", "--basis"), ["--domain", KOEBE]),
+    "plot": (("--columns",), ["--domain", KOEBE, "--points", "8"]),
+    "verify": (("--suite", "--samples", "--seed", "--tol", "-o"), ["--suite", "comb"]),
+    "comb": (("--gauge", "--abscissae", "--steps", "-o", "--ratios"), []),
+}
+
+
 class TestConfig:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            CliConfig(subcommand="speeds", t_min=2.0, t_max=1.0)
-        with pytest.raises(ValueError):
-            CliConfig(subcommand="speeds", points=1)
+        # a malformed grid exits 2, also before a comb domain could exit 3
+        for domain in (KOEBE, COMB):
+            for grid in (["--t-min", "2", "--t-max", "1"], ["--points", "1"]):
+                with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+                    main(["speeds", "--domain", domain] + grid)
+                assert exc.value.code == 2
 
     def test_main_exit_codes(self):
         with pytest.raises(SystemExit) as exc:
             main(["speeds", "--domain", COMB, "--points", "4"])
         assert exc.value.code == 3
 
-    @pytest.mark.parametrize("option", ["--points=--", "--t-min=--", "--t-max=--"])
-    def test_double_dash_value_is_malformed_input(self, option):
-        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
-            main(["speeds", "--domain", '{"type": "koebe", "p": [0, 0]}', option])
+    @pytest.mark.parametrize("command, option", [
+        pytest.param(cmd, opt, id=f"{opt}=--" if cmd == "speeds" else f"{cmd} {opt}=--")
+        for cmd, (opts, _) in _SINGLE_VALUED.items() for opt in opts])
+    def test_double_dash_value_is_malformed_input(self, command, option):
+        # Python 3.11's argparse reads `--opt=--` as an empty list
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+                pytest.raises(SystemExit) as exc:
+            main([command, *_SINGLE_VALUED[command][1], f"{option}=--"])
         assert exc.value.code == 2
+        assert out.getvalue() == ""
 
 
 # Fuzzed `speeds` invocations: domain JSON of every type, with well-formed

@@ -78,6 +78,27 @@ def test_negative_sample_count():
             run_suite("contraction", n=n)
 
 
+@pytest.mark.parametrize("seed", [None, [], [1, 2], 3.0, "3"])
+def test_seed_must_be_an_integer(seed):
+    # None would draw OS entropy and a list seed numpy's entropy pool; neither
+    # report could be replayed from its "seed"
+    with pytest.raises(ValueError, match="seed"):
+        run_suite("contraction", n=10, seed=seed)
+
+
+def test_integer_seed_is_reported_as_a_python_int():
+    report = run_suite("contraction", n=10, seed=np.int64(3))
+    assert type(report.seed) is int
+    assert json.loads(json.dumps(report.to_dict()))["seed"] == 3
+    assert report == run_suite("contraction", n=10, seed=3)
+
+
+@pytest.mark.parametrize("n", [100.0, "100", [100]])
+def test_sample_count_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="sample count"):
+        run_suite("contraction", n=n)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tolerance"):
