@@ -33,8 +33,6 @@ _CSV_CHUNK_ROWS = 1024
 
 
 def _load_domain(text: str):
-    if text is None:
-        raise DomainError("a --domain JSON value is required")
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -224,16 +222,8 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_abscissae(text: str):
-    if text == "linear":
-        return "linear"
-    if text.startswith("geom:"):
-        return ("geometric", float(text.split(":", 1)[1]))
-    return [float(x) for x in text.split(",")]
-
-
 def _cmd_comb(cfg: argparse.Namespace) -> int:
-    cc = build_comb(cfg.gauge, _parse_abscissae(cfg.abscissae), cfg.steps)
+    cc = build_comb(cfg.gauge, cfg.abscissae, cfg.steps)
     rows = verify_comb(cc)
     construction = {
         "teeth": [[a, b] for a, b in zip(cc.a, cc.b)],

@@ -10,8 +10,10 @@ boundary piece: |i x_j - (a_j + i b_j)| = a_{j+1}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from numbers import Real
+from typing import Callable
 
 from .domains import Comb, _abscissa_squares, _axis_integrals
 
@@ -23,13 +25,14 @@ _BRACKET = 2.0 ** -46
 _CLEARANCE = 2.0 ** -48
 _SECANT_STEPS = 8
 _SECANT_TOL = 2.0 ** -40
+_T_START = 1e-6
 
 
 def gauge(spec) -> tuple[str, Callable[[float], float]]:
     """Resolve a gauge spec to (name, callable).
 
-    Accepts 'log1p', 'sqrt', 'pow:<p>' or ('pow', p) with p < 1, a custom
-    table of (t, value) pairs (interpolated linearly), or any callable.
+    Accepts 'log1p', 'sqrt', 'pow:<p>' or ('pow', p) with p < 1, or any
+    callable.
     """
     if callable(spec):
         return getattr(spec, "__name__", "custom"), spec
@@ -44,22 +47,6 @@ def gauge(spec) -> tuple[str, Callable[[float], float]]:
         if not 0.0 < p < 1.0:
             raise ValueError("pow gauge needs an exponent in (0, 1)")
         return f"pow:{p:g}", lambda t: t ** p
-    if isinstance(spec, Sequence) and spec and not isinstance(spec, (str, bytes)):
-        pts = sorted((float(t), float(v)) for t, v in spec)
-        if len(pts) < 2:
-            raise ValueError("a gauge table needs at least two points")
-
-        def table(t: float) -> float:
-            if t <= pts[0][0]:
-                return pts[0][1]
-            for (t0, v0), (t1, v1) in zip(pts[:-1], pts[1:]):
-                if t <= t1:
-                    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-            # extrapolate with the last slope
-            (t0, v0), (t1, v1) = pts[-2], pts[-1]
-            return v1 + (v1 - v0) * (t - t1) / (t1 - t0)
-
-        return "table", table
     raise ValueError(f"unknown gauge spec {spec!r}")
 
 
@@ -75,26 +62,27 @@ def check_sublinear(g: Callable[[float], float]) -> None:
 
 
 def resolve_abscissae(a_spec, count: int) -> list[float]:
-    """First `count` tooth abscissae from 'linear', ('geometric', ratio) or an
-    explicit strictly increasing list; each must be finite, so a ratio
+    """First `count` tooth abscissae from 'linear', 'geom:<ratio>', the text
+    'a,b,c' or a list or tuple of numbers; each must be finite, so a ratio
     whose powers overflow is refused."""
     if a_spec == "linear":
         return [float(j) for j in range(1, count + 1)]
-    if isinstance(a_spec, tuple) and len(a_spec) == 2 and a_spec[0] == "geometric":
-        ratio = float(a_spec[1])
+    if isinstance(a_spec, str) and a_spec.startswith("geom:"):
+        ratio = float(a_spec.split(":", 1)[1])
         if ratio <= 1.0:
             raise ValueError("geometric abscissae need ratio > 1")
         try:
             a = [ratio ** j for j in range(count)]
         except OverflowError:
             a = [math.inf]
-    elif isinstance(a_spec, Sequence) and not isinstance(a_spec, (str, bytes)):
-        a = [float(x) for x in a_spec]
-        if len(a) < count:
-            raise ValueError(f"need {count} abscissae, got {len(a)}")
-        a = a[:count]
     else:
-        raise ValueError(f"unknown abscissa spec {a_spec!r}")
+        if isinstance(a_spec, str):
+            a_spec = [float(x) for x in a_spec.split(",")]
+        if not (isinstance(a_spec, (list, tuple)) and all(isinstance(x, Real) for x in a_spec)):
+            raise ValueError(f"unknown abscissa spec {a_spec!r}")
+        if len(a_spec) < count:
+            raise ValueError(f"need {count} abscissae, got {len(a_spec)}")
+        a = [float(x) for x in a_spec[:count]]
     if not all(map(math.isfinite, a)):
         raise ValueError("abscissae must be finite")
     return a
@@ -206,21 +194,25 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
 
     For the built-in gauges log1p, sqrt and pow:p, chosen by the spec and
     never by a callable's name, g is sublinear by definition, so only
-    table and callable gauges take `check_sublinear`'s probe.  Each
+    callable gauges take `check_sublinear`'s probe.  Each
     built-in g is also concave with g(0) = 0, so the constraint strictly
     decreases in the height.  A bracket of relative width 2^-45 around its
     crossing is then certified with a margin of 2^-48 (`_bracket`; it
     assumes libm's log1p and pow within 1 ulp, sqrt being exact), and the
     bisection calls g only for the midpoints inside it, for the same bits.
-    Table and callable gauges, and any step whose bracket fails its check,
-    bisect on g alone.
+    Callable gauges, and any step whose bracket fails its check, bisect on
+    g alone.
     """
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"the step count must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ValueError("need at least one construction step")
     name, g = gauge(g_spec)
     # the spec, not a callable's name, marks the built-in gauges log1p,
     # sqrt and pow:p, each sublinear, concave and with g(0) = 0
-    builtin = not callable(g_spec) and name != "table"
+    builtin = not callable(g_spec)
     if not builtin:
         check_sublinear(g)
     a = resolve_abscissae(a_spec, steps + 1)
@@ -238,15 +230,15 @@ def build_comb(g_spec, a_spec="linear", steps: int = 10) -> CombConstruction:
     return CombConstruction(name, tuple(a), tuple(b), tuple(xs), tuple(cons), b[-1], g)
 
 
-def verify_comb(cc: CombConstruction, t_start: float = 1e-6) -> list[dict]:
+def verify_comb(cc: CombConstruction) -> list[dict]:
     """Ratio table quasihyp_lower(0+, b_{j+1}) / g(b_{j+1}) for each step j.
 
-    The integral starts at t_start rather than 0 (the first plateau makes the
-    omitted piece smaller than t_start / (4 a_1)).  Raises if any ratio drops
-    below j/4 - 1e-9; the construction guarantees it cannot.
+    The integral starts at `_T_START` = 1e-6 rather than 0 (the first plateau
+    makes the omitted piece smaller than 1e-6 / (4 a_1)).  Raises if any
+    ratio drops below j/4 - 1e-9; the construction guarantees it cannot.
     """
     g = cc.g
-    bounds = _axis_integrals(cc.domain(), t_start, cc.b[1:])
+    bounds = _axis_integrals(cc.domain(), _T_START, cc.b[1:])
     rows = []
     for j, (bj1, bound) in enumerate(zip(cc.b[1:], bounds), start=1):
         gj = g(bj1)

@@ -408,14 +408,16 @@ def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
 # hyperbolic length of polylines (oracle quadrature)
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PATH_PIECES = 64
 
 
-def path_length(space: str, polyline, subdivisions: int = 64) -> float:
-    """Hyperbolic length of a polyline by composite 16-point Gauss-Legendre.
+def path_length(space: str, polyline) -> float:
+    """Hyperbolic length of a polyline by composite 16-point Gauss-Legendre
+    on 64 equal pieces per segment.
 
     Serves as the integral oracle: the length of a finely discretised
     geodesic must reproduce the closed-form distance.  All segments x
-    subdivisions x nodes are evaluated as one array.
+    pieces x nodes are evaluated as one array.
     """
     pts = np.asarray(polyline, dtype=complex).ravel()
     if pts.size < 2:
@@ -425,11 +427,9 @@ def path_length(space: str, polyline, subdivisions: int = 64) -> float:
     inside = _one_minus_abs2(pts) > 0.0 if space == "disc" else pts.real > 0.0
     if not np.all(inside):
         raise DomainError(f"polyline has a vertex outside the {space}")
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be >= 1")
     a = pts[:-1, None, None]
-    step = (pts[1:, None, None] - a) / subdivisions
-    ks = np.arange(subdivisions)[None, :, None]
+    step = (pts[1:, None, None] - a) / _PATH_PIECES
+    ks = np.arange(_PATH_PIECES)[None, :, None]
     nodes = 0.5 + 0.5 * GL_NODES
     if space == "disc":
         mids = a + ks * step + nodes * step  # segment x piece x node

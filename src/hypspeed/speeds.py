@@ -15,8 +15,10 @@ like exp(lambda t).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -100,6 +102,10 @@ def sample_speeds(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> SpeedSam
 
 def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> list[float]:
     """Geometric time grid; with t_min == 0 the first point is pinned at 0."""
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(f"the point count must be an integer, got {points!r}") from None
     if not (points >= 2 and 0 <= t_min < t_max < math.inf):
         raise ValueError("need points >= 2 and 0 <= t_min < t_max < inf")
     if t_min == 0.0:
@@ -205,6 +211,8 @@ def fit_asymptotic(table: SpeedSample, series: str, basis: str, window) -> Asymp
         raise ValueError("basis must be 'log_t' or 't'")
     if series not in ("v", "v_o", "v_T"):
         raise ValueError("series must be one of 'v', 'v_o', 'v_T'")
+    if np.shape(window) != (2,) or not all(isinstance(x, Real) for x in window):
+        raise ValueError(f"window must be two numbers, got {window!r}")
     lo, hi = float(window[0]), float(window[1])
     if not 0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
@@ -230,8 +238,8 @@ def nontangential_ratio(sg: KoenigsSemigroup, p, t: float) -> float:
     the non-tangential convergence criterion; the dynamic side is a bounded
     tangential speed.  An array of times gives an array of ratios.
     """
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("the criterion compares positive times")
+    if not np.all((np.asarray(t) > 0) & np.isfinite(t)):
+        raise ValueError("the criterion compares positive finite times")
     dom: DomainSpec = sg.image_domain
     p = complex(p)
     if not contains(dom, p):

@@ -15,6 +15,7 @@ import math
 import operator
 import sys
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -172,7 +173,7 @@ def _suite_lemma_halfplane(n, rng):
                             _uniform(u[:, 2], 0.2, 1.5)):
         l1 = l0 + dl
         ray = np.exp(np.linspace(l0, l1, 48)) * complex(math.cos(beta), math.sin(beta))
-        length = H.path_length("halfplane", ray, subdivisions=64)
+        length = H.path_length("halfplane", ray)
         margins.append(1e-5 - abs(length - (l1 - l0) / (2.0 * math.cos(beta))))
     # pairwise distances up to ~7: the depth at which the disc-side formula
     # still resolves 1e-10 in double precision
@@ -583,9 +584,9 @@ SUITES = {
 
 def run_suite(name: str, n: int | None = None, seed: int = 42, tol: float = 1e-9) -> SuiteReport:
     """Run one named suite; deterministic given (name, n, seed, tol)."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"the tolerance must be finite and >= 0, got {tol}")
-    if name not in SUITES:
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"the tolerance must be finite and >= 0, got {tol!r}")
+    if not (isinstance(name, str) and name in SUITES):
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     try:  # Python ints: a report echoes its seed, and numpy would take a list or None
         seed, n = operator.index(seed), n if n is None else operator.index(n)

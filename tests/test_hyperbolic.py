@@ -359,18 +359,24 @@ class TestPathLength:
         assert path_length("halfplane", [1 + 0j, 1 + 0j]) == 0.0
 
     def test_radial_segment(self):
-        assert path_length("halfplane", [1.0, math.e], subdivisions=10_000) == pytest.approx(
+        assert path_length("halfplane", [1.0, math.e]) == pytest.approx(
             0.5, abs=1e-6)
 
     def test_tilted_ray_doubles(self):
         d = cmath.exp(1j * math.pi / 3)
-        got = path_length("halfplane", [d, math.e * d], subdivisions=10_000)
+        got = path_length("halfplane", [d, math.e * d])
         assert got == pytest.approx(1.0, abs=1e-5)
 
     def test_disc_diameter(self):
         # geodesic through 0: length of [0, r] equals omega(0, r)
-        got = path_length("disc", [0j, 0.5 + 0j], subdivisions=2000)
+        got = path_length("disc", [0j, 0.5 + 0j])
         assert got == pytest.approx(omega(DiscPoint(0), DiscPoint(0.5)), abs=1e-9)
+
+    def test_pieces_are_fixed(self):
+        # a piece count of 2.5 made 3 pieces of width 0.2 and ran past the
+        # segment's end: 0.6931 = atanh(0.6) for omega(0, 0.5) = 0.5493
+        with pytest.raises(TypeError):
+            path_length("disc", [0j, 0.5], 2.5)
 
     def test_boundary_vertex_rejected(self):
         with pytest.raises(DomainError):

@@ -245,6 +245,14 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_asymptotic(samples, "v", "log_t", (9e7, 1e8))
 
+    @pytest.mark.parametrize("window", [(1e6,), None, (1e6, 1e7, 1e8), ("1", "1e2"), 1e6],
+                             ids=["one", "none", "three", "text", "scalar"])
+    def test_window_is_two_numbers(self, window):
+        # (1e6, 1e7, 1e8) fitted on [1e6, 1e7]; (1e6,) and None raised
+        # IndexError and TypeError
+        with pytest.raises(ValueError, match="window must be two numbers"):
+            fit_asymptotic(self._synthetic(0.25, "log_t"), "v", "log_t", window)
+
     def test_bad_series(self, koebe_sg):
         samples = sample_speeds(koebe_sg, default_grid(1.0, 1e2, 25))
         with pytest.raises(ValueError):
@@ -266,6 +274,13 @@ class TestNontangentialRatio:
     def test_koebe_ratio_one(self):
         sg = koenigs_semigroup(Koebe(0j))
         assert nontangential_ratio(sg, 1j, 7.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([1.0, math.nan])],
+                             ids=["nan", "inf", "array_nan"])
+    def test_time_not_finite(self, t):
+        # a NaN time went on to "(nan+nanj) is not in Omega^-"
+        with pytest.raises(ValueError, match="positive finite times"):
+            nontangential_ratio(koenigs_semigroup(Koebe(0j)), 1j, t)
 
     def test_reference_outside(self):
         sg = koenigs_semigroup(Koebe(0j))
@@ -304,6 +319,12 @@ class TestGrid:
         for t_max in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 default_grid(1.0, t_max, 10)
+
+    @pytest.mark.parametrize("points", [2.5, "3", None])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(ValueError, match="point count must be an integer"):
+            default_grid(1.0, 2.0, points)
+        assert default_grid(1.0, 100.0, np.int64(3)) == default_grid(1.0, 100.0, 3)
 
 
 class TestStartingPoint:

@@ -70,6 +70,8 @@ def test_suite_passes(name):
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("nope")
+    with pytest.raises(ValueError, match="unknown suite"):  # was "unhashable type: 'list'"
+        run_suite(["x"])
 
 
 def test_negative_sample_count():
@@ -99,7 +101,7 @@ def test_sample_count_must_be_an_integer(n):
         run_suite("contraction", n=n)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, "1e-9", None])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tolerance"):
         run_suite("contraction", n=10, tol=tol)
