@@ -43,7 +43,10 @@ def gauge(spec) -> tuple[str, Callable[[float], float]]:
     if isinstance(spec, str) and spec.startswith("pow:"):
         spec = ("pow", spec.split(":", 1)[1])
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "pow":
-        p = float(spec[1])
+        try:
+            p = float(spec[1])
+        except (TypeError, ValueError):
+            raise ValueError(f"pow gauge needs a numeric exponent, got {spec[1]!r}") from None
         if not 0.0 < p < 1.0:
             raise ValueError("pow gauge needs an exponent in (0, 1)")
         return f"pow:{p:g}", lambda t: t ** p

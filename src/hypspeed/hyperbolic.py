@@ -17,12 +17,9 @@ take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
 (with or without a batch witness) or ``RadialGeodesic`` whose value is an
 array, or a polyline given as an array.  A plain disc point keeps the exact
 1 - |z|^2 its validity check computes, which ``omega`` and ``cayley`` read,
-and a batch's value is a read-only copy.  Each operation has one body for a
-point and a batch, and gives a point as Python floats and complex numbers,
-except the point kernels of the per-time loop of ``sample_speeds``, which
-run plain ``math``: ``_k_lp`` (one point of ``k_half``) and the point
-branches of ``in_halfplane`` and ``tangential_distance``.  Their array code
-matches them to a few ulp.
+and a batch's value is a read-only copy.  Each operation has one numpy
+body for a point and a batch, and gives a point as Python floats and
+complex numbers.
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mapchain import (HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex,
-                       _from_complex_array)
+from .mapchain import HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex, _from_complex
 
 # Above this log rho, 1 - |z| ~ 2 e^{-log rho} cos theta of the disc point is
 # below ~2e-13, and cayley_inv's disc value is 1 - 2 e^{-log rho - i theta}.
@@ -64,22 +60,14 @@ def in_halfplane(p: LogPolar) -> LogPolar:
     (``cayley``, a chain) produces it.  A cosine of 0 is a point on the
     imaginary axis, or one whose Re w / |w| underflows; no distance to it is
     finite in double precision.  NaN fails every test."""
-    if isinstance(p.log_rho, np.ndarray):
-        if not np.all(np.isfinite(p.log_rho)):
-            raise DomainError("log_rho must be finite")
-        if not np.all(np.abs(p.theta) <= HALF_PI):
-            raise DomainError("theta must lie in (-pi/2, pi/2)")
-        c = p.cos_theta  # min and max cost less than one mask; an empty batch passes
-        if c is not None and c.size and not (c.min() > 0.0 and c.max() <= 1.0 + 1e-12):
-            raise DomainError(_COS_RULE)
-        return p
-    # one point in plain math: sample_speeds' per-time loop runs it
-    if not math.isfinite(p.log_rho):
+    if not np.isfinite(p.log_rho).all():
         raise DomainError("log_rho must be finite")
-    if not abs(p.theta) <= HALF_PI:
+    if not (np.abs(p.theta) <= HALF_PI).all():
         raise DomainError("theta must lie in (-pi/2, pi/2)")
-    if p.cos_theta is not None and not 0.0 < p.cos_theta <= 1.0 + 1e-12:
-        raise DomainError(_COS_RULE)
+    if p.cos_theta is not None:
+        c = np.asarray(p.cos_theta)  # min and max cost less than one mask; an empty batch passes
+        if c.size and not (c.min() > 0.0 and c.max() <= 1.0 + 1e-12):
+            raise DomainError(_COS_RULE)
     return p
 
 
@@ -207,39 +195,17 @@ def _as_disc(z) -> DiscPoint:
 # distances
 
 
-# one point in plain math: sample_speeds' per-time loop runs it
-def _k_lp(l1: float, t1: float, c1: float | None, l2: float, t2: float, c2: float | None) -> float:
+def _k_lp(l1, t1, c1, l2, t2, c2):
     """k_H between rho_i e^{i theta_i} given (log rho_i, theta_i) and the cached
     cos theta_i or None, from sinh k = |w1 - w2| / (2 sqrt(Re w1 Re w2)), i.e.
     sinh k = hypot(sinh(d/2), sin(dtheta/2)) / (sqrt(c1) sqrt(c2)) with
-    d = |log rho_2 - log rho_1|: two positive terms, never squared."""
-    d = abs(l2 - l1)
-    if t1 == 0.0 and t2 == 0.0:
-        return 0.5 * d
-    if (c1 is not None and c2 is not None and c1 < 0.5 and c2 < 0.5
-            and (t1 > 0.0) == (t2 > 0.0)):
-        # both angles hug the same side of the axis, where they round to
-        # +-pi/2: only the cached gaps g = asin(c) resolve their difference,
-        # and sin(g1 - g2) = (c1 - c2)(c1 + c2) / (c1 cos g2 + c2 cos g1)
-        # keeps the digits that asin(c1) - asin(c2) cancels when c1 ~ c2
-        cos_g1, cos_g2 = math.sqrt(1.0 - c1 * c1), math.sqrt(1.0 - c2 * c2)
-        dt = math.asin((c1 - c2) * ((c1 + c2) / (c1 * cos_g2 + c2 * cos_g1)))
-    else:
-        dt = t1 - t2
-    c1 = math.cos(t1) if c1 is None else c1
-    c2 = math.cos(t2) if c2 is None else c2
-    if d <= _LOG_FORM:
-        h = math.hypot(math.sinh(0.5 * d), math.sin(0.5 * dt))
-        q = h / math.sqrt(c1) / math.sqrt(c2)
-        if q < math.inf:
-            return math.asinh(q)
-    # sinh(d/2) or the quotient overflows; asinh q = log 2q to double precision
-    log_2h = 0.5 * d if d > _LOG_FORM else math.log(2.0 * h)
-    return log_2h - 0.5 * (math.log(c1) + math.log(c2))
-
-
-def _k_lp_array(l1, t1, c1, l2, t2, c2):
-    """_k_lp on arrays: each element takes the branch the scalar kernel takes."""
+    d = |log rho_2 - log rho_1|: two positive terms, never squared.  Where
+    both cached cosines are below 0.5 on one side of the axis, the angles
+    may round to +-pi/2, and only the gaps g = asin(c) resolve their
+    difference: sin(g1 - g2) = (c1 - c2)(c1 + c2) / (c1 cos g2 + c2 cos g1)
+    keeps the digits that asin(c1) - asin(c2) cancels when c1 ~ c2.  Where
+    sinh(d/2) or the quotient overflows, asinh q = log 2q to double
+    precision.  Each element of a batch takes its own branch."""
     d = np.abs(l2 - l1)
     gaps = (c1 is not None and c2 is not None
             and (c1 < 0.5) & (c2 < 0.5) & ((t1 > 0.0) == (t2 > 0.0)))
@@ -251,7 +217,7 @@ def _k_lp_array(l1, t1, c1, l2, t2, c2):
             cos_g1, cos_g2 = np.sqrt(1.0 - c1 * c1), np.sqrt(1.0 - c2 * c2)
             sin_dg = (c1 - c2) * ((c1 + c2) / (c1 * cos_g2 + c2 * cos_g1))
             dt = np.where(gaps, np.arcsin(sin_dg), dt)
-    with np.errstate(divide="ignore", over="ignore"):  # as in the scalar log form
+    with np.errstate(divide="ignore", over="ignore"):  # the log form takes these
         h = np.hypot(np.sinh(0.5 * d), np.sin(0.5 * dt))
         q = h / np.sqrt(c1) / np.sqrt(c2)
         k = np.arcsinh(q)
@@ -264,9 +230,8 @@ def _k_lp_array(l1, t1, c1, l2, t2, c2):
 
 def k_half(w1: LogPolar, w2: LogPolar) -> float:
     """Hyperbolic distance in the right half plane (an array for a batch)."""
-    kernel = (_k_lp_array if isinstance(w1.log_rho, np.ndarray)
-              or isinstance(w2.log_rho, np.ndarray) else _k_lp)
-    return kernel(w1.log_rho, w1.theta, w1.cos_theta, w2.log_rho, w2.theta, w2.cos_theta)
+    k = _k_lp(w1.log_rho, w1.theta, w1.cos_theta, w2.log_rho, w2.theta, w2.cos_theta)
+    return float(k) if np.ndim(k) == 0 else k
 
 
 def omega(z, w) -> float:
@@ -315,10 +280,7 @@ def cayley(z) -> LogPolar:
     v = z.value
     d = 1.0 - v
     m = d.real * d.real + d.imag * d.imag
-    w = _complex(z._rest / m, 2.0 * v.imag / m)
-    if isinstance(v, np.ndarray):
-        return in_halfplane(_from_complex_array(w))
-    return in_halfplane(LogPolar.from_complex(complex(w)))
+    return in_halfplane(_from_complex(_complex(z._rest / m, 2.0 * v.imag / m)))
 
 
 def cayley_inv(w: LogPolar) -> DiscPoint:
@@ -343,12 +305,9 @@ def cayley_inv(w: LogPolar) -> DiscPoint:
 def tangential_distance(theta: float, cos_theta: float | None = None) -> float:
     """k_H(rho e^{i theta}, rho) = asinh(|sin(theta/2)| / sqrt(cos theta)), the
     distance formula of k_half at d = 0; finite for every positive cosine."""
-    if isinstance(theta, np.ndarray):
-        c = np.cos(theta) if cos_theta is None else cos_theta
-        return np.arcsinh(np.abs(np.sin(0.5 * theta)) / np.sqrt(c))
-    # one point in plain math: sample_speeds' per-time loop runs it
-    c = math.cos(theta) if cos_theta is None else cos_theta
-    return math.asinh(abs(math.sin(0.5 * theta)) / math.sqrt(c))
+    c = np.cos(theta) if cos_theta is None else cos_theta
+    d = np.arcsinh(np.abs(np.sin(0.5 * theta)) / np.sqrt(c))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def dist_to_radius(z, geo: RadialGeodesic) -> float:

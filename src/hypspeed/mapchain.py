@@ -14,14 +14,12 @@ enormous ``log rho`` without materialising the overflowing complex number,
 and an orbit point h(z) + it is handed over as h(z) - p + it, so the digits
 of p never enter it.
 
-Each operation here has one body for a point and a batch, except the
-point kernels of the per-time loop of ``sample_speeds``, which run plain
-``math``: the point branch of ``forward_lp`` and ``LogPolar.from_complex``.
+Each operation here has one numpy body for a point and a batch, and gives
+a point as Python floats and complex numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -64,7 +62,7 @@ def _cdiv(a, b) -> np.ndarray:
                     np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LogPolar:
     """A nonzero complex number rho*exp(i*theta) stored as (log rho, theta).
 
@@ -85,19 +83,6 @@ class LogPolar:
     theta: float
     cos_theta: float | None = field(default=None, compare=False)
     cart: complex | None = field(default=None, compare=False)
-
-    def __init__(self, log_rho, theta, cos_theta=None, cart=None):
-        # one dict update, not four object.__setattr__: one point per table time
-        self.__dict__.update(log_rho=log_rho, theta=theta, cos_theta=cos_theta, cart=cart)
-
-    @staticmethod
-    def from_complex(w: complex) -> "LogPolar":
-        # one point in plain math: sample_speeds' per-time loop runs it
-        w = complex(w)
-        if w == 0:
-            return LogPolar(float("-inf"), 0.0, 1.0, 0j)
-        r = abs(w)
-        return LogPolar(math.log(r), cmath.phase(w), w.real / r, w)
 
     def to_complex(self):
         """The complex value of the point, or of each point of a batch; a
@@ -120,16 +105,28 @@ class LogPolar:
         return np.cos(self.theta) if self.cos_theta is None else self.cos_theta
 
 
-def _from_complex_array(w: np.ndarray) -> LogPolar:
-    """LogPolar.from_complex on each element of a complex array."""
+def _point(p: LogPolar) -> LogPolar:
+    """p, or for a 0-d batch its one point as Python floats and a complex."""
+    if np.ndim(p.log_rho):
+        return p
+    return LogPolar(float(p.log_rho), float(p.theta),
+                    None if p.cos_theta is None else float(p.cos_theta),
+                    None if p.cart is None else complex(p.cart))
+
+
+def _from_complex(w) -> LogPolar:
+    """The log-polar form of a complex number, or of each element of a
+    complex array, keeping w as the exact cartesian value; 0 has
+    log rho = -inf, theta = 0 and cosine 1."""
+    w = np.asarray(w, dtype=complex)
     r = _cabs(w)
     theta = np.arctan2(w.imag, w.real)
     zero = r == 0.0
     if not zero.any():
-        return LogPolar(np.log(r), theta, w.real / r, w)
+        return _point(LogPolar(np.log(r), theta, w.real / r, w))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r, cos = np.log(r), w.real / r
-    return LogPolar(log_r, np.where(zero, 0.0, theta), np.where(zero, 1.0, cos), w)
+    return _point(LogPolar(log_r, np.where(zero, 0.0, theta), np.where(zero, 1.0, cos), w))
 
 
 @dataclass(frozen=True)
@@ -154,10 +151,8 @@ class RiemannMapChain:
     of the angle k Re u or k (r - Re u) to its nearer edge, for the same
     reason.
 
-    Every method takes u (``inverse`` returns it) and a point or an array.
-    ``forward_lp`` runs one point through ``math`` and an array through
-    numpy; the inverse and ``log_abs_derivative`` have one numpy body each,
-    which takes one point as a 0-d array.
+    Every method takes u (``inverse`` returns it) and a point or an array,
+    and has one numpy body, which takes one point as a 0-d array.
     """
 
     p: complex               # the apex; 0 for a strip
@@ -171,37 +166,24 @@ class RiemannMapChain:
 
     def forward_lp(self, u) -> LogPolar:
         """F(p + u) for a number or a complex array u."""
-        if isinstance(u, np.ndarray):
-            return self._strip_array(u) if self.width else self._sector_array(u)
-        # one point in plain math: sample_speeds' per-time loop runs it
-        if self.width:
-            a = self.k * (self.width - u.real)
-            gap = self.k * u.real if 2.0 * u.real <= self.width else a
-            return LogPolar(self.k * u.imag, a - HALF_PI, math.sin(gap))
-        g, v = self.gamma, self.rot * u
-        if g == 1.0:
-            return LogPolar.from_complex(v)
-        e = self.ray_hi if v.imag >= 0.0 else self.ray_lo
-        gap = math.atan2(abs(e.real * u.imag - e.imag * u.real), e.real * u.real + e.imag * u.imag)
-        theta, gap = g * math.atan2(v.imag, v.real) + 0.0, g * gap  # -0.0 prints as 0
-        cos = math.cos(theta) if abs(theta) <= gap else math.sin(gap)
-        return LogPolar(g * math.log(abs(u)), theta, cos)
+        u = np.asarray(u, dtype=complex)
+        return _point(self._strip(u) if self.width else self._sector(u))
 
-    def _strip_array(self, u: np.ndarray) -> LogPolar:
+    def _strip(self, u: np.ndarray) -> LogPolar:
         a = self.k * (self.width - u.real)
         gap = np.where(2.0 * u.real <= self.width, self.k * u.real, a)
-        with np.errstate(over="ignore"):  # an infinite log rho, as for one point
+        with np.errstate(over="ignore"):  # an infinite log rho, which in_halfplane refuses
             return LogPolar(self.k * u.imag, a - HALF_PI, np.sin(gap))
 
-    def _sector_array(self, u: np.ndarray) -> LogPolar:
+    def _sector(self, u: np.ndarray) -> LogPolar:
         g, v = self.gamma, _cmul(self.rot, u)
         if g == 1.0:
-            return _from_complex_array(v)
+            return _from_complex(v)
         hi = v.imag >= 0.0
         ex = np.where(hi, self.ray_hi.real, self.ray_lo.real)
         ey = np.where(hi, self.ray_hi.imag, self.ray_lo.imag)
         gap = g * np.arctan2(np.abs(ex * u.imag - ey * u.real), ex * u.real + ey * u.imag)
-        theta = g * np.arctan2(v.imag, v.real)
+        theta = g * np.arctan2(v.imag, v.real) + 0.0  # -0.0 prints as 0
         with np.errstate(divide="ignore"):  # log rho = -inf at the apex
             log_rho = g * np.log(_cabs(u))
         return LogPolar(log_rho, theta, np.where(np.abs(theta) <= gap, np.cos(theta), np.sin(gap)))
@@ -215,7 +197,7 @@ class RiemannMapChain:
         """F^-1(w) - p for a half-plane point or batch (a LogPolar), or a
         complex value or array; a value beyond e^700 raises OverflowError."""
         if not isinstance(w, LogPolar):
-            w = _from_complex_array(np.asarray(w, dtype=complex))
+            w = _from_complex(w)
         log_rho, theta = np.asarray(w.log_rho, dtype=float), np.asarray(w.theta, dtype=float)
         if self.width:
             u = _complex(self.width - (theta + HALF_PI) / self.k, log_rho / self.k)

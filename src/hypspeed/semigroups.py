@@ -100,16 +100,18 @@ def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     that no digit of the apex p enters.  An array of times, or a batch z
     whose shape broadcasts against it, gives a batch LogPolar from one pass
     through the map.  A point whose log rho overflows (a strip past its
-    time range) is a DomainError naming the first such time."""
+    time range, any domain at an infinite time) is a DomainError naming the
+    first such time."""
     negative = t < 0  # a bool for one time, an array for an array of times
     if negative is True or (negative is not False and negative.any()):
         raise ValueError("orbit times must be nonnegative")
     fmap = to_halfplane(sg.image_domain)  # a comb has none
-    p = fmap.forward_lp(_model_offset(fmap, z) + 1j * t)
+    with np.errstate(invalid="ignore"):  # 0 * inf at an infinite time, refused below
+        p = fmap.forward_lp(_model_offset(fmap, z) + 1j * t)
     try:
         return in_halfplane(p)
     except DomainError as exc:
-        over = np.asarray(p.log_rho) == math.inf
+        over = (np.asarray(p.log_rho) == math.inf) | np.isinf(t)
         if not over.any():
             raise
         first = float(np.broadcast_to(t, over.shape)[over][0])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -88,16 +87,13 @@ def speeds_from_halfplane(hp: LogPolar) -> tuple[float, float, float]:
 
 def sample_speeds(sg: KoenigsSemigroup, grid, z: DiscPoint = ORIGIN) -> SpeedSample:
     """The exact speed table along a nonnegative, sorted time grid (any
-    iterable of reals); a NaN time is neither, so it is rejected."""
+    iterable of reals), from one array pass through the orbit and the speed
+    split; a NaN time is neither nonnegative nor sorted, so it is rejected."""
     ts = np.fromiter(grid, dtype=float)
     if not ((ts >= 0.0).all() and (ts[1:] >= ts[:-1]).all()):
         raise ValueError("grid must be nonnegative and sorted")
-    rows = []
-    for t in ts.tolist():  # one scalar orbit pass per Python float time, the bits the CSV pins
-        hp = orbit_halfplane(sg, z, t)
-        rows.append((t, *speeds_from_halfplane(hp), hp.log_rho, hp.theta))
-    cells = np.fromiter(chain.from_iterable(rows), dtype=float, count=6 * ts.size)
-    return SpeedSample(*cells.reshape(ts.size, 6).T)
+    hp = orbit_halfplane(sg, z, ts)
+    return SpeedSample(ts, *speeds_from_halfplane(hp), hp.log_rho, hp.theta)
 
 
 def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> list[float]:
@@ -106,6 +102,8 @@ def default_grid(t_min: float = 1.0, t_max: float = 1e8, points: int = 512) -> l
         points = operator.index(points)
     except TypeError:
         raise ValueError(f"the point count must be an integer, got {points!r}") from None
+    if not (isinstance(t_min, Real) and isinstance(t_max, Real)):
+        raise ValueError(f"t_min and t_max must be real numbers, got {t_min!r} and {t_max!r}")
     if not (points >= 2 and 0 <= t_min < t_max < math.inf):
         raise ValueError("need points >= 2 and 0 <= t_min < t_max < inf")
     if t_min == 0.0:
@@ -238,7 +236,8 @@ def nontangential_ratio(sg: KoenigsSemigroup, p, t: float) -> float:
     the non-tangential convergence criterion; the dynamic side is a bounded
     tangential speed.  An array of times gives an array of ratios.
     """
-    if not np.all((np.asarray(t) > 0) & np.isfinite(t)):
+    t = np.asarray(t, dtype=float)
+    if not np.all((t > 0) & np.isfinite(t)):
         raise ValueError("the criterion compares positive finite times")
     dom: DomainSpec = sg.image_domain
     p = complex(p)

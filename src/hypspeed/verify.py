@@ -248,17 +248,19 @@ def _suite_chains(n, rng):
         chain = D.to_halfplane(dom)
         p = chain.p  # the chain takes points relative to its apex
         base = p + chain.base
-        margins.append(_eq(abs(chain.forward(base - p) - 1.0), 0.0))
         # per sample: 2 draws for the point, the upward shift, 2 x 2 for
         # the preimages, as the scalar calls of one sample drew them
         u = rng.random((per, 7))
         ws = _rand_domain_points(u[:, 0:2], dom)
+        # F sends h(0) to 1: one pass maps h(0) with the drawn points
+        fw = chain.forward(np.append(ws, base) - p)
+        margins.append(_eq(abs(fw[-1] - 1.0), 0.0))
         # membership and upward closedness
         margins.append(np.where(D.contains(dom, ws), 0.0, -1.0))
         up = ws + 1j * _uniform(u[:, 2], 0.0, 100.0)
         margins.append(np.where(D.contains(dom, up), 0.0, -1.0))
         # round trip through the chain
-        back = p + chain.inverse(chain.forward(ws - p))
+        back = p + chain.inverse(fw[:-1])
         margins.append(1e-10 - np.abs(back - ws) / (1.0 + np.abs(ws)))
         # |F'| against a central difference, where both probes are inside
         h = 1e-6 * (1.0 + np.abs(ws))

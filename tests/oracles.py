@@ -435,3 +435,16 @@ def mp_speeds(w, dps=50):
     with mpmath.workdps(dps):
         rho = abs(w)
         return mp_k(mpmath.mpc(1), w), abs(mpmath.log(rho)) / 2, mp_k(w, mpmath.mpc(rho))
+
+
+def speed_table_errors(domain, rows):
+    """The errors |x - x*| / max(1, |x*|) of rows (t, v, v_o, v_T, log rho,
+    theta) of a speed table of the orbit from the origin, one row of errors
+    in v, v_o, v_T, log rho and theta per table row, against
+    mp_speeds(mp_orbit(...)) and mp_lp at the row's time."""
+    errors = []
+    for t, *cells in np.asarray(rows, dtype=float):
+        w = mp_orbit(domain, DiscPoint(0j), t)
+        want = [float(x) for x in (*mp_speeds(w), *mp_lp(w)[:2])]
+        errors.append([abs(x - y) / max(1.0, abs(y)) for x, y in zip(cells, want)])
+    return np.array(errors).reshape(-1, 5)

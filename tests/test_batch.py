@@ -1,13 +1,11 @@
 """Batches through the public metric, chain, orbit and speed operations.
 
-Each array kernel that keeps a scalar twin for the per-time table loop (the
-map, k_half, the tangential distance) is checked against that twin, branch
-by branch.  An operation with one body for a point and a batch is checked,
-on both, against an independent 50-digit oracle, as are k_half and the
-surrogates; delta_pm and the non-tangential ratio against a brute-force
-sample of the boundary.  numpy's exp, sinh, arcsinh, hypot, log1p, tanh, log
-and atan2 may differ from the math module in the last bit, so scalar and
-batch agree to a few ulp, not bit for bit.
+Every operation has one numpy body for a point and a batch.  Each is
+checked, branch by branch, against an independent 50-digit oracle: the
+map, the orbit, k_half, the tangential distance and the surrogates;
+delta_pm and the non-tangential ratio against a brute-force sample of the
+boundary.  numpy may round a 0-d array an ulp apart from the same point in
+a batch, so a point and a batch agree to a few ulp, not bit for bit.
 """
 
 import math
@@ -85,19 +83,20 @@ class TestKHalfBranches:
     @pytest.mark.parametrize("case", ["radial", "wide_ratio", "close", "opposite_sides",
                                       "cached_cosine", "lower_half"])
     def test_batch_matches_scalar(self, case):
+        # the scalar reference is the 50-digit distance of each pair
         l1, t1, c1, l2, t2, c2 = args = pairs(case, np.random.default_rng(5))
         batch = k_half(HalfPlanePoint(l1, t1, c1), HalfPlanePoint(l2, t2, c2))
-        scalar = scalar_k(*args)
-        assert ulps_apart(batch, scalar) <= ULPS
+        want = oracle_k(*args)
+        assert ulps_apart(batch, want) <= ULPS
         d = np.abs(l2 - l1)
         if case == "radial":
             assert np.array_equal(batch, 0.5 * d)
         elif case == "wide_ratio":
             assert np.all(d > 30)
         elif case == "close":
-            assert np.all(scalar < K_ATANH)
+            assert np.all(want < K_ATANH)
         elif case == "opposite_sides":
-            assert np.all((scalar > K_ATANH) & (d <= 30))
+            assert np.all((want > K_ATANH) & (d <= 30))
         elif case == "cached_cosine":
             assert np.all(np.abs(np.abs(t1) - HALF_PI) <= 1e-12)
         else:
@@ -148,9 +147,10 @@ class TestKHalfBranches:
 
 
 def oracle_k(l1, t1, c1, l2, t2, c2):
-    """mp_k_half at 50 digits for each pair; c is a cached cosine or None."""
+    """mp_k_half at 50 digits for each pair; c is None or an array of cached
+    cosines, where NaN leaves a point to its angle."""
     def cos(c, i):
-        return None if c is None else float(c[i])
+        return None if c is None or np.isnan(c[i]) else float(c[i])
     return np.array([float(mp_k_half(float(l1[i]), float(t1[i]), float(l2[i]), float(t2[i]),
                                      cos(c1, i), cos(c2, i)))
                      for i in range(len(l1))])
@@ -371,11 +371,16 @@ class TestTangentialBatch:
                                                             HALF_PI, -HALF_PI]])
         cos = np.cos(theta)
         # cached cosines within 1e-12 of the boundary, and below 1e-308,
-        # where 2/cos leaves the double range
+        # where 2/cos leaves the double range; each with the angle it is the
+        # cosine of, which is +-HALF_PI itself below 1e-16.  The scalar
+        # reference is the 50-digit distance, which reads those four points
+        # from their cosines and the others from their angles.
         cos[-4:] = [1e-13, 1e-15, 1e-309, 5e-324]
+        theta[-4:] = np.sign(theta[-4:]) * np.arccos(cos[-4:])
         batch = tangential_distance(theta, cos)
-        scalar = [tangential_distance(float(t), float(c)) for t, c in zip(theta, cos)]
-        assert ulps_apart(batch, scalar) <= ULPS
+        want = [float(mp_k_half(0.0, t, 0.0, 0.0, c if i > N else None))
+                for i, (t, c) in enumerate(zip(theta, cos))]
+        assert ulps_apart(batch, want) <= ULPS
         assert batch[N] == 0.0 and np.all(np.isfinite(batch))
         assert batch[-1] == pytest.approx(0.5 * (math.log(2.0) - math.log(5e-324)), rel=1e-15)
 
@@ -474,11 +479,14 @@ def scaled_ulps(batch, scalar, scale):
     return np.max(np.abs(batch - scalar) / np.spacing(np.abs(scale)))
 
 
-def assert_points_match(batch, scalars):
-    for name in ("log_rho", "theta", "cos"):
-        want = np.array([getattr(p, name) for p in scalars])
-        got = np.broadcast_to(getattr(batch, name), want.shape)
-        assert ulps_apart(got, want) <= ULPS, name
+def assert_points_match(batch, ws, floor=0.0):
+    """log rho, theta and the cosine of a batch against the 50-digit
+    half-plane points ws, each within ULPS: log rho and theta in ulps of
+    max(floor, |x|), the cosine in its own."""
+    want = np.array([[float(x) for x in mp_lp(w)] for w in ws]).T
+    for name, col, least in zip(("log_rho", "theta", "cos"), want, (floor, floor, 0.0)):
+        got = np.broadcast_to(getattr(batch, name), col.shape)
+        assert scaled_ulps(got, col, np.maximum(least, np.abs(col))) <= ULPS, name
 
 
 class TestChainBatches:
@@ -487,7 +495,7 @@ class TestChainBatches:
         dom = TABLE_DOMAINS[name]
         chain = to_halfplane(dom)
         u = model_point(koenigs_semigroup(dom), START) - chain.p + 1j * TIMES[span]
-        assert_points_match(chain.forward_lp(u), [chain.forward_lp(complex(x)) for x in u])
+        assert_points_match(chain.forward_lp(u), [mp_halfplane(dom, mpmath.mpc(x)) for x in u])
         if span == "e700":  # points on both sides of e^700 in one batch
             assert np.any(np.abs(u) > math.exp(700)) and np.any(np.abs(u) < math.exp(700))
 
@@ -504,13 +512,11 @@ class TestChainBatches:
         fits = log_rho <= (math.inf if isinstance(dom, Strip) else 700.0 * chain.gamma)
         assert fits.all() == (name in ("strip", "sector_sym", "sector_skew", "strip_wide"))
         batch = chain.inverse(HalfPlanePoint(log_rho[fits], theta[fits]))
-        scalars = [chain.inverse(HalfPlanePoint(float(l), float(t)))
-                   for l, t in zip(log_rho[fits], theta[fits])]
-        # one body, which numpy may round an ulp apart on a 0-d array
-        assert_complex_match(batch, scalars)
-        for l, t, got in zip(log_rho[fits], theta[fits], scalars):
+        points = [chain.inverse(HalfPlanePoint(float(l), float(t)))
+                  for l, t in zip(log_rho[fits], theta[fits])]
+        for l, t, *got in zip(log_rho[fits], theta[fits], batch, points):
             want = complex(mp_preimage(dom, mpmath.exp(l) * mpmath.expj(t)))
-            assert abs(got - want) <= 1e-13 * abs(want)
+            assert all(abs(x - want) <= 1e-13 * abs(want) for x in got)
         msg = "log-polar value with log_rho=.* does not fit in a complex double"
         for l, t in zip(log_rho[~fits], theta[~fits]):
             with pytest.raises(OverflowError, match=msg):
@@ -536,10 +542,13 @@ class TestChainBatches:
 class TestOrbitBatches:
     @pytest.mark.parametrize("name,span", CASES)
     def test_orbit_halfplane(self, name, span):
-        sg, ts = koenigs_semigroup(TABLE_DOMAINS[name]), TIMES[span]
+        # the oracle starts from the disc value, the orbit from the rounded
+        # model point: log rho and theta near 0 compare in ulps of 1
+        dom = TABLE_DOMAINS[name]
+        sg, ts = koenigs_semigroup(dom), TIMES[span]
         for z in (ORIGIN, START):
             batch = orbit_halfplane(sg, z, ts)
-            assert_points_match(batch, [orbit_halfplane(sg, z, float(t)) for t in ts])
+            assert_points_match(batch, [mp_orbit(dom, z, t) for t in ts], floor=1.0)
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_start_points_broadcast_against_times(self, name):
@@ -548,17 +557,23 @@ class TestOrbitBatches:
         batch = orbit_halfplane(sg, DiscPoint(np.array([[z.value] for z in starts])), ts)
         assert batch.log_rho.shape == (3, ts.size)
         for i, z in enumerate(starts):
-            row = LogPolar(batch.log_rho[i], batch.theta[i], batch.cos[i])
-            assert_points_match(row, [orbit_halfplane(sg, z, float(t)) for t in ts])
+            row = orbit_halfplane(sg, z, ts)
+            for field in ("log_rho", "theta", "cos"):
+                assert ulps_apart(getattr(batch, field)[i], getattr(row, field)) <= ULPS, field
 
     @pytest.mark.parametrize("name", list(TABLE_DOMAINS))
     def test_hyperbolic_step_gap(self, name):
-        # beyond 2^53, t + 1 == t and the gap compares a point with itself,
-        # whose cosine is below 1e-154 on the half planes and flat sectors
+        # k_half of the orbit points at t and t + 1 against their 50-digit
+        # distance, which reads a point from its cosine below 0.5 and from
+        # its angle above.  Beyond 2^53, t + 1 == t and the gap compares a
+        # point with itself, whose cosine is below 1e-154 on the half planes
+        # and flat sectors
         sg = koenigs_semigroup(TABLE_DOMAINS[name])
         for z, span in [(z, span) for z in (ORIGIN, START) for span in ("to_1e12", "1e300")]:
             ts = TIMES[span]
-            want = np.array([hyperbolic_step_gap(sg, float(t), z) for t in ts])
+            a, b = orbit_halfplane(sg, z, ts), orbit_halfplane(sg, z, ts + 1.0)
+            want = oracle_k(a.log_rho, a.theta, np.where(a.cos < 0.5, a.cos, np.nan),
+                            b.log_rho, b.theta, np.where(b.cos < 0.5, b.cos, np.nan))
             got = hyperbolic_step_gap(sg, ts, z)
             assert scaled_ulps(got, want, np.maximum(np.abs(want), 1.0)) <= ULPS
             if span == "1e300":
@@ -783,13 +798,13 @@ class TestChainSuiteBatches:
         dom = TABLE_DOMAINS[name]
         chain = to_halfplane(dom)
         ws, pre = chain_draws(dom, 42)
-        # the map keeps a point kernel for the per-time table loop: every
-        # map carries its cosine, so the cosine compares in its own ulps,
-        # also near pi/2 where cos(theta) of a rounded angle would not
+        # one body for a point and a batch: every map carries its cosine, so
+        # the cosine compares in its own ulps, also near pi/2 where
+        # cos(theta) of a rounded angle would not
         batch = chain.forward_lp(ws - chain.p)
-        scalars = [chain.forward_lp(complex(w - chain.p)) for w in ws]
+        points = [chain.forward_lp(complex(w - chain.p)) for w in ws]
         for field in ("log_rho", "theta", "cos"):
-            want = [getattr(p, field) for p in scalars]
+            want = [getattr(p, field) for p in points]
             assert ulps_apart(getattr(batch, field), want) <= ULPS, field
         # k_domain, a batch and each pair alone, against the 50-digit map
         with mpmath.workdps(50):

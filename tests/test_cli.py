@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hypspeed import domain_from_json
 from hypspeed.cli import (_CSV_CHUNK_ROWS, CSV_COLUMNS, _csv, _fixed_cells, main, parse_args,
                           run)
 
+from oracles import speed_table_errors
 from test_speeds import TABLE_DOMAINS
 
 KOEBE = '{"type":"koebe","p":[0,0]}'
@@ -146,28 +148,32 @@ class TestSpeeds:
 #: apex, after a 50-digit check of every cell: the four domains with p != 0
 #: changed, by at most 4 ulp, and the three translates of another domain
 #: (the shifted half plane and Koebe domain, and the slit sector at 0.5i,
-#: which is Koebe(0) moved up) now print their twin's table byte for byte
+#: which is Koebe(0) moved up) now print their twin's table byte for byte.
+#: Re-recorded again when one array pass replaced the per-time loop: the two
+#: half planes, the flat sector (entries 1, 3, 9) and the skew sector
+#: (entry 5) moved 1,141 cells by at most 4 ulp, each judged against the
+#: 50-digit oracle first (test_speed_table_rows_match_the_oracle)
 SPEEDS_DIGESTS = [
     ("ce06bea5267b8c1a2433269ec19ce4884e4291672ff97fbf627f89a740d38da3",
      "32a5df26effdfbfa4caf555593cb6924fbd77603efefeee161f91d640c813a40"),
-    ("ebe2f60a8f923360aaacb1ddbbfa39f846aaaad5f5786004164015112ab7bb9b",
-     "2149f73ec0c26df260e50afeb5331f7a6cc55667259a2f1b0f6f88ec50fcd713"),
+    ("bed60eb2adb1c1d74edee3a0e9c46acee0317b0adfadd363e3e28315c14e4d1a",
+     "7b6739f45223a09fef9343533803b15d90cbd9e1eed012e0f8bf7760ae7c7bb1"),
     ("37ed45529a98aed41f85e7b986503c7f4d36d48719a53f2356b2a728644b9871",
      "6fe1d9a6d0bb545b3e09316d9b82a84a72548c7c1d048524f7c1acae13127a33"),
-    ("ebe2f60a8f923360aaacb1ddbbfa39f846aaaad5f5786004164015112ab7bb9b",
-     "2149f73ec0c26df260e50afeb5331f7a6cc55667259a2f1b0f6f88ec50fcd713"),
+    ("bed60eb2adb1c1d74edee3a0e9c46acee0317b0adfadd363e3e28315c14e4d1a",
+     "7b6739f45223a09fef9343533803b15d90cbd9e1eed012e0f8bf7760ae7c7bb1"),
     ("d160d8efc13edb1cab4e1e8f25f5b89e0cc3e4c3ec5927dbdba3c70f44b2d621",
      "df4fb464f0b71c5df18906a7ad41f7da5c035adf461ccddbb64ffc335633163f"),
-    ("22bd60f3e58f3666751c13cfd80c62f92684df89b192e5ceb6bd78a837a10596",
-     "ac68841fa0acc4ba9420735507b8e234055c251a6ec29f83b9155af38e417bcc"),
+    ("f3105920f6972a49d15c1b79c2b60ec16af23b77247881cf7deacc33fcec34b7",
+     "aaf8f9ef29efcf78f7fd9c988df300448b3289c6028bdd542564ebe862c44a63"),
     ("d160d8efc13edb1cab4e1e8f25f5b89e0cc3e4c3ec5927dbdba3c70f44b2d621",
      "df4fb464f0b71c5df18906a7ad41f7da5c035adf461ccddbb64ffc335633163f"),
     ("d160d8efc13edb1cab4e1e8f25f5b89e0cc3e4c3ec5927dbdba3c70f44b2d621",
      "df4fb464f0b71c5df18906a7ad41f7da5c035adf461ccddbb64ffc335633163f"),
     ("f93929a44096e765ff04f879f56273012dbfd288d151cd5c6daeac996ff517f8",
      "2829d1d416b81c528fddeb46e4f5669d9e94efe65cfe3c39c7f7209d32af459d"),
-    ("ebe2f60a8f923360aaacb1ddbbfa39f846aaaad5f5786004164015112ab7bb9b",
-     "2149f73ec0c26df260e50afeb5331f7a6cc55667259a2f1b0f6f88ec50fcd713"),
+    ("bed60eb2adb1c1d74edee3a0e9c46acee0317b0adfadd363e3e28315c14e4d1a",
+     "7b6739f45223a09fef9343533803b15d90cbd9e1eed012e0f8bf7760ae7c7bb1"),
 ]
 
 
@@ -179,6 +185,19 @@ def test_speed_table_bytes(i, t_max, tmp_path):
                     "--points", "512", "-o", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SPEEDS_DIGESTS[i][("1e8", "1e12").index(t_max)]
+
+
+@pytest.mark.parametrize("t_max", ["1e8", "1e12"])
+@pytest.mark.parametrize("i", [1, 3, 5, 9])
+def test_speed_table_rows_match_the_oracle(i, t_max, tmp_path):
+    # the tables whose digests the array pass re-recorded: every 16th row and
+    # the last, each cell within 4e-16 max(1, |x|) of its 50-digit value
+    out = tmp_path / "speeds.csv"
+    assert run_cli(["speeds", "--domain", json.dumps(TABLE_DOMAINS[i]), "--t-max", t_max,
+                    "--points", "512", "-o", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)[[*range(0, 512, 16), 511]]
+    errors = speed_table_errors(domain_from_json(TABLE_DOMAINS[i]), rows)
+    assert errors.max() <= 4e-16, errors.max(axis=0)
 
 
 #: sha256 of `hypspeed fit` JSON and `hypspeed plot` SVG on 512-point tables

@@ -29,6 +29,10 @@ class TestGauge:
         with pytest.raises(ValueError):
             gauge(("pow", 1.5))
 
+    def test_pow_exponent_must_be_a_number(self):
+        with pytest.raises(ValueError, match="numeric exponent"):
+            gauge(("pow", None))
+
     def test_table(self):
         # a table of (t, value) pairs is no gauge: a callable gives any
         # gauge a table gave, and a repeated time divided by zero

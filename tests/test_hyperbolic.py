@@ -12,7 +12,7 @@ from hypspeed import (ORIGIN, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                       default_grid, dist_to_radius, k_half, kappa, koenigs_semigroup,
                       omega, path_length, project_to_radius, sample_speeds)
 from hypspeed.hyperbolic import DomainError, in_halfplane, tangential_distance
-from hypspeed.mapchain import LogPolar, _from_complex_array
+from hypspeed.mapchain import LogPolar, _from_complex
 
 from oracles import (mp_kappa, mp_lp, mp_omega, mp_orbit, mp_radial, mp_speeds,
                      project_by_golden)
@@ -95,7 +95,7 @@ class TestKHalf:
         assert k_half(hp(0.0, 0.0), hp(2.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_one_plus_i(self):
-        w = in_halfplane(LogPolar.from_complex(1 + 1j))
+        w = in_halfplane(_from_complex(1 + 1j))
         expected = math.log((1 + math.sqrt(5)) / 2)
         assert k_half(hp(0.0, 0.0), w) == pytest.approx(expected, abs=1e-14)
 
@@ -210,7 +210,7 @@ class TestProjection:
     def test_halfplane_projection_is_modulus(self):
         # project the disc preimage of 2 e^{i pi/4}; its image must be 2
         geo = RadialGeodesic(1.0)
-        z = cayley_inv(in_halfplane(LogPolar.from_complex(2 * cmath.exp(0.25j * math.pi))))
+        z = cayley_inv(in_halfplane(_from_complex(2 * cmath.exp(0.25j * math.pi))))
         w = cayley(project_to_radius(z, geo))
         assert w.log_rho == pytest.approx(math.log(2), abs=1e-12)
         assert w.theta == pytest.approx(0.0, abs=1e-12)
@@ -249,8 +249,8 @@ class TestDistToRadius:
 
     def test_scale_invariance(self):
         geo = RadialGeodesic(1.0)
-        z1 = cayley_inv(in_halfplane(LogPolar.from_complex(2 * cmath.exp(1j * math.pi / 3))))
-        z2 = cayley_inv(in_halfplane(LogPolar.from_complex(5 * cmath.exp(1j * math.pi / 3))))
+        z1 = cayley_inv(in_halfplane(_from_complex(2 * cmath.exp(1j * math.pi / 3))))
+        z2 = cayley_inv(in_halfplane(_from_complex(5 * cmath.exp(1j * math.pi / 3))))
         assert dist_to_radius(z1, geo) == pytest.approx(dist_to_radius(z2, geo), abs=1e-12)
 
     def test_equals_distance_to_projection(self):
@@ -451,9 +451,9 @@ class TestValidation:
         # distance is finite in double precision
         w = complex(1e-320, 1e10)
         with pytest.raises(DomainError, match="cos_theta must be positive"):
-            in_halfplane(LogPolar.from_complex(w))
+            in_halfplane(_from_complex(w))
         with pytest.raises(DomainError, match="cos_theta must be positive"):
-            in_halfplane(_from_complex_array(np.array([2.0 + 0j, w])))
+            in_halfplane(_from_complex(np.array([2.0 + 0j, w])))
 
     def test_geodesic_direction(self):
         with pytest.raises(DomainError):

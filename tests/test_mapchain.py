@@ -11,7 +11,7 @@ import pytest
 from hypspeed import (ORIGIN, DiscPoint, HalfPlanePoint, HalfPlaneRight, Koebe, Sector,
                       Strip, koenigs_semigroup, orbit_halfplane,
                       sample_speeds, to_halfplane)
-from hypspeed.mapchain import LogPolar
+from hypspeed.mapchain import LogPolar, _from_complex
 from hypspeed.semigroups import model_point
 from hypspeed.verify import _rand_domain_points
 
@@ -40,7 +40,7 @@ FAR = {
 
 
 def lp(w):
-    return LogPolar.from_complex(w)
+    return _from_complex(w)
 
 
 def starts(seed, n=4):
@@ -103,7 +103,7 @@ def test_logpolar_keeps_cartesian_exact():
 
 
 def test_logpolar_value_semantics():
-    # its own __init__ keeps the frozen dataclass's behaviour
+    # a frozen dataclass: value equality, hash, repr and replace
     p = LogPolar(1.5, -0.25, 0.75, 2 + 1j)
     assert (p.log_rho, p.theta, p.cos_theta, p.cart) == (1.5, -0.25, 0.75, 2 + 1j)
     assert LogPolar(1.5, -0.25) == p and hash(LogPolar(1.5, -0.25)) == hash(p)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypspeed import (Comb, DiscPoint, HalfPlaneRight, Koebe, ORIGIN, RadialGeod
 from hypspeed.hyperbolic import DomainError
 from hypspeed.semigroups import model_point, orbit_halfplane
 
-from oracles import mp_orbit, mp_speeds
+from oracles import mp_orbit, mp_speeds, speed_table_errors
 
 LOG2 = math.log(2.0)
 
@@ -86,6 +87,27 @@ class TestSampleSpeeds:
         for grid in ([1.0, math.nan, 2.0], [math.nan]):  # neither nonnegative nor sorted
             with pytest.raises(ValueError, match="grid"):
                 sample_speeds(sg, grid)
+
+    @pytest.mark.parametrize("grid", [[], [0.0], [0.0, 1e-300, 1.0], [1e300], [1.0, math.inf]],
+                             ids=["empty", "zero", "tiny", "1e300", "inf"])
+    def test_edge_grids(self, grid):
+        # one array pass, with every warning an error: a finite grid gives
+        # the 50-digit table, and an infinite time is the DomainError that
+        # names it, on every domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in TABLE_DOMAINS:
+                dom = domain_from_json(spec)
+                sg = koenigs_semigroup(dom)
+                if math.inf in grid:
+                    with pytest.raises(DomainError, match=re.escape("orbit time t=inf is past")):
+                        sample_speeds(sg, grid)
+                    continue
+                table = sample_speeds(sg, grid)
+                rows = np.column_stack([table.t, table.v, table.v_o, table.v_T,
+                                        table.log_rho, table.theta])
+                assert rows.shape == (len(grid), 6)
+                assert speed_table_errors(dom, rows).max(initial=0.0) <= 4e-16, spec
 
     def test_comb_unsupported(self):
         sg = koenigs_semigroup(Comb([(1, 1)]))
@@ -287,6 +309,11 @@ class TestNontangentialRatio:
         with pytest.raises(Exception):
             nontangential_ratio(sg, -1j, 1.0)
 
+    def test_a_list_of_times_gives_an_array(self):
+        sg = koenigs_semigroup(Koebe(0j))
+        got = nontangential_ratio(sg, 1j, [1.0, 2.0])
+        assert np.array_equal(got, nontangential_ratio(sg, 1j, np.array([1.0, 2.0])))
+
 
 class TestGrid:
     def test_geometric(self):
@@ -319,6 +346,11 @@ class TestGrid:
         for t_max in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 default_grid(1.0, t_max, 10)
+
+    @pytest.mark.parametrize("t_min", ["1", None])
+    def test_times_must_be_real_numbers(self, t_min):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            default_grid(t_min, 10.0, 4)
 
     @pytest.mark.parametrize("points", [2.5, "3", None])
     def test_points_must_be_an_integer(self, points):
