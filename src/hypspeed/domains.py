@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic import DomainError, in_halfplane, k_half
-from .mapchain import HALF_PI, LOG2, RiemannMapChain
+from .mapchain import HALF_PI, LOG2, RiemannMapChain, _scalar
 
 
 class UnsupportedDomainOperation(ValueError):
@@ -223,8 +223,9 @@ def domain_to_json(domain: DomainSpec) -> dict:
 
 def contains(domain: DomainSpec, w) -> bool:
     """Open-set membership test (a boolean array for a complex array), in
-    one body that runs a point as a Python complex, with no numpy call, and
-    a batch as arrays; x ^ True negates a bool or a boolean array.
+    one body that runs a Python number as a Python complex, with no numpy
+    call, and anything else as an array; x ^ True negates a bool or a
+    boolean array.
 
     A sector point u = w - p is decided by the signs of its cross products
     with the two rays, which are exact for an axial ray: u lies left of the
@@ -232,13 +233,14 @@ def contains(domain: DomainSpec, w) -> bool:
     is the plane less a closed convex wedge, which lo + hi points into, so
     either sign suffices; so does u.(lo + hi) < 0, which the slit plane
     (pi, pi) needs on the ray opposite its slit.  A point that is not
-    finite lies in no domain (a batch decides it as 0: no 0 * inf warns)."""
-    batch = isinstance(w, np.ndarray)
-    w = w.astype(complex, copy=False) if batch else complex(w)
-    finite = np.isfinite(w) if batch else cmath.isfinite(w)
-    if batch:
+    finite lies in no domain (an array decides it as 0: no 0 * inf warns)."""
+    if isinstance(w, (complex, float, int)):
+        w = complex(w)
+        finite = cmath.isfinite(w)
+    else:
+        w = np.asarray(w, dtype=complex)
+        finite = np.isfinite(w)
         w = np.where(finite, w, 0j)
-    re, im = w.real, w.imag
     if isinstance(domain, _SECTORS):
         (lo, hi), u = domain.rays, w - domain.p
         left = lo.real * u.imag - lo.imag * u.real > 0.0
@@ -249,16 +251,15 @@ def contains(domain: DomainSpec, w) -> bool:
             mid = lo + hi
             inside = left | right | (u.real * mid.real + u.imag * mid.imag < 0.0)
     elif isinstance(domain, Strip):
-        inside = (0.0 < re) & (re < domain.r)
+        inside = (0.0 < w.real) & (w.real < domain.r)
     elif isinstance(domain, Comb):
-        on_slit = False
+        x, on_slit = abs(w.real), False
         for a, b in domain.teeth:
-            on_slit = on_slit | ((abs(re) == a) & (im <= b))
+            on_slit = on_slit | ((x == a) & (w.imag <= b))
         inside = on_slit ^ True
     else:
         raise DomainError(f"unknown domain {domain!r}")
-    inside = inside & finite
-    return inside if batch else bool(inside)
+    return _scalar(inside & finite)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +310,8 @@ def k_domain(domain: DomainSpec, w1, w2) -> float:
     fmap = to_halfplane(domain)
     ends = []
     for w in (w1, w2):
-        w = w.astype(complex, copy=False) if isinstance(w, np.ndarray) else complex(w)
         _require(contains(domain, w), w, "the domain")
-        ends.append(in_halfplane(fmap.forward_lp(w - fmap.p)))
+        ends.append(in_halfplane(fmap.forward_lp(np.asarray(w, dtype=complex) - fmap.p)))
     return k_half(*ends)
 
 
@@ -360,13 +360,13 @@ def _require_comb_extent(domain: DomainSpec, q: np.ndarray) -> None:
 
 
 def delta(domain: DomainSpec, p):
-    """Euclidean distance from an interior point to the complement; an array
-    of points gives an array, one point a float."""
+    """Euclidean distance from an interior point to the complement (an array
+    for an array of points)."""
     q = np.asarray(p, dtype=complex)
     _require(contains(domain, q), q, "the domain")
     _require_comb_extent(domain, q)
     d = functools.reduce(np.minimum, [_dist_to_ray(q, apex, e) for apex, e in _rays(domain)])
-    return float(d) if q.ndim == 0 else d
+    return _scalar(d)
 
 
 def _complement_halfplane_distance(domain: DomainSpec, q: np.ndarray, c: float,
@@ -416,8 +416,8 @@ def _complement_halfplane_distance(domain: DomainSpec, q: np.ndarray, c: float,
 
 def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     """Distance to the complement of Omega^+ = Omega u {Re > Re ref} (or
-    Omega^- with Re < Re ref); +inf when the enlarged domain is the plane.
-    An array of points gives an array, one point a float.  Every domain
+    Omega^- with Re < Re ref); +inf when the enlarged domain is the plane,
+    an array for an array of points.  Every domain
     takes one path: its boundary rays cut at the line {Re = Re ref}, and
     the stretches of that line outside the domain.  A comb takes the extent
     guard of `delta`."""
@@ -430,8 +430,7 @@ def delta_pm(domain: DomainSpec, sign: OmegaSign, q):
     _require(contains(domain, q) | (side & np.isfinite(q)), q, f"Omega^{'+' if plus else '-'}")
     _require_comb_extent(domain, q)
     # complement(Omega^+) = complement(Omega) ∩ {Re <= ref}
-    d = _complement_halfplane_distance(domain, q, c, keep_le=plus)
-    return float(d) if q.ndim == 0 else d
+    return _scalar(_complement_halfplane_distance(domain, q, c, keep_le=plus))
 
 
 # ---------------------------------------------------------------------------

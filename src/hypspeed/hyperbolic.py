@@ -17,9 +17,7 @@ take a batch: a ``LogPolar`` whose fields are numpy arrays, a ``DiscPoint``
 (with or without a batch witness) or ``RadialGeodesic`` whose value is an
 array, or a polyline given as an array.  A plain disc point keeps the exact
 1 - |z|^2 its validity check computes, which ``omega`` and ``cayley`` read,
-and a batch's value is a read-only copy.  Each operation has one numpy
-body for a point and a batch, and gives a point as Python floats and
-complex numbers.
+and a batch's value is a read-only copy.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mapchain import HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex, _from_complex
+from .mapchain import HALF_PI, LogPolar, _cabs, _cdiv, _cmul, _complex, _from_complex, _scalar
 
 # Above this log rho, 1 - |z| ~ 2 e^{-log rho} cos theta of the disc point is
 # below ~2e-13, and cayley_inv's disc value is 1 - 2 e^{-log rho - i theta}.
@@ -83,7 +81,7 @@ def HalfPlanePoint(log_rho: float, theta: float, cos_theta: float | None = None)
     fields = (log_rho, theta) if cos_theta is None else (log_rho, theta, cos_theta)
     if not all(isinstance(f, (float, np.ndarray, numbers.Real)) for f in fields):
         raise DomainError(f"each field must be a real number or an ndarray, got {fields!r}")
-    if any(isinstance(f, np.ndarray) for f in fields):
+    if np.broadcast(*fields).ndim:  # one shape for every field of a batch
         log_rho, theta, *cos = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fields))
         cos_theta = cos[0] if cos else None
     return in_halfplane(LogPolar(log_rho, theta, cos_theta))
@@ -138,26 +136,24 @@ class DiscPoint:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if isinstance(self.value, np.ndarray) or isinstance(other.value, np.ndarray):
+        # np.ndim would take about 1 us on a point's Python complex
+        if np.asarray(self.value).ndim or np.asarray(other.value).ndim:
             return np.array_equal(self.value, other.value)
         return (self.value, self.halfplane) == (other.value, other.halfplane)
 
     def __post_init__(self):
-        batch = isinstance(self.value, np.ndarray)
-        if batch:
-            value = np.array(self.value, dtype=complex)  # a copy the caller cannot write
-            value.flags.writeable = False
-        else:
-            value = complex(self.value)
+        array = np.array(self.value, dtype=complex)  # a copy the caller cannot write
+        array.flags.writeable = False
+        value = _scalar(array)
         object.__setattr__(self, "value", value)
         if self.halfplane is None:  # a NaN or infinite part fails either test
             object.__setattr__(self, "_rest", _one_minus_abs2(value))  # omega and cayley read it
             inside = self._rest > 0.0
-        elif batch and np.shape(self.halfplane.log_rho) != value.shape:
-            raise DomainError("a batch witness must have the shape of its disc points")
+        elif np.asarray(self.halfplane.log_rho).shape != array.shape:
+            raise DomainError("a witness must have the shape of its disc points")
         else:
             inside = abs(value) <= 1.0 + 1e-12
-        if not (inside.all() if batch else inside):
+        if np.count_nonzero(inside) < array.size:
             raise DomainError("a disc point must be finite and inside the unit disc"
                               if self.halfplane is None else
                               "a guarded disc point strays past the boundary")
@@ -178,13 +174,11 @@ class RadialGeodesic:
     tau: complex
 
     def __post_init__(self):
-        batch = isinstance(self.tau, np.ndarray)
-        t = self.tau.astype(complex, copy=False) if batch else complex(self.tau)
+        t = np.asarray(self.tau, dtype=complex)
         r = _cabs(t)
         if not np.all(np.abs(r - 1.0) <= 1e-9):  # NaN fails too
             raise DomainError("geodesic direction must be unimodular")
-        tau = _complex(t.real / r, t.imag / r)
-        object.__setattr__(self, "tau", tau if batch else complex(tau))
+        object.__setattr__(self, "tau", _scalar(_complex(t.real / r, t.imag / r)))
 
 
 def _as_disc(z) -> DiscPoint:
@@ -230,8 +224,7 @@ def _k_lp(l1, t1, c1, l2, t2, c2):
 
 def k_half(w1: LogPolar, w2: LogPolar) -> float:
     """Hyperbolic distance in the right half plane (an array for a batch)."""
-    k = _k_lp(w1.log_rho, w1.theta, w1.cos_theta, w2.log_rho, w2.theta, w2.cos_theta)
-    return float(k) if np.ndim(k) == 0 else k
+    return _scalar(_k_lp(w1.log_rho, w1.theta, w1.cos_theta, w2.log_rho, w2.theta, w2.cos_theta))
 
 
 def omega(z, w) -> float:
@@ -242,25 +235,24 @@ def omega(z, w) -> float:
     if z.guarded or w.guarded:
         return k_half(cayley(z), cayley(w))
     rest = z._rest * w._rest
-    d = np.arcsinh(abs(z.value - w.value) / np.sqrt(rest))
-    return float(d) if np.ndim(d) == 0 else d
+    return _scalar(np.arcsinh(abs(z.value - w.value) / np.sqrt(rest)))
 
 
 def kappa(space: str, point: complex, vector: complex) -> float:
     """Density of the hyperbolic metric: |v|/(1-|z|^2) in D, |v|/(2 Re w) in H."""
-    point, vector = complex(point), complex(vector)
+    point, vector = np.asarray(point, dtype=complex), np.asarray(vector, dtype=complex)
     for name, value in (("point", point), ("vector", vector)):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DomainError(f"kappa needs a finite {name}, got {value}")
+        if not np.isfinite(value).all():
+            raise DomainError(f"kappa needs a finite {name}, got {_scalar(value)}")
     if space == "disc":
         rest = _one_minus_abs2(point)
-        if not rest > 0.0:
+        if not (rest > 0.0).all():
             raise DomainError("kappa needs an interior disc point")
-        return abs(vector) / rest
+        return _scalar(_cabs(vector) / rest)
     if space == "halfplane":
-        if point.real <= 0.0:
+        if not (point.real > 0.0).all():
             raise DomainError("kappa needs an interior half-plane point")
-        return abs(vector) / (2.0 * point.real)
+        return _scalar(_cabs(vector) / (2.0 * point.real))
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -295,7 +287,7 @@ def cayley_inv(w: LogPolar) -> DiscPoint:
         z = np.where(w.log_rho <= _RADIAL_CROSSOVER,
                      np.where(r < 1.0, near, near / r * (1.0 - 1e-16)),
                      _complex(1.0 - eps * w.cos, eps * np.sin(w.theta)))
-    return DiscPoint(z if isinstance(w.log_rho, np.ndarray) else complex(z), halfplane=w)
+    return DiscPoint(z, halfplane=w)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,7 @@ def tangential_distance(theta: float, cos_theta: float | None = None) -> float:
     """k_H(rho e^{i theta}, rho) = asinh(|sin(theta/2)| / sqrt(cos theta)), the
     distance formula of k_half at d = 0; finite for every positive cosine."""
     c = np.cos(theta) if cos_theta is None else cos_theta
-    d = np.arcsinh(np.abs(np.sin(0.5 * theta)) / np.sqrt(c))
-    return float(d) if np.ndim(d) == 0 else d
+    return _scalar(np.arcsinh(np.abs(np.sin(0.5 * theta)) / np.sqrt(c)))
 
 
 def dist_to_radius(z, geo: RadialGeodesic) -> float:
@@ -319,7 +310,7 @@ def dist_to_radius(z, geo: RadialGeodesic) -> float:
     q = |y sinh(log rho) - x sin theta| / cos theta; at tau = +-1 it is the
     tangential distance asinh(|tan theta|) / 2.  Where q overflows it is
     log(2q) / 2, with log|y sinh(log rho)| = |log rho| - log 2 + log|y|."""
-    hp = cayley(_as_disc(z))
+    hp = cayley(z)
     lr, s, c = hp.log_rho, np.sin(hp.theta), hp.cos
     x, y = np.real(geo.tau), np.imag(geo.tau)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -333,7 +324,7 @@ def dist_to_radius(z, geo: RadialGeodesic) -> float:
         if np.any(np.isinf(q)):  # x sin theta is negligible where y sinh L is inf
             log_num = np.where(np.isinf(num), np.abs(lr) + np.log(np.abs(0.5 * y)), np.log(num))
             d = np.where(np.isinf(q), 0.5 * (math.log(2.0) + log_num - np.log(c)), d)
-    return float(d) if np.ndim(d) == 0 else d
+    return _scalar(d)
 
 
 def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
@@ -347,7 +338,7 @@ def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
     real diameter, where L' = L, every foot carries the half-plane witness
     (L, 0, 1), a point as a batch; a foot that rounds onto the circle off
     that diameter is a DomainError."""
-    hp = cayley(_as_disc(z))
+    hp = cayley(z)
     lr, x, y = hp.log_rho, np.real(geo.tau), np.imag(geo.tau)
     with np.errstate(over="ignore"):  # sech L = 0 past cosh's range
         t, sech = np.tanh(lr), 1.0 / np.cosh(lr)
@@ -355,7 +346,7 @@ def project_to_radius(z, geo: RadialGeodesic) -> DiscPoint:
     perp = y * t - x * s  # squares that underflow are negligible against 1
     r = (x * t + y * s) / (1.0 + np.sqrt(c * c + perp * perp))
     if np.all(y == 0.0):
-        lr = np.broadcast_to(lr, r.shape) if np.ndim(r) else lr
+        lr = np.broadcast_to(lr, np.shape(r))
         return DiscPoint(r * geo.tau, halfplane=HalfPlanePoint(lr, 0.0, 1.0))
     if np.any(np.abs(r) >= 1.0):
         raise DomainError("the projection rounds onto the unit circle, where only a foot "
@@ -433,7 +424,7 @@ class DiscAutomorphism:
         r = _cabs(w)
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0, not kept
             w = np.where(r >= 1.0, w * ((1.0 - 1e-16) / r), w)
-        return DiscPoint(w if isinstance(z.value, np.ndarray) else complex(w))
+        return DiscPoint(w)
 
     def apply_boundary(self, sigma: complex) -> complex:
         """Continuous boundary extension; |sigma| = 1 maps to modulus 1."""

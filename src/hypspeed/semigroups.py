@@ -18,7 +18,7 @@ import numpy as np
 
 from .domains import (Comb, DomainSpec, HalfPlaneRight, Koebe, Sector, Strip,
                       UnsupportedDomainOperation, to_halfplane)
-from .hyperbolic import (ORIGIN, DiscPoint, DomainError, cayley, cayley_inv,
+from .hyperbolic import (ORIGIN, DiscPoint, DomainError, _as_disc, cayley, cayley_inv,
                          in_halfplane, k_half)
 from .mapchain import LogPolar, RiemannMapChain
 
@@ -80,8 +80,8 @@ def koenigs_semigroup(domain: DomainSpec) -> KoenigsSemigroup:
 
 def _model_offset(fmap: RiemannMapChain, z: DiscPoint):
     """h(z) - p: the map's exact base for z = 0, else F^{-1}(C(z)) - p."""
-    # for a batch the comparison is an array, never True: the map inverts it
-    if (z.value == 0) is True and not z.guarded:
+    z = _as_disc(z)
+    if z == ORIGIN:  # a batch or a guarded point never equals it
         return fmap.base
     return fmap.inverse(cayley(z))
 
@@ -102,8 +102,8 @@ def orbit_halfplane(sg: KoenigsSemigroup, z: DiscPoint, t: float) -> LogPolar:
     through the map.  A point whose log rho overflows (a strip past its
     time range, any domain at an infinite time) is a DomainError naming the
     first such time."""
-    negative = t < 0  # a bool for one time, an array for an array of times
-    if negative is True or (negative is not False and negative.any()):
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0.0).all():  # NaN fails too
         raise ValueError("orbit times must be nonnegative")
     fmap = to_halfplane(sg.image_domain)  # a comb has none
     with np.errstate(invalid="ignore"):  # 0 * inf at an infinite time, refused below
@@ -140,4 +140,5 @@ def denjoy_wolff(sg: KoenigsSemigroup) -> complex:
 def hyperbolic_step_gap(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> float:
     """omega(phi_t(z), phi_{t+1}(z)), computed entirely in the half plane
     (an array for an array of times)."""
+    t = np.asarray(t, dtype=float)
     return k_half(orbit_halfplane(sg, z, t), orbit_halfplane(sg, z, t + 1.0))

@@ -24,7 +24,7 @@ import numpy as np
 from .domains import DomainSpec, OmegaSign, contains, delta_pm
 from .hyperbolic import (ORIGIN, DiscPoint, DomainError, HalfPlanePoint,
                          k_half, tangential_distance)
-from .mapchain import LOG2, LogPolar
+from .mapchain import LOG2, LogPolar, _scalar
 from .semigroups import KoenigsSemigroup, orbit_halfplane
 
 _BASE = HalfPlanePoint(0.0, 0.0, 1.0)
@@ -56,7 +56,7 @@ class SpeedSample:
         for name, col in list(vars(self).items()):
             col = np.array(col, dtype=float)  # a copy the caller cannot write
             col.flags.writeable = False
-            object.__setattr__(self, name, col if col.ndim else float(col))
+            object.__setattr__(self, name, _scalar(col))
         if np.ndim(self.t) > 1 or {np.shape(c) for c in vars(self).values()} != {np.shape(self.t)}:
             raise ValueError("a speed table needs six columns of one length")
         v, v_o, v_T = self.v, self.v_o, self.v_T
@@ -123,8 +123,8 @@ class SurrogateSpeeds:
     s_tang = s_total - s_orth (an algebraic identity of the three logs).
     Deviation bounds only apply from the first time Re(conj(tau) eta) >= 0,
     equivalently log rho >= 0; earlier samples carry pre_threshold=True.
-    For an array of times every field but ``t`` is an array; for one time
-    they are float64 scalars and ``pre_threshold`` a bool.
+    For an array of times every field is an array; for one time they are
+    floats and ``pre_threshold`` a bool.
     """
 
     t: float
@@ -160,8 +160,9 @@ def surrogate_speeds(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> S
     overflows.  The (log rho)/2 piece common to the speeds and the
     surrogates is kept symbolic so the reported deviations never suffer
     large-term cancellation even when log rho is of order 1e8.  One time is
-    a 0-d pass with float64 fields; an array of times is one array pass.
+    a 0-d pass; an array of times is one array pass.
     """
+    t = np.asarray(t, dtype=float)
     hp = orbit_halfplane(sg, z, t)
     v, v_o, v_t = speeds_from_halfplane(hp)
     L, c = hp.log_rho, hp.cos
@@ -172,16 +173,9 @@ def surrogate_speeds(sg: KoenigsSemigroup, t: float, z: DiscPoint = ORIGIN) -> S
     y_total = -0.5 * (math.log(4.0) + np.log(c) - 2.0 * corr - _log1p_abs_eta(L, c))
     y_orth = 0.5 * (corr - LOG2)
     s_total, s_orth = half_l + y_total, half_l + y_orth
-    return SurrogateSpeeds(
-        t=t,
-        s_total=s_total,
-        s_orth=s_orth,
-        s_tang=s_total - s_orth,
-        dev_total=(v - half_l) - y_total,
-        dev_orth=(v_o - half_l) - y_orth,
-        dev_tang=v_t - (y_total - y_orth),
-        pre_threshold=L < 0.0,
-    )
+    return SurrogateSpeeds(*map(_scalar, (
+        t, s_total, s_orth, s_total - s_orth, (v - half_l) - y_total,
+        (v_o - half_l) - y_orth, v_t - (y_total - y_orth), L < 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,4 +241,4 @@ def nontangential_ratio(sg: KoenigsSemigroup, p, t: float) -> float:
     d_minus = delta_pm(dom, OmegaSign("minus", p), q)
     d_plus = delta_pm(dom, OmegaSign("plus", p), q)
     # min(t, d) as Python takes it: d only where d < t
-    return np.where(d_minus < t, d_minus, t) / np.where(d_plus < t, d_plus, t)
+    return _scalar(np.where(d_minus < t, d_minus, t) / np.where(d_plus < t, d_plus, t))

@@ -8,6 +8,7 @@ boundary.  numpy may round a 0-d array an ulp apart from the same point in
 a batch, so a point and a batch agree to a few ulp, not bit for bit.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -16,18 +17,21 @@ import pytest
 
 from hypspeed import (Comb, DiscAutomorphism, DiscPoint, HalfPlanePoint,
                       HalfPlaneRight, Koebe, OmegaSign, RadialGeodesic, Sector,
-                      Strip, cayley, cayley_inv, contains, delta_pm,
-                      dist_to_radius, k_domain, k_half, koenigs_semigroup,
+                      Strip, build_comb, cayley, cayley_inv, classify, contains,
+                      default_grid, delta, delta_pm, denjoy_wolff,
+                      dist_to_radius, domain_from_json, fit_asymptotic,
+                      k_domain, k_half, kappa, koenigs_semigroup,
                       nontangential_ratio, omega, orbit, orbit_halfplane,
-                      path_length, project_to_radius, surrogate_speeds,
-                      to_halfplane)
+                      path_length, project_to_radius, quasihyp_lower,
+                      sample_speeds, surrogate_speeds, to_halfplane,
+                      verify_comb)
 from hypspeed.domains import UnsupportedDomainOperation
 from hypspeed.hyperbolic import (GL_NODES, GL_WEIGHTS, ORIGIN, DomainError,
                                  tangential_distance)
 from hypspeed.mapchain import HALF_PI, LogPolar
 from hypspeed.semigroups import hyperbolic_step_gap, model_point
 from hypspeed.speeds import speeds_from_halfplane
-from hypspeed.verify import _rand_domain_points
+from hypspeed.verify import PUBLIC_OPS, _rand_domain_points
 
 from oracles import (brute_delta_pm, mp_contains, mp_disc, mp_halfplane, mp_k, mp_k_half,
                      mp_lp, mp_moebius, mp_omega, mp_orbit, mp_point, mp_preimage,
@@ -339,6 +343,10 @@ class TestDiscBatches:
             DiscPoint(np.array([0.5, 1.0]))
         with pytest.raises(DomainError):
             RadialGeodesic(np.array([1.0, 0.5]))
+        # a witness of another shape than its points, a batch's or a point's
+        for value, log_rho in ((np.array([0.5, 0.1]), np.zeros(3)), (0.5, np.zeros(2))):
+            with pytest.raises(DomainError, match="witness must have the shape"):
+                DiscPoint(value, halfplane=HalfPlanePoint(log_rho, 0.0))
         # a foot that rounds onto the circle off the real diameter has no witness
         guarded = DiscPoint(1.0 + 0j, halfplane=HalfPlanePoint(40.0, 0.0, 1.0))
         with pytest.raises(DomainError, match="rounds onto the unit circle"):
@@ -591,6 +599,16 @@ class TestOrbitBatches:
         with pytest.raises(UnsupportedDomainOperation):
             orbit_halfplane(comb, ORIGIN, np.array([1.0, 2.0]))
 
+    def test_a_nan_time_is_refused_as_a_time(self):
+        # the message names the input, not the non-finite log rho it makes
+        sg = koenigs_semigroup(TABLE_DOMAINS["koebe"])
+        for fn in (lambda t: orbit_halfplane(sg, ORIGIN, t),
+                   lambda t: hyperbolic_step_gap(sg, t),
+                   lambda t: surrogate_speeds(sg, t)):
+            for t in (math.nan, [1.0, math.nan]):
+                with pytest.raises(ValueError, match="orbit times must be nonnegative"):
+                    fn(t)
+
 
 SURROGATE_FIELDS = ("s_total", "s_orth", "s_tang", "dev_total", "dev_orth", "dev_tang")
 
@@ -656,13 +674,13 @@ class TestSurrogateOracle:
         assert np.min(hp.cos) < 1e-11 and np.min(hp.log_rho) < -29.0
         assert_surrogates_match_oracle(sur, hp)
 
-    def test_one_time_is_a_float64_pass(self):
+    def test_one_time_gives_python_floats(self):
         sg = koenigs_semigroup(TABLE_DOMAINS["koebe"])
         # the orbit lies on the axis: the tangential surrogate vanishes
         s = surrogate_speeds(sg, 3.0)
         assert s.s_tang == 0.0 and s.pre_threshold is False
         for name in SURROGATE_FIELDS:
-            assert type(getattr(s, name)) is np.float64
+            assert type(getattr(s, name)) is float
 
 
 # ---------------------------------------------------------------------------
@@ -892,3 +910,96 @@ class TestChainSuiteBatches:
             k_domain(dom, np.concatenate([ws[:3], outside]), pre[:4])
         with pytest.raises(DomainError):
             k_domain(dom, pre[:4], np.concatenate([outside, ws[:3]]))
+
+
+# ---------------------------------------------------------------------------
+# the one point rule: a point comes back as Python scalars, a list is a batch
+
+SKEW = TABLE_DOMAINS["sector_skew"]
+SKEW_SG, SKEW_MAP = koenigs_semigroup(SKEW), to_halfplane(SKEW)
+DISC, INSIDE, TIMES_2 = [0.3 - 0.4j, -0.2 + 0.5j], [0.5 + 3j, 1 + 5j], [3.0, 40.0]
+SKEW_TABLE = sample_speeds(SKEW_SG, default_grid(1.0, 1e8, 64))
+OFF_AXIS, DIAMETER = RadialGeodesic(1j), RadialGeodesic(1.0)
+APEX_RELATIVE = [w - SKEW_MAP.p for w in INSIDE]
+
+
+def row(call, point, pair):
+    """call at one point, and call itself for a two-element list and its array."""
+    return lambda: call(point), call, pair
+
+
+#: for every public operation, and the orbit, map and model entry points: a
+#: call at one point or time, and the call and list for a batch; an
+#: operation with no point or time argument has no batch
+ONE_POINT_ROWS = {
+    "omega": row(lambda z: omega(z, 0.1j), DISC[0], DISC),
+    "k_half": row(lambda z: k_half(cayley(z), cayley(0.1j)), DISC[0], DISC),
+    "kappa": row(lambda z: kappa("disc", z, 1.0), DISC[0], DISC),
+    "cayley": row(cayley, DISC[0], DISC),
+    "cayley_inv": row(lambda z: cayley_inv(cayley(z)), DISC[0], DISC),
+    "project_to_radius": row(lambda z: project_to_radius(z, DIAMETER), DISC[0], DISC),
+    "dist_to_radius": row(lambda z: dist_to_radius(z, OFF_AXIS), DISC[0], DISC),
+    "path_length": row(lambda zs: path_length("disc", zs), DISC, DISC),
+    "domain_from_json": (lambda: domain_from_json(
+        {"type": "sector", "p": [1, -2], "alpha": 0.7, "beta": 1.9}), None, None),
+    "contains": row(lambda w: contains(SKEW, w), INSIDE[0], INSIDE),
+    "to_halfplane": (lambda: to_halfplane(Sector(3 + 1j, 0.2, 0.4)), None, None),
+    "delta": row(lambda w: delta(SKEW, w), INSIDE[0], INSIDE),
+    "delta_pm": row(lambda w: delta_pm(SKEW, OmegaSign("plus", 1 + 5j), w), INSIDE[0], INSIDE),
+    "k_domain": row(lambda w: k_domain(SKEW, w, 1 + 5j), INSIDE[0], INSIDE),
+    "quasihyp_lower": (lambda: quasihyp_lower(Koebe(0j), 1.0, 100.0), None, None),
+    "classify": (lambda: classify(Strip(math.pi / 2)), None, None),
+    "koenigs_semigroup": (lambda: koenigs_semigroup(SKEW), None, None),
+    "orbit": row(lambda t: orbit(SKEW_SG, ORIGIN, t), TIMES_2[0], TIMES_2),
+    "denjoy_wolff": (lambda: denjoy_wolff(SKEW_SG), None, None),
+    "sample_speeds": (lambda: sample_speeds(SKEW_SG, TIMES_2)[0],
+                      lambda ts: sample_speeds(SKEW_SG, ts), TIMES_2),
+    "surrogate_speeds": row(lambda t: surrogate_speeds(SKEW_SG, t), TIMES_2[0], TIMES_2),
+    "fit_asymptotic": row(lambda w: fit_asymptotic(SKEW_TABLE, "v", "log_t", w),
+                          [1e2, 1e8], [1e2, 1e8]),
+    "nontangential_ratio": row(lambda t: nontangential_ratio(SKEW_SG, 1 + 5j, t),
+                               TIMES_2[0], TIMES_2),
+    "build_comb": (lambda: build_comb("sqrt", steps=3), None, None),
+    "verify_comb": (lambda: verify_comb(build_comb("sqrt", steps=3)), None, None),
+    "orbit_halfplane": row(lambda t: orbit_halfplane(SKEW_SG, ORIGIN, t), TIMES_2[0], TIMES_2),
+    "hyperbolic_step_gap": row(lambda t: hyperbolic_step_gap(SKEW_SG, t), TIMES_2[0], TIMES_2),
+    "model_point": row(lambda z: model_point(SKEW_SG, z), DISC[0], DISC),
+    "forward": row(SKEW_MAP.forward, APEX_RELATIVE[0], APEX_RELATIVE),
+    "inverse": row(SKEW_MAP.inverse, 2 - 1j, [2 - 1j, 0.5 + 3j]),
+    "log_abs_derivative": row(SKEW_MAP.log_abs_derivative, APEX_RELATIVE[0], APEX_RELATIVE),
+}
+
+
+def python_scalars(x) -> bool:
+    """Whether x is a Python scalar, or a record, tuple, list or dict of them."""
+    if dataclasses.is_dataclass(x):
+        return all(python_scalars(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return all(map(python_scalars, x))
+    if isinstance(x, dict):
+        return all(map(python_scalars, x.values()))
+    return x is None or callable(x) or type(x) in (bool, int, float, complex, str)
+
+
+def same(a, b) -> bool:
+    """Field by field np.array_equal, through records."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+def test_every_public_operation_has_a_one_point_row():
+    public = {name for names in PUBLIC_OPS.values() for name in names}
+    assert public <= set(ONE_POINT_ROWS)
+
+
+@pytest.mark.parametrize("op", list(ONE_POINT_ROWS))
+def test_one_point_rule(op):
+    # one point or time gives Python floats, complex numbers or a bool, also
+    # in the fields of a LogPolar, a DiscPoint or a record; a list gives
+    # what its array gives
+    one, call, pair = ONE_POINT_ROWS[op]
+    assert python_scalars(one())
+    if call is not None:
+        assert same(call(pair), call(np.array(pair)))

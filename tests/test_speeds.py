@@ -230,7 +230,7 @@ class TestSurrogates:
         assert max(abs(s - 0.5 * math.log(t)) for t, s in vals) < 2.0
 
     def test_equality_compares_fields(self, koebe_sg):
-        # array fields along a grid, float64 fields and a bool at one time
+        # array fields along a grid, float fields and a bool at one time
         ts = np.array(default_grid(1.0, 1e4, 16))
         table = surrogate_speeds(koebe_sg, ts)
         assert table == surrogate_speeds(koebe_sg, ts)
